@@ -30,7 +30,6 @@ from .machine import (
     DEFAULT_FUEL,
     EvalError,
     SubsetTooLarge,
-    compare_alloc,
     enumerate_lift_subsets,
     evaluate,
     minimal_subset,

@@ -20,11 +20,10 @@ from .syntax import (
     Thunk,
     TopBind,
     Var,
+    map_subexprs,
+    occurrences,
+    program_nodes,
 )
-
-
-def _atom_vars(atoms) -> frozenset[str]:
-    return frozenset(a.name for a in atoms if isinstance(a, Var))
 
 
 def free_vars(node: Expr | Rhs) -> frozenset[str]:
@@ -38,12 +37,8 @@ def free_vars(node: Expr | Rhs) -> frozenset[str]:
         return free_vars(node.body) - frozenset(node.params)
     if isinstance(node, Thunk):
         return free_vars(node.body)
-    if isinstance(node, AtomExpr):
-        return _atom_vars((node.atom,))
-    if isinstance(node, App):
-        return frozenset({node.head}) | _atom_vars(node.args)
-    if isinstance(node, PrimApp):
-        return _atom_vars(node.args)
+    if isinstance(node, (AtomExpr, App, PrimApp)):
+        return frozenset(occurrences(node))
     if isinstance(node, Let):
         acc = free_vars(node.body)
         for _, rhs in node.group.binds:
@@ -85,65 +80,28 @@ def cardinality(rhs: Rhs) -> Cardinality:
 class BinderFacts:
     occurs_as_argument: bool
     is_known_function: bool
-    arity: int
-    all_occurrences_saturated_calls: bool
 
 
 def occurrence_facts(p: Program) -> dict[str, BinderFacts]:
-    """Per let-bound binder: argument occurrences and known-call shape.
+    """Per let-bound binder: argument occurrences and known-function shape.
 
     A binder occurs as an argument when it appears in a non-head atom
     position of an application or primop.  Case scrutinee variables count as
     head-position uses.
     """
-    arity: dict[str, int] = {}
     known: dict[str, bool] = {}
     as_arg: set[str] = set()
-    unsaturated: set[str] = set()
-
-    def see_arg(a) -> None:
-        if isinstance(a, Var) and a.name in arity:
-            as_arg.add(a.name)
-            unsaturated.add(a.name)
-
-    def walk_expr(e: Expr) -> None:
-        if isinstance(e, AtomExpr):
-            if isinstance(e.atom, Var) and e.atom.name in arity:
-                unsaturated.add(e.atom.name)
-        elif isinstance(e, App):
-            if e.head in arity and len(e.args) != arity[e.head]:
-                unsaturated.add(e.head)
-            for a in e.args:
-                see_arg(a)
-        elif isinstance(e, PrimApp):
-            for a in e.args:
-                see_arg(a)
-        elif isinstance(e, Let):
+    for e in program_nodes(p):
+        if isinstance(e, Let):
             for name, rhs in e.group.binds:
                 known[name] = isinstance(rhs, Lambda)
-                arity[name] = len(rhs.params) if isinstance(rhs, Lambda) else 0
-            for _, rhs in e.group.binds:
-                walk_expr(rhs.body)
-            walk_expr(e.body)
-        elif isinstance(e, Case):
-            walk_expr(e.scrutinee)
-            for _, body in e.alts:
-                walk_expr(body)
-            walk_expr(e.default[1])
-        else:
-            raise AssertionError(e)
-
-    for tb in p.top_binds:
-        walk_expr(tb.body)
-    walk_expr(p.main)
+        elif isinstance(e, (App, PrimApp)):
+            for a in e.args:
+                if isinstance(a, Var) and a.name in known:
+                    as_arg.add(a.name)
     return {
-        name: BinderFacts(
-            occurs_as_argument=name in as_arg,
-            is_known_function=known[name],
-            arity=arity[name],
-            all_occurrences_saturated_calls=name not in unsaturated,
-        )
-        for name in arity
+        name: BinderFacts(occurs_as_argument=name in as_arg, is_known_function=k)
+        for name, k in known.items()
     }
 
 
@@ -216,29 +174,15 @@ def split_groups(p: Program) -> Program:
     """
 
     def split_expr(e: Expr) -> Expr:
-        if isinstance(e, (AtomExpr, App, PrimApp)):
+        e = map_subexprs(e, split_expr)
+        if not isinstance(e, Let):
             return e
-        if isinstance(e, Case):
-            scrut = split_expr(e.scrutinee)
-            alts = tuple((pat, split_expr(b)) for pat, b in e.alts)
-            dname, dbody = e.default
-            return Case(scrut, alts, (dname, split_expr(dbody)))
-        if isinstance(e, Let):
-            binds = tuple((name, split_rhs(rhs)) for name, rhs in e.group.binds)
-            body = split_expr(e.body)
-            result = body
-            # Tarjan pops dependencies first; wrap in reverse so they end up
-            # outermost and stay in scope for their dependents.
-            for comp in reversed(_scc_components(binds)):
-                group = BindGroup(_group_is_recursive(comp), tuple(comp))
-                result = Let(group, result)
-            return result
-        raise AssertionError(e)
-
-    def split_rhs(r: Rhs) -> Rhs:
-        if isinstance(r, Lambda):
-            return Lambda(r.card, r.params, split_expr(r.body))
-        return Thunk(split_expr(r.body))
+        result = e.body
+        # Tarjan pops dependencies first; wrap in reverse so they end up
+        # outermost and stay in scope for their dependents.
+        for comp in reversed(_scc_components(e.group.binds)):
+            result = Let(BindGroup(_group_is_recursive(comp), tuple(comp)), result)
+        return result
 
     tops = tuple(
         TopBind(tb.name, tb.params, split_expr(tb.body)) for tb in p.top_binds

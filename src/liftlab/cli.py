@@ -7,6 +7,7 @@ usage errors.  Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -126,14 +127,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     lifted, decisions = lift_program(program, cfg)
     report: dict = {
         "input": args.file,
-        "config": {
-            "max_arity_nonrec": cfg.max_arity_nonrec,
-            "max_arity_rec": cfg.max_arity_rec,
-            "check_closure_growth": cfg.check_closure_growth,
-            "allow_unknown_calls": cfg.allow_unknown_calls,
-            "allow_arg_occurrences": cfg.allow_arg_occurrences,
-            "fuel": args.fuel,
-        },
+        "config": {**dataclasses.asdict(cfg), "fuel": args.fuel},
         "decisions": [_decision_json(d) for d in decisions],
         "eval": None,
     }

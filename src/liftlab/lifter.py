@@ -18,7 +18,7 @@ every occurrence becomes a head application carrying the required set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 
 from .analysis import BinderFacts, free_vars, occurrence_facts
 from .skeleton import (
@@ -32,16 +32,17 @@ from .syntax import (
     App,
     AtomExpr,
     BindGroup,
-    Case,
     Expr,
     Lambda,
     Let,
     PrimApp,
     Program,
-    Rhs,
     Thunk,
     TopBind,
     Var,
+    bound_names,
+    map_subexprs,
+    program_nodes,
 )
 
 LIFTED = "Lifted"
@@ -238,55 +239,13 @@ def decide(
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     """Groups that may be force-lifted without breaking validity (C5 and C1 hold)."""
     facts = occurrence_facts(p)
-    sites: list[tuple[str, ...]] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Let):
-            binders = e.group.binders()
-            ok = all(
-                isinstance(rhs, Lambda) for _, rhs in e.group.binds
-            ) and not any(facts[b].occurs_as_argument for b in binders)
-            if ok:
-                sites.append(binders)
-            for _, rhs in e.group.binds:
-                walk(rhs.body)
-            walk(e.body)
-        elif isinstance(e, Case):
-            walk(e.scrutinee)
-            for _, b in e.alts:
-                walk(b)
-            walk(e.default[1])
-
-    for tb in p.top_binds:
-        walk(tb.body)
-    walk(p.main)
-    return sites
-
-
-def _names_in_use(p: Program) -> set[str]:
-    names: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Let):
-            for name, rhs in e.group.binds:
-                names.add(name)
-                if isinstance(rhs, Lambda):
-                    names.update(rhs.params)
-                walk(rhs.body)
-            walk(e.body)
-        elif isinstance(e, Case):
-            walk(e.scrutinee)
-            for _, b in e.alts:
-                walk(b)
-            names.add(e.default[0])
-            walk(e.default[1])
-
-    for tb in p.top_binds:
-        names.add(tb.name)
-        names.update(tb.params)
-        walk(tb.body)
-    walk(p.main)
-    return names
+    return [
+        e.group.binders()
+        for e in program_nodes(p)
+        if isinstance(e, Let)
+        and all(isinstance(rhs, Lambda) for _, rhs in e.group.binds)
+        and not any(facts[b].occurs_as_argument for b in e.group.binders())
+    ]
 
 
 def _substitute(mapping: dict[str, str], e: Expr) -> Expr:
@@ -305,24 +264,7 @@ def _substitute(mapping: dict[str, str], e: Expr) -> Expr:
     if isinstance(e, PrimApp):
         a, b = e.args
         return PrimApp(e.op, (sub_atom(a), sub_atom(b)))
-    if isinstance(e, Let):
-        binds = tuple(
-            (
-                name,
-                Lambda(rhs.card, rhs.params, _substitute(mapping, rhs.body))
-                if isinstance(rhs, Lambda)
-                else Thunk(_substitute(mapping, rhs.body)),
-            )
-            for name, rhs in e.group.binds
-        )
-        return Let(BindGroup(e.group.recursive, binds), _substitute(mapping, e.body))
-    if isinstance(e, Case):
-        alts = tuple((pat, _substitute(mapping, b)) for pat, b in e.alts)
-        dname, dbody = e.default
-        return Case(
-            _substitute(mapping, e.scrutinee), alts, (dname, _substitute(mapping, dbody))
-        )
-    raise AssertionError(e)
+    return map_subexprs(e, partial(_substitute, mapping))
 
 
 @dataclass
@@ -369,14 +311,9 @@ class _LiftRun:
         if isinstance(e, PrimApp):
             a, b = e.args
             return PrimApp(e.op, (self.rewrite_atom(a, alpha), self.rewrite_atom(b, alpha)))
-        if isinstance(e, Case):
-            scrut = self.lift_expr(alpha, e.scrutinee)
-            alts = tuple((pat, self.lift_expr(alpha, b)) for pat, b in e.alts)
-            dname, dbody = e.default
-            return Case(scrut, alts, (dname, self.lift_expr(alpha, dbody)))
         if isinstance(e, Let):
             return self.lift_let(alpha, e)
-        raise AssertionError(e)
+        return map_subexprs(e, partial(self.lift_expr, alpha))
 
     def lift_let(self, alpha: Expander, e: Let) -> Expr:
         group = e.group
@@ -415,15 +352,7 @@ class _LiftRun:
                 self.new_tops[slot + offset] = TopBind(name, params, body)
             return self.lift_expr(after, e.body)
 
-        binds = tuple(
-            (name, self.lift_rhs(alpha, rhs)) for name, rhs in group.binds
-        )
-        return Let(BindGroup(group.recursive, binds), self.lift_expr(alpha, e.body))
-
-    def lift_rhs(self, alpha: Expander, r: Rhs) -> Rhs:
-        if isinstance(r, Lambda):
-            return Lambda(r.card, r.params, self.lift_expr(alpha, r.body))
-        return Thunk(self.lift_expr(alpha, r.body))
+        return map_subexprs(e, partial(self.lift_expr, alpha))
 
 
 def lift_program(
@@ -443,7 +372,7 @@ def lift_program(
         cfg=cfg,
         top_names=p.top_names(),
         force_sites=force_sites,
-        used_names=_names_in_use(p),
+        used_names=set(bound_names(p)),
     )
     tops = []
     for tb in p.top_binds:

@@ -339,13 +339,6 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     return _Machine(p, fuel).run()
 
 
-def compare_alloc(original: Program, lifted: Program, fuel: int = DEFAULT_FUEL) -> int:
-    """words(lifted) - words(original); negative means the lift saved heap."""
-    _, before = evaluate(original, fuel)
-    _, after = evaluate(lifted, fuel)
-    return after.words_allocated - before.words_allocated
-
-
 class SubsetTooLarge(Exception):
     pass
 

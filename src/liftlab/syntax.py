@@ -23,6 +23,7 @@ canonicalises them (see :mod:`liftlab.analysis`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 INF = float("inf")
@@ -148,6 +149,111 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+
+def subexprs(e: Expr) -> tuple[Expr, ...]:
+    """Immediate sub-expressions: a let's right-hand-side bodies, then its
+    body; a case's scrutinee, alternatives, then default.  Leaves have none."""
+    if isinstance(e, (AtomExpr, App, PrimApp)):
+        return ()
+    if isinstance(e, Let):
+        return (*[rhs.body for _, rhs in e.group.binds], e.body)
+    if isinstance(e, Case):
+        return (e.scrutinee, *[body for _, body in e.alts], e.default[1])
+    raise AssertionError(e)
+
+
+def map_subexprs(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild ``e`` with ``f`` applied to each sub-expression, in
+    :func:`subexprs` order; binders, patterns and flags are kept.
+
+    Plain loops keep this to one stack frame between ``f``'s calls, so
+    recursive callers reach the same nesting depth as a direct recursion
+    (pass a bound method or ``functools.partial``, not a lambda).
+    """
+    if isinstance(e, (AtomExpr, App, PrimApp)):
+        return e
+    if isinstance(e, Let):
+        binds = []
+        for name, rhs in e.group.binds:
+            if isinstance(rhs, Lambda):
+                binds.append((name, Lambda(rhs.card, rhs.params, f(rhs.body))))
+            else:
+                binds.append((name, Thunk(f(rhs.body))))
+        return Let(BindGroup(e.group.recursive, tuple(binds)), f(e.body))
+    if isinstance(e, Case):
+        scrut = f(e.scrutinee)
+        alts = []
+        for pat, body in e.alts:
+            alts.append((pat, f(body)))
+        dname, dbody = e.default
+        return Case(scrut, tuple(alts), (dname, f(dbody)))
+    raise AssertionError(e)
+
+
+def walk(*roots: Expr) -> Iterator[Expr]:
+    """Every node under ``roots``, pre-order, children in :func:`subexprs`
+    order.  Uses an explicit stack, so depth is not limited by recursion;
+    pushes children itself rather than through :func:`subexprs`, which
+    halves the cost of this hot loop."""
+    stack = list(reversed(roots))
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Let):
+            stack.append(e.body)
+            stack.extend([rhs.body for _, rhs in reversed(e.group.binds)])
+        elif isinstance(e, Case):
+            stack.append(e.default[1])
+            stack.extend([body for _, body in reversed(e.alts)])
+            stack.append(e.scrutinee)
+
+
+def program_nodes(p: Program) -> Iterator[Expr]:
+    """:func:`walk` over the top-level bodies, then ``main``."""
+    return walk(*[tb.body for tb in p.top_binds], p.main)
+
+
+def occurrences(e: Expr) -> tuple[str, ...]:
+    """Names occurring in the node itself; none for ``let`` and ``case``."""
+    if isinstance(e, AtomExpr):
+        return (e.atom.name,) if isinstance(e.atom, Var) else ()
+    if isinstance(e, App):
+        return (e.head, *[a.name for a in e.args if isinstance(a, Var)])
+    if isinstance(e, PrimApp):
+        return tuple([a.name for a in e.args if isinstance(a, Var)])
+    return ()
+
+
+def bound_names(p: Program) -> list[str]:
+    """Every binder and parameter, each listed just before the expression it
+    scopes over: top-level names and params before their body, a let binder
+    and its params before its right-hand side, a default binder after the
+    scrutinee and alternatives."""
+    names: list[str] = []
+    stack: list[str | Expr] = [p.main]
+    for tb in reversed(p.top_binds):
+        stack += [tb.body, *reversed(tb.params), tb.name]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            names.append(item)
+        elif isinstance(item, Let):
+            stack.append(item.body)
+            for name, rhs in reversed(item.group.binds):
+                stack.append(rhs.body)
+                if isinstance(rhs, Lambda):
+                    stack += reversed(rhs.params)
+                stack.append(name)
+        elif isinstance(item, Case):
+            *before, dbody = subexprs(item)
+            stack += [dbody, item.default[0], *reversed(before)]
+    return names
+
+
+# ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
@@ -235,42 +341,20 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 
-def _mentioned_names(e: Expr, acc: set[str]) -> None:
-    if isinstance(e, AtomExpr):
-        if isinstance(e.atom, Var):
-            acc.add(e.atom.name)
-    elif isinstance(e, App):
-        acc.add(e.head)
-        for a in e.args:
-            if isinstance(a, Var):
-                acc.add(a.name)
-    elif isinstance(e, PrimApp):
-        for a in e.args:
-            if isinstance(a, Var):
-                acc.add(a.name)
-    elif isinstance(e, Let):
-        for _, rhs in e.group.binds:
-            _mentioned_names(rhs.body, acc)
-        _mentioned_names(e.body, acc)
-    elif isinstance(e, Case):
-        _mentioned_names(e.scrutinee, acc)
-        for _, body in e.alts:
-            _mentioned_names(body, acc)
-        _mentioned_names(e.default[1], acc)
-
-
 def _mentions_member(binds: tuple[tuple[str, "Rhs"], ...]) -> bool:
     """Whether any right-hand side mentions a binder of the group.
 
     A raw name scan: exact once names are globally unique, which is all the
-    canonical pipeline needs.  The SCC pre-pass recomputes flags with proper
-    scoping anyway.
+    canonical pipeline needs.  The parser sets each group's flag with it, so
+    ``parse(print_program(p)) == p`` holds for SCC-split programs, whose
+    flags the SCC pre-pass computed with proper scoping.
     """
     names = {name for name, _ in binds}
     mentioned: set[str] = set()
     for _, rhs in binds:
-        _mentioned_names(rhs.body, mentioned)
-    return bool(names & mentioned)
+        for e in walk(rhs.body):
+            mentioned.update(occurrences(e))
+    return not names.isdisjoint(mentioned)
 
 
 class _Parser:

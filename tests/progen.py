@@ -134,33 +134,6 @@ class ProgramGen:
         return Case(scrut, alts, (binder, self.expr(depth - 1, inner)))
 
 
-def all_names(p: Program) -> list[str]:
-    """Every binder and parameter name in the program, in traversal order."""
-    names: list[str] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Let):
-            for name, rhs in e.group.binds:
-                names.append(name)
-                if isinstance(rhs, Lambda):
-                    names.extend(rhs.params)
-                walk(rhs.body)
-            walk(e.body)
-        elif isinstance(e, Case):
-            walk(e.scrutinee)
-            for _, b in e.alts:
-                walk(b)
-            names.append(e.default[0])
-            walk(e.default[1])
-
-    for tb in p.top_binds:
-        names.append(tb.name)
-        names.extend(tb.params)
-        walk(tb.body)
-    walk(p.main)
-    return names
-
-
 def random_disjoint_sets(
     rng: random.Random, pool: list[str]
 ) -> tuple[frozenset[str], frozenset[str]]:

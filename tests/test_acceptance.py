@@ -10,10 +10,10 @@ from liftlab.analysis import cardinality
 from liftlab.lifter import LiftConfig, lift_program, liftable_sites
 from liftlab.machine import enumerate_lift_subsets, evaluate, value_key
 from liftlab.skeleton import closure_growth, closure_growth_direct, skeletonize
-from liftlab.syntax import INF, Lambda, Let, parse, validate
+from liftlab.syntax import INF, Lambda, Let, bound_names, parse, validate
 
 from conftest import PROGRAMS_DIR
-from progen import all_names, random_disjoint_sets
+from progen import random_disjoint_sets
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -120,7 +120,7 @@ def test_criterion_4_estimator_equivalence(corpus):
         tops = p.top_names()
         exprs = [tb.body for tb in p.top_binds] + [p.main]
         skels = [skeletonize(e, tops) for e in exprs]
-        pool = all_names(p)
+        pool = bound_names(p)
         for _ in range(50):
             added, removed = random_disjoint_sets(rng, pool)
             for e, s in zip(exprs, skels):

@@ -93,25 +93,10 @@ class TestOccurrenceFacts:
         assert facts["x"].occurs_as_argument
         assert not facts["g"].occurs_as_argument
 
-    def test_saturated_known_calls(self):
-        p = parse("main = let f = \\ a b -> a in case f 1 2 of { default r -> f r r }")
-        facts = occurrence_facts(p)
-        assert facts["f"].arity == 2
-        assert facts["f"].all_occurrences_saturated_calls
-
-    def test_undersaturated_breaks_flag(self):
-        p = parse("main = let f = \\ a b -> a in f 1")
-        assert not occurrence_facts(p)["f"].all_occurrences_saturated_calls
-
-    def test_bare_occurrence_breaks_flag(self):
-        p = parse("main = let f = \\ a -> a in f")
-        assert not occurrence_facts(p)["f"].all_occurrences_saturated_calls
-
     def test_thunk_is_not_known_function(self):
         p = parse("main = let t = thunk 1 in t")
         facts = occurrence_facts(p)
         assert not facts["t"].is_known_function
-        assert facts["t"].arity == 0
 
     def test_case_scrutinee_is_head_position(self):
         p = parse("main = let f = \\ a -> a in case f 1 of { default r -> r }")

@@ -8,7 +8,6 @@ from liftlab.machine import (
     OutOfFuel,
     SubsetTooLarge,
     UnboundVariable,
-    compare_alloc,
     enumerate_lift_subsets,
     evaluate,
     minimal_subset,
@@ -140,12 +139,12 @@ class TestErrors:
 class TestCompareAlloc:
     def test_identical_programs(self, hand_programs):
         p = hand_programs["countdown"]
-        assert compare_alloc(p, p) == 0
+        assert evaluate(p)[1].words_allocated - evaluate(p)[1].words_allocated == 0
 
     def test_profitable_single_lift(self, hand_programs):
         p = hand_programs["growth_shared"]
         lifted, _ = lift_program(p, force_sites=frozenset({("f",)}))
-        assert compare_alloc(p, lifted) == -3
+        assert evaluate(lifted)[1].words_allocated - evaluate(p)[1].words_allocated == -3
 
     def test_oversaturated_call_supported(self):
         p = load_inline(

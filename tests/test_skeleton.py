@@ -13,9 +13,9 @@ from liftlab.skeleton import (
     skeleton_sexpr,
     skeletonize,
 )
-from liftlab.syntax import Cardinality, INF, MULTI_SHOT, parse
+from liftlab.syntax import Cardinality, INF, MULTI_SHOT, bound_names, parse
 
-from progen import all_names, random_disjoint_sets
+from progen import random_disjoint_sets
 
 
 def expr_of(src: str):
@@ -128,7 +128,7 @@ class TestDirectRecursion:
         rng = random.Random(7)
         for p in corpus[:150]:
             tops = p.top_names()
-            pool = all_names(p)
+            pool = bound_names(p)
             skel = skeletonize(p.main, tops)
             for _ in range(10):
                 added, removed = random_disjoint_sets(rng, pool)
@@ -143,7 +143,7 @@ class TestGrowthProperties:
         for p in corpus[:150]:
             tops = p.top_names()
             skel = skeletonize(p.main, tops)
-            pool = all_names(p)
+            pool = bound_names(p)
             removed = frozenset(rng.sample(pool, k=min(3, len(pool))))
             assert closure_growth(fs(), removed, skel) <= 0
 
@@ -152,7 +152,7 @@ class TestGrowthProperties:
         for p in corpus[:150]:
             tops = p.top_names()
             skel = skeletonize(p.main, tops)
-            pool = all_names(p)
+            pool = bound_names(p)
             added, removed = random_disjoint_sets(rng, pool)
             wider = added | fs("q_more1", "q_more2")
             assert closure_growth(added, removed, skel) <= closure_growth(

@@ -1,0 +1,111 @@
+"""The traversal kit in liftlab.syntax and the order its callers rely on.
+
+Decision lists, oracle bitmask rows (the order of ``liftable_sites``) and
+fresh parameter names all follow the pre-order that ``walk`` produces, so
+these tests pin it against the lifter's own visiting order.
+"""
+
+import sys
+
+import pytest
+
+from liftlab.analysis import split_groups
+from liftlab.lifter import lift_program, liftable_sites
+from liftlab.syntax import (
+    App,
+    AtomExpr,
+    Let,
+    Lit,
+    PrimApp,
+    Var,
+    bound_names,
+    freshen,
+    map_subexprs,
+    occurrences,
+    parse,
+    program_nodes,
+    subexprs,
+    walk,
+)
+
+
+def _preorder(e):
+    yield e
+    for c in subexprs(e):
+        yield from _preorder(c)
+
+
+def _check_contract(p):
+    nodes = list(program_nodes(p))
+    roots = [tb.body for tb in p.top_binds] + [p.main]
+    assert nodes == [n for r in roots for n in _preorder(r)]
+    for e in nodes:
+        assert map_subexprs(e, lambda c: c) == e
+    lets = [e.group.binders() for e in nodes if isinstance(e, Let)]
+    _, decisions = lift_program(p, force_sites=frozenset())
+    assert lets == [d.binders for d in decisions]
+    rest = iter(lets)  # ordered subsequence: each `in` consumes the iterator
+    assert all(site in rest for site in liftable_sites(p))
+
+
+def test_contract_on_corpus(corpus):
+    for p in corpus:
+        _check_contract(p)
+
+
+def test_contract_on_hand_programs(hand_programs):
+    for p in hand_programs.values():
+        _check_contract(p)
+
+
+def test_walk_children_order():
+    p = parse(
+        "main = let f = \\ a -> a and g = \\ b -> b in "
+        "case f 1 of { 1 -> g 2; default r -> +# r 3 }"
+    )
+    kinds = [type(e).__name__ for e in walk(p.main)]
+    assert kinds == ["Let", "AtomExpr", "AtomExpr", "Case", "App", "App", "PrimApp"]
+
+
+def test_occurrences_are_the_node_own_names():
+    assert occurrences(AtomExpr(Var("x"))) == ("x",)
+    assert occurrences(AtomExpr(Lit(1))) == ()
+    assert occurrences(App("f", (Lit(1), Var("y")))) == ("f", "y")
+    assert occurrences(PrimApp("+#", (Var("a"), Var("b")))) == ("a", "b")
+    assert occurrences(parse("main = let x = thunk 1 in x").main) == ()
+
+
+def test_bound_names_scope_order():
+    p = parse(
+        "f a = let g = \\ b -> let h = \\ c -> c in h b and k = \\ d -> d in "
+        "case g a of { 1 -> 2; default r -> r };\n"
+        "main = f 1"
+    )
+    assert bound_names(p) == ["f", "a", "g", "b", "h", "c", "k", "d", "r"]
+
+
+def _depth_chain(n: int) -> str:
+    """Step k binds ``f{k} = \\ p{k} -> +# p{k} x{k-1}`` and scrutinises
+    ``f{k} x{k-1}``: a let/case chain ``n`` steps deep."""
+    lines = ["main =", "  case 3 of { default x0 ->"]
+    for k in range(1, n + 1):
+        lines.append(f"  let f{k} = \\ p{k} -> +# p{k} x{k - 1} in")
+        lines.append(f"  case f{k} x{k - 1} of {{ default x{k} ->")
+    lines.append(f"  x{n}")
+    lines.append("  " + "}" * (n + 1))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [200, 220])
+def test_deep_chain_lifts_at_default_recursion_limit(n):
+    # evaluate raises the process-wide limit; pin the default so the depth
+    # the front end and the lifter reach is what is measured.
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        p = split_groups(freshen(parse(_depth_chain(n))))
+        _, decisions = lift_program(p)
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(decisions) == n
+    assert all(d.lifted for d in decisions)
