@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .lifter import (
     Decision,
-    Expander,
     LiftConfig,
     LiftError,
     lift_program,

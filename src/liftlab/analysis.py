@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .syntax import (
     App,
-    AtomExpr,
     BindGroup,
     Cardinality,
     Case,
@@ -23,34 +22,50 @@ from .syntax import (
     map_subexprs,
     occurrences,
     program_nodes,
+    walk,
 )
 
 
-def free_vars(node: Expr | Rhs) -> frozenset[str]:
-    """Variables occurring free in an expression or right-hand side.
+def free_var_table(roots: list[Expr | Rhs]) -> dict[int, frozenset[str]]:
+    """Free variables of every node and right-hand side under ``roots``,
+    keyed by ``id``; built bottom-up over :func:`walk` without recursion.
 
     Group binders are treated as bound in all right-hand sides of their let
     (candidate-recursive scoping).  Top-level names are *not* filtered here;
     callers that need closure contents use :func:`closure_slot_fvs`.
     """
-    if isinstance(node, Lambda):
-        return free_vars(node.body) - frozenset(node.params)
-    if isinstance(node, Thunk):
-        return free_vars(node.body)
-    if isinstance(node, (AtomExpr, App, PrimApp)):
-        return frozenset(occurrences(node))
-    if isinstance(node, Let):
-        acc = free_vars(node.body)
-        for _, rhs in node.group.binds:
-            acc |= free_vars(rhs)
-        return acc - frozenset(node.group.binders())
-    if isinstance(node, Case):
-        acc = free_vars(node.scrutinee)
-        for _, body in node.alts:
-            acc |= free_vars(body)
-        dname, dbody = node.default
-        return acc | (free_vars(dbody) - {dname})
-    raise AssertionError(node)
+    table: dict[int, frozenset[str]] = {}
+    exprs = [r.body if isinstance(r, (Lambda, Thunk)) else r for r in roots]
+    for e in reversed(list(walk(*exprs))):
+        if isinstance(e, Let):
+            fvs = table[id(e.body)].union(*[_rhs_fvs(r, table) for _, r in e.group.binds])
+            table[id(e)] = fvs.difference([name for name, _ in e.group.binds])
+        elif isinstance(e, Case):
+            fvs = table[id(e.scrutinee)]
+            for _, body in e.alts:
+                fvs = fvs | table[id(body)]
+            dname, dbody = e.default
+            table[id(e)] = fvs | table[id(dbody)].difference((dname,))
+        else:
+            table[id(e)] = frozenset(occurrences(e))
+    for r in roots:
+        if isinstance(r, (Lambda, Thunk)):
+            _rhs_fvs(r, table)
+    return table
+
+
+def _rhs_fvs(rhs: Rhs, table: dict[int, frozenset[str]]) -> frozenset[str]:
+    fvs = table[id(rhs.body)]
+    if isinstance(rhs, Lambda):
+        fvs = fvs.difference(rhs.params)
+    table[id(rhs)] = fvs
+    return fvs
+
+
+def free_vars(node: Expr | Rhs) -> frozenset[str]:
+    """Variables occurring free in an expression or right-hand side; see
+    :func:`free_var_table`."""
+    return free_var_table([node])[id(node)]
 
 
 def closure_slot_fvs(
@@ -111,17 +126,13 @@ def occurrence_facts(p: Program) -> dict[str, BinderFacts]:
 
 
 def _scc_components(
-    binds: tuple[tuple[str, Rhs], ...]
-) -> list[list[tuple[str, Rhs]]]:
+    names: tuple[str, ...], fvs: list[frozenset[str]]
+) -> list[list[int]]:
     """Tarjan over the intra-group reference graph, sinks popped first."""
-    names = [name for name, _ in binds]
     index_of = {name: i for i, name in enumerate(names)}
-    succs: list[list[int]] = []
-    for _, rhs in binds:
-        fvs = free_vars(rhs)
-        succs.append([index_of[n] for n in names if n in fvs])
+    succs = [sorted(index_of[v] for v in vs if v in index_of) for vs in fvs]
 
-    n = len(binds)
+    n = len(names)
     index = [0] * n
     low = [0] * n
     on_stack = [False] * n
@@ -155,14 +166,7 @@ def _scc_components(
     for v in range(n):
         if not visited[v]:
             dfs(v)
-    return [[binds[i] for i in comp] for comp in comps]
-
-
-def _group_is_recursive(binds: list[tuple[str, Rhs]]) -> bool:
-    if len(binds) > 1:
-        return True
-    name, rhs = binds[0]
-    return name in free_vars(rhs)
+    return comps
 
 
 def split_groups(p: Program) -> Program:
@@ -172,16 +176,24 @@ def split_groups(p: Program) -> Program:
     group's ``recursive`` flag is made accurate.  Semantics and allocation
     totals are preserved.
     """
+    table: dict[int, frozenset[str]] = {}
 
     def split_expr(e: Expr) -> Expr:
-        e = map_subexprs(e, split_expr)
         if not isinstance(e, Let):
-            return e
-        result = e.body
+            return map_subexprs(e, split_expr)
+        rhss = [rhs for _, rhs in e.group.binds]
+        if id(rhss[0]) not in table:  # outer lets first: each node once
+            table.update(free_var_table(rhss))
+        names = e.group.binders()
+        fvs = [table[id(rhs)] for rhs in rhss]
+        split = map_subexprs(e, split_expr)
+        result = split.body
         # Tarjan pops dependencies first; wrap in reverse so they end up
         # outermost and stay in scope for their dependents.
-        for comp in reversed(_scc_components(e.group.binds)):
-            result = Let(BindGroup(_group_is_recursive(comp), tuple(comp)), result)
+        for comp in reversed(_scc_components(names, fvs)):
+            recursive = len(comp) > 1 or names[comp[0]] in fvs[comp[0]]
+            binds = tuple(split.group.binds[i] for i in comp)
+            result = Let(BindGroup(recursive, binds), result)
         return result
 
     tops = tuple(

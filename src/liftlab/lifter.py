@@ -17,17 +17,12 @@ every occurrence becomes a head application carrying the required set.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
-from .analysis import BinderFacts, free_vars, occurrence_facts
-from .skeleton import (
-    GrowthValue,
-    Seq,
-    closure_growth,
-    rhs_region,
-    skeletonize,
-)
+from .analysis import BinderFacts, occurrence_facts
+from .skeleton import GrowthValue, Seq, Skeleton, closure_growth, skeleton_table
 from .syntax import (
     App,
     AtomExpr,
@@ -92,101 +87,70 @@ class Decision:
     resulting_arity: int | None = None
 
 
-class Expander:
-    """Partial map from lifted binders to their required variable sets.
-
-    Consulted at every occurrence of a lifted binder; extending it with a
-    group is the hypothetical-lift step of the decision logic.
-    """
-
-    def __init__(
-        self,
-        top_names: frozenset[str],
-        required: dict[str, frozenset[str]] | None = None,
-    ):
-        self.top_names = top_names
-        self.required = dict(required) if required else {}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.required
-
-    def lookup(self, name: str) -> frozenset[str]:
-        return self.required[name]
-
-    def params_for(self, name: str) -> tuple[str, ...]:
-        return tuple(sorted(self.required[name]))
-
-    def expand(self, vs: frozenset[str]) -> frozenset[str]:
-        """Replace each lifted binder in ``vs`` by its required set."""
-        out: set[str] = set()
-        for v in vs:
-            if v in self.required:
-                out |= self.required[v]
-            else:
-                out.add(v)
-        return frozenset(out)
-
-    def extend(self, group: BindGroup) -> "Expander":
-        """Map every binder of ``group`` to the group's shared required set.
-
-        The required set is the union of the expanded free variables of all
-        right-hand sides, minus the group's own binders and top-level names.
-        """
-        binders = frozenset(group.binders())
-        if binders & self.required.keys():
-            raise LiftError(f"group {sorted(binders)} already lifted")
-        raw: frozenset[str] = frozenset()
-        for _, rhs in group.binds:
-            raw |= free_vars(rhs)
-        rqs = self.expand(raw - self.top_names) - binders - self.top_names
-        extended = dict(self.required)
-        for b in binders:
-            extended[b] = rqs
-        return Expander(self.top_names, extended)
+def expand(
+    required: Mapping[str, frozenset[str]], vs: Iterable[str]
+) -> frozenset[str]:
+    """Replace each lifted binder in ``vs`` by its required set."""
+    out: set[str] = set()
+    for v in vs:
+        if v in required:
+            out |= required[v]
+        else:
+            out.add(v)
+    return frozenset(out)
 
 
-def _savings(group: BindGroup, after: Expander) -> int:
-    """Words freed by deleting the group's own closures.
-
-    One code word plus one slot per captured variable, per binding, with
-    group members excluded and earlier lifts expanded so the count matches
-    the closure the interpreter would actually have allocated.
-    """
+def required_set(
+    group: BindGroup,
+    required: Mapping[str, frozenset[str]],
+    skels: dict[int, Skeleton],
+) -> frozenset[str]:
+    """The extra parameters every member of ``group`` takes if it is lifted:
+    the members' closure slot sets in ``skels``, with lifted binders expanded
+    through ``required`` and the group's own binders removed."""
     binders = frozenset(group.binders())
-    total = 0
-    for _, rhs in group.binds:
-        base = free_vars(rhs) - binders - after.top_names
-        total += 1 + len(after.expand(base) - binders)
-    return total
+    if binders & required.keys():
+        raise LiftError(f"group {sorted(binders)} already lifted")
+    slots = frozenset().union(*[skels[id(rhs)].left.fvs for _, rhs in group.binds])
+    return expand(required, slots) - binders
 
 
 def predicted_growth(
-    group: BindGroup, after: Expander, body: Expr
+    let: Let,
+    rqs: frozenset[str],
+    required: Mapping[str, frozenset[str]],
+    skels: dict[int, Skeleton],
 ) -> GrowthValue:
-    """Estimated net words from lifting ``group`` out of its let.
+    """Estimated net words from lifting ``let``'s group with required set ``rqs``.
 
     Evaluates closure growth over the let's skeleton with the group's own
-    closure nodes dropped (their shrinkage is what the savings term counts),
-    then subtracts those savings.
+    closure nodes dropped, then subtracts the words those closures took: one
+    code word plus one slot per captured variable, per binding, with group
+    members excluded and the lifts in ``required`` expanded so the count
+    matches the closure the interpreter would actually have allocated.
     """
-    binders = frozenset(group.binders())
-    required = after.lookup(group.binds[0][0])
-    regions = [rhs_region(rhs, after.top_names) for _, rhs in group.binds]
-    skel = Seq(reduce(Seq, regions), skeletonize(body, after.top_names))
-    return closure_growth(required, binders, skel) - _savings(group, after)
+    binders = frozenset(let.group.binders())
+    parts = [skels[id(rhs)] for _, rhs in let.group.binds]
+    skel = Seq(reduce(Seq, [part.right for part in parts]), skels[id(let.body)])
+    savings = sum(
+        1 + len(expand(required, part.left.fvs - binders) - binders) for part in parts
+    )
+    return closure_growth(rqs, binders, skel) - savings
 
 
 def decide(
-    group: BindGroup,
-    after: Expander,
-    body: Expr,
+    let: Let,
+    rqs: frozenset[str],
+    required: Mapping[str, frozenset[str]],
+    skels: dict[int, Skeleton],
     facts: dict[str, BinderFacts],
     cfg: LiftConfig,
     site: str,
 ) -> Decision:
     """Apply the rejection checks in order C5, C1, C4, C3, C2."""
+    group = let.group
     binders = group.binders()
-    required = tuple(sorted(after.lookup(binders[0])))
+    params = tuple(sorted(rqs))
 
     def reject(reason: str, **extra) -> Decision:
         return Decision(
@@ -195,7 +159,7 @@ def decide(
             lifted=False,
             reason=reason,
             criterion=CRITERION[reason],
-            required_set=required,
+            required_set=params,
             **extra,
         )
 
@@ -210,18 +174,18 @@ def decide(
 
     if not cfg.allow_unknown_calls:
         offenders = sorted(
-            v for v in required if v in facts and facts[v].is_known_function
+            v for v in params if v in facts and facts[v].is_known_function
         )
         if offenders:
             return reject(KNOWN_CALLS, offending_var=offenders[0])
 
     limit = cfg.max_arity_rec if group.recursive else cfg.max_arity_nonrec
     for name, rhs in group.binds:
-        new_arity = len(required) + len(rhs.params)
+        new_arity = len(params) + len(rhs.params)
         if new_arity > limit:
             return reject(CALLING_CONVENTION, resulting_arity=new_arity)
 
-    predicted = predicted_growth(group, after, body)
+    predicted = predicted_growth(let, rqs, required, skels)
     if cfg.check_closure_growth and predicted > 0:
         return reject(CLOSURE_GROWTH, predicted_net_words=predicted)
 
@@ -231,7 +195,7 @@ def decide(
         lifted=True,
         reason=LIFTED,
         criterion=None,
-        required_set=required,
+        required_set=params,
         predicted_net_words=predicted,
     )
 
@@ -271,8 +235,11 @@ def _substitute(mapping: dict[str, str], e: Expr) -> Expr:
 class _LiftRun:
     facts: dict[str, BinderFacts]
     cfg: LiftConfig
-    top_names: frozenset[str]
     force_sites: frozenset[tuple[str, ...]] | None
+    skels: dict[int, Skeleton]
+    # Every binder lifted so far, mapped to its group's required set.  Names
+    # are unique, so an entry is only ever looked up inside its binder's scope.
+    required: dict[str, frozenset[str]] = field(default_factory=dict)
     used_names: set[str] = field(default_factory=set)
     new_tops: list[TopBind] = field(default_factory=list)
     decisions: list[Decision] = field(default_factory=list)
@@ -285,8 +252,8 @@ class _LiftRun:
         self.used_names.add(name)
         return name
 
-    def rewrite_atom(self, a, alpha: Expander):
-        if isinstance(a, Var) and a.name in alpha and alpha.lookup(a.name):
+    def rewrite_atom(self, a):
+        if isinstance(a, Var) and self.required.get(a.name):
             # The occurrence would have to become an application, which is
             # not a legal argument.  Only reachable with the C1 check off.
             raise LiftError(
@@ -295,30 +262,30 @@ class _LiftRun:
             )
         return a
 
-    def lift_expr(self, alpha: Expander, e: Expr) -> Expr:
+    def lift_expr(self, e: Expr) -> Expr:
         if isinstance(e, AtomExpr):
-            if isinstance(e.atom, Var) and e.atom.name in alpha:
+            if isinstance(e.atom, Var) and e.atom.name in self.required:
                 name = e.atom.name
-                extras = tuple(Var(v) for v in alpha.params_for(name))
+                extras = tuple(Var(v) for v in sorted(self.required[name]))
                 return App(name, extras) if extras else e
             return e
         if isinstance(e, App):
-            args = tuple(self.rewrite_atom(a, alpha) for a in e.args)
-            if e.head in alpha:
-                extras = tuple(Var(v) for v in alpha.params_for(e.head))
+            args = tuple(self.rewrite_atom(a) for a in e.args)
+            if e.head in self.required:
+                extras = tuple(Var(v) for v in sorted(self.required[e.head]))
                 return App(e.head, extras + args)
             return App(e.head, args)
         if isinstance(e, PrimApp):
             a, b = e.args
-            return PrimApp(e.op, (self.rewrite_atom(a, alpha), self.rewrite_atom(b, alpha)))
+            return PrimApp(e.op, (self.rewrite_atom(a), self.rewrite_atom(b)))
         if isinstance(e, Let):
-            return self.lift_let(alpha, e)
-        return map_subexprs(e, partial(self.lift_expr, alpha))
+            return self.lift_let(e)
+        return map_subexprs(e, self.lift_expr)
 
-    def lift_let(self, alpha: Expander, e: Let) -> Expr:
+    def lift_let(self, e: Let) -> Expr:
         group = e.group
         site = "+".join(group.binders())
-        after = alpha.extend(group)
+        rqs = required_set(group, self.required, self.skels)
         if self.force_sites is not None:
             lifted = group.binders() in self.force_sites
             decision = Decision(
@@ -327,19 +294,20 @@ class _LiftRun:
                 lifted=lifted,
                 reason=FORCED,
                 criterion=None,
-                required_set=tuple(sorted(after.lookup(group.binds[0][0]))),
-                predicted_net_words=predicted_growth(group, after, e.body),
+                required_set=tuple(sorted(rqs)),
+                predicted_net_words=predicted_growth(e, rqs, self.required, self.skels),
             )
         else:
-            decision = decide(group, after, e.body, self.facts, self.cfg, site)
+            decision = decide(e, rqs, self.required, self.skels, self.facts, self.cfg, site)
         self.decisions.append(decision)
 
         if decision.lifted:
+            for name in group.binders():
+                self.required[name] = rqs
             # The required variables keep their original binding sites
             # elsewhere in the program, so the prepended parameters get
             # fresh names, substituted through each lifted body.
-            required = after.params_for(group.binds[0][0])
-            rename = {v: self.fresh(v) for v in required}
+            rename = {v: self.fresh(v) for v in decision.required_set}
             # Reserve slots so a group's definitions precede definitions
             # lifted out of its own right-hand sides.
             slot = len(self.new_tops)
@@ -347,12 +315,12 @@ class _LiftRun:
             for offset, (name, rhs) in enumerate(group.binds):
                 if not isinstance(rhs, Lambda):
                     raise LiftError(f"cannot lift updatable binding {name!r}")
-                params = tuple(rename[v] for v in required) + rhs.params
-                body = _substitute(rename, self.lift_expr(after, rhs.body))
+                params = tuple(rename.values()) + rhs.params
+                body = _substitute(rename, self.lift_expr(rhs.body))
                 self.new_tops[slot + offset] = TopBind(name, params, body)
-            return self.lift_expr(after, e.body)
+            return self.lift_expr(e.body)
 
-        return map_subexprs(e, partial(self.lift_expr, alpha))
+        return map_subexprs(e, self.lift_expr)
 
 
 def lift_program(
@@ -366,17 +334,13 @@ def lift_program(
     the decision logic is bypassed and exactly the named groups are lifted
     (callers must restrict themselves to :func:`liftable_sites`).
     """
-    cfg = cfg or LiftConfig()
     run = _LiftRun(
         facts=occurrence_facts(p),
-        cfg=cfg,
-        top_names=p.top_names(),
+        cfg=cfg or LiftConfig(),
         force_sites=force_sites,
+        skels=skeleton_table([tb.body for tb in p.top_binds] + [p.main], p.top_names()),
         used_names=set(bound_names(p)),
     )
-    tops = []
-    for tb in p.top_binds:
-        alpha = Expander(run.top_names)
-        tops.append(TopBind(tb.name, tb.params, run.lift_expr(alpha, tb.body)))
-    main = run.lift_expr(Expander(run.top_names), p.main)
-    return Program(tuple(tops) + tuple(run.new_tops), main), run.decisions
+    tops = [TopBind(tb.name, tb.params, run.lift_expr(tb.body)) for tb in p.top_binds]
+    main = run.lift_expr(p.main)
+    return Program(tuple(tops + run.new_tops), main), run.decisions

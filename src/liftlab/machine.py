@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .analysis import closure_slot_fvs
+from .analysis import free_var_table
 from .lifter import LiftConfig, lift_program, liftable_sites
 from .syntax import (
     App,
@@ -160,6 +160,7 @@ class _Machine:
         self.cells: dict[str, list] = {name: [] for name in _all_binders(program)}
         self.tops: dict[str, FunValue] = {}
         self.size_cache: dict[int, int] = {}
+        self.free_vars: dict[int, frozenset[str]] = {}
         top_env: dict = {}
         for tb in program.top_binds:
             fn = FunValue(tb.name, tb.params, tb.body, top_env)
@@ -167,12 +168,14 @@ class _Machine:
             self.tops[tb.name] = fn
 
     def run(self) -> tuple[Value, AllocStats]:
-        if sys.getrecursionlimit() < _RECURSION_LIMIT:
-            sys.setrecursionlimit(_RECURSION_LIMIT)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
         try:
             value = self._eval(self.program.main, dict(self.tops))
         except RecursionError:
             raise OutOfFuel("host recursion limit reached") from None
+        finally:
+            sys.setrecursionlimit(limit)
         return value, self._stats()
 
     def _stats(self) -> AllocStats:
@@ -253,7 +256,9 @@ class _Machine:
             key = id(rhs)
             size = self.size_cache.get(key)
             if size is None:
-                size = 1 + len(closure_slot_fvs(name, rhs, self.top_names))
+                if key not in self.free_vars:  # nested right-hand sides come along
+                    self.free_vars.update(free_var_table([rhs]))
+                size = 1 + len(self.free_vars[key] - {name} - self.top_names)
                 self.size_cache[key] = size
             cell.size = size
             self.words += size

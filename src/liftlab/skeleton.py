@@ -16,10 +16,10 @@ skeleton route and both must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
-from .analysis import cardinality, closure_slot_fvs
+from .analysis import cardinality, closure_slot_fvs, free_var_table
 from .syntax import (
     App,
     AtomExpr,
@@ -29,7 +29,7 @@ from .syntax import (
     INF,
     Let,
     PrimApp,
-    Rhs,
+    walk,
 )
 
 GrowthValue = int | float  # int, or INF
@@ -37,7 +37,7 @@ GrowthValue = int | float  # int, or INF
 
 @dataclass(frozen=True)
 class Nil:
-    pass
+    captured = frozenset()  # see Seq.captured; not a field
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,9 @@ class Closure:
 class Seq:
     left: "Skeleton"
     right: "Skeleton"
+    # Set on let and case nodes by skeleton_table: the union of the closure
+    # slot sets beneath, so closure_growth can skip subtrees it cannot change.
+    captured: frozenset[str] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -68,31 +71,43 @@ Skeleton = Nil | Closure | Seq | Alt | Scaled
 NIL = Nil()
 
 
-def rhs_region(rhs: Rhs, top_names: frozenset[str]) -> Skeleton:
-    """The entry-scaled skeleton of a right-hand side's body."""
-    return Scaled(cardinality(rhs), skeletonize(rhs.body, top_names))
+def skeleton_table(roots: list[Expr], top_names: frozenset[str]) -> dict[int, Skeleton]:
+    """The allocation skeleton of every node under ``roots``, keyed by ``id``.
+
+    Atoms and applications do not allocate.  A let contributes one closure
+    per binding followed by the entry-scaled region of its body, and each of
+    its right-hand sides maps to that binding's part, ``Seq(Closure(slots),
+    region)``; case sequences the scrutinee before the branch choice.  Built
+    bottom-up without recursion, parents sharing children by reference.
+    """
+    fvs = free_var_table(roots)
+    table: dict[int, Skeleton] = {}
+    for e in reversed(list(walk(*roots))):
+        if isinstance(e, Let):
+            body = table[id(e.body)]
+            captured = body.captured
+            parts = []
+            for name, rhs in e.group.binds:
+                inner = table[id(rhs.body)]
+                slots = fvs[id(rhs)] - {name} - top_names
+                captured = captured.union(slots, inner.captured)
+                table[id(rhs)] = Seq(Closure(slots), Scaled(cardinality(rhs), inner))
+                parts.append(table[id(rhs)])
+            table[id(e)] = Seq(reduce(Seq, parts), body, captured)
+        elif isinstance(e, Case):
+            scrut = table[id(e.scrutinee)]
+            branches = [table[id(body)] for _, body in e.alts]
+            branches.append(table[id(e.default[1])])
+            captured = scrut.captured.union(*[b.captured for b in branches])
+            table[id(e)] = Seq(scrut, reduce(Alt, branches), captured)
+        else:
+            table[id(e)] = NIL
+    return table
 
 
 def skeletonize(e: Expr, top_names: frozenset[str]) -> Skeleton:
-    """Abstract an expression to its allocation skeleton.
-
-    Atoms and applications do not allocate.  A let contributes one closure
-    per binding followed by the entry-scaled region of its body; case
-    sequences the scrutinee before the branch choice.
-    """
-    if isinstance(e, (AtomExpr, App, PrimApp)):
-        return NIL
-    if isinstance(e, Let):
-        parts = [
-            Seq(Closure(closure_slot_fvs(name, rhs, top_names)), rhs_region(rhs, top_names))
-            for name, rhs in e.group.binds
-        ]
-        return Seq(reduce(Seq, parts), skeletonize(e.body, top_names))
-    if isinstance(e, Case):
-        branches = [skeletonize(body, top_names) for _, body in e.alts]
-        branches.append(skeletonize(e.default[1], top_names))
-        return Seq(skeletonize(e.scrutinee, top_names), reduce(Alt, branches))
-    raise AssertionError(e)
+    """The allocation skeleton of an expression; see :func:`skeleton_table`."""
+    return skeleton_table([e], top_names)[id(e)]
 
 
 def _scale(n: GrowthValue, card: Cardinality) -> GrowthValue:
@@ -134,6 +149,8 @@ def _growth(
     if isinstance(skel, Closure):
         return _closure_delta(skel.fvs, added, removed)
     if isinstance(skel, Seq):
+        if skel.captured is not None and skel.captured.isdisjoint(removed):
+            return 0
         return _growth(added, removed, skel.left) + _growth(added, removed, skel.right)
     if isinstance(skel, Alt):
         return max(

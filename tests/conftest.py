@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,14 @@ def load_program(path: Path) -> Program:
     violations = validate(p)
     assert not violations, f"{path.name}: {violations}"
     return split_groups(p)
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_unchanged():
+    """Library calls must leave the process-wide recursion limit as found."""
+    before = sys.getrecursionlimit()
+    yield
+    assert sys.getrecursionlimit() == before
 
 
 @pytest.fixture(scope="session")

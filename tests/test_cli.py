@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import liftlab
 from liftlab.cli import main
 from liftlab.syntax import parse
 
@@ -186,3 +189,36 @@ class TestErrorsAndExitCodes:
         )
         assert result.returncode == 0
         assert "no let bindings" in result.stdout
+
+
+_EVERY_COMMAND = """
+import sys
+from liftlab.cli import main
+for path in sys.argv[1:]:
+    for argv in (
+        ["lift", path, "--eval", "--report", "json"],
+        ["lift", path, "--eval"],
+        ["dump-lifted", path],
+        ["dump-skeleton", path],
+    ):
+        print("==", *argv, "->", main(argv), flush=True)
+"""
+
+
+def test_output_independent_of_hash_seed():
+    src = str(Path(liftlab.__file__).resolve().parent.parent)
+    paths = sorted(str(f) for f in PROGRAMS_DIR.glob("*.stg"))
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _EVERY_COMMAND, *paths],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count(b"-> 0\n") == 4 * len(paths)
+    assert outputs[0] == outputs[1]

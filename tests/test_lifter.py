@@ -1,13 +1,15 @@
 import pytest
 
 from liftlab.lifter import (
-    Expander,
     LiftConfig,
     LiftError,
+    expand,
     lift_program,
     liftable_sites,
+    required_set,
 )
 from liftlab.machine import evaluate, value_key
+from liftlab.skeleton import skeleton_table
 from liftlab.syntax import (
     App,
     AtomExpr,
@@ -44,49 +46,53 @@ def load_text_variant(name, old, new):
     return load_inline(text)
 
 
+def rqs_of(src: str, required=None):
+    p = parse(src)
+    skels = skeleton_table([tb.body for tb in p.top_binds] + [p.main], p.top_names())
+    return required_set(p.main.group, required or {}, skels)
+
+
 class TestExpander:
+    """``expand`` and ``required_set``: the expansion of lifted binders to
+    their required sets, and a group's required set computed over it."""
+
     def test_empty_is_identity(self):
-        a = Expander(fs())
-        assert a.expand(fs("x", "z")) == fs("x", "z")
+        assert expand({}, fs("x", "z")) == fs("x", "z")
 
     def test_mapped_binder_replaced(self):
-        a = Expander(fs(), {"f": fs("x", "y")})
-        assert a.expand(fs("f", "z")) == fs("x", "y", "z")
+        assert expand({"f": fs("x", "y")}, fs("f", "z")) == fs("x", "y", "z")
 
     def test_union_absorbs_duplicates(self):
-        a = Expander(fs(), {"f": fs("x")})
-        assert a.expand(fs("x", "f")) == fs("x")
+        assert expand({"f": fs("x")}, fs("x", "f")) == fs("x")
 
     def test_extend_basic(self):
-        p = parse("main = let f = \\ a -> +# x y in f 1")
-        a = Expander(fs()).extend(p.main.group)
-        assert a.lookup("f") == fs("x", "y")
+        assert rqs_of("main = let f = \\ a -> +# x y in f 1") == fs("x", "y")
 
     def test_extend_excludes_own_binders(self):
-        p = parse("main = let f = \\ a -> f x in f 1")
-        a = Expander(fs()).extend(p.main.group)
-        assert a.lookup("f") == fs("x")
+        assert rqs_of("main = let f = \\ a -> f x in f 1") == fs("x")
 
     def test_extend_expands_through_earlier_lift(self):
-        p = parse("main = let g = \\ a -> +# f x in g 1")
-        a = Expander(fs(), {"f": fs("x", "y")}).extend(p.main.group)
-        assert a.lookup("g") == fs("x", "y")
+        src = "main = let g = \\ a -> +# f x in g 1"
+        assert rqs_of(src, {"f": fs("x", "y")}) == fs("x", "y")
 
     def test_extend_drops_top_level_names(self):
-        p = parse("h q = q;\nmain = let g = \\ a -> h x in g 1")
-        a = Expander(p.top_names()).extend(p.main.group)
-        assert a.lookup("g") == fs("x")
+        assert rqs_of("h q = q;\nmain = let g = \\ a -> h x in g 1") == fs("x")
 
     def test_group_shares_required_set(self):
-        p = parse("main = let f = \\ a -> g x and g = \\ b -> f y in f 1")
-        a = Expander(fs()).extend(p.main.group)
-        assert a.lookup("f") == a.lookup("g") == fs("x", "y")
+        src = "main = let f = \\ a -> g x and g = \\ b -> f y in f 1"
+        assert rqs_of(src) == fs("x", "y")
+        lifted, [d] = lift_program(parse(src), force_sites=frozenset({("f", "g")}))
+        assert d.required_set == ("x", "y")
+        assert [tb.params for tb in lifted.top_binds] == [
+            ("x_1", "y_1", "a"),
+            ("x_1", "y_1", "b"),
+        ]
 
     def test_double_extension_rejected(self):
-        p = parse("main = let f = \\ a -> a in f 1")
-        a = Expander(fs()).extend(p.main.group)
+        src = "main = let f = \\ a -> a in f 1"
+        required = {"f": rqs_of(src)}
         with pytest.raises(LiftError):
-            a.extend(p.main.group)
+            rqs_of(src, required)
 
 
 class TestDecide:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from liftlab.lifter import lift_program, liftable_sites
@@ -5,6 +7,7 @@ from liftlab.machine import (
     ArityMismatch,
     BlackholeLoop,
     DivideByZero,
+    EvalError,
     OutOfFuel,
     SubsetTooLarge,
     UnboundVariable,
@@ -130,6 +133,15 @@ class TestErrors:
     def test_divide_by_zero(self):
         with pytest.raises(DivideByZero):
             evaluate(parse("main = %# 1 0"))
+
+    def test_host_recursion_restores_limit(self):
+        # Each step of tally's g nests host frames; this many overflow the
+        # interpreter's raised recursion limit.
+        text = (PROGRAMS_DIR / "tally.stg").read_text().replace("g 1000", "g 50000")
+        before = sys.getrecursionlimit()
+        with pytest.raises(EvalError):
+            evaluate(load_inline(text))
+        assert sys.getrecursionlimit() == before
 
     def test_bad_fuel(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,16 @@ import sys
 
 import pytest
 
-from liftlab.analysis import split_groups
+from liftlab.analysis import free_vars, split_groups
 from liftlab.lifter import lift_program, liftable_sites
+from liftlab.skeleton import NIL, Seq, skeletonize
 from liftlab.syntax import (
+    MULTI_SHOT,
     App,
     AtomExpr,
+    BindGroup,
+    Case,
+    Lambda,
     Let,
     Lit,
     PrimApp,
@@ -109,3 +114,26 @@ def test_deep_chain_lifts_at_default_recursion_limit(n):
         sys.setrecursionlimit(old)
     assert len(decisions) == n
     assert all(d.lifted for d in decisions)
+
+
+def test_tables_need_no_recursion():
+    # Built from constructors: the parser cannot nest this deep.  Step k
+    # binds ``f{k} = \ p{k} -> +# p{k} y`` and scrutinises ``f{k} z``.
+    n = 3000
+    e = AtomExpr(Var(f"x{n}"))
+    for k in range(n, 0, -1):
+        rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), Var("y"))))
+        body = Case(App(f"f{k}", (Var("z"),)), (), (f"x{k}", e))
+        e = Let(BindGroup(False, ((f"f{k}", rhs),)), body)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        fvs = free_vars(e)
+        skel = skeletonize(e, frozenset())
+    finally:
+        sys.setrecursionlimit(old)
+    assert fvs == {"y", "z"}
+    depth = 0
+    while isinstance(skel, Seq):  # one let node, then one case node, per step
+        skel, depth = skel.right, depth + 1
+    assert depth == 2 * n and skel == NIL
