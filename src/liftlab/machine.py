@@ -1,17 +1,28 @@
-"""Big-step interpreter with exact closure-allocation accounting.
+"""Allocation-counting interpreter: flat closures on an explicit stack.
 
 Evaluation is call-by-need for thunks and lazy in arguments: atoms are
 passed unevaluated and forced at use sites (variable return positions,
-application heads, primop operands, case scrutinees).  Every executed let
-allocates, per binding, one code word plus one word per captured variable;
-integers are unboxed and top-level definitions allocate nothing.  The
-resulting word counts are the ground truth against which the lifter's
-closure-growth predictions are checked.
+application heads, primop operands, case scrutinees).  The machine works in
+the eval/apply style of the STG machine: one loop evaluates an expression
+until it yields a value, forces that value, and returns it to the innermost
+pending frame (a case scrutinee, a thunk update, an application waiting for
+its head or for the result of an oversaturated call, or a primop operand).
+The frames live on an explicit stack, so evaluation depth is bounded by
+fuel, never by the host's recursion limit.
+
+Closures are flat.  A function or thunk stores only the values of its slots
+(its free variables, minus itself, minus top-level names, as in
+:func:`~liftlab.analysis.closure_slot_fvs`); a call runs in a copy of them
+plus the closure itself and the arguments, and top-level names resolve
+through one shared table.  Every executed let allocates, per binding, one
+code word plus one word per stored slot; integers are unboxed and top-level
+definitions allocate nothing.  The resulting word counts are the ground
+truth against which the lifter's closure-growth predictions are checked.
 """
 
 from __future__ import annotations
 
-import sys
+import operator
 from dataclasses import dataclass
 
 from .analysis import free_var_table
@@ -29,7 +40,6 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 10_000_000
-_RECURSION_LIMIT = 60_000
 
 
 class EvalError(Exception):
@@ -62,33 +72,34 @@ class IntValue:
 
 
 class FunValue:
-    """A code reference paired with its captured environment."""
+    """A code reference paired with the values of its slots; it is charged
+    ``1 + len(slots)`` words."""
 
-    __slots__ = ("binder", "params", "body", "env", "entries", "size")
+    __slots__ = ("binder", "params", "body", "slots", "entries")
 
-    def __init__(self, binder: str, params: tuple[str, ...], body: Expr, env: dict):
+    def __init__(self, binder: str, params: tuple[str, ...], body: Expr):
         self.binder = binder
         self.params = params
         self.body = body
-        self.env = env
+        self.slots: dict = {}
         self.entries = 0
-        self.size = 0
 
 
 class ThunkCell:
-    """Updatable closure; memoised after the first entry, blackholed during it."""
+    """Updatable closure; memoised after the first entry, blackholed during
+    it, and charged ``1 + len(slots)`` words like a function."""
 
-    __slots__ = ("binder", "body", "env", "state", "value", "entries", "size")
+    __slots__ = ("binder", "body", "slots", "value", "entries")
 
-    def __init__(self, binder: str, body: Expr, env: dict):
+    def __init__(self, binder: str, body: Expr):
         self.binder = binder
         self.body = body
-        self.env = env
-        self.state = "pending"  # pending | busy | done
-        self.value = None
+        self.slots: dict = {}
+        self.value = None  # None: not entered yet; _BLACKHOLE: running
         self.entries = 0
-        self.size = 0
 
+
+_BLACKHOLE = object()
 
 Value = IntValue | FunValue
 
@@ -126,24 +137,58 @@ class AllocStats:
         return stats.words if stats else 0
 
 
-def _all_binders(p: Program) -> list[str]:
-    names = [tb.name for tb in p.top_binds]
+def _modulo(x: int, y: int) -> int:
+    if y == 0:
+        raise DivideByZero(f"{x} %# 0")
+    return x % y
 
-    def walk(e: Expr) -> None:
-        if isinstance(e, Let):
+
+def _less(x: int, y: int) -> int:
+    return 1 if x < y else 0
+
+
+_PRIMS = {
+    "+#": operator.add,
+    "-#": operator.sub,
+    "*#": operator.mul,
+    "%#": _modulo,
+    "<#": _less,
+}
+
+# Continuation frames, each a (kind, a, b) tuple:
+_CASE = 0  # (case expression, env): choose an alternative for the value
+_UPDATE = 1  # (thunk cell, None): memoise the value
+_HEAD = 2  # (application, env): apply the forced head to the arguments
+_ARGS = 3  # (argument values, head name): apply the value to the rest
+_LEFT = 4  # (primop, env): first operand forced; read the second
+_RIGHT = 5  # (primop, first operand): second operand forced; compute
+
+
+class _Tops(dict):
+    """Top-level definitions by name; the fallback of every variable lookup."""
+
+    def __missing__(self, name: str):
+        raise UnboundVariable(name)
+
+
+def _let_binders(p: Program) -> list[str]:
+    """Every let binder, so binders never allocated still get a stats row.
+    A hand-written loop rather than :func:`~liftlab.syntax.walk`, which
+    takes twice as long here, and every :func:`evaluate` pays for it."""
+    names = []
+    stack = [tb.body for tb in p.top_binds]
+    stack.append(p.main)
+    while stack:
+        e = stack.pop()
+        if type(e) is Let:
             for name, rhs in e.group.binds:
                 names.append(name)
-                walk(rhs.body)
-            walk(e.body)
-        elif isinstance(e, Case):
-            walk(e.scrutinee)
-            for _, b in e.alts:
-                walk(b)
-            walk(e.default[1])
-
-    for tb in p.top_binds:
-        walk(tb.body)
-    walk(p.main)
+                stack.append(rhs.body)
+            stack.append(e.body)
+        elif type(e) is Case:
+            stack.append(e.scrutinee)
+            stack.extend([body for _, body in e.alts])
+            stack.append(e.default[1])
     return names
 
 
@@ -153,194 +198,255 @@ class _Machine:
             raise ValueError("fuel must be positive")
         self.program = program
         self.fuel = fuel
-        self.steps = 0
-        self.words = 0
-        self.closures = 0
         self.top_names = program.top_names()
-        self.cells: dict[str, list] = {name: [] for name in _all_binders(program)}
-        self.tops: dict[str, FunValue] = {}
-        self.size_cache: dict[int, int] = {}
-        self.free_vars: dict[int, frozenset[str]] = {}
-        top_env: dict = {}
+        self.tops = _Tops()
         for tb in program.top_binds:
-            fn = FunValue(tb.name, tb.params, tb.body, top_env)
-            top_env[tb.name] = fn
-            self.tops[tb.name] = fn
+            self.tops[tb.name] = FunValue(tb.name, tb.params, tb.body)
+        # Every closure allocated, by binder: the source of all word counts.
+        self.cells: dict[str, list] = {name: [] for name in _let_binders(program)}
+        self.free_vars: dict[int, frozenset[str]] = {}
+        # id(let) -> per binding (name, rhs, slot names, allocation list)
+        self.plans: dict[int, list[tuple]] = {}
 
-    def run(self) -> tuple[Value, AllocStats]:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
-        try:
-            value = self._eval(self.program.main, dict(self.tops))
-        except RecursionError:
-            raise OutOfFuel("host recursion limit reached") from None
-        finally:
-            sys.setrecursionlimit(limit)
-        return value, self._stats()
-
-    def _stats(self) -> AllocStats:
+    def _stats(self, steps: int) -> AllocStats:
         per_binder = {}
-        for name in sorted(self.cells):
+        for name in sorted(self.cells.keys() | self.tops.keys()):
             if name in self.tops:
                 per_binder[name] = BinderStats(0, self.tops[name].entries, 0, ())
                 continue
             items = self.cells[name]
-            profile = tuple(c.entries for c in items)
+            profile = tuple([c.entries for c in items])
             per_binder[name] = BinderStats(
                 allocations=len(items),
                 entries=sum(profile),
-                words=sum(c.size for c in items),
+                words=sum([1 + len(c.slots) for c in items]),
                 per_allocation_entries=profile,
             )
-        return AllocStats(self.words, self.closures, self.steps, per_binder)
+        words = sum([b.words for b in per_binder.values()])
+        closures = sum([b.allocations for b in per_binder.values()])
+        return AllocStats(words, closures, steps, per_binder)
 
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.fuel:
-            raise OutOfFuel(f"exceeded {self.fuel} steps")
-
-    def _lookup(self, name: str, env: dict):
-        try:
-            return env[name]
-        except KeyError:
-            raise UnboundVariable(name) from None
-
-    def _atom(self, a, env):
-        if isinstance(a, Lit):
-            return IntValue(a.value)
-        return self._lookup(a.name, env)
-
-    def _force(self, v) -> Value:
-        while True:
-            if isinstance(v, IntValue):
-                return v
-            if isinstance(v, FunValue):
-                if v.params:
-                    return v
-                # Nullary top-level definition: entered on every reference,
-                # never memoised and never allocated.
-                self._tick()
-                v.entries += 1
-                v = self._eval(v.body, dict(v.env))
-                continue
-            cell: ThunkCell = v
-            if cell.state == "done":
-                return cell.value
-            if cell.state == "busy":
-                raise BlackholeLoop(cell.binder)
-            self._tick()
-            cell.state = "busy"
-            cell.entries += 1
-            result = self._eval(cell.body, cell.env)
-            cell.state = "done"
-            cell.value = result
-            return result
-
-    def _force_int(self, v, op: str) -> int:
-        forced = self._force(v)
-        if not isinstance(forced, IntValue):
-            raise ArityMismatch(f"{op} applied to a function value")
-        return forced.value
-
-    def _allocate(self, let: Let, env: dict) -> dict:
-        env2 = dict(env)
-        created = []
+    def _plan(self, let: Let) -> list[tuple]:
+        rhss = [rhs for _, rhs in let.group.binds]
+        # One table per outermost group: nested right-hand sides come along.
+        if rhss and id(rhss[0]) not in self.free_vars:
+            self.free_vars.update(free_var_table(rhss))
+        plan = []
         for name, rhs in let.group.binds:
-            if isinstance(rhs, Lambda):
-                cell = FunValue(name, rhs.params, rhs.body, env2)
+            slots = self.free_vars[id(rhs)] - {name} - self.top_names
+            plan.append((name, rhs, tuple(sorted(slots)), self.cells[name]))
+        self.plans[id(let)] = plan
+        return plan
+
+    def _allocate(self, let: Let, env: dict) -> None:
+        """Bind the group's closures in ``env``, then fill their slots, so
+        members of a recursive group capture each other."""
+        plan = self.plans.get(id(let)) or self._plan(let)
+        cells = []
+        for name, rhs, _, _ in plan:
+            if type(rhs) is Lambda:
+                cell = FunValue(name, rhs.params, rhs.body)
             else:
-                cell = ThunkCell(name, rhs.body, env2)
-            env2[name] = cell
-            created.append((name, rhs, cell))
-        for name, rhs, cell in created:
-            key = id(rhs)
-            size = self.size_cache.get(key)
-            if size is None:
-                if key not in self.free_vars:  # nested right-hand sides come along
-                    self.free_vars.update(free_var_table([rhs]))
-                size = 1 + len(self.free_vars[key] - {name} - self.top_names)
-                self.size_cache[key] = size
-            cell.size = size
-            self.words += size
-            self.closures += 1
-            self.cells[name].append(cell)
-        return env2
+                cell = ThunkCell(name, rhs.body)
+            env[name] = cell
+            cells.append(cell)
+        for cell, (_, _, names, allocated) in zip(cells, plan):
+            slots = cell.slots
+            for v in names:
+                try:
+                    slots[v] = env[v]
+                except KeyError:
+                    raise UnboundVariable(v) from None
+            allocated.append(cell)
 
-    def _eval(self, expr: Expr, env: dict) -> Value:
+    def _read(self, args, env: dict) -> list:
+        """Argument values, unforced: literals as ints, variables looked up."""
+        vals = []
+        for a in args:
+            if type(a) is Lit:
+                vals.append(a.value)
+            else:
+                x = env.get(a.name)
+                vals.append(self.tops[a.name] if x is None else x)
+        return vals
+
+    def _apply(self, fn, vals: list, head: str, stack: list) -> tuple[Expr, dict]:
+        """Enter ``fn`` with ``vals``; an oversaturated call leaves a frame
+        that applies its result to the remaining values."""
+        if type(fn) is not FunValue:
+            raise ArityMismatch(f"application of non-function result of {head!r}")
+        n = len(fn.params)
+        if len(vals) < n:
+            raise ArityMismatch(f"{fn.binder} expects {n} arguments, got {len(vals)}")
+        if len(vals) > n:
+            stack.append((_ARGS, vals[n:], head))
+        env = dict(fn.slots)
+        env[fn.binder] = fn
+        env.update(zip(fn.params, vals))
+        fn.entries += 1
+        return fn.body, env
+
+    def run(self) -> tuple[Value, AllocStats]:
+        tops = self.tops
+        fuel = self.fuel
+        prims = _PRIMS
+        stack: list[tuple] = []
+        push = stack.append
+        steps = 0
+        expr: Expr = self.program.main
+        env: dict = {}
         while True:
-            self._tick()
-            if isinstance(expr, AtomExpr):
-                return self._force(self._atom(expr.atom, env))
-            if isinstance(expr, App):
-                fn = self._force(self._lookup(expr.head, env))
-                vals = [self._atom(a, env) for a in expr.args]
-                while True:
-                    if not isinstance(fn, FunValue):
-                        raise ArityMismatch(
-                            f"application of non-function result of {expr.head!r}"
-                        )
-                    n = len(fn.params)
-                    if len(vals) < n:
-                        raise ArityMismatch(
-                            f"{fn.binder} expects {n} arguments, got {len(vals)}"
-                        )
-                    call_env = dict(fn.env)
-                    for prm, val in zip(fn.params, vals[:n]):
-                        call_env[prm] = val
-                    fn.entries += 1
-                    if len(vals) == n:
-                        expr = fn.body
-                        env = call_env
+            # Evaluate ``expr`` in ``env``, one step per node, until it
+            # yields a value ``v``.
+            while True:
+                steps += 1
+                if steps > fuel:
+                    raise OutOfFuel(f"exceeded {fuel} steps")
+                t = type(expr)
+                if t is Case:
+                    push((_CASE, expr, env))
+                    expr = expr.scrutinee
+                elif t is App:
+                    head = expr.head
+                    fn = env.get(head)
+                    if fn is None:
+                        fn = tops[head]
+                    if type(fn) is FunValue and fn.params:
+                        args = expr.args
+                        if len(args) == len(fn.params):
+                            # A saturated call, inlined: the commonest
+                            # step; every other case goes through _apply.
+                            call = dict(fn.slots)
+                            call[fn.binder] = fn
+                            for prm, a in zip(fn.params, args):
+                                if type(a) is Lit:
+                                    call[prm] = a.value
+                                else:
+                                    x = env.get(a.name)
+                                    call[prm] = tops[a.name] if x is None else x
+                            fn.entries += 1
+                            expr = fn.body
+                            env = call
+                            continue
+                    elif type(fn) is not int:  # a thunk or nullary top-level
+                        push((_HEAD, expr, env))
+                        v = fn
                         break
-                    # Oversaturated call: run to a function, keep applying.
-                    fn = self._force(self._eval(fn.body, call_env))
-                    vals = vals[n:]
-                continue
-            if isinstance(expr, PrimApp):
-                a, b = expr.args
-                x = self._force_int(self._atom(a, env), expr.op)
-                y = self._force_int(self._atom(b, env), expr.op)
-                return IntValue(self._prim(expr.op, x, y))
-            if isinstance(expr, Let):
-                env = self._allocate(expr, env)
-                expr = expr.body
-                continue
-            if isinstance(expr, Case):
-                scrut = self._eval(expr.scrutinee, env)
-                chosen = None
-                if isinstance(scrut, IntValue):
-                    for pat, body in expr.alts:
-                        if pat == scrut.value:
-                            chosen = body
-                            break
-                if chosen is None:
-                    dname, dbody = expr.default
-                    env = dict(env)
-                    env[dname] = scrut
-                    chosen = dbody
-                expr = chosen
-                continue
-            raise AssertionError(expr)
-
-    @staticmethod
-    def _prim(op: str, x: int, y: int) -> int:
-        if op == "+#":
-            return x + y
-        if op == "-#":
-            return x - y
-        if op == "*#":
-            return x * y
-        if op == "%#":
-            if y == 0:
-                raise DivideByZero(f"{x} %# 0")
-            return x % y
-        if op == "<#":
-            return 1 if x < y else 0
-        raise AssertionError(op)
+                    expr, env = self._apply(fn, self._read(expr.args, env), head, stack)
+                elif t is PrimApp:
+                    a, b = expr.args
+                    if type(a) is Lit:
+                        v = a.value
+                    else:
+                        v = env.get(a.name)
+                        if v is None:
+                            v = tops[a.name]
+                    if type(v) is not int:
+                        push((_LEFT, expr, env))
+                        break
+                    x = v
+                    if type(b) is Lit:
+                        v = b.value
+                    else:
+                        v = env.get(b.name)
+                        if v is None:
+                            v = tops[b.name]
+                    if type(v) is not int:
+                        push((_RIGHT, expr, x))
+                        break
+                    v = prims[expr.op](x, v)
+                    break
+                elif t is AtomExpr:
+                    a = expr.atom
+                    if type(a) is Lit:
+                        v = a.value
+                    else:
+                        v = env.get(a.name)
+                        if v is None:
+                            v = tops[a.name]
+                    break
+                elif t is Let:
+                    self._allocate(expr, env)
+                    expr = expr.body
+                else:
+                    raise AssertionError(expr)
+            # Force ``v``, then return it to the innermost frames until one
+            # of them resumes evaluation.
+            while True:
+                tv = type(v)
+                if tv is ThunkCell:
+                    cell = v
+                    v = cell.value
+                    if v is None:
+                        steps += 1
+                        if steps > fuel:
+                            raise OutOfFuel(f"exceeded {fuel} steps")
+                        cell.value = _BLACKHOLE
+                        cell.entries += 1
+                        push((_UPDATE, cell, None))
+                        env = dict(cell.slots)
+                        env[cell.binder] = cell
+                        expr = cell.body
+                        break
+                    if v is _BLACKHOLE:
+                        raise BlackholeLoop(cell.binder)
+                elif tv is FunValue and not v.params:
+                    # Nullary top-level definition: entered on every
+                    # reference, never memoised and never allocated.
+                    steps += 1
+                    if steps > fuel:
+                        raise OutOfFuel(f"exceeded {fuel} steps")
+                    v.entries += 1
+                    env = {}
+                    expr = v.body
+                    break
+                if not stack:
+                    value = IntValue(v) if type(v) is int else v
+                    return value, self._stats(steps)
+                kind, a, b = stack.pop()
+                if kind == _CASE:
+                    env = b
+                    expr = None
+                    if type(v) is int:
+                        for pat, body in a.alts:
+                            if pat == v:
+                                expr = body
+                                break
+                    if expr is None:
+                        dname, expr = a.default
+                        env[dname] = v
+                    break
+                if kind == _UPDATE:
+                    a.value = v
+                elif kind == _HEAD:
+                    expr, env = self._apply(v, self._read(a.args, b), a.head, stack)
+                    break
+                elif kind == _ARGS:
+                    expr, env = self._apply(v, a, b, stack)
+                    break
+                else:  # a primop operand
+                    if type(v) is not int:
+                        raise ArityMismatch(f"{a.op} applied to a function value")
+                    if kind == _RIGHT:
+                        v = prims[a.op](b, v)
+                        continue
+                    push((_RIGHT, a, v))
+                    rb = a.args[1]
+                    if type(rb) is Lit:
+                        v = rb.value
+                    else:
+                        v = b.get(rb.name)
+                        if v is None:
+                            v = tops[rb.name]
 
 
 def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
-    """Evaluate a validated program's main expression; exact word accounting."""
+    """Evaluate a program's main expression; exact word accounting.
+
+    ``p`` must be validated (see :func:`~liftlab.syntax.validate`): names
+    are globally unique, which lets let and case-default binders extend the
+    running activation's environment in place.
+    """
     return _Machine(p, fuel).run()
 
 

@@ -575,72 +575,76 @@ def _pp_rhs_head(r: Rhs) -> str:
     return "\\" + card + " " + " ".join(r.params) + " ->"
 
 
-def _pp_expr(e: Expr, ind: int) -> str:
+def _pp_expr(e: Expr, ind: int, out: list[str]) -> None:
+    """Append ``e``'s text to ``out``; nested lines are indented by ``ind``."""
     pad = " " * ind
     if _is_simple(e):
-        return _pp_simple(e)
-    if isinstance(e, Let):
-        lines = []
+        out.append(_pp_simple(e))
+    elif isinstance(e, Let):
         for i, (name, rhs) in enumerate(e.group.binds):
-            kw = "let" if i == 0 else "and"
-            head = f"{pad if i else ''}{kw} {name} = {_pp_rhs_head(rhs)}"
+            kw = f"\n{pad}and" if i else "let"
+            out.append(f"{kw} {name} = {_pp_rhs_head(rhs)}")
             body = rhs.body
             if _is_simple(body):
-                lines.append(f"{head} {_pp_simple(body)}")
+                out.append(" " + _pp_simple(body))
             else:
-                inner = " " * (ind + 4)
-                lines.append(head + "\n" + inner + _pp_expr(body, ind + 4))
+                out.append("\n" + " " * (ind + 4))
+                _pp_expr(body, ind + 4, out)
         if _is_simple(e.body):
-            lines.append(f"{pad}in {_pp_simple(e.body)}")
+            out.append(f"\n{pad}in {_pp_simple(e.body)}")
         else:
-            lines.append(f"{pad}in")
-            lines.append(pad + _pp_expr(e.body, ind))
-        return "\n".join(lines)
-    if isinstance(e, Case):
+            out.append(f"\n{pad}in\n{pad}")
+            _pp_expr(e.body, ind, out)
+    elif isinstance(e, Case):
         if _is_simple(e.scrutinee):
-            head = f"case {_pp_simple(e.scrutinee)} of {{"
+            out.append(f"case {_pp_simple(e.scrutinee)} of {{")
         else:
-            inner = " " * (ind + 4)
-            head = (
-                "case\n"
-                + inner
-                + _pp_expr(e.scrutinee, ind + 4)
-                + "\n"
-                + pad
-                + "of {"
-            )
+            out.append("case\n" + " " * (ind + 4))
+            _pp_expr(e.scrutinee, ind + 4, out)
+            out.append(f"\n{pad}of {{")
         alt_pad = " " * (ind + 2)
-        lines = [head]
         for pat, body in e.alts:
-            lines.append(f"{alt_pad}{pat} -> {_pp_alt_body(body, ind + 2)};")
+            out.append(f"\n{alt_pad}{pat} -> ")
+            _pp_alt_body(body, ind + 2, out)
+            out.append(";")
         binder, dbody = e.default
-        lines.append(f"{alt_pad}default {binder} -> {_pp_alt_body(dbody, ind + 2)}")
-        lines.append(pad + "}")
-        return "\n".join(lines)
-    raise AssertionError(e)
+        out.append(f"\n{alt_pad}default {binder} -> ")
+        _pp_alt_body(dbody, ind + 2, out)
+        out.append(f"\n{pad}}}")
+    else:
+        raise AssertionError(e)
 
 
-def _pp_alt_body(e: Expr, ind: int) -> str:
+def _pp_alt_body(e: Expr, ind: int, out: list[str]) -> None:
     if _is_simple(e):
-        return _pp_simple(e)
-    inner = " " * (ind + 4)
-    return "\n" + inner + _pp_expr(e, ind + 4)
+        out.append(_pp_simple(e))
+    else:
+        out.append("\n" + " " * (ind + 4))
+        _pp_expr(e, ind + 4, out)
 
 
 def print_program(p: Program) -> str:
-    """Render a program; ``parse(print_program(p))`` is structurally ``p``."""
-    chunks = []
+    """Render a program; ``parse(print_program(p))`` is structurally ``p``.
+
+    Every piece goes into one list, joined once, so a program's text is
+    built in time linear in its length however deeply it nests.
+    """
+    out: list[str] = []
     for tb in p.top_binds:
         head = " ".join((tb.name,) + tb.params) + " ="
         if _is_simple(tb.body):
-            chunks.append(f"{head} {_pp_simple(tb.body)};")
+            out.append(f"{head} {_pp_simple(tb.body)};\n\n")
         else:
-            chunks.append(head + "\n  " + _pp_expr(tb.body, 2) + ";")
+            out.append(head + "\n  ")
+            _pp_expr(tb.body, 2, out)
+            out.append(";\n\n")
     if _is_simple(p.main):
-        chunks.append(f"main = {_pp_simple(p.main)}")
+        out.append(f"main = {_pp_simple(p.main)}")
     else:
-        chunks.append("main =\n  " + _pp_expr(p.main, 2))
-    return "\n\n".join(chunks) + "\n"
+        out.append("main =\n  ")
+        _pp_expr(p.main, 2, out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -7,7 +8,6 @@ from liftlab.machine import (
     ArityMismatch,
     BlackholeLoop,
     DivideByZero,
-    EvalError,
     OutOfFuel,
     SubsetTooLarge,
     UnboundVariable,
@@ -134,18 +134,58 @@ class TestErrors:
         with pytest.raises(DivideByZero):
             evaluate(parse("main = %# 1 0"))
 
-    def test_host_recursion_restores_limit(self):
-        # Each step of tally's g nests host frames; this many overflow the
-        # interpreter's raised recursion limit.
+    def test_deep_recursion_needs_no_host_stack(self):
+        # Each step of tally's g leaves a case frame and a thunk update
+        # pending, so this run holds ~100,000 frames on the machine's stack.
         text = (PROGRAMS_DIR / "tally.stg").read_text().replace("g 1000", "g 50000")
-        before = sys.getrecursionlimit()
-        with pytest.raises(EvalError):
-            evaluate(load_inline(text))
-        assert sys.getrecursionlimit() == before
+        p = load_inline(text)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            value, stats = evaluate(p)
+            assert sys.getrecursionlimit() == 200
+        finally:
+            sys.setrecursionlimit(old)
+        assert render_value(value) == "50010"
+        assert stats.steps == 10 * 50_000 + 13  # as at N = 1000 and 3000
+
+    def test_unbounded_recursion_runs_out_of_fuel(self):
+        # Non-tail: every call leaves a case frame behind.  Fuel bounds the
+        # stack, so the error names the step budget.
+        p = load_inline("main = let w = \\ x -> case w x of { default r -> r } in w 1")
+        with pytest.raises(OutOfFuel, match="exceeded 200000 steps"):
+            evaluate(p, fuel=200_000)
 
     def test_bad_fuel(self):
         with pytest.raises(ValueError):
             evaluate(parse("main = 1"), fuel=0)
+
+
+# sha256 of every observable of evaluate, for each program of the
+# acceptance corpus and then of programs/*.stg, before and after
+# lift_program.  Computed with the recursive interpreter that preceded the
+# explicit-stack one; a change here changes what the lab measures.
+OBSERVABLE_DIGEST = "79b26cf224fefdffbf400520d4878354a7c4c7e59736f68cd571652aad570a19"
+
+
+def test_observable_output_pinned(corpus, hand_programs):
+    h = hashlib.sha256()
+    for p in [*corpus, *hand_programs.values()]:
+        for q in (p, lift_program(p)[0]):
+            value, s = evaluate(q)
+            per_binder = sorted(
+                (name, b.allocations, b.entries, b.words, b.per_allocation_entries)
+                for name, b in s.per_binder.items()
+            )
+            observed = (
+                value_key(value),
+                s.words_allocated,
+                s.closures_allocated,
+                s.steps,
+                per_binder,
+            )
+            h.update(repr(observed).encode())
+    assert h.hexdigest() == OBSERVABLE_DIGEST
 
 
 class TestCompareAlloc:

@@ -11,6 +11,7 @@ import pytest
 
 from liftlab.analysis import free_vars, split_groups
 from liftlab.lifter import lift_program, liftable_sites
+from liftlab.machine import evaluate, render_value
 from liftlab.skeleton import NIL, Seq, skeletonize
 from liftlab.syntax import (
     MULTI_SHOT,
@@ -22,6 +23,8 @@ from liftlab.syntax import (
     Let,
     Lit,
     PrimApp,
+    Program,
+    Thunk,
     Var,
     bound_names,
     freshen,
@@ -103,8 +106,8 @@ def _depth_chain(n: int) -> str:
 
 @pytest.mark.parametrize("n", [200, 220])
 def test_deep_chain_lifts_at_default_recursion_limit(n):
-    # evaluate raises the process-wide limit; pin the default so the depth
-    # the front end and the lifter reach is what is measured.
+    # Pin the default limit, so the depth the front end and the lifter
+    # reach is what is measured.
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -137,3 +140,26 @@ def test_tables_need_no_recursion():
     while isinstance(skel, Seq):  # one let node, then one case node, per step
         skel, depth = skel.right, depth + 1
     assert depth == 2 * n and skel == NIL
+
+
+def test_evaluate_needs_no_recursion():
+    # ``t{k} = thunk (case t{k-1} of { default y{k} -> +# y{k} 1 })``, each
+    # let nested in the previous one's body: forcing the last thunk forces
+    # all of them, so both the program and its evaluation are n deep.
+    n = 3000
+    e = Case(AtomExpr(Var(f"t{n}")), (), ("r", AtomExpr(Var("r"))))
+    for k in range(n, 0, -1):
+        inc = PrimApp("+#", (Var(f"y{k}"), Lit(1)))
+        rhs = Thunk(Case(AtomExpr(Var(f"t{k - 1}")), (), (f"y{k}", inc)))
+        e = Let(BindGroup(False, ((f"t{k}", rhs),)), e)
+    p = Program((), Let(BindGroup(False, (("t0", Thunk(AtomExpr(Lit(0)))),)), e))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        value, stats = evaluate(p)
+    finally:
+        sys.setrecursionlimit(old)
+    assert render_value(value) == str(n)
+    assert stats.closures_allocated == n + 1
+    assert stats.words_allocated == 1 + 2 * n  # t0 stores nothing, t{k} one slot
+    assert stats.steps == 5 * n + 6
