@@ -1,7 +1,8 @@
 """Batch driver: parse, analyse, lift, evaluate, report.
 
-Exit codes: 0 on success, 1 on parse/validation/evaluation errors, 2 on
-usage errors.  Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 on success, 1 on parse/validation/evaluation errors and on
+programs nested too deeply for the recursive stages, 2 on usage errors.
+Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -247,6 +248,15 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, ScopeError, InputError, LiftError, EvalError, SubsetTooLarge) as exc:
         print(f"liftlab: error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # parse, freshen, validate, split_groups, lift and the printer recurse
+        # once per nesting level; the recursion limit is left as it is.
+        print(
+            "liftlab: error: the program nests too deeply for this implementation "
+            f"(Python recursion limit {sys.getrecursionlimit()} reached)",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -15,16 +15,20 @@ expression, written in a small A-normal-form language::
     atom    := ident | int
     prim    := "+#" | "-#" | "*#" | "%#" | "<#"
 
-Line comments start with ``--``.  Application arguments and case patterns
-are atoms; every lambda is the right-hand side of a binding.  ``let ... and
-...`` groups are candidate recursive groups until the SCC pre-pass
-canonicalises them (see :mod:`liftlab.analysis`).
+Identifiers start with an alphabetic character or ``_`` and continue with
+alphanumerics or ``_``; integers are ``-?[0-9]+``; line comments start with
+``--``.  Application arguments and case patterns are atoms; every lambda is
+the right-hand side of a binding.  ``let ... and ...`` groups are candidate
+recursive groups until the SCC pre-pass canonicalises them (see
+:mod:`liftlab.analysis`).
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 INF = float("inf")
 
@@ -265,75 +269,71 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | int | prim | punct | eof
-    text: str
-    line: int
-    col: int
+# One match per token: blanks and ``--`` comments are skipped, then group 1
+# takes the token.  A word starting with a non-digit is an identifier when
+# its first character is alphabetic or ``_`` (``[^\W\d]`` also admits ``²``
+# and the like, which classification rejects); an integer is ``-?[0-9]+``;
+# the end of the text is the empty token; any other single character is
+# punctuation or unexpected.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"([^\W\d]\w*|-?[0-9]+|[-+*%<]#|->|\Z|.)",
+    re.DOTALL,
+)
+_SYMBOLS = KEYWORDS | {*PRIMOPS, "->", *"=;\\{},*()", ""}
 
 
-_PUNCT_SINGLE = "=;\\{},*()"
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``.  Columns count characters;
+    a comment does not advance the column, which shows only at the end of
+    the text."""
+    start = text.rfind("\n", 0, offset) + 1
+    if offset == len(text) and "--" in text[start:]:
+        offset = text.index("--", start)
+    return text.count("\n", 0, offset) + 1, offset - start + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
+def _token_offset(text: str, index: int) -> int:
+    """Where the ``index``-th token of ``text`` starts."""
+    return next(islice(_TOKEN.finditer(text), index, None)).start(1)
 
-    def emit(kind: str, s: str, ln: int, cl: int) -> None:
-        toks.append(_Token(kind, s, ln, cl))
 
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        ln, cl = line, col
+def _lex(text: str) -> tuple[list[str], dict[str, Var], dict[str, Lit]]:
+    """The token texts, ending with ``""``, and the atoms their distinct
+    identifiers (keywords excluded) and integers stand for.
+
+    Raises :class:`ParseError` at the earliest token that is no symbol,
+    identifier or integer: an unexpected character, or a literal past
+    Python's int-string limit.
+    """
+    toks = _TOKEN.findall(text)
+    idents: dict[str, Var] = {}
+    ints: dict[str, Lit] = {}
+    bad: dict[str, str] = {}  # token -> message, "" for an unexpected character
+    for t in set(toks).difference(_SYMBOLS):
+        c = t[0]
         if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            emit("ident", text[i:j], ln, cl)
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            emit("int", text[i:j], ln, cl)
-            col += j - i
-            i = j
-            continue
-        if c in "+-*%<" and i + 1 < n and text[i + 1] == "#":
-            emit("prim", text[i : i + 2], ln, cl)
-            i += 2
-            col += 2
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            emit("punct", "->", ln, cl)
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT_SINGLE:
-            emit("punct", c, ln, cl)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", ln, cl)
-    toks.append(_Token("eof", "", line, col))
-    return toks
+            idents[t] = Var(t)
+        elif c in "-0123456789" and t != "-":
+            try:
+                ints[t] = Lit(int(t))
+            except ValueError:
+                bad[t] = f"integer literal too long ({len(t.lstrip('-'))} digits)"
+        else:
+            bad[t] = ""
+    if bad:
+        index = next(i for i, t in enumerate(toks) if t in bad)
+        t = toks[index]
+        offset = _token_offset(text, index)
+        message = bad[t]
+        if not message:
+            # A "-" before a digit outside 0-9 is that literal's sign, so the
+            # digit is the unexpected character.
+            if t == "-" and text[offset + 1 : offset + 2].isdigit():
+                offset += 1
+            message = f"unexpected character {text[offset]!r}"
+        raise ParseError(message, *_line_col(text, offset))
+    return toks, idents, ints
 
 
 # ---------------------------------------------------------------------------
@@ -341,180 +341,170 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 
-def _mentions_member(binds: tuple[tuple[str, "Rhs"], ...]) -> bool:
-    """Whether any right-hand side mentions a binder of the group.
-
-    A raw name scan: exact once names are globally unique, which is all the
-    canonical pipeline needs.  The parser sets each group's flag with it, so
-    ``parse(print_program(p)) == p`` holds for SCC-split programs, whose
-    flags the SCC pre-pass computed with proper scoping.
-    """
-    names = {name for name, _ in binds}
-    mentioned: set[str] = set()
-    for _, rhs in binds:
-        for e in walk(rhs.body):
-            mentioned.update(occurrences(e))
-    return not names.isdisjoint(mentioned)
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.toks = tokens
+    """Recursive descent over token texts; a token's kind is its membership
+    in the lexer's identifier and integer tables, or its text.
+
+    Every name occurrence (an application head or a variable atom) is
+    appended to ``names`` in source order, so the occurrences inside a
+    group's right-hand sides are one contiguous span of it.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks, self.idents, self.ints = _lex(text)
         self.pos = 0
+        self.names: list[str] = []
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def fail(self, message: str, index: int | None = None) -> ParseError:
+        """An error at the current token, or at the ``index``-th."""
+        offset = _token_offset(self.text, self.pos if index is None else index)
+        return ParseError(message, *_line_col(self.text, offset))
 
-    def next(self) -> _Token:
+    def expect(self, text: str) -> None:
         t = self.toks[self.pos]
+        if t != text:
+            raise self.fail(f"expected {text!r}, found {t!r}")
+        self.pos += 1
+
+    def expect_ident(self) -> str:
+        t = self.toks[self.pos]
+        if t not in self.idents:
+            raise self.fail(f"expected identifier, found {t!r}")
         self.pos += 1
         return t
 
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.col)
-
-    def expect_punct(self, text: str) -> _Token:
-        t = self.peek()
-        if t.kind != "punct" or t.text != text:
-            raise self.fail(f"expected {text!r}, found {t.text!r}")
-        return self.next()
-
-    def expect_keyword(self, word: str) -> _Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text != word:
-            raise self.fail(f"expected {word!r}, found {t.text!r}")
-        return self.next()
-
-    def expect_ident(self) -> str:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            raise self.fail(f"expected identifier, found {t.text!r}")
-        return self.next().text
-
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
-
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
     # atoms ------------------------------------------------------------
 
-    def at_atom(self) -> bool:
-        t = self.peek()
-        return t.kind == "int" or (t.kind == "ident" and t.text not in KEYWORDS)
-
     def atom(self) -> Atom:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Lit(int(t.text))
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            return Var(t.text)
-        raise self.fail(f"expected atom, found {t.text!r}")
+        t = self.toks[self.pos]
+        if t in self.ints:
+            self.pos += 1
+            return self.ints[t]
+        if t in self.idents:
+            self.pos += 1
+            self.names.append(t)
+            return self.idents[t]
+        raise self.fail(f"expected atom, found {t!r}")
 
     # expressions --------------------------------------------------------
 
     def expr(self) -> Expr:
-        t = self.peek()
-        if self.at_keyword("let"):
+        t = self.toks[self.pos]
+        if t == "let":
             return self.let_expr()
-        if self.at_keyword("case"):
+        if t == "case":
             return self.case_expr()
-        if self.at_punct("("):
-            self.next()
+        if t == "(":
+            self.pos += 1
             e = self.expr()
-            self.expect_punct(")")
+            self.expect(")")
             return e
-        if t.kind == "prim":
-            op = self.next().text
+        if t in PRIMOPS:
+            self.pos += 1
             a = self.atom()
             b = self.atom()
-            return PrimApp(op, (a, b))
-        if t.kind == "int":
-            return AtomExpr(self.atom())
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            head = self.next().text
+            return PrimApp(t, (a, b))
+        if t in self.ints:
+            self.pos += 1
+            return AtomExpr(self.ints[t])
+        if t in self.idents:
+            toks, idents, ints, names = self.toks, self.idents, self.ints, self.names
+            names.append(t)
+            pos = self.pos + 1
             args: list[Atom] = []
-            while self.at_atom():
-                args.append(self.atom())
+            while True:
+                a = toks[pos]
+                if a in idents:
+                    names.append(a)
+                    args.append(idents[a])
+                elif a in ints:
+                    args.append(ints[a])
+                else:
+                    break
+                pos += 1
+            self.pos = pos
             if args:
-                return App(head, tuple(args))
-            return AtomExpr(Var(head))
-        raise self.fail(f"expected expression, found {t.text!r}")
+                return App(t, tuple(args))
+            return AtomExpr(idents[t])
+        raise self.fail(f"expected expression, found {t!r}")
 
     def let_expr(self) -> Expr:
-        self.expect_keyword("let")
+        self.pos += 1  # "let"
+        start = len(self.names)
         binds = [self.bind()]
-        while self.at_keyword("and"):
-            self.next()
+        while self.toks[self.pos] == "and":
+            self.pos += 1
             binds.append(self.bind())
-        self.expect_keyword("in")
+        # The group is recursive when a binder occurs in a right-hand side:
+        # a raw scan, exact once names are globally unique.
+        recursive = not {name for name, _ in binds}.isdisjoint(self.names[start:])
+        self.expect("in")
         body = self.expr()
-        return Let(BindGroup(_mentions_member(tuple(binds)), tuple(binds)), body)
+        return Let(BindGroup(recursive, tuple(binds)), body)
 
     def bind(self) -> tuple[str, Rhs]:
         name = self.expect_ident()
-        self.expect_punct("=")
+        self.expect("=")
         return name, self.rhs()
 
     def rhs(self) -> Rhs:
-        if self.at_keyword("thunk"):
-            self.next()
+        t = self.toks[self.pos]
+        if t == "thunk":
+            self.pos += 1
             return Thunk(self.expr())
-        if self.at_punct("\\"):
-            self.next()
+        if t == "\\":
+            self.pos += 1
             card = MULTI_SHOT
-            if self.at_punct("{"):
+            if self.toks[self.pos] == "{":
                 card = self.cardinality()
             params = [self.expect_ident()]
-            while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
+            while self.toks[self.pos] in self.idents:
                 params.append(self.expect_ident())
-            self.expect_punct("->")
+            self.expect("->")
             return Lambda(card, tuple(params), self.expr())
         raise self.fail("expected right-hand side (lambda or thunk)")
 
     def cardinality(self) -> Cardinality:
-        t = self.expect_punct("{")
-        lo_tok = self.peek()
-        if lo_tok.kind != "int" or lo_tok.text not in ("0", "1"):
+        brace = self.pos
+        self.pos += 1  # "{"
+        if self.toks[self.pos] not in ("0", "1"):
             raise self.fail("entry lower bound must be 0 or 1")
-        lo = int(self.next().text)
-        self.expect_punct(",")
-        hi_tok = self.peek()
-        if hi_tok.kind == "punct" and hi_tok.text == "*":
-            self.next()
+        lo = int(self.toks[self.pos])
+        self.pos += 1
+        self.expect(",")
+        t = self.toks[self.pos]
+        if t == "*":
             hi: int | float = INF
-        elif hi_tok.kind == "int" and hi_tok.text in ("0", "1"):
-            hi = int(self.next().text)
+        elif t in ("0", "1"):
+            hi = int(t)
         else:
             raise self.fail("entry upper bound must be 0, 1 or *")
-        self.expect_punct("}")
+        self.pos += 1
+        self.expect("}")
         try:
             return Cardinality(lo, hi)
         except ValueError as exc:
-            raise ParseError(str(exc), t.line, t.col) from None
+            raise self.fail(str(exc), brace) from None
 
     def case_expr(self) -> Expr:
-        self.expect_keyword("case")
+        self.pos += 1  # "case"
         scrut = self.expr()
-        self.expect_keyword("of")
-        self.expect_punct("{")
+        self.expect("of")
+        self.expect("{")
         alts: list[tuple[int, Expr]] = []
-        while self.peek().kind == "int":
-            pat = int(self.next().text)
-            self.expect_punct("->")
+        while self.toks[self.pos] in self.ints:
+            pat = self.ints[self.toks[self.pos]].value
+            self.pos += 1
+            self.expect("->")
             body = self.expr()
-            self.expect_punct(";")
+            self.expect(";")
             alts.append((pat, body))
-        self.expect_keyword("default")
+        self.expect("default")
         binder = self.expect_ident()
-        self.expect_punct("->")
+        self.expect("->")
         dbody = self.expr()
-        self.expect_punct("}")
+        self.expect("}")
         return Case(scrut, tuple(alts), (binder, dbody))
 
     # program --------------------------------------------------------------
@@ -522,27 +512,27 @@ class _Parser:
     def program(self) -> Program:
         tops: list[TopBind] = []
         while True:
-            if self.peek().kind == "eof":
+            if self.toks[self.pos] == "":
                 raise self.fail("missing 'main' binding")
             name = self.expect_ident()
             params: list[str] = []
-            while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
+            while self.toks[self.pos] in self.idents:
                 params.append(self.expect_ident())
-            self.expect_punct("=")
+            self.expect("=")
             body = self.expr()
             if name == "main" and not params:
-                if self.at_punct(";"):
-                    self.next()
-                if self.peek().kind != "eof":
+                if self.toks[self.pos] == ";":
+                    self.pos += 1
+                if self.toks[self.pos] != "":
                     raise self.fail("trailing input after main")
                 return Program(tuple(tops), body)
-            self.expect_punct(";")
+            self.expect(";")
             tops.append(TopBind(name, tuple(params), body))
 
 
 def parse(text: str) -> Program:
     """Parse program text; raises :class:`ParseError` with line:col info."""
-    return _Parser(_tokenize(text)).program()
+    return _Parser(text).program()
 
 
 # ---------------------------------------------------------------------------

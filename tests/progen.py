@@ -22,15 +22,31 @@ from liftlab.syntax import (
     MULTI_SHOT,
     PrimApp,
     Program,
+    Rhs,
     Thunk,
     TopBind,
     Var,
-    _mentions_member,
+    occurrences,
+    walk,
 )
 
 MAX_DEPTH = 6
 
 _SINK = TopBind("sink", ("sink_a", "sink_b"), AtomExpr(Var("sink_a")))
+
+
+def _mentions_member(binds: tuple[tuple[str, Rhs], ...]) -> bool:
+    """Whether any right-hand side mentions a binder of the group.
+
+    The same raw name scan the parser makes, so ``parse(print_program(p))
+    == p`` holds for generated programs, whose flags this sets.
+    """
+    names = {name for name, _ in binds}
+    mentioned: set[str] = set()
+    for _, rhs in binds:
+        for e in walk(rhs.body):
+            mentioned.update(occurrences(e))
+    return not names.isdisjoint(mentioned)
 
 
 class ProgramGen:

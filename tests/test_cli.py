@@ -145,6 +145,29 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(capsys, "lift", str(bad))
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["main = \u00b2", "main = 1\u00b2", "main = -\u00b2", "main = " + "7" * 5000],
+        ids=["superscript", "digit-superscript", "sign-superscript", "5000-digits"],
+    )
+    def test_lexical_error_exit_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "lexical.stg"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "lift", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("liftlab: error: 1:")
+        assert "Traceback" not in err
+
+    def test_too_deep_program_exit_1(self, tmp_path, capsys):
+        depth = 500
+        lets = "".join(f"let x{k} = thunk {k} in\n" for k in range(depth))
+        deep = tmp_path / "deep.stg"
+        deep.write_text(f"main =\n{lets}x0\n")
+        code, out, err = run_cli(capsys, "lift", str(deep))
+        assert code == 1 and out == ""
+        assert err.startswith("liftlab: error: ") and "nests too deeply" in err
+        assert "Traceback" not in err
+
     def test_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "unbound.stg"
         bad.write_text("main = g 5 x f")

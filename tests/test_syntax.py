@@ -1,5 +1,10 @@
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liftlab.lifter import lift_program
 from liftlab.syntax import (
     App,
     AtomExpr,
@@ -94,6 +99,108 @@ class TestParse:
             parse("main =\n  ?")
 
 
+# Exact messages, including positions, recorded from the character-by-character
+# lexer that the regex lexer replaced.
+PINNED_ERRORS = [
+    ("", "1:1: missing 'main' binding"),
+    ("main = ", "1:8: expected expression, found ''"),
+    ("main =\n  ?", "2:3: unexpected character '?'"),
+    ("main = -", "1:8: unexpected character '-'"),
+    ("main = let f = \\{1,0} x -> x in f 1", "1:17: entry lower bound exceeds upper bound"),
+    ("main = 1;;", "1:10: trailing input after main"),
+    ("main = let f = 5 in f", "1:16: expected right-hand side (lambda or thunk)"),
+    ("f x = x;", "1:9: missing 'main' binding"),
+    ("main = case 1 of { default -> 2 }", "1:28: expected identifier, found '->'"),
+    ("main = -- only a comment", "1:8: expected expression, found ''"),
+    ("main = let f = \\{2,1} x -> x in f 1", "1:18: entry lower bound must be 0 or 1"),
+    ("main = let f = \\{0,2} x -> x in f 1", "1:20: entry upper bound must be 0, 1 or *"),
+    ("main = let x = thunk 1 x in", "1:24: expected 'in', found 'x'"),
+    ("main = case 1 of { 0 -> 1 default z -> z }", "1:27: expected ';', found 'default'"),
+    ("main = (f 1", "1:12: expected ')', found ''"),
+    ("main = +# 1", "1:12: expected atom, found ''"),
+    ("f x = x\nmain = f 1", "2:6: expected ';', found '='"),
+    ("main = let f = \\{0 x -> x in f 1", "1:20: expected ',', found 'x'"),
+    ("main =\tlet\r\n\tx = thunk 1 in y z in", "2:21: trailing input after main"),
+    ("\n\n  main", "3:7: expected '=', found ''"),
+    ("main = 1\n-- c\n; 2", "3:3: trailing input after main"),
+    ("main = f \u00e9 \u00bd", "1:12: unexpected character '\u00bd'"),
+    ("main = x\x0b", "1:9: unexpected character '\\x0b'"),
+]
+
+
+@pytest.mark.parametrize("text,message", PINNED_ERRORS)
+def test_parse_error_messages_pinned(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert message.startswith(f"{err.value.line}:{err.value.col}: ")
+
+
+class TestLexicalErrors:
+    @pytest.mark.parametrize(
+        "text,col",
+        [("main = \u00b2", 8), ("main = 1\u00b2", 9), ("main = -\u00b2", 9)],
+    )
+    def test_non_ascii_digit_is_unexpected(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"1:{col}: unexpected character '\u00b2'"
+
+    def test_earliest_unexpected_character_wins(self):
+        with pytest.raises(ParseError, match="^1:8: unexpected character '\\?'$"):
+            parse("main = ? \u00b2 ! ?")
+
+    def test_literal_past_int_string_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("int-string limit disabled in this interpreter")
+        digits = "9" * (limit + 1)
+        with pytest.raises(ParseError, match="^2:5: integer literal too long"):
+            parse(f"main =\n  f {digits}")
+
+    def test_unicode_identifiers(self):
+        assert parse("main = \u00e9t\u00e9\u00b2 _x1") == Program(
+            (), App("\u00e9t\u00e9\u00b2", (Var("_x1"),))
+        )
+
+
+_TOKEN_ALPHABET = [
+    "main", "f", "x", "y2", "_z", "let", "and", "in", "case", "of", "default",
+    "thunk", "0", "1", "-3", "42", "+#", "-#", "*#", "%#", "<#", "=", ";",
+    "\\", "{", "}", ",", "*", "(", ")", "->", "-", "#", "--", " ", " ", "\n",
+    "\t", "?", "\u00b2", "\u00e9", "9" * 5000,
+]
+
+
+def _parses_or_raises_parse_error(text: str) -> None:
+    try:
+        p = parse(text)
+    except ParseError as err:
+        assert err.line >= 1 and err.col >= 1
+        assert str(err).startswith(f"{err.line}:{err.col}: ")
+    else:
+        assert isinstance(p, Program)
+        assert parse(print_program(p)) == p
+
+
+_PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+@_PROPERTY
+@given(st.text())
+def test_any_text_parses_or_raises_parse_error(text):
+    _parses_or_raises_parse_error(text)
+
+
+@_PROPERTY
+@given(
+    st.sampled_from(["", "main = "]),
+    st.lists(st.sampled_from(_TOKEN_ALPHABET), max_size=40),
+)
+def test_token_soup_parses_or_raises_parse_error(prefix, tokens):
+    _parses_or_raises_parse_error(prefix + "".join(tokens))
+
+
 class TestPrint:
     def test_literal_main(self):
         assert print_program(Program((), AtomExpr(Lit(42)))) == "main = 42\n"
@@ -120,8 +227,9 @@ class TestPrint:
         for name, p in hand_programs.items():
             assert parse(print_program(p)) == p, name
 
-    def test_roundtrip_generated(self, corpus):
-        for p in corpus[:200]:
+    def test_roundtrip_generated(self, corpus, hand_programs):
+        lifted_hand = [lift_program(p)[0] for p in hand_programs.values()]
+        for p in corpus + [lift_program(p)[0] for p in corpus] + lifted_hand:
             assert parse(print_program(p)) == p
 
     def test_nonstandard_cardinality_survives(self):
