@@ -48,6 +48,8 @@ def _load(path: str) -> Program:
             text = fh.read()
     except OSError as exc:
         raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
     p = freshen(parse(text))
     violations = validate(p)
     if violations:
@@ -250,8 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liftlab: error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # parse, freshen, validate, split_groups, lift and the printer recurse
-        # once per nesting level; the recursion limit is left as it is.
+        # parse, freshen, validate, split_groups and the printer recurse once
+        # per nesting level, and closure_growth along closures that capture a
+        # lifted binder; the recursion limit is left as it is.
         print(
             "liftlab: error: the program nests too deeply for this implementation "
             f"(Python recursion limit {sys.getrecursionlimit()} reached)",

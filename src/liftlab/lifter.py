@@ -13,13 +13,18 @@ rejection checks run in a fixed order, cheapest first:
 When a group is lifted, its members become new top-level definitions with
 their required set prepended as parameters (in lexicographic order), and
 every occurrence becomes a head application carrying the required set.
+
+``lift_program`` is two loops without recursion: a decision pass in
+pre-order decides each group and rewrites each leaf, and a rewrite pass over
+the same order reversed rebuilds every let and case and the new definitions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
-from functools import partial, reduce
+from dataclasses import dataclass
+from functools import reduce
+from itertools import count
 
 from .analysis import BinderFacts, occurrence_facts
 from .skeleton import GrowthValue, Seq, Skeleton, closure_growth, skeleton_table
@@ -27,6 +32,7 @@ from .syntax import (
     App,
     AtomExpr,
     BindGroup,
+    Case,
     Expr,
     Lambda,
     Let,
@@ -38,6 +44,7 @@ from .syntax import (
     bound_names,
     map_subexprs,
     program_nodes,
+    subexprs,
 )
 
 LIFTED = "Lifted"
@@ -212,115 +219,35 @@ def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     ]
 
 
-def _substitute(mapping: dict[str, str], e: Expr) -> Expr:
-    """Rename variable occurrences; sound here because the targets have no
-    binding sites inside ``e`` (names are globally unique before lifting)."""
+def _rewrite_leaf(
+    e: AtomExpr | App | PrimApp,
+    required: Mapping[str, frozenset[str]],
+    rename: Mapping[str, str],
+) -> Expr:
+    """Apply the lifted binders in ``e`` to their required sets, then rename
+    into the lifted right-hand side around ``e``; sound because ``rename``'s
+    keys are bound outside it and names are unique before lifting."""
 
-    def sub_atom(a):
-        if isinstance(a, Var) and a.name in mapping:
-            return Var(mapping[a.name])
-        return a
+    def atom(a):
+        return Var(rename[a.name]) if isinstance(a, Var) and a.name in rename else a
 
     if isinstance(e, AtomExpr):
-        return AtomExpr(sub_atom(e.atom))
-    if isinstance(e, App):
-        return App(mapping.get(e.head, e.head), tuple(sub_atom(a) for a in e.args))
-    if isinstance(e, PrimApp):
-        a, b = e.args
-        return PrimApp(e.op, (sub_atom(a), sub_atom(b)))
-    return map_subexprs(e, partial(_substitute, mapping))
-
-
-@dataclass
-class _LiftRun:
-    facts: dict[str, BinderFacts]
-    cfg: LiftConfig
-    force_sites: frozenset[tuple[str, ...]] | None
-    skels: dict[int, Skeleton]
-    # Every binder lifted so far, mapped to its group's required set.  Names
-    # are unique, so an entry is only ever looked up inside its binder's scope.
-    required: dict[str, frozenset[str]] = field(default_factory=dict)
-    used_names: set[str] = field(default_factory=set)
-    new_tops: list[TopBind] = field(default_factory=list)
-    decisions: list[Decision] = field(default_factory=list)
-
-    def fresh(self, base: str) -> str:
-        k = 1
-        while f"{base}_{k}" in self.used_names:
-            k += 1
-        name = f"{base}_{k}"
-        self.used_names.add(name)
-        return name
-
-    def rewrite_atom(self, a):
-        if isinstance(a, Var) and self.required.get(a.name):
+        if not (isinstance(e.atom, Var) and required.get(e.atom.name)):
+            return AtomExpr(atom(e.atom)) if rename else e
+        e = App(e.atom.name, ())
+    for a in e.args:
+        if isinstance(a, Var) and required.get(a.name):
             # The occurrence would have to become an application, which is
             # not a legal argument.  Only reachable with the C1 check off.
             raise LiftError(
                 f"lifted binder {a.name!r} occurs in argument position; "
                 "such groups cannot be rewritten in ANF"
             )
-        return a
-
-    def lift_expr(self, e: Expr) -> Expr:
-        if isinstance(e, AtomExpr):
-            if isinstance(e.atom, Var) and e.atom.name in self.required:
-                name = e.atom.name
-                extras = tuple(Var(v) for v in sorted(self.required[name]))
-                return App(name, extras) if extras else e
-            return e
-        if isinstance(e, App):
-            args = tuple(self.rewrite_atom(a) for a in e.args)
-            if e.head in self.required:
-                extras = tuple(Var(v) for v in sorted(self.required[e.head]))
-                return App(e.head, extras + args)
-            return App(e.head, args)
-        if isinstance(e, PrimApp):
-            a, b = e.args
-            return PrimApp(e.op, (self.rewrite_atom(a), self.rewrite_atom(b)))
-        if isinstance(e, Let):
-            return self.lift_let(e)
-        return map_subexprs(e, self.lift_expr)
-
-    def lift_let(self, e: Let) -> Expr:
-        group = e.group
-        site = "+".join(group.binders())
-        rqs = required_set(group, self.required, self.skels)
-        if self.force_sites is not None:
-            lifted = group.binders() in self.force_sites
-            decision = Decision(
-                site=site,
-                binders=group.binders(),
-                lifted=lifted,
-                reason=FORCED,
-                criterion=None,
-                required_set=tuple(sorted(rqs)),
-                predicted_net_words=predicted_growth(e, rqs, self.required, self.skels),
-            )
-        else:
-            decision = decide(e, rqs, self.required, self.skels, self.facts, self.cfg, site)
-        self.decisions.append(decision)
-
-        if decision.lifted:
-            for name in group.binders():
-                self.required[name] = rqs
-            # The required variables keep their original binding sites
-            # elsewhere in the program, so the prepended parameters get
-            # fresh names, substituted through each lifted body.
-            rename = {v: self.fresh(v) for v in decision.required_set}
-            # Reserve slots so a group's definitions precede definitions
-            # lifted out of its own right-hand sides.
-            slot = len(self.new_tops)
-            self.new_tops.extend([None] * len(group.binds))
-            for offset, (name, rhs) in enumerate(group.binds):
-                if not isinstance(rhs, Lambda):
-                    raise LiftError(f"cannot lift updatable binding {name!r}")
-                params = tuple(rename.values()) + rhs.params
-                body = _substitute(rename, self.lift_expr(rhs.body))
-                self.new_tops[slot + offset] = TopBind(name, params, body)
-            return self.lift_expr(e.body)
-
-        return map_subexprs(e, self.lift_expr)
+    args = tuple([atom(a) for a in e.args])
+    if isinstance(e, PrimApp):
+        return PrimApp(e.op, args)
+    extras = [Var(rename.get(v, v)) for v in sorted(required.get(e.head, ()))]
+    return App(rename.get(e.head, e.head), (*extras, *args))
 
 
 def lift_program(
@@ -334,13 +261,82 @@ def lift_program(
     the decision logic is bypassed and exactly the named groups are lifted
     (callers must restrict themselves to :func:`liftable_sites`).
     """
-    run = _LiftRun(
-        facts=occurrence_facts(p),
-        cfg=cfg or LiftConfig(),
-        force_sites=force_sites,
-        skels=skeleton_table([tb.body for tb in p.top_binds] + [p.main], p.top_names()),
-        used_names=set(bound_names(p)),
-    )
-    tops = [TopBind(tb.name, tb.params, run.lift_expr(tb.body)) for tb in p.top_binds]
-    main = run.lift_expr(p.main)
-    return Program(tuple(tops + run.new_tops), main), run.decisions
+    cfg = cfg or LiftConfig()
+    facts = occurrence_facts(p)
+    roots = [tb.body for tb in p.top_binds] + [p.main]
+    skels = skeleton_table(roots, p.top_names())
+    used = set(bound_names(p))
+    # Every binder lifted so far, mapped to its group's required set.  Names
+    # are unique, so an entry is only ever looked up inside its binder's scope.
+    required: dict[str, frozenset[str]] = {}
+    decisions: list[Decision] = []
+
+    # Pass 1, pre-order.  A stack entry carries the renaming of the innermost
+    # lifted right-hand side around it.  An ``order`` entry carries a leaf's
+    # rewrite, a lifted let's new parameters, or None.
+    order: list[tuple[Expr, object]] = []
+    stack: list[tuple[Expr | str, Mapping[str, str]]] = [(r, {}) for r in reversed(roots)]
+    while stack:
+        e, rename = stack.pop()
+        if isinstance(e, str):
+            raise LiftError(f"cannot lift updatable binding {e!r}")
+        if not isinstance(e, (Let, Case)):
+            order.append((e, _rewrite_leaf(e, required, rename)))
+            continue
+        if isinstance(e, Let):
+            group = e.group
+            site = "+".join(group.binders())
+            rqs = required_set(group, required, skels)
+            if force_sites is None:
+                decision = decide(e, rqs, required, skels, facts, cfg, site)
+            else:
+                decision = Decision(
+                    site=site,
+                    binders=group.binders(),
+                    lifted=group.binders() in force_sites,
+                    reason=FORCED,
+                    criterion=None,
+                    required_set=tuple(sorted(rqs)),
+                    predicted_net_words=predicted_growth(e, rqs, required, skels),
+                )
+            decisions.append(decision)
+        if isinstance(e, Case) or not decision.lifted:
+            order.append((e, None))
+            stack.extend([(c, rename) for c in reversed(subexprs(e))])
+            continue
+        for name in group.binders():
+            required[name] = rqs
+        # The required variables keep their original binding sites
+        # elsewhere in the program, so the prepended parameters get fresh
+        # names, and each lifted body is renamed to them.
+        inner = {}
+        for v in decision.required_set:
+            inner[v] = next(n for k in count(1) if (n := f"{v}_{k}") not in used)
+            used.add(inner[v])
+        order.append((e, tuple(inner.values())))
+        stack.append((e.body, rename))
+        for name, rhs in reversed(group.binds):
+            # A thunk can only be here through force_sites; it fails where
+            # its body would have been visited.
+            stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner))
+
+    # Pass 2, over the order reversed: children come before their parent, the
+    # first child last, so they pop off ``results`` in child order.  Results
+    # go by position, so a node object found in two places is rebuilt for each.
+    results: list[Expr] = []
+    lifted_groups: list[list[TopBind]] = []
+    for e, info in reversed(order):
+        if info is None:
+            results.append(map_subexprs(e, lambda _: results.pop()))
+        elif isinstance(e, Let):
+            # The rebuilt let body stays on ``results`` as the let's own.
+            lifted_groups.append(
+                [TopBind(name, info + rhs.params, results.pop()) for name, rhs in e.group.binds]
+            )
+        else:
+            results.append(info)
+    tops = [TopBind(tb.name, tb.params, results.pop()) for tb in p.top_binds]
+    # Back in pre-order, a group's definitions precede those lifted out of
+    # its own right-hand sides.
+    tops += [tb for group in reversed(lifted_groups) for tb in group]
+    return Program(tuple(tops), results.pop()), decisions

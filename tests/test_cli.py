@@ -168,6 +168,14 @@ class TestErrorsAndExitCodes:
         assert err.startswith("liftlab: error: ") and "nests too deeply" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.stg"
+        bad.write_bytes(b"main = \xff\n")
+        code, out, err = run_cli(capsys, "lift", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("liftlab: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "unbound.stg"
         bad.write_text("main = g 5 x f")
@@ -205,10 +213,14 @@ class TestErrorsAndExitCodes:
         assert exc.value.code == 2
 
     def test_console_entry_point(self):
+        src = str(Path(liftlab.__file__).resolve().parent.parent)
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "liftlab", "lift", prog("trivial")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "no let bindings" in result.stdout

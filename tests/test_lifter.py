@@ -1,3 +1,6 @@
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from liftlab.lifter import (
@@ -11,13 +14,19 @@ from liftlab.lifter import (
 from liftlab.machine import evaluate, value_key
 from liftlab.skeleton import skeleton_table
 from liftlab.syntax import (
+    MULTI_SHOT,
     App,
     AtomExpr,
+    BindGroup,
     Case,
     INF,
+    Lambda,
     Let,
+    Lit,
+    Program,
     Var,
     parse,
+    print_program,
     validate,
 )
 
@@ -208,7 +217,16 @@ class TestLiftProgram:
             "case k 3 of { default r -> sink r k }"
         )
         cfg = LiftConfig(allow_arg_occurrences=True)
-        with pytest.raises(LiftError, match="argument position"):
+        with pytest.raises(LiftError, match="lifted binder 'k' occurs in argument position"):
+            lift_program(p, cfg)
+        # The first argument occurrence in pre-order is named: ``g`` in the
+        # scrutinee, not ``f`` in the default branch after it.
+        p = load_inline(
+            "main = case 1 of { default k -> let f = \\ x -> +# x k in "
+            "let g = \\ y -> +# y k in let h = \\ a b -> a b in "
+            "case h g 1 of { default r -> h f r } }"
+        )
+        with pytest.raises(LiftError, match="lifted binder 'g' occurs in argument position"):
             lift_program(p, cfg)
 
     def test_empty_required_set_lift_survives_argument_position(self):
@@ -228,6 +246,21 @@ class TestLiftProgram:
         delta = evaluate(forced)[1].words_allocated - evaluate(p)[1].words_allocated
         assert delta == 997  # 1000 h closures grow, g's 3 go
 
+    def test_shared_node_renamed_per_place(self):
+        # One leaf object is both the body of the lifted ``f`` (where ``k``
+        # becomes f's parameter ``k_1``) and the let's own body (where ``k``
+        # stays): results must follow the place, not the object.
+        k = AtomExpr(Var("k"))
+        f = Lambda(MULTI_SHOT, ("x",), k)
+        let = Let(BindGroup(False, (("f", f),)), k)
+        p = Program((), Case(AtomExpr(Lit(1)), (), ("k", let)))
+        assert validate(p) == []
+        lifted, ds = lift_program(p)
+        assert decision_for(ds, "f").required_set == ("k",)
+        assert print_program(lifted) == (
+            "f k_1 x = k_1;\n\nmain =\n  case 1 of {\n    default k -> k\n  }\n"
+        )
+
     def test_liftable_sites_exclude_thunks_and_arguments(self, hand_programs):
         sites = liftable_sites(hand_programs["known_call"])
         assert ("k",) not in sites and ("walk",) in sites
@@ -240,6 +273,28 @@ class TestLiftProgram:
             for d in ds:
                 if d.lifted:
                     assert d.predicted_net_words <= 0
+
+
+# sha256 of the printed lifted program and the repr of the decisions, for
+# each program of the acceptance corpus and then of programs/*.stg: under
+# the default config, then, for programs with at most 4 liftable sites,
+# under every force_sites subset in oracle order.  Computed with the
+# recursive lifter that preceded the two-pass one.
+LIFT_OUTPUT_DIGEST = "894664712be96d593dc3ff5bb0d3d83bd78e892f144b818c7b57fd0508b6862f"
+
+
+def test_lift_output_pinned(corpus, hand_programs):
+    h = hashlib.sha256()
+    for p in [*corpus, *hand_programs.values()]:
+        runs = [None]
+        sites = liftable_sites(p)
+        if len(sites) <= 4:
+            runs += [frozenset(c) for n in range(len(sites) + 1) for c in combinations(sites, n)]
+        for force_sites in runs:
+            lifted, ds = lift_program(p, force_sites=force_sites)
+            h.update(print_program(lifted).encode())
+            h.update(repr(ds).encode())
+    assert h.hexdigest() == LIFT_OUTPUT_DIGEST
 
 
 def collect_calls(e, head):

@@ -142,6 +142,31 @@ def test_tables_need_no_recursion():
     assert depth == 2 * n and skel == NIL
 
 
+def test_lift_needs_no_recursion():
+    # ``_depth_chain(3000)`` built from constructors.  Each f{k} captures
+    # only x{k-1}, one level up, so no closure deep in the chain holds the
+    # binder being decided and closure_growth stays shallow.
+    n = 3000
+    e = AtomExpr(Var(f"x{n}"))
+    for k in range(n, 0, -1):
+        x = Var(f"x{k - 1}")
+        rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), x)))
+        body = Case(App(f"f{k}", (x,)), (), (f"x{k}", e))
+        e = Let(BindGroup(False, ((f"f{k}", rhs),)), body)
+    p = Program((), Case(AtomExpr(Lit(3)), (), ("x0", e)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        lifted, decisions = lift_program(p)
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(decisions) == n and all(d.lifted for d in decisions)
+    assert [(tb.name, tb.params) for tb in lifted.top_binds] == [
+        (f"f{k}", (f"x{k - 1}_1", f"p{k}")) for k in range(1, n + 1)
+    ]
+    assert not any(isinstance(node, Let) for node in walk(lifted.main))
+
+
 def test_evaluate_needs_no_recursion():
     # ``t{k} = thunk (case t{k-1} of { default y{k} -> +# y{k} 1 })``, each
     # let nested in the previous one's body: forcing the last thunk forces
