@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    App,
+    AtomExpr,
     BindGroup,
     Cardinality,
     Case,
     Expr,
     Lambda,
     Let,
-    PrimApp,
     Program,
     Rhs,
     THUNK_CARD,
@@ -104,20 +103,38 @@ def occurrence_facts(p: Program) -> dict[str, BinderFacts]:
     position of an application or primop.  Case scrutinee variables count as
     head-position uses.
     """
+    return scan_program(p)[1]
+
+
+def scan_program(
+    p: Program,
+) -> tuple[list[Expr], dict[str, BinderFacts], set[str]]:
+    """One walk over ``p``: its :func:`program_nodes`, its
+    :func:`occurrence_facts`, and the set of its :func:`bound_names`."""
+    nodes: list[Expr] = []
     known: dict[str, bool] = {}
     as_arg: set[str] = set()
+    names = {name for tb in p.top_binds for name in (tb.name, *tb.params)}
     for e in program_nodes(p):
-        if isinstance(e, Let):
+        nodes.append(e)
+        t = type(e)
+        if t is Let:
             for name, rhs in e.group.binds:
-                known[name] = isinstance(rhs, Lambda)
-        elif isinstance(e, (App, PrimApp)):
+                known[name] = type(rhs) is Lambda
+                names.add(name)
+                if known[name]:
+                    names.update(rhs.params)
+        elif t is Case:
+            names.add(e.default[0])
+        elif t is not AtomExpr:  # App or PrimApp
             for a in e.args:
-                if isinstance(a, Var) and a.name in known:
+                if type(a) is Var and a.name in known:
                     as_arg.add(a.name)
-    return {
+    facts = {
         name: BinderFacts(occurs_as_argument=name in as_arg, is_known_function=k)
         for name, k in known.items()
     }
+    return nodes, facts, names
 
 
 # ---------------------------------------------------------------------------

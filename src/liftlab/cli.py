@@ -253,8 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except RecursionError:
         # parse, freshen, validate, split_groups and the printer recurse once
-        # per nesting level, and closure_growth along closures that capture a
-        # lifted binder; the recursion limit is left as it is.
+        # per nesting level; the recursion limit is left as it is.
         print(
             "liftlab: error: the program nests too deeply for this implementation "
             f"(Python recursion limit {sys.getrecursionlimit()} reached)",

@@ -14,9 +14,16 @@ When a group is lifted, its members become new top-level definitions with
 their required set prepended as parameters (in lexicographic order), and
 every occurrence becomes a head application carrying the required set.
 
-``lift_program`` is two loops without recursion: a decision pass in
-pre-order decides each group and rewrites each leaf, and a rewrite pass over
-the same order reversed rebuilds every let and case and the new definitions.
+Lifting is split into analysis and application, as in GHC's
+``GHC.Stg.Lift.Analysis`` and ``GHC.Stg.Lift``.  :func:`plan_lifts` reads
+only the program: its nodes, occurrence facts, used names and skeletons,
+in one pre-order walk and one bottom-up loop.  :func:`apply_lifts` does the
+per-call work on a plan: required sets, decisions (or the forced sites),
+fresh names, and two loops without recursion, a decision pass in pre-order
+that decides each group and rewrites each leaf and a rewrite pass over the
+same order reversed that rebuilds every let and case and the new
+definitions.  ``lift_program`` is the two in a row; the oracle plans once
+and applies the plan to every subset, collecting no decisions.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count
+from typing import NamedTuple
 
-from .analysis import BinderFacts, occurrence_facts
+from .analysis import BinderFacts, scan_program
 from .skeleton import GrowthValue, Seq, Skeleton, closure_growth, skeleton_table
 from .syntax import (
     App,
@@ -41,9 +49,7 @@ from .syntax import (
     Thunk,
     TopBind,
     Var,
-    bound_names,
     map_subexprs,
-    program_nodes,
     subexprs,
 )
 
@@ -209,14 +215,44 @@ def decide(
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     """Groups that may be force-lifted without breaking validity (C5 and C1 hold)."""
-    facts = occurrence_facts(p)
+    nodes, facts, _ = scan_program(p)
+    return _liftable(nodes, facts)
+
+
+def _liftable(nodes: list[Expr], facts: dict[str, BinderFacts]) -> list[tuple[str, ...]]:
     return [
         e.group.binders()
-        for e in program_nodes(p)
-        if isinstance(e, Let)
-        and all(isinstance(rhs, Lambda) for _, rhs in e.group.binds)
+        for e in nodes
+        if type(e) is Let
+        and all(type(rhs) is Lambda for _, rhs in e.group.binds)
         and not any(facts[b].occurs_as_argument for b in e.group.binders())
     ]
+
+
+class LiftPlan(NamedTuple):
+    """What lifting reads of one program and nothing it decides; built once
+    by :func:`plan_lifts` and read by every :func:`apply_lifts` on it."""
+
+    program: Program
+    roots: list[Expr]  # the top-level bodies, then main
+    nodes: list[Expr]  # every node under roots, pre-order
+    facts: dict[str, BinderFacts]
+    used: frozenset[str]  # every binder and parameter name
+    skels: dict[int, Skeleton]
+
+    def sites(self) -> list[tuple[str, ...]]:
+        """The program's :func:`liftable_sites`."""
+        return _liftable(self.nodes, self.facts)
+
+
+def plan_lifts(p: Program) -> LiftPlan:
+    """Analyse ``p`` for lifting: one pre-order walk gives the nodes, the
+    occurrence facts and the used names, and one bottom-up loop over those
+    nodes gives the skeletons with their closure slot sets."""
+    nodes, facts, used = scan_program(p)
+    roots = [tb.body for tb in p.top_binds] + [p.main]
+    skels = skeleton_table(roots, p.top_names(), nodes)
+    return LiftPlan(p, roots, nodes, facts, frozenset(used), skels)
 
 
 def _rewrite_leaf(
@@ -261,21 +297,31 @@ def lift_program(
     the decision logic is bypassed and exactly the named groups are lifted
     (callers must restrict themselves to :func:`liftable_sites`).
     """
+    decisions: list[Decision] = []
+    return apply_lifts(plan_lifts(p), cfg, force_sites, decisions), decisions
+
+
+def apply_lifts(
+    plan: LiftPlan,
+    cfg: LiftConfig | None = None,
+    force_sites: frozenset[tuple[str, ...]] | None = None,
+    decisions: list[Decision] | None = None,
+) -> Program:
+    """The planned program lifted as :func:`lift_program` lifts it, each
+    decision appended to ``decisions`` when a list is given.  Without one,
+    forced groups skip the prediction their decisions would carry."""
     cfg = cfg or LiftConfig()
-    facts = occurrence_facts(p)
-    roots = [tb.body for tb in p.top_binds] + [p.main]
-    skels = skeleton_table(roots, p.top_names())
-    used = set(bound_names(p))
+    skels = plan.skels
+    used = set(plan.used)
     # Every binder lifted so far, mapped to its group's required set.  Names
     # are unique, so an entry is only ever looked up inside its binder's scope.
     required: dict[str, frozenset[str]] = {}
-    decisions: list[Decision] = []
 
     # Pass 1, pre-order.  A stack entry carries the renaming of the innermost
     # lifted right-hand side around it.  An ``order`` entry carries a leaf's
     # rewrite, a lifted let's new parameters, or None.
     order: list[tuple[Expr, object]] = []
-    stack: list[tuple[Expr | str, Mapping[str, str]]] = [(r, {}) for r in reversed(roots)]
+    stack: list[tuple[Expr | str, Mapping[str, str]]] = [(r, {}) for r in reversed(plan.roots)]
     while stack:
         e, rename = stack.pop()
         if isinstance(e, str):
@@ -285,22 +331,28 @@ def lift_program(
             continue
         if isinstance(e, Let):
             group = e.group
-            site = "+".join(group.binders())
             rqs = required_set(group, required, skels)
             if force_sites is None:
-                decision = decide(e, rqs, required, skels, facts, cfg, site)
+                site = "+".join(group.binders())
+                decision = decide(e, rqs, required, skels, plan.facts, cfg, site)
+                if decisions is not None:
+                    decisions.append(decision)
+                lifted = decision.lifted
             else:
-                decision = Decision(
-                    site=site,
-                    binders=group.binders(),
-                    lifted=group.binders() in force_sites,
-                    reason=FORCED,
-                    criterion=None,
-                    required_set=tuple(sorted(rqs)),
-                    predicted_net_words=predicted_growth(e, rqs, required, skels),
-                )
-            decisions.append(decision)
-        if isinstance(e, Case) or not decision.lifted:
+                lifted = group.binders() in force_sites
+                if decisions is not None:
+                    decisions.append(
+                        Decision(
+                            site="+".join(group.binders()),
+                            binders=group.binders(),
+                            lifted=lifted,
+                            reason=FORCED,
+                            criterion=None,
+                            required_set=tuple(sorted(rqs)),
+                            predicted_net_words=predicted_growth(e, rqs, required, skels),
+                        )
+                    )
+        if isinstance(e, Case) or not lifted:
             order.append((e, None))
             stack.extend([(c, rename) for c in reversed(subexprs(e))])
             continue
@@ -310,7 +362,7 @@ def lift_program(
         # elsewhere in the program, so the prepended parameters get fresh
         # names, and each lifted body is renamed to them.
         inner = {}
-        for v in decision.required_set:
+        for v in sorted(rqs):
             inner[v] = next(n for k in count(1) if (n := f"{v}_{k}") not in used)
             used.add(inner[v])
         order.append((e, tuple(inner.values())))
@@ -335,8 +387,9 @@ def lift_program(
             )
         else:
             results.append(info)
+    p = plan.program
     tops = [TopBind(tb.name, tb.params, results.pop()) for tb in p.top_binds]
     # Back in pre-order, a group's definitions precede those lifted out of
     # its own right-hand sides.
     tops += [tb for group in reversed(lifted_groups) for tb in group]
-    return Program(tuple(tops), results.pop()), decisions
+    return Program(tuple(tops), results.pop())

@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 
 from .analysis import free_var_table
-from .lifter import LiftConfig, lift_program, liftable_sites
+from .lifter import apply_lifts, plan_lifts
 from .syntax import (
     App,
     AtomExpr,
@@ -470,16 +470,17 @@ def enumerate_lift_subsets(
     Liftable means the group passes the validity-critical checks (no thunks,
     no argument occurrences).  Row 0 is the empty subset, i.e. the original
     program; rows follow bitmask order over the sites in traversal order.
+    The program is analysed once, and each subset only applies that plan.
     """
-    sites = liftable_sites(p)
+    plan = plan_lifts(p)
+    sites = plan.sites()
     if len(sites) > max_groups:
         raise SubsetTooLarge(f"{len(sites)} liftable groups exceed limit {max_groups}")
     rows = []
-    cfg = LiftConfig()
     for mask in range(2 ** len(sites)):
         chosen = frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
-        lifted, _ = lift_program(p, cfg, force_sites=chosen)
-        value, stats = evaluate(lifted, fuel)
+        # Lifting nothing would only copy the program.
+        value, stats = evaluate(apply_lifts(plan, force_sites=chosen) if chosen else p, fuel)
         label = tuple("+".join(s) for s in sites if s in chosen)
         rows.append(
             OracleRow(label, stats.words_allocated, stats.closures_allocated, render_value(value))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .analysis import cardinality, closure_slot_fvs, free_var_table
+from .analysis import cardinality, closure_slot_fvs
 from .syntax import (
     App,
     AtomExpr,
@@ -27,8 +27,10 @@ from .syntax import (
     Case,
     Expr,
     INF,
+    Lambda,
     Let,
     PrimApp,
+    occurrences,
     walk,
 )
 
@@ -70,37 +72,62 @@ Skeleton = Nil | Closure | Seq | Alt | Scaled
 
 NIL = Nil()
 
+_OPEN, _MAX = object(), object()  # _growth's region markers
 
-def skeleton_table(roots: list[Expr], top_names: frozenset[str]) -> dict[int, Skeleton]:
+
+def skeleton_table(
+    roots: list[Expr],
+    top_names: frozenset[str],
+    nodes: list[Expr] | None = None,
+) -> dict[int, Skeleton]:
     """The allocation skeleton of every node under ``roots``, keyed by ``id``.
 
     Atoms and applications do not allocate.  A let contributes one closure
     per binding followed by the entry-scaled region of its body, and each of
     its right-hand sides maps to that binding's part, ``Seq(Closure(slots),
     region)``; case sequences the scrutinee before the branch choice.  Built
-    bottom-up without recursion, parents sharing children by reference.
+    in one bottom-up loop without recursion, which also computes each node's
+    free variables as :func:`free_var_table` does; parents share children by
+    reference.  ``nodes`` is ``list(walk(*roots))``, for a caller that has
+    already walked.
     """
-    fvs = free_var_table(roots)
+    if nodes is None:
+        nodes = list(walk(*roots))
+    fvs: dict[int, frozenset[str]] = {}
     table: dict[int, Skeleton] = {}
-    for e in reversed(list(walk(*roots))):
-        if isinstance(e, Let):
+    for e in reversed(nodes):
+        t = type(e)
+        if t is Let:
             body = table[id(e.body)]
+            free = fvs[id(e.body)]
             captured = body.captured
             parts = []
             for name, rhs in e.group.binds:
                 inner = table[id(rhs.body)]
-                slots = fvs[id(rhs)] - {name} - top_names
+                rhs_fvs = fvs[id(rhs.body)]
+                if type(rhs) is Lambda:
+                    rhs_fvs = rhs_fvs.difference(rhs.params)
+                free = free | rhs_fvs
+                slots = rhs_fvs - {name} - top_names
                 captured = captured.union(slots, inner.captured)
                 table[id(rhs)] = Seq(Closure(slots), Scaled(cardinality(rhs), inner))
                 parts.append(table[id(rhs)])
+            fvs[id(e)] = free.difference(e.group.binders())
             table[id(e)] = Seq(reduce(Seq, parts), body, captured)
-        elif isinstance(e, Case):
+        elif t is Case:
             scrut = table[id(e.scrutinee)]
-            branches = [table[id(body)] for _, body in e.alts]
-            branches.append(table[id(e.default[1])])
+            free = fvs[id(e.scrutinee)]
+            branches = []
+            for _, body in e.alts:
+                free = free | fvs[id(body)]
+                branches.append(table[id(body)])
+            dname, dbody = e.default
+            fvs[id(e)] = free | fvs[id(dbody)].difference((dname,))
+            branches.append(table[id(dbody)])
             captured = scrut.captured.union(*[b.captured for b in branches])
             table[id(e)] = Seq(scrut, reduce(Alt, branches), captured)
         else:
+            fvs[id(e)] = frozenset(occurrences(e))
             table[id(e)] = NIL
     return table
 
@@ -144,21 +171,40 @@ def closure_growth(
 def _growth(
     added: frozenset[str], removed: frozenset[str], skel: Skeleton
 ) -> GrowthValue:
-    if isinstance(skel, Nil):
-        return 0
-    if isinstance(skel, Closure):
-        return _closure_delta(skel.fvs, added, removed)
-    if isinstance(skel, Seq):
-        if skel.captured is not None and skel.captured.isdisjoint(removed):
-            return 0
-        return _growth(added, removed, skel.left) + _growth(added, removed, skel.right)
-    if isinstance(skel, Alt):
-        return max(
-            _growth(added, removed, skel.left), _growth(added, removed, skel.right)
-        )
-    if isinstance(skel, Scaled):
-        return _scale(_growth(added, removed, skel.inner), skel.card)
-    raise AssertionError(skel)
+    # An explicit stack, so a deep skeleton cannot exhaust the host stack.
+    # ``values[-1]`` sums the innermost open region: a Scaled inner part or
+    # one branch of an Alt.  Each region is closed by the marker pushed
+    # below it: its Cardinality, _OPEN (the left branch is done, open the
+    # right one) or _MAX (both branches are done).  Sums are exact in any
+    # order, because values are integers or +INF.
+    values: list[GrowthValue] = [0]
+    stack: list = [skel]
+    while stack:
+        s = stack.pop()
+        t = type(s)
+        if t is Seq:
+            if s.captured is None or not s.captured.isdisjoint(removed):
+                stack += (s.right, s.left)
+        elif t is Closure:
+            values[-1] += _closure_delta(s.fvs, added, removed)
+        elif t is Scaled:
+            stack += (s.card, s.inner)
+            values.append(0)
+        elif t is Cardinality:
+            inner = values.pop()
+            values[-1] += _scale(inner, s)
+        elif t is Alt:
+            stack += (_MAX, s.right, _OPEN, s.left)
+            values.append(0)
+        elif s is _OPEN:
+            values.append(0)
+        elif s is _MAX:
+            right = values.pop()
+            left = values.pop()
+            values[-1] += max(left, right)
+        elif t is not Nil:
+            raise AssertionError(s)
+    return values[0]
 
 
 def closure_growth_direct(

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from liftlab.analysis import split_groups
 from liftlab.lifter import (
     LiftConfig,
     LiftError,
@@ -25,6 +26,7 @@ from liftlab.syntax import (
     Lit,
     Program,
     Var,
+    freshen,
     parse,
     print_program,
     validate,
@@ -42,9 +44,6 @@ def decision_for(decisions, *binders):
 
 
 def load_inline(src: str):
-    from liftlab.analysis import split_groups
-    from liftlab.syntax import freshen
-
     p = freshen(parse(src))
     assert validate(p) == []
     return split_groups(p)
@@ -273,6 +272,30 @@ class TestLiftProgram:
             for d in ds:
                 if d.lifted:
                     assert d.predicted_net_words <= 0
+
+
+def test_relifting_never_allocates_more_and_settles(corpus, hand_programs):
+    # Lifting the lifted output again is not a no-op: decisions are made in
+    # pre-order over the original program, so an outer group's required set
+    # and growth still count inner closures lifted after it.  What holds is
+    # weaker: a further pass never allocates more than its input, and by the
+    # third pass nothing is left to lift.
+    relifted = 0
+    for p in [*corpus, *hand_programs.values()]:
+        words = evaluate(p)[1].words_allocated
+        for n in range(1, 4):
+            lifted, ds = lift_program(p)
+            if not any(d.lifted for d in ds):
+                break
+            assert n < 3, "a third pass still lifts"
+            p = freshen(parse(print_program(lifted)))
+            assert validate(p) == []
+            p = split_groups(p)
+            after = evaluate(p)[1].words_allocated
+            assert after <= words
+            words = after
+        relifted += n == 3
+    assert relifted > 0  # the bound is reached, so it is tight
 
 
 # sha256 of the printed lifted program and the repr of the decisions, for

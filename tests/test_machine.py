@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from liftlab import lifter
 from liftlab.lifter import lift_program, liftable_sites
 from liftlab.machine import (
     ArityMismatch,
@@ -235,6 +236,42 @@ class TestOracle:
         for name in ("growth_balanced", "one_shot", "callweb"):
             rows = enumerate_lift_subsets(hand_programs[name])
             assert len({r.value for r in rows}) == 1, name
+
+    def test_rows_match_one_lift_per_subset(self, corpus, hand_programs):
+        # The oracle applies one plan per program and measures the empty
+        # subset on the program itself; rebuild its rows one whole
+        # lift_program per subset.
+        checked = 0
+        for p in [*corpus, *hand_programs.values()]:
+            sites = liftable_sites(p)
+            if len(sites) > 4:
+                continue
+            expected = []
+            for mask in range(2 ** len(sites)):
+                chosen = frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
+                lifted, _ = lift_program(p, force_sites=chosen)
+                value, stats = evaluate(lifted)
+                label = tuple("+".join(s) for s in sites if s in chosen)
+                row = (label, stats.words_allocated, stats.closures_allocated, render_value(value))
+                expected.append(row)
+            rows = enumerate_lift_subsets(p)
+            assert [(r.subset, r.words, r.closures, r.value) for r in rows] == expected
+            checked += 1
+        assert checked > 700
+
+    def test_one_plan_per_call(self, hand_programs, monkeypatch):
+        calls = []
+        real = lifter.skeleton_table
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lifter, "skeleton_table", counting)
+        for name in ("growth_balanced", "callweb", "scc_chain"):
+            calls.clear()
+            rows = enumerate_lift_subsets(hand_programs[name])
+            assert len(rows) >= 4 and len(calls) == 1, name
 
 
 class TestPredictionSoundness:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from liftlab.analysis import closure_slot_fvs
 from liftlab.skeleton import (
     Alt,
     Closure,
@@ -11,9 +12,18 @@ from liftlab.skeleton import (
     closure_growth,
     closure_growth_direct,
     skeleton_sexpr,
+    skeleton_table,
     skeletonize,
 )
-from liftlab.syntax import Cardinality, INF, MULTI_SHOT, bound_names, parse
+from liftlab.syntax import (
+    Cardinality,
+    INF,
+    MULTI_SHOT,
+    Let,
+    bound_names,
+    parse,
+    program_nodes,
+)
 
 from progen import random_disjoint_sets
 
@@ -64,6 +74,21 @@ class TestSkeletonize:
             skeleton_sexpr(skeletonize(e, fs()))
             == "(seq (seq (closure f) (scaled {0,*} nil)) nil)"
         )
+
+    def test_slot_sets_match_closure_slot_fvs(self, corpus, hand_programs):
+        # skeleton_table computes free variables in its own loop; they must
+        # agree with free_var_table's, read through closure_slot_fvs.
+        for p in [*corpus, *hand_programs.values()]:
+            roots = [tb.body for tb in p.top_binds] + [p.main]
+            tops = p.top_names()
+            nodes = list(program_nodes(p))
+            table = skeleton_table(roots, tops, nodes)
+            assert table == skeleton_table(roots, tops)
+            for e in nodes:
+                if isinstance(e, Let):
+                    for name, rhs in e.group.binds:
+                        slots = closure_slot_fvs(name, rhs, tops)
+                        assert table[id(rhs)].left.fvs == slots
 
 
 class TestClosureGrowth:

@@ -9,10 +9,10 @@ import sys
 
 import pytest
 
-from liftlab.analysis import free_vars, split_groups
+from liftlab.analysis import free_vars, scan_program, split_groups
 from liftlab.lifter import lift_program, liftable_sites
 from liftlab.machine import evaluate, render_value
-from liftlab.skeleton import NIL, Seq, skeletonize
+from liftlab.skeleton import NIL, Seq, closure_growth, closure_growth_direct, skeletonize
 from liftlab.syntax import (
     MULTI_SHOT,
     App,
@@ -47,6 +47,9 @@ def _check_contract(p):
     nodes = list(program_nodes(p))
     roots = [tb.body for tb in p.top_binds] + [p.main]
     assert nodes == [n for r in roots for n in _preorder(r)]
+    scanned, _, names = scan_program(p)
+    assert [id(n) for n in scanned] == [id(n) for n in nodes]
+    assert names == set(bound_names(p))
     for e in nodes:
         assert map_subexprs(e, lambda c: c) == e
     lets = [e.group.binders() for e in nodes if isinstance(e, Let)]
@@ -165,6 +168,50 @@ def test_lift_needs_no_recursion():
         (f"f{k}", (f"x{k - 1}_1", f"p{k}")) for k in range(1, n + 1)
     ]
     assert not any(isinstance(node, Let) for node in walk(lifted.main))
+
+
+def _captured_chain(n: int) -> Program:
+    """``case 3 of { default y -> let g = \\ a -> +# a y in <chain> }``, where
+    step k binds ``f{k} = \\ p{k} -> g p{k}`` and scrutinises ``f{k} 1``:
+    every f{k} captures g, so deciding g reads the whole chain."""
+    e = AtomExpr(Var(f"x{n}"))
+    for k in range(n, 0, -1):
+        rhs = Lambda(MULTI_SHOT, (f"p{k}",), App("g", (Var(f"p{k}"),)))
+        body = Case(App(f"f{k}", (Lit(1),)), (), (f"x{k}", e))
+        e = Let(BindGroup(False, ((f"f{k}", rhs),)), body)
+    g = Lambda(MULTI_SHOT, ("a",), PrimApp("+#", (Var("a"), Var("y"))))
+    e = Let(BindGroup(False, (("g", g),)), e)
+    return Program((), Case(AtomExpr(Lit(3)), (), ("y", e)))
+
+
+def _lift_at_limit(p, limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        return lift_program(p)[1]
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_growth_needs_no_recursion():
+    decisions = _lift_at_limit(_captured_chain(300), 1000)
+    assert len(decisions) == 301 and all(d.lifted for d in decisions)
+    p = _captured_chain(1000)
+    decisions = _lift_at_limit(p, 1000)
+    assert decisions == _lift_at_limit(p, 20000)
+    assert len(decisions) == 1001 and all(d.lifted for d in decisions)
+    # The explicit stack gives exactly what the reference recursion gives:
+    # adding one more variable grows each of the 1,000 f closures by a word.
+    let = p.main.default[1]
+    skel = skeletonize(let, frozenset())
+    added, removed = frozenset({"y", "q"}), frozenset({"g"})
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        direct = closure_growth_direct(added, removed, let, frozenset())
+    finally:
+        sys.setrecursionlimit(old)
+    assert closure_growth(added, removed, skel) == direct == 1000
 
 
 def test_evaluate_needs_no_recursion():
