@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
 from typing import NamedTuple
 
 from .analysis import BinderFacts, scan_program
@@ -49,6 +48,7 @@ from .syntax import (
     Thunk,
     TopBind,
     Var,
+    _fresh,
     map_subexprs,
     subexprs,
 )
@@ -363,7 +363,8 @@ def apply_lifts(
         # names, and each lifted body is renamed to them.
         inner = {}
         for v in sorted(rqs):
-            inner[v] = next(n for k in count(1) if (n := f"{v}_{k}") not in used)
+            used.add(v)  # so the pick is a v_k even where v is free in the program
+            inner[v] = _fresh(v, used)
             used.add(inner[v])
         order.append((e, tuple(inner.values())))
         stack.append((e.body, rename))

@@ -5,8 +5,8 @@ passed unevaluated and forced at use sites (variable return positions,
 application heads, primop operands, case scrutinees).  The machine works in
 the eval/apply style of the STG machine: one loop evaluates an expression
 until it yields a value, forces that value, and returns it to the innermost
-pending frame (a case scrutinee, a thunk update, an application waiting for
-its head or for the result of an oversaturated call, or a primop operand).
+pending frame (a case scrutinee, a thunk update, argument values waiting for
+a forced head or an oversaturated call's result, or a primop operand).
 The frames live on an explicit stack, so evaluation depth is bounded by
 fuel, never by the host's recursion limit.
 
@@ -158,10 +158,9 @@ _PRIMS = {
 # Continuation frames, each a (kind, a, b) tuple:
 _CASE = 0  # (case expression, env): choose an alternative for the value
 _UPDATE = 1  # (thunk cell, None): memoise the value
-_HEAD = 2  # (application, env): apply the forced head to the arguments
-_ARGS = 3  # (argument values, head name): apply the value to the rest
-_LEFT = 4  # (primop, env): first operand forced; read the second
-_RIGHT = 5  # (primop, first operand): second operand forced; compute
+_ARGS = 2  # (argument values, head name): apply the value to them
+_LEFT = 3  # (primop, env): first operand forced; read the second
+_RIGHT = 4  # (primop, first operand): second operand forced; compute
 
 
 class _Tops(dict):
@@ -329,7 +328,9 @@ class _Machine:
                             env = call
                             continue
                     elif type(fn) is not int:  # a thunk or nullary top-level
-                        push((_HEAD, expr, env))
+                        # Read the arguments now: forcing the head runs
+                        # its body in an env of its own, leaving ``env``.
+                        push((_ARGS, self._read(expr.args, env), head))
                         v = fn
                         break
                     expr, env = self._apply(fn, self._read(expr.args, env), head, stack)
@@ -418,9 +419,6 @@ class _Machine:
                     break
                 if kind == _UPDATE:
                     a.value = v
-                elif kind == _HEAD:
-                    expr, env = self._apply(v, self._read(a.args, b), a.head, stack)
-                    break
                 elif kind == _ARGS:
                     expr, env = self._apply(v, a, b, stack)
                     break

@@ -638,7 +638,7 @@ def print_program(p: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Scoping: validation and freshening
 # ---------------------------------------------------------------------------
 
 
@@ -649,166 +649,164 @@ class Violation:
     detail: str
 
 
-def validate(p: Program) -> list[Violation]:
-    """Check ANF shape, global name uniqueness, lambda arity and scoping.
-
-    Returns an empty list exactly when the program is well-formed.
-    """
-    out: list[Violation] = []
-    seen: set[str] = set()
-
-    def binder(name: str, path: str) -> None:
-        if name in seen:
-            out.append(Violation(path, "NonUniqueName", name))
-        seen.add(name)
-
-    def check_atom(a: object, scope: frozenset[str], path: str) -> None:
-        if isinstance(a, Var):
-            if a.name not in scope:
-                out.append(Violation(path, "UnboundVariable", a.name))
-        elif not isinstance(a, Lit):
-            out.append(Violation(path, "NonAtomicArg", type(a).__name__))
-
-    def check_expr(e: Expr, scope: frozenset[str], path: str) -> None:
-        if isinstance(e, AtomExpr):
-            check_atom(e.atom, scope, path)
-        elif isinstance(e, App):
-            if e.head not in scope:
-                out.append(Violation(path, "UnboundVariable", e.head))
-            for a in e.args:
-                check_atom(a, scope, path + "/arg")
-        elif isinstance(e, PrimApp):
-            if e.op not in PRIMOPS or len(e.args) != 2:
-                out.append(Violation(path, "UnsaturatedPrimop", e.op))
-            for a in e.args:
-                check_atom(a, scope, path + "/arg")
-        elif isinstance(e, Let):
-            if not e.group.binds:
-                out.append(Violation(path, "EmptyGroup", ""))
-            names = e.group.binders()
-            for name in names:
-                binder(name, path + f"/let {name}")
-            inner = scope | frozenset(names)
-            for name, rhs in e.group.binds:
-                check_rhs(rhs, inner, path + f"/let {name}")
-            check_expr(e.body, inner, path + "/in")
-        elif isinstance(e, Case):
-            check_expr(e.scrutinee, scope, path + "/scrutinee")
-            for pat, body in e.alts:
-                check_expr(body, scope, path + f"/alt {pat}")
-            dname, dbody = e.default
-            binder(dname, path + "/default")
-            check_expr(dbody, scope | {dname}, path + "/default")
-        else:
-            out.append(Violation(path, "NonAtomicArg", type(e).__name__))
-
-    def check_rhs(r: Rhs, scope: frozenset[str], path: str) -> None:
-        if isinstance(r, Lambda):
-            if not r.params:
-                out.append(Violation(path, "ZeroParamLambda", ""))
-            for prm in r.params:
-                binder(prm, path + f"/param {prm}")
-            check_expr(r.body, scope | frozenset(r.params), path + "/rhs")
-        else:
-            check_expr(r.body, scope, path + "/rhs")
-
-    tops = frozenset(tb.name for tb in p.top_binds)
-    for tb in p.top_binds:
-        binder(tb.name, f"top {tb.name}")
-    for tb in p.top_binds:
-        for prm in tb.params:
-            binder(prm, f"top {tb.name}/param {prm}")
-        check_expr(tb.body, tops | frozenset(tb.params), f"top {tb.name}")
-    check_expr(p.main, tops, "main")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Freshening
-# ---------------------------------------------------------------------------
-
-
 class ScopeError(Exception):
     pass
+
+
+def _fresh(base: str, used: set[str]) -> str:
+    """``base``, or if that is in ``used`` the first ``base_k`` (k = 1, 2, ...) not in it."""
+    name, k = base, 0
+    while name in used:
+        k += 1
+        name = f"{base}_{k}"
+    return name
+
+
+class _ScopeWalk:
+    """One pre-order walk under the scoping rules: top-level names scope
+    over every body and ``main``, a let group's binders over its right-hand
+    sides and body, parameters over their body, a default binder over its
+    branch.  Binders get :func:`_fresh` names and occurrences those of the
+    binders in scope, in ``result`` (which shares every subtree left as it
+    was); ``out`` holds :func:`validate`'s violations and ``twice`` an error
+    per let group or top level binding a name twice."""
+
+    def __init__(self, p: Program) -> None:
+        self.out: list[Violation] = []
+        self.twice: list[str] = []
+        self.seen: set[str] = set()  # binders as written
+        self.used: set[str] = set()  # fresh names
+        self.renamed = 0  # binders and occurrences renamed so far
+        self.env: dict[str, str | None] = {}  # name -> fresh name; None out of scope
+        self.undo: list[tuple[str, str | None]] = []  # what each binding shadowed
+        names = self.bind_site([tb.name for tb in p.top_binds], "top ")
+        tops = []
+        for tb, name in zip(p.top_binds, names):
+            params = tuple([self.bind(x, f"top {tb.name}/param {x}") for x in tb.params])
+            tops.append(TopBind(name, params, self.expr(tb.body, f"top {tb.name}")))
+            self.leave(len(params))
+        main = self.expr(p.main, "main")
+        self.result = p if self.renamed == 0 else Program(tuple(tops), main)
+
+    def bind(self, name: str, path: str) -> str:
+        if name in self.seen:
+            self.out.append(Violation(path, "NonUniqueName", name))
+        self.seen.add(name)
+        new = name
+        if name in self.used:
+            new = _fresh(name, self.used)
+            self.renamed += 1
+        self.used.add(new)
+        self.undo.append((name, self.env.get(name)))
+        self.env[name] = new
+        return new
+
+    def bind_site(self, names: list[str], prefix: str) -> list[str]:
+        if len(set(names)) < len(names):
+            dup = next(n for n in names if names.count(n) > 1)
+            self.twice.append(f"{prefix}{dup}: {dup!r} is bound twice in one group")
+        fresh = []
+        for name in names:
+            fresh.append(self.bind(name, prefix + name))
+        return fresh
+
+    def leave(self, n: int) -> None:
+        """End the scopes of the last ``n`` bindings."""
+        while n:
+            name, old = self.undo.pop()
+            self.env[name] = old
+            n -= 1
+
+    def resolve(self, name: str, path: str) -> str:
+        new = self.env.get(name)
+        if new is None:
+            self.out.append(Violation(path, "UnboundVariable", name))
+        elif new != name:
+            self.renamed += 1
+        return new or name
+
+    def atom(self, a: Atom, path: str) -> Atom:
+        if type(a) is Var:
+            new = self.resolve(a.name, path)
+            return a if new == a.name else Var(new)
+        if type(a) is not Lit:
+            self.out.append(Violation(path, "NonAtomicArg", type(a).__name__))
+        return a
+
+    # One host frame per nesting level: plain loops, and a let's right-hand
+    # sides handled inline.  A node is rebuilt only if ``renamed`` grew.
+    def expr(self, e: Expr, path: str) -> Expr:
+        t = type(e)
+        before = self.renamed
+        if t is AtomExpr:
+            a = self.atom(e.atom, path)
+            return e if a is e.atom else AtomExpr(a)
+        if t is App:
+            head = self.resolve(e.head, path)
+            path += "/arg"
+            args = tuple([self.atom(a, path) for a in e.args])
+            return e if self.renamed == before else App(head, args)
+        if t is PrimApp:
+            if e.op not in PRIMOPS or len(e.args) != 2:
+                self.out.append(Violation(path, "UnsaturatedPrimop", e.op))
+            path += "/arg"
+            args = tuple([self.atom(a, path) for a in e.args])
+            return e if self.renamed == before else PrimApp(e.op, args)
+        if t is Let:
+            if not e.group.binds:
+                self.out.append(Violation(path, "EmptyGroup", ""))
+            names = self.bind_site([name for name, _ in e.group.binds], path + "/let ")
+            binds = []
+            for (name, rhs), new in zip(e.group.binds, names):
+                rpath = f"{path}/let {name}"
+                r, params = self.renamed, ()
+                if type(rhs) is Lambda:
+                    if not rhs.params:
+                        self.out.append(Violation(rpath, "ZeroParamLambda", ""))
+                    params = tuple([self.bind(x, f"{rpath}/param {x}") for x in rhs.params])
+                body = self.expr(rhs.body, rpath + "/rhs")
+                self.leave(len(params))
+                if self.renamed != r:
+                    rhs = Thunk(body) if type(rhs) is Thunk else Lambda(rhs.card, params, body)
+                binds.append((new, rhs))
+            body = self.expr(e.body, path + "/in")
+            self.leave(len(names))
+            if self.renamed == before:
+                return e
+            return Let(BindGroup(e.group.recursive, tuple(binds)), body)
+        if t is Case:
+            scrut = self.expr(e.scrutinee, path + "/scrutinee")
+            alts = []
+            for pat, body in e.alts:
+                alts.append((pat, self.expr(body, f"{path}/alt {pat}")))
+            dname, dbody = e.default
+            default = (self.bind(dname, path + "/default"), self.expr(dbody, path + "/default"))
+            self.leave(1)
+            return e if self.renamed == before else Case(scrut, tuple(alts), default)
+        self.out.append(Violation(path, "NonAtomicArg", t.__name__))
+        return e
+
+
+def validate(p: Program) -> list[Violation]:
+    """Check ANF shape, global name uniqueness, lambda arity and scoping;
+    the list is empty exactly when the program is well-formed.  Shares its
+    scope walk, and so its scoping rules, with :func:`freshen`."""
+    return _ScopeWalk(p).out
 
 
 def freshen(p: Program) -> Program:
     """Rename binders so every name in the program is globally unique.
 
-    Renaming is deterministic: the first occurrence of a name keeps it, later
-    binders become ``name_1``, ``name_2``, ...  Alpha-equivalent output;
-    idempotent; raises :class:`ScopeError` on unbound variables.
-    """
-    used: set[str] = set()
-
-    def pick(base: str) -> str:
-        if base not in used:
-            used.add(base)
-            return base
-        k = 1
-        while f"{base}_{k}" in used:
-            k += 1
-        name = f"{base}_{k}"
-        used.add(name)
-        return name
-
-    def rename_atom(a: Atom, env: dict[str, str]) -> Atom:
-        if isinstance(a, Var):
-            if a.name not in env:
-                raise ScopeError(f"unbound variable {a.name!r}")
-            return Var(env[a.name])
-        return a
-
-    def rename_expr(e: Expr, env: dict[str, str]) -> Expr:
-        if isinstance(e, AtomExpr):
-            return AtomExpr(rename_atom(e.atom, env))
-        if isinstance(e, App):
-            if e.head not in env:
-                raise ScopeError(f"unbound variable {e.head!r}")
-            return App(env[e.head], tuple(rename_atom(a, env) for a in e.args))
-        if isinstance(e, PrimApp):
-            a, b = e.args
-            return PrimApp(e.op, (rename_atom(a, env), rename_atom(b, env)))
-        if isinstance(e, Let):
-            env2 = dict(env)
-            for name, _ in e.group.binds:
-                env2[name] = pick(name)
-            binds = tuple(
-                (env2[name], rename_rhs(rhs, env2)) for name, rhs in e.group.binds
-            )
-            return Let(
-                BindGroup(e.group.recursive, binds), rename_expr(e.body, env2)
-            )
-        if isinstance(e, Case):
-            scrut = rename_expr(e.scrutinee, env)
-            alts = tuple((pat, rename_expr(b, env)) for pat, b in e.alts)
-            dname, dbody = e.default
-            env2 = dict(env)
-            env2[dname] = pick(dname)
-            return Case(scrut, alts, (env2[dname], rename_expr(dbody, env2)))
-        raise AssertionError(e)
-
-    def rename_rhs(r: Rhs, env: dict[str, str]) -> Rhs:
-        if isinstance(r, Lambda):
-            env2 = dict(env)
-            params = []
-            for prm in r.params:
-                env2[prm] = pick(prm)
-                params.append(env2[prm])
-            return Lambda(r.card, tuple(params), rename_expr(r.body, env2))
-        return Thunk(rename_expr(r.body, env))
-
-    top_env: dict[str, str] = {}
-    for tb in p.top_binds:
-        top_env[tb.name] = pick(tb.name)
-    tops = []
-    for tb in p.top_binds:
-        env = dict(top_env)
-        params = []
-        for prm in tb.params:
-            env[prm] = pick(prm)
-            params.append(env[prm])
-        tops.append(
-            TopBind(top_env[tb.name], tuple(params), rename_expr(tb.body, env))
-        )
-    return Program(tuple(tops), rename_expr(p.main, dict(top_env)))
+    Renaming is deterministic: the first binder of a name keeps it, later
+    ones (a lambda's repeated parameter too) become ``name_1``, ``name_2``,
+    ...  Alpha-equivalent output that shares every subtree needing no
+    renaming; idempotent.  Raises :class:`ScopeError` on the first unbound
+    variable, else on a name bound twice in one let group or at the top
+    level, whose occurrences could mean either binding."""
+    walk = _ScopeWalk(p)
+    for v in walk.out:
+        if v.tag == "UnboundVariable":
+            raise ScopeError(f"unbound variable {v.detail!r}")
+    if walk.twice:
+        raise ScopeError(walk.twice[0])
+    return walk.result

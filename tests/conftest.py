@@ -14,10 +14,10 @@ CORPUS_SEED = 20250810
 CORPUS_SIZE = 1000
 
 
-def load_program(path: Path) -> Program:
-    p = freshen(parse(path.read_text(encoding="utf-8")))
-    violations = validate(p)
-    assert not violations, f"{path.name}: {violations}"
+def load_inline(text: str) -> Program:
+    """parse -> freshen -> validate (which must pass) -> split_groups."""
+    p = freshen(parse(text))
+    assert validate(p) == []
     return split_groups(p)
 
 
@@ -31,7 +31,8 @@ def recursion_limit_unchanged():
 
 @pytest.fixture(scope="session")
 def hand_programs() -> dict[str, Program]:
-    return {f.stem: load_program(f) for f in sorted(PROGRAMS_DIR.glob("*.stg"))}
+    files = sorted(PROGRAMS_DIR.glob("*.stg"))
+    return {f.stem: load_inline(f.read_text(encoding="utf-8")) for f in files}
 
 
 @pytest.fixture(scope="session")

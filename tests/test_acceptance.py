@@ -10,9 +10,9 @@ from liftlab.analysis import cardinality
 from liftlab.lifter import LiftConfig, lift_program, liftable_sites
 from liftlab.machine import enumerate_lift_subsets, evaluate, value_key
 from liftlab.skeleton import closure_growth, closure_growth_direct, skeletonize
-from liftlab.syntax import INF, Lambda, Let, bound_names, parse, validate
+from liftlab.syntax import INF, Lambda, Let, bound_names, validate
 
-from conftest import PROGRAMS_DIR
+from conftest import PROGRAMS_DIR, load_inline
 from progen import random_disjoint_sets
 
 
@@ -20,18 +20,6 @@ def report(number: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number}: {status} - {detail}")
     assert ok, f"criterion {number}: {detail}"
-
-
-def load_text(name: str, n: int | None = None):
-    text = (PROGRAMS_DIR / f"{name}.stg").read_text()
-    if n is not None:
-        text = text.replace("1000", str(n))
-    from liftlab.analysis import split_groups
-    from liftlab.syntax import freshen
-
-    p = freshen(parse(text))
-    assert validate(p) == []
-    return split_groups(p)
 
 
 def test_criterion_1_loop_example_lift(hand_programs):
@@ -66,8 +54,9 @@ def test_criterion_2_growth_rejection_and_forced_cost(hand_programs):
     rejected = (not d.lifted) and d.reason == "ClosureGrowth" and d.predicted_net_words == INF
 
     deltas = {}
+    tally = (PROGRAMS_DIR / "tally.stg").read_text()
     for n in (500, 1000):
-        pn = load_text("tally", n)
+        pn = load_inline(tally.replace("1000", str(n)))
         forced, _ = lift_program(pn, LiftConfig(check_closure_growth=False))
         _, s0 = evaluate(pn)
         _, s1 = evaluate(forced)

@@ -182,6 +182,19 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(capsys, "lift", str(bad))
         assert code == 1 and "unbound" in err.lower()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["main = let f = \\ x -> x and f = \\ y -> y in f 1", "f = 1; f = 2; main = f"],
+        ids=["let-group", "top-level"],
+    )
+    def test_name_bound_twice_exit_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "twice.stg"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "lift", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("liftlab: error: ") and err.count("\n") == 1
+        assert "'f' is bound twice" in err
+
     def test_eval_error_exit_1(self, capsys):
         code, _, err = run_cli(
             capsys, "lift", prog("countdown"), "--eval", "--fuel", "10"

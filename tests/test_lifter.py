@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from liftlab.analysis import split_groups
 from liftlab.lifter import (
     LiftConfig,
     LiftError,
@@ -26,13 +25,12 @@ from liftlab.syntax import (
     Lit,
     Program,
     Var,
-    freshen,
     parse,
     print_program,
     validate,
 )
 
-from conftest import PROGRAMS_DIR
+from conftest import PROGRAMS_DIR, load_inline
 
 
 def fs(*names):
@@ -41,12 +39,6 @@ def fs(*names):
 
 def decision_for(decisions, *binders):
     return next(d for d in decisions if d.binders == binders)
-
-
-def load_inline(src: str):
-    p = freshen(parse(src))
-    assert validate(p) == []
-    return split_groups(p)
 
 
 def load_text_variant(name, old, new):
@@ -288,9 +280,7 @@ def test_relifting_never_allocates_more_and_settles(corpus, hand_programs):
             if not any(d.lifted for d in ds):
                 break
             assert n < 3, "a third pass still lifts"
-            p = freshen(parse(print_program(lifted)))
-            assert validate(p) == []
-            p = split_groups(p)
+            p = load_inline(print_program(lifted))
             after = evaluate(p)[1].words_allocated
             assert after <= words
             words = after

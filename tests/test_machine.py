@@ -28,16 +28,7 @@ from liftlab.syntax import (
     parse,
 )
 
-from conftest import PROGRAMS_DIR
-
-
-def load_inline(src: str):
-    from liftlab.analysis import split_groups
-    from liftlab.syntax import freshen, validate
-
-    p = freshen(parse(src))
-    assert validate(p) == []
-    return split_groups(p)
+from conftest import PROGRAMS_DIR, load_inline
 
 
 def countdown_at(n: int):
@@ -51,6 +42,29 @@ class TestEvaluate:
         assert render_value(value) == "42"
         assert stats.words_allocated == 0
         assert stats.closures_allocated == 0
+
+    # Heads that must be forced before the call: a thunk, a nullary
+    # top-level definition, and a thunk whose function result is
+    # oversaturated.  Values, steps and words recorded before the forced
+    # head and its arguments shared one frame.
+    @pytest.mark.parametrize(
+        "src, value, steps, words",
+        [
+            ("main = let f = \\ a -> +# a 1 in let t = thunk f in t 41", "42", 6, 3),
+            ("k a = h;\nh b = b;\ng = k;\nmain = g 1 2", "2", 5, 0),
+            (
+                "k a = h;\nh b = +# b 1;\n"
+                "main = let t = thunk k in case t 1 2 of { default r -> t 3 r }",
+                "4",
+                10,
+                1,
+            ),
+        ],
+        ids=["thunk", "nullary-top", "oversaturated-thunk"],
+    )
+    def test_forced_head_applied_to_arguments(self, src, value, steps, words):
+        v, stats = evaluate(load_inline(src))
+        assert (render_value(v), stats.steps, stats.words_allocated) == (value, steps, words)
 
     def test_loop_allocation_model(self):
         p = countdown_at(10)

@@ -1,3 +1,7 @@
+import hashlib
+import importlib.util
+import random
+import re
 import sys
 
 import pytest
@@ -8,8 +12,11 @@ from liftlab.lifter import lift_program
 from liftlab.syntax import (
     App,
     AtomExpr,
+    BindGroup,
+    Case,
     Cardinality,
     INF,
+    KEYWORDS,
     Lambda,
     Let,
     Lit,
@@ -19,12 +26,17 @@ from liftlab.syntax import (
     Program,
     ScopeError,
     Thunk,
+    TopBind,
     Var,
+    bound_names,
     freshen,
     parse,
     print_program,
+    program_nodes,
     validate,
 )
+
+from conftest import PROGRAMS_DIR
 
 
 class TestParse:
@@ -307,3 +319,145 @@ class TestFreshen:
     def test_scope_error(self):
         with pytest.raises(ScopeError):
             freshen(parse("main = g 5 x f"))
+
+    def test_name_bound_twice_in_one_group(self):
+        p = parse("main = let f = \\ x -> x and f = \\ y -> y in f 1")
+        with pytest.raises(ScopeError, match="'f' is bound twice in one group"):
+            freshen(p)
+
+    def test_name_bound_twice_at_top_level(self):
+        with pytest.raises(ScopeError, match="^top f: 'f' is bound twice in one group$"):
+            freshen(parse("f = 1; f = 2; main = f"))
+
+    def test_unbound_variable_reported_before_twice_bound_name(self):
+        with pytest.raises(ScopeError, match="^unbound variable 'g'$"):
+            freshen(parse("f = 1; f = 2; main = g"))
+
+    def test_repeated_parameter_renamed(self):
+        p = freshen(parse("f x x = x;\nmain = f 1 2"))
+        assert p.top_binds[0].params == ("x", "x_1")
+        assert p.top_binds[0].body == AtomExpr(Var("x_1"))
+        assert validate(p) == []
+
+    def test_unchanged_subtrees_shared(self):
+        p = parse("main = let x = thunk 1 in case x of { default y -> let x = thunk 2 in x }")
+        q = freshen(p)
+        assert q.main.group.binds[0][1] is p.main.group.binds[0][1]
+        assert q.main.body.scrutinee is p.main.body.scrutinee
+        assert q.main.body.default[1].body == AtomExpr(Var("x_1"))
+        assert freshen(q) is q
+
+
+def _binds_twice_at_one_site(p: Program) -> bool:
+    sites = [[tb.name for tb in p.top_binds]]
+    sites += [e.group.binders() for e in program_nodes(p) if isinstance(e, Let)]
+    return any(len(set(names)) < len(names) for names in sites)
+
+
+_IDENT = re.compile(r"[^\W\d]\w*")
+
+
+def _renamings(texts: list[str], n: int, seed: int) -> list[str]:
+    """``n`` texts, each with one to three identifier occurrences (binders
+    and uses alike) replaced by an identifier of the same text, which
+    shadows, unbinds or duplicates names."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        text = rng.choice(texts)
+        spans = [m.span() for m in _IDENT.finditer(text) if m.group() not in KEYWORDS]
+        names = sorted({text[a:b] for a, b in spans})
+        for a, b in sorted(rng.sample(spans, min(len(spans), rng.randint(1, 3))), reverse=True):
+            text = text[:a] + rng.choice(names) + text[b:]
+        out.append(text)
+    return out
+
+
+def _nested_ladder(seed: int) -> list[str]:
+    """The benchmark's nested depth/width/rqs ladder, from its frozen
+    input generator."""
+    path = PROGRAMS_DIR.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [text for _, text in inputs.nested_texts(seed)]
+
+
+# sha256 over, per text that parses and binds no name twice at one site,
+# ``repr(validate(p))`` and ``print_program(freshen(p))`` or the
+# ScopeError message, and over the ParseError message of every text that
+# does not parse.  Texts: the printed acceptance corpus, programs/*.stg,
+# the seed-5 nested ladder, and 3,000 seeded renamings of those.  Recorded
+# with the two separate walkers that preceded the shared scope walk.
+SCOPE_OUTPUT_DIGEST = "611ad12bd4ba4de72dbf92e37db18893a8a0f1d2417a40a91d7602d46e99ec32"
+
+
+def test_scope_output_pinned(corpus):
+    texts = [print_program(p) for p in corpus]
+    texts += [f.read_text() for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
+    texts += _nested_ladder(5)
+    texts += _renamings(texts, 3000, 8)
+    h = hashlib.sha256()
+    outcomes = {"parse": 0, "scope": 0, "renamed": 0, "violations": 0}
+    for text in texts:
+        try:
+            p = parse(text)
+        except ParseError as exc:
+            outcomes["parse"] += 1
+            h.update(f"{exc}\n".encode())
+            continue
+        if _binds_twice_at_one_site(p):
+            continue
+        violations = validate(p)
+        outcomes["violations"] += bool(violations)
+        h.update(repr(violations).encode())
+        try:
+            q = freshen(p)
+        except ScopeError as exc:
+            outcomes["scope"] += 1
+            h.update(f"{exc}\n".encode())
+            continue
+        outcomes["renamed"] += bound_names(q) != bound_names(p)
+        h.update(print_program(q).encode())
+    # Every kind of outcome is exercised, shadowing most of all.
+    assert min(outcomes.values()) > 0, outcomes
+    assert h.hexdigest() == SCOPE_OUTPUT_DIGEST
+
+
+# Programs over a three-name pool, so shadowing, unbound names and names
+# bound twice at one site are all common.
+_NAMES = st.sampled_from(["a", "b", "c"])
+_ATOMS = st.one_of(_NAMES.map(Var), st.integers(0, 2).map(Lit))
+_LEAVES = st.one_of(
+    _ATOMS.map(AtomExpr),
+    st.builds(App, _NAMES, st.lists(_ATOMS, min_size=1, max_size=2).map(tuple)),
+    st.builds(lambda x, y: PrimApp("+#", (x, y)), _ATOMS, _ATOMS),
+)
+
+
+def _compound(inner):
+    params = st.lists(_NAMES, min_size=1, max_size=2).map(tuple)
+    rhs = st.one_of(st.builds(Lambda, st.just(MULTI_SHOT), params, inner), inner.map(Thunk))
+    binds = st.lists(st.tuples(_NAMES, rhs), min_size=1, max_size=3).map(tuple)
+    alts = st.lists(st.tuples(st.integers(0, 2), inner), max_size=2).map(tuple)
+    return st.one_of(
+        st.builds(lambda bs, body: Let(BindGroup(True, bs), body), binds, inner),
+        st.builds(lambda s, alts, d: Case(s, alts, d), inner, alts, st.tuples(_NAMES, inner)),
+    )
+
+
+_EXPRS = st.recursive(_LEAVES, _compound, max_leaves=12)
+_TOPS = st.lists(
+    st.builds(TopBind, _NAMES, st.lists(_NAMES, max_size=2).map(tuple), _EXPRS), max_size=2
+)
+
+
+@_PROPERTY
+@given(_TOPS, _EXPRS)
+def test_freshen_output_validates_and_is_a_fixed_point(tops, main):
+    try:
+        q = freshen(Program(tuple(tops), main))
+    except ScopeError:
+        return
+    assert validate(q) == []
+    assert freshen(q) == q

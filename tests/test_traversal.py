@@ -33,6 +33,7 @@ from liftlab.syntax import (
     parse,
     program_nodes,
     subexprs,
+    validate,
     walk,
 )
 
@@ -120,6 +121,25 @@ def test_deep_chain_lifts_at_default_recursion_limit(n):
         sys.setrecursionlimit(old)
     assert len(decisions) == n
     assert all(d.lifted for d in decisions)
+
+
+def test_scope_walk_headroom():
+    # A 400-deep right-hand-side nest built from constructors: f{k}'s body
+    # defines f{k+1} and calls it.  One host frame per level each.
+    n = 400
+    e = AtomExpr(Var(f"p{n}"))
+    for k in range(n, 0, -1):
+        rhs = Lambda(MULTI_SHOT, (f"p{k}",), e)
+        e = Let(BindGroup(False, ((f"f{k}", rhs),)), App(f"f{k}", (Var(f"p{k - 1}"),)))
+    p = Program((), Case(AtomExpr(Lit(1)), (), ("p0", e)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        violations = validate(p)
+        q = freshen(p)
+    finally:
+        sys.setrecursionlimit(old)
+    assert violations == [] and q is p
 
 
 def test_tables_need_no_recursion():
