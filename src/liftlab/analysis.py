@@ -25,17 +25,21 @@ from .syntax import (
 )
 
 
-def free_var_table(roots: list[Expr | Rhs]) -> dict[int, frozenset[str]]:
+def free_var_table(
+    roots: list[Expr | Rhs], nodes: list[Expr] | None = None
+) -> dict[int, frozenset[str]]:
     """Free variables of every node and right-hand side under ``roots``,
-    keyed by ``id``; built bottom-up over :func:`walk` without recursion.
+    keyed by ``id``; built bottom-up over ``nodes``, the :func:`walk` of the
+    roots (of a right-hand side, its body), without recursion.
 
-    Group binders are treated as bound in all right-hand sides of their let
-    (candidate-recursive scoping).  Top-level names are *not* filtered here;
-    callers that need closure contents use :func:`closure_slot_fvs`.
+    Group binders are treated as bound in all right-hand sides of their let.
+    Top-level names are *not* filtered here; callers that need closure
+    contents use :func:`closure_slot_fvs`.
     """
     table: dict[int, frozenset[str]] = {}
-    exprs = [r.body if isinstance(r, (Lambda, Thunk)) else r for r in roots]
-    for e in reversed(list(walk(*exprs))):
+    if nodes is None:
+        nodes = list(walk(*[r.body if isinstance(r, (Lambda, Thunk)) else r for r in roots]))
+    for e in reversed(nodes):
         if isinstance(e, Let):
             fvs = table[id(e.body)].union(*[_rhs_fvs(r, table) for _, r in e.group.binds])
             table[id(e)] = fvs.difference([name for name, _ in e.group.binds])
@@ -142,78 +146,70 @@ def scan_program(
 # ---------------------------------------------------------------------------
 
 
-def _scc_components(
-    names: tuple[str, ...], fvs: list[frozenset[str]]
-) -> list[list[int]]:
-    """Tarjan over the intra-group reference graph, sinks popped first."""
+def _scc_components(names: tuple[str, ...], fvs: list[frozenset[str]]) -> list[list[int]]:
+    """Tarjan over the intra-group reference graph, sinks popped first; its
+    search runs on an explicit stack of (member, next successor's index)."""
     index_of = {name: i for i, name in enumerate(names)}
     succs = [sorted(index_of[v] for v in vs if v in index_of) for vs in fvs]
-
     n = len(names)
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
+    # Visit numbers count from 1.  0 is unvisited; n + 1, above every low
+    # link, marks a member already in a component.
+    index, low = [0] * n, [0] * n
     stack: list[int] = []
-    counter = [0]
     comps: list[list[int]] = []
-
-    def dfs(v: int) -> None:
-        visited[v] = True
-        counter[0] += 1
-        index[v] = low[v] = counter[0]
-        stack.append(v)
-        on_stack[v] = True
-        for w in succs[v]:
-            if not visited[w]:
-                dfs(w)
-                low[v] = min(low[v], low[w])
-            elif on_stack[w]:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack[w] = False
-                comp.append(w)
-                if w == v:
+    counter = 0
+    for root in range(n):
+        path = [] if index[root] else [(root, 0)]
+        while path:
+            v, i = path.pop()
+            if i:  # back from its successor i - 1
+                low[v] = min(low[v], low[succs[v][i - 1]])
+            else:
+                counter += 1
+                index[v] = low[v] = counter
+                stack.append(v)
+            while i < len(succs[v]):
+                w = succs[v][i]
+                i += 1
+                if not index[w]:
+                    path += [(v, i), (w, 0)]
                     break
-            comps.append(sorted(comp))
-
-    for v in range(n):
-        if not visited[v]:
-            dfs(v)
+                low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n + 1
+                    comps.append(sorted(comp))
     return comps
 
 
 def split_groups(p: Program) -> Program:
     """Decompose every let group into minimal strongly connected components.
 
-    Components are emitted as nested lets, dependencies outermost, and each
-    group's ``recursive`` flag is made accurate.  Semantics and allocation
-    totals are preserved.
+    Components are emitted as nested lets, dependencies outermost.
+    Semantics and allocation totals are preserved.  One bottom-up loop over
+    the program's nodes, with one :func:`free_var_table`, and no recursion.
     """
-    table: dict[int, frozenset[str]] = {}
-
-    def split_expr(e: Expr) -> Expr:
-        if not isinstance(e, Let):
-            return map_subexprs(e, split_expr)
-        rhss = [rhs for _, rhs in e.group.binds]
-        if id(rhss[0]) not in table:  # outer lets first: each node once
-            table.update(free_var_table(rhss))
-        names = e.group.binders()
-        fvs = [table[id(rhs)] for rhs in rhss]
-        split = map_subexprs(e, split_expr)
-        result = split.body
-        # Tarjan pops dependencies first; wrap in reverse so they end up
-        # outermost and stay in scope for their dependents.
-        for comp in reversed(_scc_components(names, fvs)):
-            recursive = len(comp) > 1 or names[comp[0]] in fvs[comp[0]]
-            binds = tuple(split.group.binds[i] for i in comp)
-            result = Let(BindGroup(recursive, binds), result)
-        return result
-
-    tops = tuple(
-        TopBind(tb.name, tb.params, split_expr(tb.body)) for tb in p.top_binds
-    )
-    return Program(tops, split_expr(p.main))
+    roots = [tb.body for tb in p.top_binds] + [p.main]
+    nodes = list(walk(*roots))
+    if all(len(e.group.binds) < 2 for e in nodes if type(e) is Let):
+        return p  # every group is its only component
+    fvs = free_var_table(roots, nodes)
+    # Over the nodes reversed, children come before their parent, the first
+    # child last, so they pop off ``results`` in child order.
+    results: list[Expr] = []
+    for e in reversed(nodes):
+        new = map_subexprs(e, lambda _: results.pop())
+        if type(e) is Let:
+            rhs_fvs = [fvs[id(rhs)] for _, rhs in e.group.binds]
+            binds, new = new.group.binds, new.body
+            # Tarjan pops dependencies first; wrap in reverse so they end up
+            # outermost and stay in scope for their dependents.
+            for comp in reversed(_scc_components(e.group.binders(), rhs_fvs)):
+                new = Let(BindGroup(tuple([binds[i] for i in comp])), new)
+        results.append(new)
+    tops = tuple([TopBind(tb.name, tb.params, results.pop()) for tb in p.top_binds])
+    return Program(tops, results.pop())

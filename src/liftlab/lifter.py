@@ -192,7 +192,9 @@ def decide(
         if offenders:
             return reject(KNOWN_CALLS, offending_var=offenders[0])
 
-    limit = cfg.max_arity_rec if group.recursive else cfg.max_arity_nonrec
+    limit = cfg.max_arity_nonrec
+    if cfg.max_arity_rec != limit and group.recursive:  # reading it walks the group
+        limit = cfg.max_arity_rec
     for name, rhs in group.binds:
         new_arity = len(params) + len(rhs.params)
         if new_arity > limit:

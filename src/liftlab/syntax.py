@@ -18,9 +18,10 @@ expression, written in a small A-normal-form language::
 Identifiers start with an alphabetic character or ``_`` and continue with
 alphanumerics or ``_``; integers are ``-?[0-9]+``; line comments start with
 ``--``.  Application arguments and case patterns are atoms; every lambda is
-the right-hand side of a binding.  ``let ... and ...`` groups are candidate
-recursive groups until the SCC pre-pass canonicalises them (see
-:mod:`liftlab.analysis`).
+the right-hand side of a binding.  A ``let ... and ...`` group is recursive
+when one of its binders occurs in one of its right-hand sides
+(:attr:`BindGroup.recursive`); the SCC pre-pass splits groups into their
+minimal components (see :mod:`liftlab.analysis`).
 """
 
 from __future__ import annotations
@@ -94,11 +95,17 @@ class Thunk:
 
 @dataclass(frozen=True)
 class BindGroup:
-    recursive: bool
     binds: tuple[tuple[str, "Rhs"], ...]
 
     def binders(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.binds)
+
+    @property
+    def recursive(self) -> bool:
+        """Whether a binder occurs in a right-hand side; exact once names are unique."""
+        names = set(self.binders())
+        bodies = [rhs.body for _, rhs in self.binds]
+        return any(not names.isdisjoint(occurrences(e)) for e in walk(*bodies))
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ def subexprs(e: Expr) -> tuple[Expr, ...]:
 
 def map_subexprs(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """Rebuild ``e`` with ``f`` applied to each sub-expression, in
-    :func:`subexprs` order; binders, patterns and flags are kept.
+    :func:`subexprs` order; binders, parameters and patterns are kept.
 
     Plain loops keep this to one stack frame between ``f``'s calls, so
     recursive callers reach the same nesting depth as a direct recursion
@@ -186,7 +193,7 @@ def map_subexprs(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
                 binds.append((name, Lambda(rhs.card, rhs.params, f(rhs.body))))
             else:
                 binds.append((name, Thunk(f(rhs.body))))
-        return Let(BindGroup(e.group.recursive, tuple(binds)), f(e.body))
+        return Let(BindGroup(tuple(binds)), f(e.body))
     if isinstance(e, Case):
         scrut = f(e.scrutinee)
         alts = []
@@ -343,18 +350,12 @@ def _lex(text: str) -> tuple[list[str], dict[str, Var], dict[str, Lit]]:
 
 class _Parser:
     """Recursive descent over token texts; a token's kind is its membership
-    in the lexer's identifier and integer tables, or its text.
-
-    Every name occurrence (an application head or a variable atom) is
-    appended to ``names`` in source order, so the occurrences inside a
-    group's right-hand sides are one contiguous span of it.
-    """
+    in the lexer's identifier and integer tables, or its text."""
 
     def __init__(self, text: str):
         self.text = text
         self.toks, self.idents, self.ints = _lex(text)
         self.pos = 0
-        self.names: list[str] = []
 
     def fail(self, message: str, index: int | None = None) -> ParseError:
         """An error at the current token, or at the ``index``-th."""
@@ -378,14 +379,11 @@ class _Parser:
 
     def atom(self) -> Atom:
         t = self.toks[self.pos]
-        if t in self.ints:
-            self.pos += 1
-            return self.ints[t]
-        if t in self.idents:
-            self.pos += 1
-            self.names.append(t)
-            return self.idents[t]
-        raise self.fail(f"expected atom, found {t!r}")
+        a = self.ints.get(t) or self.idents.get(t)
+        if a is None:
+            raise self.fail(f"expected atom, found {t!r}")
+        self.pos += 1
+        return a
 
     # expressions --------------------------------------------------------
 
@@ -402,21 +400,17 @@ class _Parser:
             return e
         if t in PRIMOPS:
             self.pos += 1
-            a = self.atom()
-            b = self.atom()
-            return PrimApp(t, (a, b))
+            return PrimApp(t, (self.atom(), self.atom()))
         if t in self.ints:
             self.pos += 1
             return AtomExpr(self.ints[t])
         if t in self.idents:
-            toks, idents, ints, names = self.toks, self.idents, self.ints, self.names
-            names.append(t)
+            toks, idents, ints = self.toks, self.idents, self.ints
             pos = self.pos + 1
             args: list[Atom] = []
             while True:
                 a = toks[pos]
                 if a in idents:
-                    names.append(a)
                     args.append(idents[a])
                 elif a in ints:
                     args.append(ints[a])
@@ -431,17 +425,13 @@ class _Parser:
 
     def let_expr(self) -> Expr:
         self.pos += 1  # "let"
-        start = len(self.names)
         binds = [self.bind()]
         while self.toks[self.pos] == "and":
             self.pos += 1
             binds.append(self.bind())
-        # The group is recursive when a binder occurs in a right-hand side:
-        # a raw scan, exact once names are globally unique.
-        recursive = not {name for name, _ in binds}.isdisjoint(self.names[start:])
         self.expect("in")
         body = self.expr()
-        return Let(BindGroup(recursive, tuple(binds)), body)
+        return Let(BindGroup(tuple(binds)), body)
 
     def bind(self) -> tuple[str, Rhs]:
         name = self.expect_ident()
@@ -662,6 +652,16 @@ def _fresh(base: str, used: set[str]) -> str:
     return name
 
 
+def _path_text(path: str | tuple) -> str:
+    """A violation's path as text.  A path is a string or an (enclosing path,
+    segment) pair, one step per node however deep, made text only on demand."""
+    segments = []
+    while type(path) is tuple:
+        path, segment = path
+        segments.append(segment)
+    return path + "".join(reversed(segments))
+
+
 class _ScopeWalk:
     """One pre-order walk under the scoping rules: top-level names scope
     over every body and ``main``, a let group's binders over its right-hand
@@ -679,18 +679,22 @@ class _ScopeWalk:
         self.renamed = 0  # binders and occurrences renamed so far
         self.env: dict[str, str | None] = {}  # name -> fresh name; None out of scope
         self.undo: list[tuple[str, str | None]] = []  # what each binding shadowed
-        names = self.bind_site([tb.name for tb in p.top_binds], "top ")
+        names = self.bind_site([tb.name for tb in p.top_binds], "", "top ")
         tops = []
         for tb, name in zip(p.top_binds, names):
-            params = tuple([self.bind(x, f"top {tb.name}/param {x}") for x in tb.params])
-            tops.append(TopBind(name, params, self.expr(tb.body, f"top {tb.name}")))
+            path = "top " + tb.name
+            params = tuple([self.bind(x, (path, "/param " + x)) for x in tb.params])
+            tops.append(TopBind(name, params, self.expr(tb.body, path)))
             self.leave(len(params))
         main = self.expr(p.main, "main")
         self.result = p if self.renamed == 0 else Program(tuple(tops), main)
 
-    def bind(self, name: str, path: str) -> str:
+    def violation(self, path: str | tuple, tag: str, detail: str) -> None:
+        self.out.append(Violation(_path_text(path), tag, detail))
+
+    def bind(self, name: str, path: str | tuple) -> str:
         if name in self.seen:
-            self.out.append(Violation(path, "NonUniqueName", name))
+            self.violation(path, "NonUniqueName", name)
         self.seen.add(name)
         new = name
         if name in self.used:
@@ -701,14 +705,13 @@ class _ScopeWalk:
         self.env[name] = new
         return new
 
-    def bind_site(self, names: list[str], prefix: str) -> list[str]:
+    def bind_site(self, names: list[str], path: str | tuple, kind: str) -> list[str]:
+        """Bind one group's ``names``, each at ``path`` then ``kind`` and the name."""
         if len(set(names)) < len(names):
             dup = next(n for n in names if names.count(n) > 1)
-            self.twice.append(f"{prefix}{dup}: {dup!r} is bound twice in one group")
-        fresh = []
-        for name in names:
-            fresh.append(self.bind(name, prefix + name))
-        return fresh
+            where = _path_text((path, kind + dup))
+            self.twice.append(f"{where}: {dup!r} is bound twice in one group")
+        return [self.bind(name, (path, kind + name)) for name in names]
 
     def leave(self, n: int) -> None:
         """End the scopes of the last ``n`` bindings."""
@@ -717,25 +720,25 @@ class _ScopeWalk:
             self.env[name] = old
             n -= 1
 
-    def resolve(self, name: str, path: str) -> str:
+    def resolve(self, name: str, path: str | tuple) -> str:
         new = self.env.get(name)
         if new is None:
-            self.out.append(Violation(path, "UnboundVariable", name))
+            self.violation(path, "UnboundVariable", name)
         elif new != name:
             self.renamed += 1
         return new or name
 
-    def atom(self, a: Atom, path: str) -> Atom:
+    def atom(self, a: Atom, path: str | tuple) -> Atom:
         if type(a) is Var:
             new = self.resolve(a.name, path)
             return a if new == a.name else Var(new)
         if type(a) is not Lit:
-            self.out.append(Violation(path, "NonAtomicArg", type(a).__name__))
+            self.violation(path, "NonAtomicArg", type(a).__name__)
         return a
 
     # One host frame per nesting level: plain loops, and a let's right-hand
     # sides handled inline.  A node is rebuilt only if ``renamed`` grew.
-    def expr(self, e: Expr, path: str) -> Expr:
+    def expr(self, e: Expr, path: str | tuple) -> Expr:
         t = type(e)
         before = self.renamed
         if t is AtomExpr:
@@ -743,47 +746,45 @@ class _ScopeWalk:
             return e if a is e.atom else AtomExpr(a)
         if t is App:
             head = self.resolve(e.head, path)
-            path += "/arg"
-            args = tuple([self.atom(a, path) for a in e.args])
+            args = tuple([self.atom(a, (path, "/arg")) for a in e.args])
             return e if self.renamed == before else App(head, args)
         if t is PrimApp:
             if e.op not in PRIMOPS or len(e.args) != 2:
-                self.out.append(Violation(path, "UnsaturatedPrimop", e.op))
-            path += "/arg"
-            args = tuple([self.atom(a, path) for a in e.args])
+                self.violation(path, "UnsaturatedPrimop", e.op)
+            args = tuple([self.atom(a, (path, "/arg")) for a in e.args])
             return e if self.renamed == before else PrimApp(e.op, args)
         if t is Let:
             if not e.group.binds:
-                self.out.append(Violation(path, "EmptyGroup", ""))
-            names = self.bind_site([name for name, _ in e.group.binds], path + "/let ")
+                self.violation(path, "EmptyGroup", "")
+            names = self.bind_site([name for name, _ in e.group.binds], path, "/let ")
             binds = []
             for (name, rhs), new in zip(e.group.binds, names):
-                rpath = f"{path}/let {name}"
+                rpath = (path, "/let " + name)
                 r, params = self.renamed, ()
                 if type(rhs) is Lambda:
                     if not rhs.params:
-                        self.out.append(Violation(rpath, "ZeroParamLambda", ""))
-                    params = tuple([self.bind(x, f"{rpath}/param {x}") for x in rhs.params])
-                body = self.expr(rhs.body, rpath + "/rhs")
+                        self.violation(rpath, "ZeroParamLambda", "")
+                    params = tuple([self.bind(x, (rpath, "/param " + x)) for x in rhs.params])
+                body = self.expr(rhs.body, (rpath, "/rhs"))
                 self.leave(len(params))
                 if self.renamed != r:
                     rhs = Thunk(body) if type(rhs) is Thunk else Lambda(rhs.card, params, body)
                 binds.append((new, rhs))
-            body = self.expr(e.body, path + "/in")
+            body = self.expr(e.body, (path, "/in"))
             self.leave(len(names))
             if self.renamed == before:
                 return e
-            return Let(BindGroup(e.group.recursive, tuple(binds)), body)
+            return Let(BindGroup(tuple(binds)), body)
         if t is Case:
-            scrut = self.expr(e.scrutinee, path + "/scrutinee")
+            scrut = self.expr(e.scrutinee, (path, "/scrutinee"))
             alts = []
             for pat, body in e.alts:
-                alts.append((pat, self.expr(body, f"{path}/alt {pat}")))
+                alts.append((pat, self.expr(body, (path, f"/alt {pat}"))))
             dname, dbody = e.default
-            default = (self.bind(dname, path + "/default"), self.expr(dbody, path + "/default"))
+            default = (self.bind(dname, (path, "/default")), self.expr(dbody, (path, "/default")))
             self.leave(1)
             return e if self.renamed == before else Case(scrut, tuple(alts), default)
-        self.out.append(Violation(path, "NonAtomicArg", t.__name__))
+        self.violation(path, "NonAtomicArg", t.__name__)
         return e
 
 

@@ -14,6 +14,14 @@ CORPUS_SEED = 20250810
 CORPUS_SIZE = 1000
 
 
+def forward_group_text(n: int) -> str:
+    """One flat ``n``-member group in which ``g{k}`` calls ``g{k+1}`` and
+    ``g{n}`` adds the case-bound ``y``: a chain of dependencies, no cycle."""
+    binds = [f"g{k} = \\ q{k} -> g{k + 1} q{k}" for k in range(1, n)]
+    binds.append(f"g{n} = \\ q{n} -> +# q{n} y")
+    return "main = case 7 of { default y ->\n  let " + "\n  and ".join(binds) + "\n  in g1 y }\n"
+
+
 def load_inline(text: str) -> Program:
     """parse -> freshen -> validate (which must pass) -> split_groups."""
     p = freshen(parse(text))

@@ -22,31 +22,14 @@ from liftlab.syntax import (
     MULTI_SHOT,
     PrimApp,
     Program,
-    Rhs,
     Thunk,
     TopBind,
     Var,
-    occurrences,
-    walk,
 )
 
 MAX_DEPTH = 6
 
 _SINK = TopBind("sink", ("sink_a", "sink_b"), AtomExpr(Var("sink_a")))
-
-
-def _mentions_member(binds: tuple[tuple[str, Rhs], ...]) -> bool:
-    """Whether any right-hand side mentions a binder of the group.
-
-    The same raw name scan the parser makes, so ``parse(print_program(p))
-    == p`` holds for generated programs, whose flags this sets.
-    """
-    names = {name for name, _ in binds}
-    mentioned: set[str] = set()
-    for _, rhs in binds:
-        for e in walk(rhs.body):
-            mentioned.update(occurrences(e))
-    return not names.isdisjoint(mentioned)
 
 
 class ProgramGen:
@@ -137,8 +120,7 @@ class ProgramGen:
                 name = self.fresh("th")
                 binds.append((name, Thunk(self.expr(depth - 1, dict(rhs_scope)))))
                 rhs_scope[name] = "int"
-        group = BindGroup(_mentions_member(tuple(binds)), tuple(binds))
-        return Let(group, self.expr(depth - 1, rhs_scope))
+        return Let(BindGroup(tuple(binds)), self.expr(depth - 1, rhs_scope))
 
     def case(self, depth: int, scope: dict) -> Expr:
         scrut = self.expr(depth - 1, scope)

@@ -10,7 +10,7 @@ import liftlab
 from liftlab.cli import main
 from liftlab.syntax import parse
 
-from conftest import PROGRAMS_DIR
+from conftest import PROGRAMS_DIR, forward_group_text
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +167,19 @@ class TestErrorsAndExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("liftlab: error: ") and "nests too deeply" in err
         assert "Traceback" not in err
+
+    def test_flat_forward_group_lifts(self, tmp_path, capsys):
+        # A 1,000-member group nests nothing, though its split is a chain.
+        flat = tmp_path / "forward.stg"
+        flat.write_text(forward_group_text(1000))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = run_cli(capsys, "lift", str(flat), "--eval")
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 0 and err == ""
+        assert "agreement: yes" in out
 
     def test_non_utf8_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "latin1.stg"

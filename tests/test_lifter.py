@@ -124,6 +124,20 @@ class TestDecide:
         d = decision_for(ds, "wide")
         assert d.lifted and d.predicted_net_words == -6
 
+    def test_each_group_meets_its_own_arity_limit(self):
+        # ``loop`` is recursive and takes a and b; ``f`` is not and takes a.
+        p = load_inline(
+            "main = case 1 of { default a -> case 2 of { default b ->\n"
+            "  let loop = \\ n -> case n of { 0 -> +# a b; default m ->\n"
+            "    case -# m 1 of { default k -> loop k } } in\n"
+            "  let f = \\ x -> +# x a in\n"
+            "  case loop 3 of { default r -> f r } } }\n"
+        )
+        _, ds = lift_program(p, LiftConfig(max_arity_rec=2))
+        assert decision_for(ds, "loop").resulting_arity == 3 and decision_for(ds, "f").lifted
+        _, ds = lift_program(p, LiftConfig(max_arity_nonrec=1))
+        assert decision_for(ds, "loop").lifted and decision_for(ds, "f").resulting_arity == 2
+
     def test_closure_growth_rejected(self, hand_programs):
         _, ds = lift_program(hand_programs["growth_multishot"])
         d = decision_for(ds, "f")
@@ -243,7 +257,7 @@ class TestLiftProgram:
         # stays): results must follow the place, not the object.
         k = AtomExpr(Var("k"))
         f = Lambda(MULTI_SHOT, ("x",), k)
-        let = Let(BindGroup(False, (("f", f),)), k)
+        let = Let(BindGroup((("f", f),)), k)
         p = Program((), Case(AtomExpr(Lit(1)), (), ("k", let)))
         assert validate(p) == []
         lifted, ds = lift_program(p)

@@ -275,7 +275,7 @@ class TestValidate:
 
         lam = Lambda(MULTI_SHOT, (), AtomExpr(Lit(1)))
         bad = Program(
-            (), Let(BindGroup(False, (("f", lam),)), AtomExpr(Var("f")))
+            (), Let(BindGroup((("f", lam),)), AtomExpr(Var("f")))
         )
         tags = [v.tag for v in validate(bad)]
         assert "ZeroParamLambda" in tags
@@ -346,6 +346,14 @@ class TestFreshen:
         assert q.main.body.scrutinee is p.main.body.scrutinee
         assert q.main.body.default[1].body == AtomExpr(Var("x_1"))
         assert freshen(q) is q
+
+    def test_shadowed_binder_is_not_a_recursive_reference(self):
+        # The inner ``f`` shadows the outer one, so the outer group only
+        # looks recursive until freshen renames the inner binder.
+        p = parse("main = let f = \\ a -> let f = \\ b -> b in f a in f 1")
+        q = freshen(p)
+        assert p.main.group.recursive and not q.main.group.recursive
+        assert parse(print_program(q)) == q
 
 
 def _binds_twice_at_one_site(p: Program) -> bool:
@@ -441,7 +449,7 @@ def _compound(inner):
     binds = st.lists(st.tuples(_NAMES, rhs), min_size=1, max_size=3).map(tuple)
     alts = st.lists(st.tuples(st.integers(0, 2), inner), max_size=2).map(tuple)
     return st.one_of(
-        st.builds(lambda bs, body: Let(BindGroup(True, bs), body), binds, inner),
+        st.builds(lambda bs, body: Let(BindGroup(bs), body), binds, inner),
         st.builds(lambda s, alts, d: Case(s, alts, d), inner, alts, st.tuples(_NAMES, inner)),
     )
 
@@ -461,3 +469,4 @@ def test_freshen_output_validates_and_is_a_fixed_point(tops, main):
         return
     assert validate(q) == []
     assert freshen(q) == q
+    assert parse(print_program(q)) == q

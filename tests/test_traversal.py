@@ -37,6 +37,8 @@ from liftlab.syntax import (
     walk,
 )
 
+from conftest import forward_group_text
+
 
 def _preorder(e):
     yield e
@@ -130,7 +132,7 @@ def test_scope_walk_headroom():
     e = AtomExpr(Var(f"p{n}"))
     for k in range(n, 0, -1):
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), e)
-        e = Let(BindGroup(False, ((f"f{k}", rhs),)), App(f"f{k}", (Var(f"p{k - 1}"),)))
+        e = Let(BindGroup(((f"f{k}", rhs),)), App(f"f{k}", (Var(f"p{k - 1}"),)))
     p = Program((), Case(AtomExpr(Lit(1)), (), ("p0", e)))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -150,7 +152,7 @@ def test_tables_need_no_recursion():
     for k in range(n, 0, -1):
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), Var("y"))))
         body = Case(App(f"f{k}", (Var("z"),)), (), (f"x{k}", e))
-        e = Let(BindGroup(False, ((f"f{k}", rhs),)), body)
+        e = Let(BindGroup(((f"f{k}", rhs),)), body)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -175,19 +177,41 @@ def test_lift_needs_no_recursion():
         x = Var(f"x{k - 1}")
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), x)))
         body = Case(App(f"f{k}", (x,)), (), (f"x{k}", e))
-        e = Let(BindGroup(False, ((f"f{k}", rhs),)), body)
+        e = Let(BindGroup(((f"f{k}", rhs),)), body)
     p = Program((), Case(AtomExpr(Lit(3)), (), ("x0", e)))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         lifted, decisions = lift_program(p)
+        _, split_decisions = lift_program(split_groups(p))
     finally:
         sys.setrecursionlimit(old)
+    # Decisions, not programs: AST ``==`` itself recurses.
+    assert split_decisions == decisions
     assert len(decisions) == n and all(d.lifted for d in decisions)
     assert [(tb.name, tb.params) for tb in lifted.top_binds] == [
         (f"f{k}", (f"x{k - 1}_1", f"p{k}")) for k in range(1, n + 1)
     ]
     assert not any(isinstance(node, Let) for node in walk(lifted.main))
+
+
+def test_split_groups_needs_no_recursion():
+    # Each member depends on the next, so Tarjan's search runs 1,000 deep.
+    n = 1000
+    p = freshen(parse(forward_group_text(n)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        q = split_groups(p)
+    finally:
+        sys.setrecursionlimit(old)
+    e, names = q.main.default[1], []
+    while isinstance(e, Let):
+        assert len(e.group.binds) == 1 and not e.group.recursive
+        names.append(e.group.binders()[0])
+        e = e.body
+    assert names == [f"g{k}" for k in range(n, 0, -1)]
+    assert e == App("g1", (Var("y"),))
 
 
 def _captured_chain(n: int) -> Program:
@@ -198,9 +222,9 @@ def _captured_chain(n: int) -> Program:
     for k in range(n, 0, -1):
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), App("g", (Var(f"p{k}"),)))
         body = Case(App(f"f{k}", (Lit(1),)), (), (f"x{k}", e))
-        e = Let(BindGroup(False, ((f"f{k}", rhs),)), body)
+        e = Let(BindGroup(((f"f{k}", rhs),)), body)
     g = Lambda(MULTI_SHOT, ("a",), PrimApp("+#", (Var("a"), Var("y"))))
-    e = Let(BindGroup(False, (("g", g),)), e)
+    e = Let(BindGroup((("g", g),)), e)
     return Program((), Case(AtomExpr(Lit(3)), (), ("y", e)))
 
 
@@ -243,8 +267,8 @@ def test_evaluate_needs_no_recursion():
     for k in range(n, 0, -1):
         inc = PrimApp("+#", (Var(f"y{k}"), Lit(1)))
         rhs = Thunk(Case(AtomExpr(Var(f"t{k - 1}")), (), (f"y{k}", inc)))
-        e = Let(BindGroup(False, ((f"t{k}", rhs),)), e)
-    p = Program((), Let(BindGroup(False, (("t0", Thunk(AtomExpr(Lit(0)))),)), e))
+        e = Let(BindGroup(((f"t{k}", rhs),)), e)
+    p = Program((), Let(BindGroup((("t0", Thunk(AtomExpr(Lit(0)))),)), e))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
