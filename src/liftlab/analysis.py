@@ -34,16 +34,23 @@ def free_var_table(
 
     Group binders are treated as bound in all right-hand sides of their let.
     Top-level names are *not* filtered here; callers that need closure
-    contents use :func:`closure_slot_fvs`.
+    contents use :func:`closure_slots`.
     """
     table: dict[int, frozenset[str]] = {}
     if nodes is None:
         nodes = list(walk(*[r.body if isinstance(r, (Lambda, Thunk)) else r for r in roots]))
     for e in reversed(nodes):
-        if isinstance(e, Let):
-            fvs = table[id(e.body)].union(*[_rhs_fvs(r, table) for _, r in e.group.binds])
-            table[id(e)] = fvs.difference([name for name, _ in e.group.binds])
-        elif isinstance(e, Case):
+        t = type(e)
+        if t is Let:
+            fvs = table[id(e.body)]
+            for _, rhs in e.group.binds:
+                rhs_fvs = table[id(rhs.body)]
+                if type(rhs) is Lambda:
+                    rhs_fvs = rhs_fvs.difference(rhs.params)
+                table[id(rhs)] = rhs_fvs
+                fvs = fvs | rhs_fvs
+            table[id(e)] = fvs.difference(e.group.binders())
+        elif t is Case:
             fvs = table[id(e.scrutinee)]
             for _, body in e.alts:
                 fvs = fvs | table[id(body)]
@@ -57,12 +64,10 @@ def free_var_table(
     return table
 
 
-def _rhs_fvs(rhs: Rhs, table: dict[int, frozenset[str]]) -> frozenset[str]:
+def _rhs_fvs(rhs: Rhs, table: dict[int, frozenset[str]]) -> None:
+    # A right-hand-side root's entry; the loop fills those under a let.
     fvs = table[id(rhs.body)]
-    if isinstance(rhs, Lambda):
-        fvs = fvs.difference(rhs.params)
-    table[id(rhs)] = fvs
-    return fvs
+    table[id(rhs)] = fvs.difference(rhs.params) if isinstance(rhs, Lambda) else fvs
 
 
 def free_vars(node: Expr | Rhs) -> frozenset[str]:
@@ -71,15 +76,21 @@ def free_vars(node: Expr | Rhs) -> frozenset[str]:
     return free_var_table([node])[id(node)]
 
 
+def closure_slots(
+    binder: str, free: frozenset[str], top_names: frozenset[str]
+) -> frozenset[str]:
+    """The variables a closure for ``binder`` stores, of the free variables
+    ``free`` of its right-hand side: self-references go through the closure
+    pointer and top-level names need no slot.  The skeletons' closures and
+    the interpreter's charged words both follow this one rule."""
+    return free - {binder} - top_names
+
+
 def closure_slot_fvs(
     binder: str, rhs: Rhs, top_names: frozenset[str]
 ) -> frozenset[str]:
-    """Variables a closure allocated for ``binder`` actually stores.
-
-    Self-references go through the closure pointer and top-level names need
-    no slot, so both are excluded.
-    """
-    return free_vars(rhs) - {binder} - top_names
+    """The :func:`closure_slots` of ``binder`` bound to ``rhs``."""
+    return closure_slots(binder, free_vars(rhs), top_names)
 
 
 def cardinality(rhs: Rhs) -> Cardinality:

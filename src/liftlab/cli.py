@@ -252,8 +252,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liftlab: error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # parse, freshen, validate, the printer and skeleton_sexpr recurse
-        # once per nesting level; the recursion limit is left as it is.
+        # parse, freshen, validate and the printer recurse once per nesting
+        # level; the recursion limit is left as it is.
         print(
             "liftlab: error: the program nests too deeply for this implementation "
             f"(Python recursion limit {sys.getrecursionlimit()} reached)",

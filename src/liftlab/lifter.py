@@ -315,6 +315,7 @@ def apply_lifts(
     cfg = cfg or LiftConfig()
     skels = plan.skels
     used = set(plan.used)
+    last: dict[str, int] = {}  # _fresh's resume points
     # Every binder lifted so far, mapped to its group's required set.  Names
     # are unique, so an entry is only ever looked up inside its binder's scope.
     required: dict[str, frozenset[str]] = {}
@@ -366,7 +367,7 @@ def apply_lifts(
         inner = {}
         for v in sorted(rqs):
             used.add(v)  # so the pick is a v_k even where v is free in the program
-            inner[v] = _fresh(v, used)
+            inner[v] = _fresh(v, used, last)
             used.add(inner[v])
         order.append((e, tuple(inner.values())))
         stack.append((e.body, rename))

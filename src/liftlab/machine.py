@@ -10,14 +10,16 @@ a forced head or an oversaturated call's result, or a primop operand).
 The frames live on an explicit stack, so evaluation depth is bounded by
 fuel, never by the host's recursion limit.
 
-Closures are flat.  A function or thunk stores only the values of its slots
-(its free variables, minus itself, minus top-level names, as in
-:func:`~liftlab.analysis.closure_slot_fvs`); a call runs in a copy of them
-plus the closure itself and the arguments, and top-level names resolve
-through one shared table.  Every executed let allocates, per binding, one
-code word plus one word per stored slot; integers are unboxed and top-level
-definitions allocate nothing.  The resulting word counts are the ground
-truth against which the lifter's closure-growth predictions are checked.
+Closures are flat.  A function or thunk stores only the values of its slots,
+its :func:`~liftlab.analysis.closure_slots` (free variables, minus itself,
+minus top-level names), the rule the skeletons' closures follow too, so
+predicted and charged words agree by construction.  A call runs in a copy
+of the slots plus the closure itself and the arguments, and top-level names
+resolve through one shared table.  Every executed let allocates, per
+binding, one code word plus one word per stored slot; integers are unboxed
+and top-level definitions allocate nothing.  The resulting word counts are
+the ground truth against which the lifter's closure-growth predictions are
+checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .analysis import free_var_table
+from .analysis import closure_slots, free_var_table
 from .lifter import apply_lifts, plan_lifts
 from .syntax import (
     App,
@@ -232,7 +234,7 @@ class _Machine:
             self.free_vars.update(free_var_table(rhss))
         plan = []
         for name, rhs in let.group.binds:
-            slots = self.free_vars[id(rhs)] - {name} - self.top_names
+            slots = closure_slots(name, self.free_vars[id(rhs)], self.top_names)
             plan.append((name, rhs, tuple(sorted(slots)), self.cells[name]))
         self.plans[id(let)] = plan
         return plan

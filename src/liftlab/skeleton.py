@@ -1,13 +1,16 @@
 """Allocation skeletons and the closure-growth estimate.
 
 A skeleton abstracts an expression down to what matters for allocation:
-which closures exist (with their captured variable sets), how regions are
-sequenced or branch against each other, and how often right-hand-side
-regions are entered per allocation.  ``closure_growth`` evaluates the net
-heap effect, in words, of adding one variable set to and removing another
-from every closure that mentions a removed variable.  Results live in
-the integers extended with infinity: positive growth in a region that may
-be entered arbitrarily often is infinite.
+which closures exist, each with the variables it stores (the
+:func:`~liftlab.analysis.closure_slots` of its right-hand side's
+:func:`~liftlab.analysis.free_var_table` entry, the rule the interpreter
+charges by), how regions are sequenced or branch against each other, and
+how often right-hand-side regions are entered per allocation.
+``closure_growth`` evaluates the net heap effect, in words, of adding one
+variable set to and removing another from every closure that mentions a
+removed variable.  Results live in the integers extended with infinity:
+positive growth in a region that may be entered arbitrarily often is
+infinite.
 
 ``closure_growth_direct`` computes the same quantity by direct recursion
 over the expression tree; it exists as an independent cross-check for the
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .analysis import cardinality, closure_slot_fvs
+from .analysis import cardinality, closure_slot_fvs, closure_slots, free_var_table
 from .syntax import (
     App,
     AtomExpr,
@@ -30,7 +33,6 @@ from .syntax import (
     Lambda,
     Let,
     PrimApp,
-    occurrences,
     walk,
 )
 
@@ -85,49 +87,36 @@ def skeleton_table(
     Atoms and applications do not allocate.  A let contributes one closure
     per binding followed by the entry-scaled region of its body, and each of
     its right-hand sides maps to that binding's part, ``Seq(Closure(slots),
-    region)``; case sequences the scrutinee before the branch choice.  Built
-    in one bottom-up loop without recursion, which also computes each node's
-    free variables as :func:`free_var_table` does; parents share children by
+    region)`` with the :func:`closure_slots` of its :func:`free_var_table`
+    entry; case sequences the scrutinee before the branch choice.  Built in
+    one bottom-up loop without recursion; parents share children by
     reference.  ``nodes`` is ``list(walk(*roots))``, for a caller that has
     already walked.
     """
     if nodes is None:
         nodes = list(walk(*roots))
-    fvs: dict[int, frozenset[str]] = {}
+    fvs = free_var_table(roots, nodes)
     table: dict[int, Skeleton] = {}
     for e in reversed(nodes):
         t = type(e)
         if t is Let:
             body = table[id(e.body)]
-            free = fvs[id(e.body)]
             captured = body.captured
             parts = []
             for name, rhs in e.group.binds:
                 inner = table[id(rhs.body)]
-                rhs_fvs = fvs[id(rhs.body)]
-                if type(rhs) is Lambda:
-                    rhs_fvs = rhs_fvs.difference(rhs.params)
-                free = free | rhs_fvs
-                slots = rhs_fvs - {name} - top_names
+                slots = closure_slots(name, fvs[id(rhs)], top_names)
                 captured = captured.union(slots, inner.captured)
-                table[id(rhs)] = Seq(Closure(slots), Scaled(cardinality(rhs), inner))
-                parts.append(table[id(rhs)])
-            fvs[id(e)] = free.difference(e.group.binders())
+                table[id(rhs)] = part = Seq(Closure(slots), Scaled(cardinality(rhs), inner))
+                parts.append(part)
             table[id(e)] = Seq(reduce(Seq, parts), body, captured)
         elif t is Case:
             scrut = table[id(e.scrutinee)]
-            free = fvs[id(e.scrutinee)]
-            branches = []
-            for _, body in e.alts:
-                free = free | fvs[id(body)]
-                branches.append(table[id(body)])
-            dname, dbody = e.default
-            fvs[id(e)] = free | fvs[id(dbody)].difference((dname,))
-            branches.append(table[id(dbody)])
+            branches = [table[id(body)] for _, body in e.alts]
+            branches.append(table[id(e.default[1])])
             captured = scrut.captured.union(*[b.captured for b in branches])
             table[id(e)] = Seq(scrut, reduce(Alt, branches), captured)
         else:
-            fvs[id(e)] = frozenset(occurrences(e))
             table[id(e)] = NIL
     return table
 
@@ -239,16 +228,26 @@ def _direct(added, removed, e, top_names) -> GrowthValue:
 
 
 def skeleton_sexpr(skel: Skeleton) -> str:
-    """Debug rendering, e.g. ``(seq (closure f x) (scaled {0,*} nil))``."""
-    if isinstance(skel, Nil):
-        return "nil"
-    if isinstance(skel, Closure):
-        names = " ".join(sorted(skel.fvs))
-        return f"(closure{' ' + names if names else ''})"
-    if isinstance(skel, Seq):
-        return f"(seq {skeleton_sexpr(skel.left)} {skeleton_sexpr(skel.right)})"
-    if isinstance(skel, Alt):
-        return f"(alt {skeleton_sexpr(skel.left)} {skeleton_sexpr(skel.right)})"
-    if isinstance(skel, Scaled):
-        return f"(scaled {skel.card} {skeleton_sexpr(skel.inner)})"
-    raise AssertionError(skel)
+    """Debug rendering, e.g. ``(seq (closure f x) (scaled {0,*} nil))``;
+    built on an explicit stack, so a deep skeleton renders at any
+    recursion limit."""
+    out: list[str] = []
+    stack: list = [skel]  # skeletons still to render and closing text
+    while stack:
+        s = stack.pop()
+        t = type(s)
+        if t is str:
+            out.append(s)
+        elif t is Nil:
+            out.append("nil")
+        elif t is Closure:
+            out.append("(closure" + "".join([" " + v for v in sorted(s.fvs)]) + ")")
+        elif t is Seq or t is Alt:
+            out.append("(seq " if t is Seq else "(alt ")
+            stack += (")", s.right, " ", s.left)
+        elif t is Scaled:
+            out.append(f"(scaled {s.card} ")
+            stack += (")", s.inner)
+        else:
+            raise AssertionError(s)
+    return "".join(out)

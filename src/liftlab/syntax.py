@@ -555,52 +555,36 @@ def _pp_rhs_head(r: Rhs) -> str:
     return "\\" + card + " " + " ".join(r.params) + " ->"
 
 
-def _pp_expr(e: Expr, ind: int, out: list[str]) -> None:
-    """Append ``e``'s text to ``out``; nested lines are indented by ``ind``."""
-    pad = " " * ind
+def _block(e: Expr, ind: int, out: list[str], inline: str, broken: str) -> None:
+    """Append ``e``'s text to ``out`` under the one layout rule: a simple
+    ``e`` follows ``inline`` on the same line; any other follows ``broken``
+    on a new line indented by ``ind``, and its sub-expressions are laid out
+    by the same rule.  One host frame per nesting level."""
     if _is_simple(e):
-        out.append(_pp_simple(e))
-    elif isinstance(e, Let):
+        out.append(inline + _pp_simple(e))
+        return
+    pad = " " * ind
+    out.append(f"{broken}\n{pad}")
+    if isinstance(e, Let):
         for i, (name, rhs) in enumerate(e.group.binds):
             kw = f"\n{pad}and" if i else "let"
             out.append(f"{kw} {name} = {_pp_rhs_head(rhs)}")
-            body = rhs.body
-            if _is_simple(body):
-                out.append(" " + _pp_simple(body))
-            else:
-                out.append("\n" + " " * (ind + 4))
-                _pp_expr(body, ind + 4, out)
-        if _is_simple(e.body):
-            out.append(f"\n{pad}in {_pp_simple(e.body)}")
-        else:
-            out.append(f"\n{pad}in\n{pad}")
-            _pp_expr(e.body, ind, out)
+            _block(rhs.body, ind + 4, out, " ", "")
+        _block(e.body, ind, out, f"\n{pad}in ", f"\n{pad}in")
     elif isinstance(e, Case):
-        if _is_simple(e.scrutinee):
-            out.append(f"case {_pp_simple(e.scrutinee)} of {{")
-        else:
-            out.append("case\n" + " " * (ind + 4))
-            _pp_expr(e.scrutinee, ind + 4, out)
-            out.append(f"\n{pad}of {{")
+        _block(e.scrutinee, ind + 4, out, "case ", "case")
+        out.append(" of {" if _is_simple(e.scrutinee) else f"\n{pad}of {{")
         alt_pad = " " * (ind + 2)
         for pat, body in e.alts:
-            out.append(f"\n{alt_pad}{pat} -> ")
-            _pp_alt_body(body, ind + 2, out)
+            arrow = f"\n{alt_pad}{pat} -> "
+            _block(body, ind + 6, out, arrow, arrow)
             out.append(";")
         binder, dbody = e.default
-        out.append(f"\n{alt_pad}default {binder} -> ")
-        _pp_alt_body(dbody, ind + 2, out)
+        arrow = f"\n{alt_pad}default {binder} -> "
+        _block(dbody, ind + 6, out, arrow, arrow)
         out.append(f"\n{pad}}}")
     else:
         raise AssertionError(e)
-
-
-def _pp_alt_body(e: Expr, ind: int, out: list[str]) -> None:
-    if _is_simple(e):
-        out.append(_pp_simple(e))
-    else:
-        out.append("\n" + " " * (ind + 4))
-        _pp_expr(e, ind + 4, out)
 
 
 def print_program(p: Program) -> str:
@@ -612,17 +596,9 @@ def print_program(p: Program) -> str:
     out: list[str] = []
     for tb in p.top_binds:
         head = " ".join((tb.name,) + tb.params) + " ="
-        if _is_simple(tb.body):
-            out.append(f"{head} {_pp_simple(tb.body)};\n\n")
-        else:
-            out.append(head + "\n  ")
-            _pp_expr(tb.body, 2, out)
-            out.append(";\n\n")
-    if _is_simple(p.main):
-        out.append(f"main = {_pp_simple(p.main)}")
-    else:
-        out.append("main =\n  ")
-        _pp_expr(p.main, 2, out)
+        _block(tb.body, 2, out, head + " ", head)
+        out.append(";\n\n")
+    _block(p.main, 2, out, "main = ", "main =")
     out.append("\n")
     return "".join(out)
 
@@ -643,12 +619,16 @@ class ScopeError(Exception):
     pass
 
 
-def _fresh(base: str, used: set[str]) -> str:
-    """``base``, or if that is in ``used`` the first ``base_k`` (k = 1, 2, ...) not in it."""
-    name, k = base, 0
+def _fresh(base: str, used: set[str], last: dict[str, int]) -> str:
+    """``base``, or if that is in ``used`` the first ``base_k`` (k = 1, 2, ...)
+    not in it.  The probe resumes after ``last[base]``, the suffix of the
+    previous pick, which is exact as long as every pick joins ``used`` and
+    ``used`` only grows; so n picks for one base make O(n) probes."""
+    name, k = base, last.get(base, 0)
     while name in used:
         k += 1
         name = f"{base}_{k}"
+    last[base] = k
     return name
 
 
@@ -676,6 +656,7 @@ class _ScopeWalk:
         self.twice: list[str] = []
         self.seen: set[str] = set()  # binders as written
         self.used: set[str] = set()  # fresh names
+        self.last: dict[str, int] = {}  # base -> its last _fresh suffix
         self.renamed = 0  # binders and occurrences renamed so far
         self.env: dict[str, str | None] = {}  # name -> fresh name; None out of scope
         self.undo: list[tuple[str, str | None]] = []  # what each binding shadowed
@@ -698,7 +679,7 @@ class _ScopeWalk:
         self.seen.add(name)
         new = name
         if name in self.used:
-            new = _fresh(name, self.used)
+            new = _fresh(name, self.used, self.last)
             self.renamed += 1
         self.used.add(new)
         self.undo.append((name, self.env.get(name)))

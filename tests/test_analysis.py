@@ -1,5 +1,7 @@
 from liftlab.analysis import (
     cardinality,
+    closure_slot_fvs,
+    closure_slots,
     free_vars,
     occurrence_facts,
     split_groups,
@@ -19,6 +21,10 @@ from liftlab.syntax import (
     Var,
     parse,
 )
+
+
+def fs(*names):
+    return frozenset(names)
 
 
 def expr_of(src: str):
@@ -79,6 +85,17 @@ class TestFreeVars:
             for tb in p.top_binds:
                 assert free_vars(tb.body) == naive_free_vars(tb.body)
             assert free_vars(p.main) == naive_free_vars(p.main)
+
+
+class TestClosureSlots:
+    def test_self_and_top_level_names_take_no_slot(self):
+        assert closure_slots("f", fs("f", "x", "g"), fs("g", "h")) == {"x"}
+
+    def test_slot_fvs_reads_the_rhs_free_variables(self):
+        e = expr_of("let f = \\ a -> case +# a x of { default s -> f g s } in f 1")
+        name, rhs = e.group.binds[0]
+        assert closure_slot_fvs(name, rhs, fs("g")) == {"x"}
+        assert closure_slot_fvs(name, rhs, fs()) == {"g", "x"}
 
 
 class TestOccurrenceFacts:

@@ -181,6 +181,20 @@ class TestErrorsAndExitCodes:
         assert code == 0 and err == ""
         assert "agreement: yes" in out
 
+    def test_flat_forward_group_dumps_skeleton(self, tmp_path, capsys):
+        # Its split is a 1,000-let chain, so the skeleton nests as deep.
+        flat = tmp_path / "forward.stg"
+        flat.write_text(forward_group_text(1000))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = run_cli(capsys, "dump-skeleton", str(flat))
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 0 and err == ""
+        assert out.startswith("main: (seq nil (seq (seq (closure y) ")
+        assert out.count("(closure ") == 1000 and out.count("(scaled ") == 1000
+
     def test_non_utf8_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "latin1.stg"
         bad.write_bytes(b"main = \xff\n")

@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
+from liftlab import analysis, lifter, skeleton
 from liftlab.lifter import (
     LiftConfig,
     LiftError,
     expand,
     lift_program,
     liftable_sites,
+    plan_lifts,
     required_set,
 )
 from liftlab.machine import evaluate, value_key
@@ -271,6 +273,23 @@ class TestLiftProgram:
         assert ("k",) not in sites and ("walk",) in sites
         sites = liftable_sites(hand_programs["shared_thunk"])
         assert ("t",) not in sites and ("addT",) in sites
+
+    def test_plan_reads_one_free_var_table(self, hand_programs, monkeypatch):
+        # The skeletons' slot sets come from the one free-variable fold, read
+        # once per plan, wherever a module has imported it.
+        calls = []
+        real = analysis.free_var_table
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (analysis, skeleton, lifter):
+            monkeypatch.setattr(module, "free_var_table", counting, raising=False)
+        for name in ("growth_balanced", "callweb", "scc_chain"):
+            calls.clear()
+            plan_lifts(hand_programs[name])
+            assert len(calls) == 1, name
 
     def test_lifted_predictions_never_positive_by_default(self, corpus, hand_programs):
         for p in corpus[:300] + list(hand_programs.values()):

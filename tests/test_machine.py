@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from liftlab import lifter
+from liftlab.analysis import closure_slot_fvs
 from liftlab.lifter import lift_program, liftable_sites
 from liftlab.machine import (
     ArityMismatch,
@@ -26,6 +27,7 @@ from liftlab.syntax import (
     Thunk,
     Var,
     parse,
+    program_nodes,
 )
 
 from conftest import PROGRAMS_DIR, load_inline
@@ -286,6 +288,24 @@ class TestOracle:
             calls.clear()
             rows = enumerate_lift_subsets(hand_programs[name])
             assert len(rows) >= 4 and len(calls) == 1, name
+
+
+def test_charged_words_follow_closure_slots(corpus, hand_programs):
+    # The interpreter charges each closure 1 + its closure_slot_fvs, the
+    # slot sets the skeletons predict with, before lifting and after.
+    checked = 0
+    for p in [*corpus, *hand_programs.values()]:
+        for q in (p, lift_program(p)[0]):
+            stats = evaluate(q)[1].per_binder
+            tops = q.top_names()
+            for e in program_nodes(q):
+                if isinstance(e, Let):
+                    for name, rhs in e.group.binds:
+                        slots = closure_slot_fvs(name, rhs, tops)
+                        b = stats[name]
+                        assert b.words == b.allocations * (1 + len(slots)), name
+                        checked += b.allocations > 0
+    assert checked > 1000
 
 
 class TestPredictionSoundness:

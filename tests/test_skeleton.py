@@ -7,6 +7,7 @@ from liftlab.skeleton import (
     Alt,
     Closure,
     NIL,
+    Nil,
     Scaled,
     Seq,
     closure_growth,
@@ -75,9 +76,26 @@ class TestSkeletonize:
             == "(seq (seq (closure f) (scaled {0,*} nil)) nil)"
         )
 
+    def test_sexpr_matches_recursive_rendering(self, corpus, hand_programs):
+        def reference(skel):
+            if isinstance(skel, Nil):
+                return "nil"
+            if isinstance(skel, Closure):
+                return "(" + " ".join(["closure", *sorted(skel.fvs)]) + ")"
+            if isinstance(skel, Scaled):
+                return f"(scaled {skel.card} {reference(skel.inner)})"
+            tag = "seq" if isinstance(skel, Seq) else "alt"
+            return f"({tag} {reference(skel.left)} {reference(skel.right)})"
+
+        for p in [*corpus[:300], *hand_programs.values()]:
+            tops = p.top_names()
+            for root in [tb.body for tb in p.top_binds] + [p.main]:
+                skel = skeletonize(root, tops)
+                assert skeleton_sexpr(skel) == reference(skel)
+
     def test_slot_sets_match_closure_slot_fvs(self, corpus, hand_programs):
-        # skeleton_table computes free variables in its own loop; they must
-        # agree with free_var_table's, read through closure_slot_fvs.
+        # One table over all roots and one per expression agree, and each
+        # closure holds its right-hand side's closure_slot_fvs.
         for p in [*corpus, *hand_programs.values()]:
             roots = [tb.body for tb in p.top_binds] + [p.main]
             tops = p.top_names()

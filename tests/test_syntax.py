@@ -28,6 +28,7 @@ from liftlab.syntax import (
     Thunk,
     TopBind,
     Var,
+    _fresh,
     bound_names,
     freshen,
     parse,
@@ -354,6 +355,47 @@ class TestFreshen:
         q = freshen(p)
         assert p.main.group.recursive and not q.main.group.recursive
         assert parse(print_program(q)) == q
+
+
+class _CountingSet(set):
+    """A set that counts its membership probes."""
+
+    probes = 0
+
+    def __contains__(self, name):
+        self.probes += 1
+        return super().__contains__(name)
+
+
+class TestFreshNames:
+    def test_picks_resume_after_the_last_suffix(self):
+        used, last = _CountingSet({"y"}), {}
+        for k in range(1, 301):
+            assert _fresh("y", used, last) == f"y_{k}"
+            used.add(f"y_{k}")
+        assert used.probes <= 2 * 300
+
+    def test_resumed_picks_match_probing_from_one(self):
+        # Names taken in between, under the same base or another, are
+        # skipped exactly as a probe from ``base_1`` would skip them.
+        rng = random.Random(7)
+        used, last = {"y", "y_3", "y_4", "y_1_1"}, {}
+        for _ in range(200):
+            base = rng.choice(["y", "y_1", "z"])
+            if rng.random() < 0.3:
+                used.add(f"{base}_{rng.randint(1, 60)}")
+            expected, k = base, 0
+            while expected in used:
+                k += 1
+                expected = f"{base}_{k}"
+            assert _fresh(base, used, last) == expected
+            used.add(expected)
+
+    def test_freshen_numbers_many_rebindings_in_order(self):
+        lets = "".join(f"let x = thunk {k} in\n" for k in range(300))
+        p = freshen(parse(f"main =\n{lets}x\n"))
+        names = [n for e in program_nodes(p) if isinstance(e, Let) for n in e.group.binders()]
+        assert names == ["x"] + [f"x_{k}" for k in range(1, 300)]
 
 
 def _binds_twice_at_one_site(p: Program) -> bool:
