@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
-from .analysis import BinderFacts, scan_program
+from .analysis import BinderFacts, free_var_table, scan_program
 from .skeleton import GrowthValue, Seq, Skeleton, closure_growth, skeleton_table
 from .syntax import (
     App,
@@ -155,12 +155,12 @@ def decide(
     let: Let,
     rqs: frozenset[str],
     required: Mapping[str, frozenset[str]],
-    skels: dict[int, Skeleton],
-    facts: dict[str, BinderFacts],
+    plan: LiftPlan,
     cfg: LiftConfig,
     site: str,
 ) -> Decision:
     """Apply the rejection checks in order C5, C1, C4, C3, C2."""
+    facts = plan.facts
     group = let.group
     binders = group.binders()
     params = tuple(sorted(rqs))
@@ -193,14 +193,14 @@ def decide(
             return reject(KNOWN_CALLS, offending_var=offenders[0])
 
     limit = cfg.max_arity_nonrec
-    if cfg.max_arity_rec != limit and group.recursive:  # reading it walks the group
+    if cfg.max_arity_rec != limit and plan.recursive(group):
         limit = cfg.max_arity_rec
     for name, rhs in group.binds:
         new_arity = len(params) + len(rhs.params)
         if new_arity > limit:
             return reject(CALLING_CONVENTION, resulting_arity=new_arity)
 
-    predicted = predicted_growth(let, rqs, required, skels)
+    predicted = predicted_growth(let, rqs, required, plan.skels)
     if cfg.check_closure_growth and predicted > 0:
         return reject(CLOSURE_GROWTH, predicted_net_words=predicted)
 
@@ -241,20 +241,29 @@ class LiftPlan(NamedTuple):
     facts: dict[str, BinderFacts]
     used: frozenset[str]  # every binder and parameter name
     skels: dict[int, Skeleton]
+    free: dict[int, frozenset[str]]  # the roots' free_var_table
 
     def sites(self) -> list[tuple[str, ...]]:
         """The program's :func:`liftable_sites`."""
         return _liftable(self.nodes, self.facts)
 
+    def recursive(self, group: BindGroup) -> bool:
+        """:attr:`BindGroup.recursive` from the table, without a walk: a
+        binder is free in a right-hand side, since no name is bound twice."""
+        binders = group.binders()
+        return any(not self.free[id(rhs)].isdisjoint(binders) for _, rhs in group.binds)
+
 
 def plan_lifts(p: Program) -> LiftPlan:
     """Analyse ``p`` for lifting: one pre-order walk gives the nodes, the
-    occurrence facts and the used names, and one bottom-up loop over those
-    nodes gives the skeletons with their closure slot sets."""
+    occurrence facts and the used names, one bottom-up loop over those nodes
+    the free variables, and one more the skeletons with their closure slot
+    sets."""
     nodes, facts, used = scan_program(p)
     roots = [tb.body for tb in p.top_binds] + [p.main]
-    skels = skeleton_table(roots, p.top_names(), nodes)
-    return LiftPlan(p, roots, nodes, facts, frozenset(used), skels)
+    free = free_var_table(roots, nodes)
+    skels = skeleton_table(roots, p.top_names(), nodes, free)
+    return LiftPlan(p, roots, nodes, facts, frozenset(used), skels, free)
 
 
 def _rewrite_leaf(
@@ -337,7 +346,7 @@ def apply_lifts(
             rqs = required_set(group, required, skels)
             if force_sites is None:
                 site = "+".join(group.binders())
-                decision = decide(e, rqs, required, skels, plan.facts, cfg, site)
+                decision = decide(e, rqs, required, plan, cfg, site)
                 if decisions is not None:
                     decisions.append(decision)
                 lifted = decision.lifted

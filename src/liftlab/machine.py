@@ -20,6 +20,12 @@ binding, one code word plus one word per stored slot; integers are unboxed
 and top-level definitions allocate nothing.  The resulting word counts are
 the ground truth against which the lifter's closure-growth predictions are
 checked.
+
+Counting never keeps a closure alive, as in GHC's ticky-ticky profiling.
+Each let binder that runs gets one list of entry counts, one per
+allocation, and a fixed number of words per allocation (names are unique,
+so its slots never change).  A closure holds that list and its own index in
+it, so once the program drops the closure it is freed and its count stays.
 """
 
 from __future__ import annotations
@@ -75,30 +81,35 @@ class IntValue:
 
 class FunValue:
     """A code reference paired with the values of its slots; it is charged
-    ``1 + len(slots)`` words."""
+    ``1 + len(slots)`` words.  An entry adds one to ``counts[index]``, its
+    own place in its binder's entry counts."""
 
-    __slots__ = ("binder", "params", "body", "slots", "entries")
+    __slots__ = ("binder", "params", "body", "slots", "counts", "index")
 
-    def __init__(self, binder: str, params: tuple[str, ...], body: Expr):
+    def __init__(
+        self, binder: str, params: tuple[str, ...], body: Expr, counts: list[int], index: int
+    ):
         self.binder = binder
         self.params = params
         self.body = body
         self.slots: dict = {}
-        self.entries = 0
+        self.counts = counts
+        self.index = index
 
 
 class ThunkCell:
     """Updatable closure; memoised after the first entry, blackholed during
-    it, and charged ``1 + len(slots)`` words like a function."""
+    it, and charged and counted like a function."""
 
-    __slots__ = ("binder", "body", "slots", "value", "entries")
+    __slots__ = ("binder", "body", "slots", "value", "counts", "index")
 
-    def __init__(self, binder: str, body: Expr):
+    def __init__(self, binder: str, body: Expr, counts: list[int], index: int):
         self.binder = binder
         self.body = body
         self.slots: dict = {}
         self.value = None  # None: not entered yet; _BLACKHOLE: running
-        self.entries = 0
+        self.counts = counts
+        self.index = index
 
 
 _BLACKHOLE = object()
@@ -125,6 +136,9 @@ class BinderStats:
     entries: int
     words: int
     per_allocation_entries: tuple[int, ...]
+
+
+_NEVER_RAN = BinderStats(0, 0, 0, ())
 
 
 @dataclass
@@ -202,27 +216,22 @@ class _Machine:
         self.top_names = program.top_names()
         self.tops = _Tops()
         for tb in program.top_binds:
-            self.tops[tb.name] = FunValue(tb.name, tb.params, tb.body)
-        # Every closure allocated, by binder: the source of all word counts.
-        self.cells: dict[str, list] = {name: [] for name in _let_binders(program)}
+            self.tops[tb.name] = FunValue(tb.name, tb.params, tb.body, [0], 0)
+        # Counters, not closures, so a closure lives only while the program
+        # holds it: per let binder that ran, the entry count of each of its
+        # allocations and the words one allocation takes.
+        self.counters: dict[str, tuple[list[int], int]] = {}
         self.free_vars: dict[int, frozenset[str]] = {}
-        # id(let) -> per binding (name, rhs, slot names, allocation list)
+        # id(let) -> per binding (name, rhs, slot names, entry counts)
         self.plans: dict[int, list[tuple]] = {}
 
     def _stats(self, steps: int) -> AllocStats:
-        per_binder = {}
-        for name in sorted(self.cells.keys() | self.tops.keys()):
-            if name in self.tops:
-                per_binder[name] = BinderStats(0, self.tops[name].entries, 0, ())
-                continue
-            items = self.cells[name]
-            profile = tuple([c.entries for c in items])
-            per_binder[name] = BinderStats(
-                allocations=len(items),
-                entries=sum(profile),
-                words=sum([1 + len(c.slots) for c in items]),
-                per_allocation_entries=profile,
-            )
+        rows = dict.fromkeys(_let_binders(self.program), _NEVER_RAN)
+        for name, (counts, width) in self.counters.items():
+            rows[name] = BinderStats(len(counts), sum(counts), len(counts) * width, tuple(counts))
+        for name, fn in self.tops.items():
+            rows[name] = BinderStats(0, fn.counts[0], 0, ())
+        per_binder = {name: rows[name] for name in sorted(rows)}
         words = sum([b.words for b in per_binder.values()])
         closures = sum([b.allocations for b in per_binder.values()])
         return AllocStats(words, closures, steps, per_binder)
@@ -234,8 +243,11 @@ class _Machine:
             self.free_vars.update(free_var_table(rhss))
         plan = []
         for name, rhs in let.group.binds:
-            slots = closure_slots(name, self.free_vars[id(rhs)], self.top_names)
-            plan.append((name, rhs, tuple(sorted(slots)), self.cells[name]))
+            slots = tuple(sorted(closure_slots(name, self.free_vars[id(rhs)], self.top_names)))
+            # Names are unique, so every allocation for ``name`` stores
+            # the same slots.
+            counts = self.counters.setdefault(name, ([], 1 + len(slots)))[0]
+            plan.append((name, rhs, slots, counts))
         self.plans[id(let)] = plan
         return plan
 
@@ -244,21 +256,21 @@ class _Machine:
         members of a recursive group capture each other."""
         plan = self.plans.get(id(let)) or self._plan(let)
         cells = []
-        for name, rhs, _, _ in plan:
+        for name, rhs, _, counts in plan:
             if type(rhs) is Lambda:
-                cell = FunValue(name, rhs.params, rhs.body)
+                cell = FunValue(name, rhs.params, rhs.body, counts, len(counts))
             else:
-                cell = ThunkCell(name, rhs.body)
+                cell = ThunkCell(name, rhs.body, counts, len(counts))
+            counts.append(0)
             env[name] = cell
             cells.append(cell)
-        for cell, (_, _, names, allocated) in zip(cells, plan):
+        for cell, (_, _, names, _) in zip(cells, plan):
             slots = cell.slots
             for v in names:
                 try:
                     slots[v] = env[v]
                 except KeyError:
                     raise UnboundVariable(v) from None
-            allocated.append(cell)
 
     def _read(self, args, env: dict) -> list:
         """Argument values, unforced: literals as ints, variables looked up."""
@@ -284,7 +296,7 @@ class _Machine:
         env = dict(fn.slots)
         env[fn.binder] = fn
         env.update(zip(fn.params, vals))
-        fn.entries += 1
+        fn.counts[fn.index] += 1
         return fn.body, env
 
     def run(self) -> tuple[Value, AllocStats]:
@@ -325,7 +337,7 @@ class _Machine:
                                 else:
                                     x = env.get(a.name)
                                     call[prm] = tops[a.name] if x is None else x
-                            fn.entries += 1
+                            fn.counts[fn.index] += 1
                             expr = fn.body
                             env = call
                             continue
@@ -385,7 +397,7 @@ class _Machine:
                         if steps > fuel:
                             raise OutOfFuel(f"exceeded {fuel} steps")
                         cell.value = _BLACKHOLE
-                        cell.entries += 1
+                        cell.counts[cell.index] += 1
                         push((_UPDATE, cell, None))
                         env = dict(cell.slots)
                         env[cell.binder] = cell
@@ -399,7 +411,7 @@ class _Machine:
                     steps += 1
                     if steps > fuel:
                         raise OutOfFuel(f"exceeded {fuel} steps")
-                    v.entries += 1
+                    v.counts[v.index] += 1
                     env = {}
                     expr = v.body
                     break

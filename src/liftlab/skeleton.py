@@ -81,6 +81,7 @@ def skeleton_table(
     roots: list[Expr],
     top_names: frozenset[str],
     nodes: list[Expr] | None = None,
+    fvs: dict[int, frozenset[str]] | None = None,
 ) -> dict[int, Skeleton]:
     """The allocation skeleton of every node under ``roots``, keyed by ``id``.
 
@@ -90,12 +91,13 @@ def skeleton_table(
     region)`` with the :func:`closure_slots` of its :func:`free_var_table`
     entry; case sequences the scrutinee before the branch choice.  Built in
     one bottom-up loop without recursion; parents share children by
-    reference.  ``nodes`` is ``list(walk(*roots))``, for a caller that has
-    already walked.
+    reference.  ``nodes`` is ``list(walk(*roots))`` and ``fvs`` the
+    :func:`free_var_table` of the roots, for a caller that already has them.
     """
     if nodes is None:
         nodes = list(walk(*roots))
-    fvs = free_var_table(roots, nodes)
+    if fvs is None:
+        fvs = free_var_table(roots, nodes)
     table: dict[int, Skeleton] = {}
     for e in reversed(nodes):
         t = type(e)

@@ -140,6 +140,35 @@ class TestDecide:
         _, ds = lift_program(p, LiftConfig(max_arity_nonrec=1))
         assert decision_for(ds, "loop").lifted and decision_for(ds, "f").resulting_arity == 2
 
+    def test_plan_recursive_agrees_with_the_walk(self, corpus, hand_programs):
+        seen = set()
+        for p in [*corpus, *hand_programs.values()]:
+            plan = plan_lifts(p)
+            for e in plan.nodes:
+                if isinstance(e, Let):
+                    assert plan.recursive(e.group) == e.group.recursive
+                    seen.add(e.group.recursive)
+        assert seen == {True, False}
+
+    def test_differing_arity_limits_walk_no_group(self, monkeypatch):
+        # A right-hand-side nest: f{k}'s body defines f{k+1} and calls it.
+        # Walking each decided group's right-hand sides made C3 quadratic
+        # in the nesting; the plan's table answers without a walk.
+        n = 300
+        e = AtomExpr(Var(f"p{n}"))
+        for k in range(n, 0, -1):
+            rhs = Lambda(MULTI_SHOT, (f"p{k}",), e)
+            e = Let(BindGroup(((f"f{k}", rhs),)), App(f"f{k}", (Var(f"p{k - 1}"),)))
+        p = Program((), Case(AtomExpr(Lit(1)), (), ("p0", e)))
+
+        def walked(group):
+            raise AssertionError("BindGroup.recursive walked the group")
+
+        monkeypatch.setattr(BindGroup, "recursive", property(walked))
+        for cfg in (LiftConfig(max_arity_rec=6), LiftConfig(max_arity_nonrec=6)):
+            _, ds = lift_program(p, cfg)
+            assert len(ds) == n and all(d.lifted for d in ds)
+
     def test_closure_growth_rejected(self, hand_programs):
         _, ds = lift_program(hand_programs["growth_multishot"])
         d = decision_for(ds, "f")

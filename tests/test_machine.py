@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import sys
+import tracemalloc
 
 import pytest
 
@@ -119,6 +121,66 @@ class TestEvaluate:
         for p in corpus[:200]:
             _, stats = evaluate(p)
             assert stats.words_allocated >= stats.closures_allocated
+
+
+class TestCounters:
+    """Entry counts live per binder, so a closure lives only while the
+    program holds it, and its count outlives it."""
+
+    def test_dead_closures_are_freed(self):
+        # Each iteration's g is dead once the next iteration starts.
+        # Retaining every closure would cost ~300 bytes per closure.
+        p = countdown_at(20_000)
+        tracemalloc.start()
+        try:
+            _, stats = evaluate(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.closures_allocated == 20_000
+        assert peak < 40 * stats.closures_allocated
+
+    def test_dead_closures_still_count(self):
+        # countdown at N = 5 allocates one g per iteration, n = 5 … 1, and
+        # enters it for m = n % 2 down to 0: twice for odd n, once for even.
+        value, stats = evaluate(countdown_at(5))
+        assert render_value(value) == "3"
+        assert stats.per_binder["g"].per_allocation_entries == (2, 1, 2, 1, 2)
+        # tally at N = 5 allocates g once and enters it for m = 5 … 0; each
+        # entry with m >= 1 allocates an h, entered once, then dropped.
+        text = (PROGRAMS_DIR / "tally.stg").read_text().replace("g 1000", "g 5")
+        value, stats = evaluate(load_inline(text))
+        assert render_value(value) == "15"
+        assert stats.per_binder["g"].per_allocation_entries == (6,)
+        assert stats.per_binder["h"].per_allocation_entries == (1, 1, 1, 1, 1)
+        assert stats.per_binder["h"].words == 5 * 3  # code word, m and g
+
+    @pytest.mark.parametrize(
+        "run, raises",
+        [
+            (lambda ps: evaluate(ps["tally"]), None),
+            (lambda ps: enumerate_lift_subsets(ps["growth_balanced"]), None),
+            (lambda ps: evaluate(load_inline("main = let w = \\ x -> w x in w 1"), 1_000), OutOfFuel),
+            (lambda ps: evaluate(load_inline("main = let t = thunk t in t")), BlackholeLoop),
+            (lambda ps: enumerate_lift_subsets(ps["countdown"], fuel=1_000), OutOfFuel),
+        ],
+        ids=["evaluate", "oracle", "evaluate-out-of-fuel", "evaluate-blackhole", "oracle-out-of-fuel"],
+    )
+    def test_collector_and_limits_untouched(
+        self, run, raises, hand_programs, recursion_limit_unchanged
+    ):
+        # Freeing closures must not lean on switching the collector off or
+        # retuning it.  The fixture checks the recursion limit once more.
+        def settings():
+            return gc.isenabled(), gc.get_threshold(), sys.getrecursionlimit()
+
+        before = settings()
+        if raises is None:
+            run(hand_programs)
+        else:
+            with pytest.raises(raises):
+                run(hand_programs)
+        assert settings() == before
 
 
 class TestErrors:
