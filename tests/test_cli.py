@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,9 @@ class TestLiftCommand:
         assert wide["lifted"]
 
 
+DUMP_SKELETON_DIGEST = "e78f4eee5be78c3c4794a56a8b5693d3b4e3d0dd88dce86f6b1939f123167501"
+
+
 class TestDumpCommands:
     def test_dump_lifted_reparses(self, capsys):
         for name in ("countdown", "callweb", "mutual"):
@@ -114,6 +118,14 @@ class TestDumpCommands:
     def test_dump_skeleton_trivial(self, capsys):
         _, out, _ = run_cli(capsys, "dump-skeleton", prog("trivial"))
         assert out == "main: nil\n"
+
+    def test_dump_skeleton_output_pinned(self, capsys):
+        h = hashlib.sha256()
+        for path in sorted(PROGRAMS_DIR.glob("*.stg")):
+            code, out, _ = run_cli(capsys, "dump-skeleton", str(path))
+            assert code == 0
+            h.update(f"{path.name}\n{out}".encode())
+        assert h.hexdigest() == DUMP_SKELETON_DIGEST
 
 
 class TestOracleCommand:
