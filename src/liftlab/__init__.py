@@ -9,13 +9,7 @@ exact word counts check those predictions program by program.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    cardinality,
-    closure_slot_fvs,
-    free_vars,
-    occurrence_facts,
-    split_groups,
-)
+from .analysis import cardinality, split_groups
 from .lifter import (
     Decision,
     LiftConfig,
@@ -35,12 +29,7 @@ from .machine import (
     render_value,
     value_key,
 )
-from .skeleton import (
-    closure_growth,
-    closure_growth_direct,
-    skeleton_sexpr,
-    skeletonize,
-)
+from .skeleton import closure_growth, skeleton_sexpr
 from .syntax import (
     INF,
     Cardinality,

@@ -70,12 +70,6 @@ def _rhs_fvs(rhs: Rhs, table: dict[int, frozenset[str]]) -> None:
     table[id(rhs)] = fvs.difference(rhs.params) if isinstance(rhs, Lambda) else fvs
 
 
-def free_vars(node: Expr | Rhs) -> frozenset[str]:
-    """Variables occurring free in an expression or right-hand side; see
-    :func:`free_var_table`."""
-    return free_var_table([node])[id(node)]
-
-
 def closure_slots(
     binder: str, free: frozenset[str], top_names: frozenset[str]
 ) -> frozenset[str]:
@@ -84,13 +78,6 @@ def closure_slots(
     pointer and top-level names need no slot.  The skeletons' closures and
     the interpreter's charged words both follow this one rule."""
     return free - {binder} - top_names
-
-
-def closure_slot_fvs(
-    binder: str, rhs: Rhs, top_names: frozenset[str]
-) -> frozenset[str]:
-    """The :func:`closure_slots` of ``binder`` bound to ``rhs``."""
-    return closure_slots(binder, free_vars(rhs), top_names)
 
 
 def cardinality(rhs: Rhs) -> Cardinality:
@@ -111,21 +98,17 @@ class BinderFacts:
     is_known_function: bool
 
 
-def occurrence_facts(p: Program) -> dict[str, BinderFacts]:
-    """Per let-bound binder: argument occurrences and known-function shape.
+def scan_program(
+    p: Program,
+) -> tuple[list[Expr], dict[str, BinderFacts], set[str]]:
+    """One walk over ``p``: its :func:`program_nodes`, the
+    :class:`BinderFacts` of every let-bound binder, and the set of every
+    binder and parameter name.
 
     A binder occurs as an argument when it appears in a non-head atom
     position of an application or primop.  Case scrutinee variables count as
     head-position uses.
     """
-    return scan_program(p)[1]
-
-
-def scan_program(
-    p: Program,
-) -> tuple[list[Expr], dict[str, BinderFacts], set[str]]:
-    """One walk over ``p``: its :func:`program_nodes`, its
-    :func:`occurrence_facts`, and the set of its :func:`bound_names`."""
     nodes: list[Expr] = []
     known: dict[str, bool] = {}
     as_arg: set[str] = set()

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .analysis import split_groups
-from .lifter import Decision, LiftConfig, LiftError, lift_program
+from .lifter import CLOSURE_GROWTH, Decision, LiftConfig, LiftError, lift_program
 from .machine import (
     DEFAULT_FUEL,
     EvalError,
@@ -24,7 +24,7 @@ from .machine import (
     minimal_subset,
     render_value,
 )
-from .skeleton import skeleton_sexpr, skeletonize
+from .skeleton import skeleton_sexpr, skeleton_table
 from .syntax import (
     INF,
     ParseError,
@@ -105,12 +105,12 @@ def _stats_json(value, stats) -> dict:
 
 def _decision_text(d: Decision) -> str:
     rqs = "{" + ",".join(d.required_set) + "}"
+    predicted = f"predicted={_fmt_growth(d.predicted_net_words)}"
     if d.lifted:
-        note = "forced" if d.reason == "Forced" else f"predicted={_fmt_growth(d.predicted_net_words)}"
-        return f"  {d.site}: lifted required={rqs} {note}"
+        return f"  {d.site}: lifted required={rqs} {predicted}"
     bits = [f"  {d.site}: kept {d.reason}({d.criterion})"]
-    if d.reason == "ClosureGrowth":
-        bits.append(f"predicted={_fmt_growth(d.predicted_net_words)}")
+    if d.reason == CLOSURE_GROWTH:
+        bits.append(predicted)
     if d.offending_var is not None:
         bits.append(f"var={d.offending_var}")
     if d.resulting_arity is not None:
@@ -119,9 +119,8 @@ def _decision_text(d: Decision) -> str:
 
 
 def _fmt_growth(g) -> str:
-    if g is None:
-        return "-"
-    return "inf" if g == INF else str(int(g))
+    g = _growth_json(g)
+    return "-" if g is None else str(g)
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
@@ -177,10 +176,11 @@ def cmd_dump_lifted(args: argparse.Namespace) -> int:
 
 def cmd_dump_skeleton(args: argparse.Namespace) -> int:
     program = _load(args.file)
-    tops = program.top_names()
-    for tb in program.top_binds:
-        print(f"{tb.name}: {skeleton_sexpr(skeletonize(tb.body, tops))}")
-    print(f"main: {skeleton_sexpr(skeletonize(program.main, tops))}")
+    roots = [tb.body for tb in program.top_binds] + [program.main]
+    skels = skeleton_table(roots, program.top_names())
+    names = [tb.name for tb in program.top_binds] + ["main"]
+    for name, root in zip(names, roots):
+        print(f"{name}: {skeleton_sexpr(skels[id(root)])}")
     return 0
 
 

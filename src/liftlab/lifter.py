@@ -248,8 +248,9 @@ class LiftPlan(NamedTuple):
         return _liftable(self.nodes, self.facts)
 
     def recursive(self, group: BindGroup) -> bool:
-        """:attr:`BindGroup.recursive` from the table, without a walk: a
-        binder is free in a right-hand side, since no name is bound twice."""
+        """Whether a binder of ``group`` is free in one of its right-hand
+        sides, read from the table without a walk; exact since no name is
+        bound twice."""
         binders = group.binders()
         return any(not self.free[id(rhs)].isdisjoint(binders) for _, rhs in group.binds)
 

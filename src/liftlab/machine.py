@@ -148,10 +148,6 @@ class AllocStats:
     steps: int
     per_binder: dict[str, BinderStats]
 
-    def binder_words(self, name: str) -> int:
-        stats = self.per_binder.get(name)
-        return stats.words if stats else 0
-
 
 def _modulo(x: int, y: int) -> int:
     if y == 0:
@@ -404,7 +400,10 @@ class _Machine:
                         expr = cell.body
                         break
                     if v is _BLACKHOLE:
-                        raise BlackholeLoop(cell.binder)
+                        raise BlackholeLoop(
+                            f"thunk '{cell.binder}' was entered again while "
+                            "it was being evaluated"
+                        )
                 elif tv is FunValue and not v.params:
                     # Nullary top-level definition: entered on every
                     # reference, never memoised and never allocated.

@@ -12,9 +12,9 @@ removed variable.  Results live in the integers extended with infinity:
 positive growth in a region that may be entered arbitrarily often is
 infinite.
 
-``closure_growth_direct`` computes the same quantity by direct recursion
-over the expression tree; it exists as an independent cross-check for the
-skeleton route and both must agree exactly.
+The tests check ``closure_growth`` over these skeletons against a direct
+recursion over the expression tree, written independently in
+``tests/reference.py``; the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -22,19 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .analysis import cardinality, closure_slot_fvs, closure_slots, free_var_table
-from .syntax import (
-    App,
-    AtomExpr,
-    Cardinality,
-    Case,
-    Expr,
-    INF,
-    Lambda,
-    Let,
-    PrimApp,
-    walk,
-)
+from .analysis import cardinality, closure_slots, free_var_table
+from .syntax import Cardinality, Case, Expr, INF, Let, walk
 
 GrowthValue = int | float  # int, or INF
 
@@ -123,11 +112,6 @@ def skeleton_table(
     return table
 
 
-def skeletonize(e: Expr, top_names: frozenset[str]) -> Skeleton:
-    """The allocation skeleton of an expression; see :func:`skeleton_table`."""
-    return skeleton_table([e], top_names)[id(e)]
-
-
 def _scale(n: GrowthValue, card: Cardinality) -> GrowthValue:
     # Negative growth may only be counted as often as the region is surely
     # entered; positive growth as often as it possibly is.  A region that is
@@ -196,37 +180,6 @@ def _growth(
         elif t is not Nil:
             raise AssertionError(s)
     return values[0]
-
-
-def closure_growth_direct(
-    added: frozenset[str],
-    removed: frozenset[str],
-    e: Expr,
-    top_names: frozenset[str],
-) -> GrowthValue:
-    """Reference recursion over the expression tree; oracle for ``closure_growth``."""
-    if added & removed:
-        raise ValueError("added and removed variable sets overlap")
-    return _direct(added, removed, e, top_names)
-
-
-def _direct(added, removed, e, top_names) -> GrowthValue:
-    if isinstance(e, (AtomExpr, App, PrimApp)):
-        return 0
-    if isinstance(e, Let):
-        total: GrowthValue = 0
-        for name, rhs in e.group.binds:
-            fvs = closure_slot_fvs(name, rhs, top_names)
-            total += _closure_delta(fvs, added, removed)
-            total += _scale(
-                _direct(added, removed, rhs.body, top_names), cardinality(rhs)
-            )
-        return total + _direct(added, removed, e.body, top_names)
-    if isinstance(e, Case):
-        branches = [_direct(added, removed, body, top_names) for _, body in e.alts]
-        branches.append(_direct(added, removed, e.default[1], top_names))
-        return _direct(added, removed, e.scrutinee, top_names) + max(branches)
-    raise AssertionError(e)
 
 
 def skeleton_sexpr(skel: Skeleton) -> str:

@@ -19,9 +19,10 @@ Identifiers start with an alphabetic character or ``_`` and continue with
 alphanumerics or ``_``; integers are ``-?[0-9]+``; line comments start with
 ``--``.  Application arguments and case patterns are atoms; every lambda is
 the right-hand side of a binding.  A ``let ... and ...`` group is recursive
-when one of its binders occurs in one of its right-hand sides
-(:attr:`BindGroup.recursive`); the SCC pre-pass splits groups into their
-minimal components (see :mod:`liftlab.analysis`).
+when one of its binders occurs free in one of its right-hand sides (the
+lifter reads that from its free-variable table, in
+:meth:`~liftlab.lifter.LiftPlan.recursive`); the SCC pre-pass splits groups
+into their minimal components (see :mod:`liftlab.analysis`).
 """
 
 from __future__ import annotations
@@ -99,13 +100,6 @@ class BindGroup:
 
     def binders(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.binds)
-
-    @property
-    def recursive(self) -> bool:
-        """Whether a binder occurs in a right-hand side; exact once names are unique."""
-        names = set(self.binders())
-        bodies = [rhs.body for _, rhs in self.binds]
-        return any(not names.isdisjoint(occurrences(e)) for e in walk(*bodies))
 
 
 @dataclass(frozen=True)
@@ -236,32 +230,6 @@ def occurrences(e: Expr) -> tuple[str, ...]:
     if isinstance(e, PrimApp):
         return tuple([a.name for a in e.args if isinstance(a, Var)])
     return ()
-
-
-def bound_names(p: Program) -> list[str]:
-    """Every binder and parameter, each listed just before the expression it
-    scopes over: top-level names and params before their body, a let binder
-    and its params before its right-hand side, a default binder after the
-    scrutinee and alternatives."""
-    names: list[str] = []
-    stack: list[str | Expr] = [p.main]
-    for tb in reversed(p.top_binds):
-        stack += [tb.body, *reversed(tb.params), tb.name]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            names.append(item)
-        elif isinstance(item, Let):
-            stack.append(item.body)
-            for name, rhs in reversed(item.group.binds):
-                stack.append(rhs.body)
-                if isinstance(rhs, Lambda):
-                    stack += reversed(rhs.params)
-                stack.append(name)
-        elif isinstance(item, Case):
-            *before, dbody = subexprs(item)
-            stack += [dbody, item.default[0], *reversed(before)]
-    return names
 
 
 # ---------------------------------------------------------------------------

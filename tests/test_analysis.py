@@ -1,26 +1,23 @@
 from liftlab.analysis import (
     cardinality,
-    closure_slot_fvs,
     closure_slots,
-    free_vars,
-    occurrence_facts,
+    free_var_table,
+    scan_program,
     split_groups,
 )
 from liftlab.machine import evaluate, value_key
 from liftlab.syntax import (
-    App,
     AtomExpr,
-    Case,
     Cardinality,
     INF,
-    Lambda,
     Let,
     Lit,
-    PrimApp,
     Thunk,
-    Var,
     parse,
+    program_nodes,
 )
+
+from reference import free_vars, recursive
 
 
 def fs(*names):
@@ -31,60 +28,33 @@ def expr_of(src: str):
     return parse(f"main = {src}").main
 
 
-def naive_free_vars(node, bound=frozenset()):
-    """Occurrence walk with an explicit bound stack; test oracle."""
-    if isinstance(node, Lambda):
-        return naive_free_vars(node.body, bound | set(node.params))
-    if isinstance(node, Thunk):
-        return naive_free_vars(node.body, bound)
-    if isinstance(node, AtomExpr):
-        a = node.atom
-        return frozenset() if isinstance(a, Lit) or a.name in bound else {a.name}
-    if isinstance(node, App):
-        out = set() if node.head in bound else {node.head}
-        for a in node.args:
-            if isinstance(a, Var) and a.name not in bound:
-                out.add(a.name)
-        return frozenset(out)
-    if isinstance(node, PrimApp):
-        return frozenset(
-            a.name for a in node.args if isinstance(a, Var) and a.name not in bound
-        )
-    if isinstance(node, Let):
-        inner = bound | set(node.group.binders())
-        out = set(naive_free_vars(node.body, inner))
-        for _, rhs in node.group.binds:
-            out |= naive_free_vars(rhs, inner)
-        return frozenset(out)
-    if isinstance(node, Case):
-        out = set(naive_free_vars(node.scrutinee, bound))
-        for _, body in node.alts:
-            out |= naive_free_vars(body, bound)
-        dname, dbody = node.default
-        out |= naive_free_vars(dbody, bound | {dname})
-        return frozenset(out)
-    raise AssertionError(node)
+def table_entry(node):
+    return free_var_table([node])[id(node)]
 
 
 class TestFreeVars:
     def test_lambda_captures(self):
         e = expr_of("let f = \\ a b -> case +# x y of { default s -> +# a b } in f 1 2")
         _, rhs = e.group.binds[0]
-        assert free_vars(rhs) == {"x", "y"}
+        assert table_entry(rhs) == {"x", "y"}
 
     def test_literal(self):
-        assert free_vars(AtomExpr(Lit(42))) == frozenset()
+        assert table_entry(AtomExpr(Lit(42))) == frozenset()
 
     def test_let_removes_binder(self):
         e = expr_of("let h = \\ e -> f e e in h x")
-        assert free_vars(e) == {"f", "x"}
+        assert table_entry(e) == {"f", "x"}
 
     def test_agrees_with_naive_reference(self, corpus, hand_programs):
+        # Every node and right-hand side of one table over all roots.
         programs = corpus[:200] + list(hand_programs.values())
         for p in programs:
-            for tb in p.top_binds:
-                assert free_vars(tb.body) == naive_free_vars(tb.body)
-            assert free_vars(p.main) == naive_free_vars(p.main)
+            table = free_var_table([tb.body for tb in p.top_binds] + [p.main])
+            for e in program_nodes(p):
+                assert table[id(e)] == free_vars(e)
+                if isinstance(e, Let):
+                    for _, rhs in e.group.binds:
+                        assert table[id(rhs)] == free_vars(rhs)
 
 
 class TestClosureSlots:
@@ -94,8 +64,8 @@ class TestClosureSlots:
     def test_slot_fvs_reads_the_rhs_free_variables(self):
         e = expr_of("let f = \\ a -> case +# a x of { default s -> f g s } in f 1")
         name, rhs = e.group.binds[0]
-        assert closure_slot_fvs(name, rhs, fs("g")) == {"x"}
-        assert closure_slot_fvs(name, rhs, fs()) == {"g", "x"}
+        assert closure_slots(name, table_entry(rhs), fs("g")) == {"x"}
+        assert closure_slots(name, table_entry(rhs), fs()) == {"g", "x"}
 
 
 class TestOccurrenceFacts:
@@ -104,7 +74,7 @@ class TestOccurrenceFacts:
             "main = let x = thunk 1 in let f = \\ q -> q in "
             "let g = \\ a b c -> a in g 5 x f"
         )
-        facts = occurrence_facts(p)
+        facts = scan_program(p)[1]
         assert facts["f"].occurs_as_argument
         assert facts["f"].is_known_function
         assert facts["x"].occurs_as_argument
@@ -112,12 +82,12 @@ class TestOccurrenceFacts:
 
     def test_thunk_is_not_known_function(self):
         p = parse("main = let t = thunk 1 in t")
-        facts = occurrence_facts(p)
+        facts = scan_program(p)[1]
         assert not facts["t"].is_known_function
 
     def test_case_scrutinee_is_head_position(self):
         p = parse("main = let f = \\ a -> a in case f 1 of { default r -> r }")
-        assert not occurrence_facts(p)["f"].occurs_as_argument
+        assert not scan_program(p)[1]["f"].occurs_as_argument
 
 
 class TestSplitGroups:
@@ -125,16 +95,16 @@ class TestSplitGroups:
         p = parse("main = let g = \\ a -> a and h = \\ b -> b in g 1")
         sp = split_groups(p)
         outer = sp.main
-        assert isinstance(outer, Let) and not outer.group.recursive
+        assert isinstance(outer, Let) and not recursive(outer.group)
         assert outer.group.binders() == ("g",)
         inner = outer.body
-        assert isinstance(inner, Let) and not inner.group.recursive
+        assert isinstance(inner, Let) and not recursive(inner.group)
         assert inner.group.binders() == ("h",)
 
     def test_self_recursive_singleton(self):
         p = parse("main = let f = \\ a -> f a in f 1")
         sp = split_groups(p)
-        assert sp.main.group.recursive
+        assert recursive(sp.main.group)
         assert sp.main.group.binders() == ("f",)
 
     def test_chain_dependency_outermost(self, hand_programs):
@@ -143,14 +113,14 @@ class TestSplitGroups:
         e = p.main
         while isinstance(e, Let):
             order.append(e.group.binders())
-            assert not e.group.recursive
+            assert not recursive(e.group)
             e = e.body
         assert order == [("add1",), ("add2",), ("add3",)]
 
     def test_mutual_group_stays_together(self, hand_programs):
         p = hand_programs["mutual"]
         assert p.main.group.binders() == ("even", "odd")
-        assert p.main.group.recursive
+        assert recursive(p.main.group)
 
     def test_fixpoint(self, corpus, hand_programs):
         for p in corpus[:200] + list(hand_programs.values()):

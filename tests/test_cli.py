@@ -234,6 +234,14 @@ class TestErrorsAndExitCodes:
         assert err.startswith("liftlab: error: ") and err.count("\n") == 1
         assert "'f' is bound twice" in err
 
+    def test_blackhole_names_the_thunk(self, tmp_path, capsys):
+        loop = tmp_path / "blackhole.stg"
+        loop.write_text("main = let t = thunk t in t\n")
+        code, out, err = run_cli(capsys, "lift", str(loop), "--eval")
+        assert code == 1 and out == ""
+        assert err.startswith("liftlab: error: ") and err.count("\n") == 1
+        assert "thunk 't' was entered again while it was being evaluated" in err
+
     def test_eval_error_exit_1(self, capsys):
         code, _, err = run_cli(
             capsys, "lift", prog("countdown"), "--eval", "--fuel", "10"

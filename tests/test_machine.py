@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from liftlab import lifter
-from liftlab.analysis import closure_slot_fvs
 from liftlab.lifter import lift_program, liftable_sites
 from liftlab.machine import (
     ArityMismatch,
@@ -33,6 +32,7 @@ from liftlab.syntax import (
 )
 
 from conftest import PROGRAMS_DIR, load_inline
+from reference import closure_slot_fvs
 
 
 def countdown_at(n: int):
@@ -353,8 +353,8 @@ class TestOracle:
 
 
 def test_charged_words_follow_closure_slots(corpus, hand_programs):
-    # The interpreter charges each closure 1 + its closure_slot_fvs, the
-    # slot sets the skeletons predict with, before lifting and after.
+    # The interpreter charges each closure 1 + the reference's slot set for
+    # its right-hand side, before lifting and after.
     checked = 0
     for p in [*corpus, *hand_programs.values()]:
         for q in (p, lift_program(p)[0]):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from liftlab.analysis import closure_slot_fvs
 from liftlab.skeleton import (
     Alt,
     Closure,
@@ -11,22 +10,20 @@ from liftlab.skeleton import (
     Scaled,
     Seq,
     closure_growth,
-    closure_growth_direct,
     skeleton_sexpr,
     skeleton_table,
-    skeletonize,
 )
 from liftlab.syntax import (
     Cardinality,
     INF,
     MULTI_SHOT,
     Let,
-    bound_names,
     parse,
     program_nodes,
 )
 
 from progen import random_disjoint_sets
+from reference import bound_names, closure_slot_fvs, direct_growth
 
 
 def expr_of(src: str):
@@ -37,9 +34,13 @@ def fs(*names):
     return frozenset(names)
 
 
+def skeleton_of(e, top_names):
+    return skeleton_table([e], top_names)[id(e)]
+
+
 class TestSkeletonize:
     def test_application_is_nil(self):
-        assert skeletonize(expr_of("f x y"), fs()) == NIL
+        assert skeleton_of(expr_of("f x y"), fs()) == NIL
 
     def test_single_let_shape(self):
         e = expr_of("let g = \\ d -> f d d in g 5")
@@ -47,13 +48,13 @@ class TestSkeletonize:
             Seq(Closure(fs("f")), Scaled(MULTI_SHOT, NIL)),
             NIL,
         )
-        assert skeletonize(e, fs()) == expected
+        assert skeleton_of(e, fs()) == expected
 
     def test_case_branches_alt_chained_after_scrutinee(self):
         e = expr_of(
             "case x of { 0 -> let a = thunk 1 in a; 1 -> y; default d -> let b = thunk d in b }"
         )
-        skel = skeletonize(e, fs())
+        skel = skeleton_of(e, fs())
         assert isinstance(skel, Seq)
         assert skel.left == NIL  # scrutinee first
         choice = skel.right
@@ -61,18 +62,18 @@ class TestSkeletonize:
 
     def test_top_level_names_excluded_from_closures(self):
         p = parse("h q = q;\nmain = let g = \\ d -> h d in g 1")
-        skel = skeletonize(p.main, p.top_names())
+        skel = skeleton_of(p.main, p.top_names())
         assert skel == Seq(Seq(Closure(fs()), Scaled(MULTI_SHOT, NIL)), NIL)
 
     def test_binder_params_not_captured(self):
         e = expr_of("let g = \\ d -> case d of { default q -> +# q x } in g 1")
-        skel = skeletonize(e, fs())
+        skel = skeleton_of(e, fs())
         assert skel.left.left == Closure(fs("x"))
 
     def test_sexpr_rendering(self):
         e = expr_of("let g = \\ d -> f d d in g 5")
         assert (
-            skeleton_sexpr(skeletonize(e, fs()))
+            skeleton_sexpr(skeleton_of(e, fs()))
             == "(seq (seq (closure f) (scaled {0,*} nil)) nil)"
         )
 
@@ -90,12 +91,13 @@ class TestSkeletonize:
         for p in [*corpus[:300], *hand_programs.values()]:
             tops = p.top_names()
             for root in [tb.body for tb in p.top_binds] + [p.main]:
-                skel = skeletonize(root, tops)
+                skel = skeleton_of(root, tops)
                 assert skeleton_sexpr(skel) == reference(skel)
 
     def test_slot_sets_match_closure_slot_fvs(self, corpus, hand_programs):
-        # One table over all roots and one per expression agree, and each
-        # closure holds its right-hand side's closure_slot_fvs.
+        # A table over nodes walked by the caller and one that walks them
+        # agree, and each closure holds the reference's slot set for its
+        # right-hand side.
         for p in [*corpus, *hand_programs.values()]:
             roots = [tb.body for tb in p.top_binds] + [p.main]
             tops = p.top_names()
@@ -152,30 +154,28 @@ class TestClosureGrowth:
     def test_overlap_is_a_contract_error(self):
         with pytest.raises(ValueError):
             closure_growth(fs("a"), fs("a"), NIL)
-        with pytest.raises(ValueError):
-            closure_growth_direct(fs("a"), fs("a"), expr_of("x"), fs())
 
 
 class TestDirectRecursion:
     def test_variable_and_application_are_zero(self):
-        assert closure_growth_direct(fs("a"), fs("b"), expr_of("x"), fs()) == 0
-        assert closure_growth_direct(fs("a"), fs("b"), expr_of("f x y"), fs()) == 0
+        assert direct_growth(fs("a"), fs("b"), expr_of("x"), fs()) == 0
+        assert direct_growth(fs("a"), fs("b"), expr_of("f x y"), fs()) == 0
 
     def test_nothing_removed_means_zero(self, corpus):
         for p in corpus[:100]:
             tops = p.top_names()
-            assert closure_growth_direct(fs("q_new"), fs(), p.main, tops) == 0
-            assert closure_growth(fs("q_new"), fs(), skeletonize(p.main, tops)) == 0
+            assert direct_growth(fs("q_new"), fs(), p.main, tops) == 0
+            assert closure_growth(fs("q_new"), fs(), skeleton_of(p.main, tops)) == 0
 
     def test_matches_skeleton_route(self, corpus):
         rng = random.Random(7)
         for p in corpus[:150]:
             tops = p.top_names()
             pool = bound_names(p)
-            skel = skeletonize(p.main, tops)
+            skel = skeleton_of(p.main, tops)
             for _ in range(10):
                 added, removed = random_disjoint_sets(rng, pool)
-                assert closure_growth(added, removed, skel) == closure_growth_direct(
+                assert closure_growth(added, removed, skel) == direct_growth(
                     added, removed, p.main, tops
                 )
 
@@ -185,7 +185,7 @@ class TestGrowthProperties:
         rng = random.Random(11)
         for p in corpus[:150]:
             tops = p.top_names()
-            skel = skeletonize(p.main, tops)
+            skel = skeleton_of(p.main, tops)
             pool = bound_names(p)
             removed = frozenset(rng.sample(pool, k=min(3, len(pool))))
             assert closure_growth(fs(), removed, skel) <= 0
@@ -194,7 +194,7 @@ class TestGrowthProperties:
         rng = random.Random(13)
         for p in corpus[:150]:
             tops = p.top_names()
-            skel = skeletonize(p.main, tops)
+            skel = skeleton_of(p.main, tops)
             pool = bound_names(p)
             added, removed = random_disjoint_sets(rng, pool)
             wider = added | fs("q_more1", "q_more2")

@@ -29,7 +29,6 @@ from liftlab.syntax import (
     TopBind,
     Var,
     _fresh,
-    bound_names,
     freshen,
     parse,
     print_program,
@@ -38,6 +37,7 @@ from liftlab.syntax import (
 )
 
 from conftest import PROGRAMS_DIR
+from reference import bound_names, recursive
 
 
 class TestParse:
@@ -79,9 +79,9 @@ class TestParse:
     def test_top_binds_and_recursive_flag(self):
         p = parse("id x = x;\nmain = let f = \\ a -> f a in f 1")
         assert p.top_binds[0].name == "id"
-        assert p.main.group.recursive
+        assert recursive(p.main.group)
         q = parse("main = let f = \\ a -> a in f 1")
-        assert not q.main.group.recursive
+        assert not recursive(q.main.group)
 
     def test_case_with_alts(self):
         p = parse("main = case 1 of { 0 -> 10; 1 -> 11; default z -> z }")
@@ -349,11 +349,13 @@ class TestFreshen:
         assert freshen(q) is q
 
     def test_shadowed_binder_is_not_a_recursive_reference(self):
-        # The inner ``f`` shadows the outer one, so the outer group only
-        # looks recursive until freshen renames the inner binder.
+        # The inner ``f`` shadows the outer one, so the outer group's
+        # right-hand side does not refer to itself, and freshen renames the
+        # inner binder without making it do so.
         p = parse("main = let f = \\ a -> let f = \\ b -> b in f a in f 1")
         q = freshen(p)
-        assert p.main.group.recursive and not q.main.group.recursive
+        assert q.main.group.binds[0][1].body.group.binders() == ("f_1",)
+        assert not recursive(p.main.group) and not recursive(q.main.group)
         assert parse(print_program(q)) == q
 
 

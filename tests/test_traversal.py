@@ -9,10 +9,10 @@ import sys
 
 import pytest
 
-from liftlab.analysis import free_vars, scan_program, split_groups
+from liftlab.analysis import free_var_table, scan_program, split_groups
 from liftlab.lifter import lift_program, liftable_sites
 from liftlab.machine import evaluate, render_value
-from liftlab.skeleton import NIL, Seq, closure_growth, closure_growth_direct, skeletonize
+from liftlab.skeleton import NIL, Seq, closure_growth, skeleton_table
 from liftlab.syntax import (
     MULTI_SHOT,
     App,
@@ -26,7 +26,6 @@ from liftlab.syntax import (
     Program,
     Thunk,
     Var,
-    bound_names,
     freshen,
     map_subexprs,
     occurrences,
@@ -38,6 +37,7 @@ from liftlab.syntax import (
 )
 
 from conftest import forward_group_text
+from reference import bound_names, direct_growth, recursive
 
 
 def _preorder(e):
@@ -156,8 +156,8 @@ def test_tables_need_no_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        fvs = free_vars(e)
-        skel = skeletonize(e, frozenset())
+        fvs = free_var_table([e])[id(e)]
+        skel = skeleton_table([e], frozenset())[id(e)]
     finally:
         sys.setrecursionlimit(old)
     assert fvs == {"y", "z"}
@@ -207,7 +207,7 @@ def test_split_groups_needs_no_recursion():
         sys.setrecursionlimit(old)
     e, names = q.main.default[1], []
     while isinstance(e, Let):
-        assert len(e.group.binds) == 1 and not e.group.recursive
+        assert len(e.group.binds) == 1 and not recursive(e.group)
         names.append(e.group.binders()[0])
         e = e.body
     assert names == [f"g{k}" for k in range(n, 0, -1)]
@@ -247,12 +247,12 @@ def test_growth_needs_no_recursion():
     # The explicit stack gives exactly what the reference recursion gives:
     # adding one more variable grows each of the 1,000 f closures by a word.
     let = p.main.default[1]
-    skel = skeletonize(let, frozenset())
+    skel = skeleton_table([let], frozenset())[id(let)]
     added, removed = frozenset({"y", "q"}), frozenset({"g"})
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(20000)
     try:
-        direct = closure_growth_direct(added, removed, let, frozenset())
+        direct = direct_growth(added, removed, let, frozenset())
     finally:
         sys.setrecursionlimit(old)
     assert closure_growth(added, removed, skel) == direct == 1000
