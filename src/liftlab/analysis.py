@@ -1,10 +1,12 @@
-"""Free-variable, occurrence, and binding-group analyses."""
+"""Free-variable, occurrence, and binding-group analyses; free variables
+are kept per right-hand side and need globally unique names."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .syntax import (
+    App,
     AtomExpr,
     BindGroup,
     Cardinality,
@@ -12,6 +14,7 @@ from .syntax import (
     Expr,
     Lambda,
     Let,
+    PrimApp,
     Program,
     Rhs,
     THUNK_CARD,
@@ -19,55 +22,64 @@ from .syntax import (
     TopBind,
     Var,
     map_subexprs,
-    occurrences,
     program_nodes,
+    subexprs,
     walk,
 )
 
 
-def free_var_table(
-    roots: list[Expr | Rhs], nodes: list[Expr] | None = None
-) -> dict[int, frozenset[str]]:
-    """Free variables of every node and right-hand side under ``roots``,
-    keyed by ``id``; built bottom-up over ``nodes``, the :func:`walk` of the
-    roots (of a right-hand side, its body), without recursion.
+def free_var_table(roots: list[Expr | Rhs]) -> dict[int, frozenset[str]]:
+    """Free variables of every right-hand side under ``roots``, and of each
+    root that is one, keyed by ``id``; callers read no other entry.
 
-    Group binders are treated as bound in all right-hand sides of their let.
-    Top-level names are *not* filtered here; callers that need closure
-    contents use :func:`closure_slots`.
+    Names must be globally unique, as :func:`~liftlab.syntax.freshen`
+    makes them and :func:`~liftlab.syntax.validate` checks, so a right-hand
+    side's free variables are the names it mentions less its parameters and
+    the binders inside it: one walk without recursion collects those two
+    sets per open right-hand side.  Group binders count as free in their
+    own right-hand sides.  Top-level names are *not* filtered here; callers
+    that need closure contents use :func:`closure_slots`.
     """
     table: dict[int, frozenset[str]] = {}
-    if nodes is None:
-        nodes = list(walk(*[r.body if isinstance(r, (Lambda, Thunk)) else r for r in roots]))
-    for e in reversed(nodes):
+    mentioned: set[str] = set()  # names occurring in the open right-hand side
+    bound: set[str] = set()  # binders inside it
+    outer: list[tuple] = []  # per enclosing open one: (rhs, mentioned, bound)
+    stack: list = list(roots)  # nodes, right-hand sides and None, which closes one
+    while stack:
+        e = stack.pop()
         t = type(e)
-        if t is Let:
-            fvs = table[id(e.body)]
-            for _, rhs in e.group.binds:
-                rhs_fvs = table[id(rhs.body)]
-                if type(rhs) is Lambda:
-                    rhs_fvs = rhs_fvs.difference(rhs.params)
-                table[id(rhs)] = rhs_fvs
-                fvs = fvs | rhs_fvs
-            table[id(e)] = fvs.difference(e.group.binders())
+        if t is AtomExpr:
+            if type(e.atom) is Var:
+                mentioned.add(e.atom.name)
+        elif t is App or t is PrimApp:
+            if t is App:
+                mentioned.add(e.head)
+            for a in e.args:
+                if type(a) is Var:
+                    mentioned.add(a.name)
+        elif t is Let:
+            stack.append(e.body)
+            for name, rhs in e.group.binds:
+                bound.add(name)
+                stack.append(rhs)
         elif t is Case:
-            fvs = table[id(e.scrutinee)]
-            for _, body in e.alts:
-                fvs = fvs | table[id(body)]
-            dname, dbody = e.default
-            table[id(e)] = fvs | table[id(dbody)].difference((dname,))
-        else:
-            table[id(e)] = frozenset(occurrences(e))
-    for r in roots:
-        if isinstance(r, (Lambda, Thunk)):
-            _rhs_fvs(r, table)
+            bound.add(e.default[0])
+            stack.append(e.scrutinee)
+            stack.extend([body for _, body in e.alts])
+            stack.append(e.default[1])
+        elif e is None:
+            rhs, enclosing, enclosing_bound = outer.pop()
+            mentioned -= bound
+            if type(rhs) is Lambda:
+                mentioned.difference_update(rhs.params)
+            table[id(rhs)] = fvs = frozenset(mentioned)
+            mentioned, bound = enclosing, enclosing_bound
+            mentioned |= fvs
+        else:  # a right-hand side opens
+            outer.append((e, mentioned, bound))
+            mentioned, bound = set(), set()
+            stack += (None, e.body)
     return table
-
-
-def _rhs_fvs(rhs: Rhs, table: dict[int, frozenset[str]]) -> None:
-    # A right-hand-side root's entry; the loop fills those under a let.
-    fvs = table[id(rhs.body)]
-    table[id(rhs)] = fvs.difference(rhs.params) if isinstance(rhs, Lambda) else fvs
 
 
 def closure_slots(
@@ -184,26 +196,46 @@ def split_groups(p: Program) -> Program:
     """Decompose every let group into minimal strongly connected components.
 
     Components are emitted as nested lets, dependencies outermost.
-    Semantics and allocation totals are preserved.  One bottom-up loop over
-    the program's nodes, with one :func:`free_var_table`, and no recursion.
+    Semantics and allocation totals are preserved.  Tarjan runs only on
+    groups of two or more members, over one :func:`free_var_table`, so
+    names must be globally unique.  One bottom-up loop without recursion
+    rebuilds what holds a split and shares every other subtree; with no
+    split, the result is ``p`` itself.
     """
     roots = [tb.body for tb in p.top_binds] + [p.main]
     nodes = list(walk(*roots))
-    if all(len(e.group.binds) < 2 for e in nodes if type(e) is Let):
+    wide = [e for e in nodes if type(e) is Let and len(e.group.binds) > 1]
+    fvs = free_var_table(roots) if wide else {}
+    splits: dict[int, list[list[int]]] = {}
+    for e in wide:
+        comps = _scc_components(e.group.binders(), [fvs[id(rhs)] for _, rhs in e.group.binds])
+        if len(comps) > 1:
+            splits[id(e)] = comps
+    if not splits:
         return p  # every group is its only component
-    fvs = free_var_table(roots, nodes)
     # Over the nodes reversed, children come before their parent, the first
     # child last, so they pop off ``results`` in child order.
     results: list[Expr] = []
     for e in reversed(nodes):
-        new = map_subexprs(e, lambda _: results.pop())
-        if type(e) is Let:
-            rhs_fvs = [fvs[id(rhs)] for _, rhs in e.group.binds]
-            binds, new = new.group.binds, new.body
-            # Tarjan pops dependencies first; wrap in reverse so they end up
-            # outermost and stay in scope for their dependents.
-            for comp in reversed(_scc_components(e.group.binders(), rhs_fvs)):
-                new = Let(BindGroup(tuple([binds[i] for i in comp])), new)
-        results.append(new)
-    tops = tuple([TopBind(tb.name, tb.params, results.pop()) for tb in p.top_binds])
-    return Program(tops, results.pop())
+        t = type(e)
+        if t is Let or t is Case:
+            kids = subexprs(e)
+            new_kids = [results.pop() for _ in kids]
+            comps = splits.get(id(e))
+            if comps is None and all(a is b for a, b in zip(new_kids, kids)):
+                results.append(e)
+                continue
+            it = iter(new_kids)
+            e = map_subexprs(e, lambda _: next(it))
+            if comps is not None:
+                binds, e = e.group.binds, e.body
+                # Tarjan pops dependencies first; wrap in reverse so they
+                # end up outermost and stay in scope for their dependents.
+                for comp in reversed(comps):
+                    e = Let(BindGroup(tuple([binds[i] for i in comp])), e)
+        results.append(e)
+    tops = [
+        tb if tb.body is body else TopBind(tb.name, tb.params, body)
+        for tb, body in zip(p.top_binds, reversed(results))
+    ]
+    return Program(tuple(tops), results[0])

@@ -241,7 +241,7 @@ class LiftPlan(NamedTuple):
     facts: dict[str, BinderFacts]
     used: frozenset[str]  # every binder and parameter name
     skels: dict[int, Skeleton]
-    free: dict[int, frozenset[str]]  # the roots' free_var_table
+    free: dict[int, frozenset[str]]  # free_var_table: per right-hand side
 
     def sites(self) -> list[tuple[str, ...]]:
         """The program's :func:`liftable_sites`."""
@@ -257,12 +257,12 @@ class LiftPlan(NamedTuple):
 
 def plan_lifts(p: Program) -> LiftPlan:
     """Analyse ``p`` for lifting: one pre-order walk gives the nodes, the
-    occurrence facts and the used names, one bottom-up loop over those nodes
-    the free variables, and one more the skeletons with their closure slot
-    sets."""
+    occurrence facts and the used names, one more the free variables of
+    each right-hand side, and one bottom-up loop over the nodes the
+    skeletons with their closure slot sets."""
     nodes, facts, used = scan_program(p)
     roots = [tb.body for tb in p.top_binds] + [p.main]
-    free = free_var_table(roots, nodes)
+    free = free_var_table(roots)
     skels = skeleton_table(roots, p.top_names(), nodes, free)
     return LiftPlan(p, roots, nodes, facts, frozenset(used), skels, free)
 

@@ -222,19 +222,24 @@ class _Machine:
         self.plans: dict[int, list[tuple]] = {}
 
     def _stats(self, steps: int) -> AllocStats:
-        rows = dict.fromkeys(_let_binders(self.program), _NEVER_RAN)
+        names = sorted([*_let_binders(self.program), *self.tops])
+        per_binder = dict.fromkeys(names, _NEVER_RAN)
+        words = closures = 0
         for name, (counts, width) in self.counters.items():
-            rows[name] = BinderStats(len(counts), sum(counts), len(counts) * width, tuple(counts))
+            n = len(counts)
+            per_binder[name] = BinderStats(n, sum(counts), n * width, tuple(counts))
+            words += n * width
+            closures += n
         for name, fn in self.tops.items():
-            rows[name] = BinderStats(0, fn.counts[0], 0, ())
-        per_binder = {name: rows[name] for name in sorted(rows)}
-        words = sum([b.words for b in per_binder.values()])
-        closures = sum([b.allocations for b in per_binder.values()])
+            if fn.counts[0]:
+                per_binder[name] = BinderStats(0, fn.counts[0], 0, ())
         return AllocStats(words, closures, steps, per_binder)
 
     def _plan(self, let: Let) -> list[tuple]:
+        """Per binding: name, right-hand side, slot names, entry counts.  One
+        :func:`free_var_table` per outermost group that runs covers those
+        nested in it; most of a program never runs, so none is made ahead."""
         rhss = [rhs for _, rhs in let.group.binds]
-        # One table per outermost group: nested right-hand sides come along.
         if rhss and id(rhss[0]) not in self.free_vars:
             self.free_vars.update(free_var_table(rhss))
         plan = []

@@ -3,9 +3,10 @@
 A skeleton abstracts an expression down to what matters for allocation:
 which closures exist, each with the variables it stores (the
 :func:`~liftlab.analysis.closure_slots` of its right-hand side's
-:func:`~liftlab.analysis.free_var_table` entry, the rule the interpreter
-charges by), how regions are sequenced or branch against each other, and
-how often right-hand-side regions are entered per allocation.
+:func:`~liftlab.analysis.free_var_table` entry, one per right-hand side:
+the rule the interpreter charges by), how regions are sequenced or branch
+against each other, and how often right-hand-side regions are entered per
+allocation.
 ``closure_growth`` evaluates the net heap effect, in words, of adding one
 variable set to and removing another from every closure that mentions a
 removed variable.  Results live in the integers extended with infinity:
@@ -80,13 +81,14 @@ def skeleton_table(
     region)`` with the :func:`closure_slots` of its :func:`free_var_table`
     entry; case sequences the scrutinee before the branch choice.  Built in
     one bottom-up loop without recursion; parents share children by
-    reference.  ``nodes`` is ``list(walk(*roots))`` and ``fvs`` the
-    :func:`free_var_table` of the roots, for a caller that already has them.
+    reference.  Names must be globally unique: ``fvs``, the roots'
+    :func:`free_var_table`, is read per right-hand side.  ``nodes`` is
+    ``list(walk(*roots))``; pass both when already at hand.
     """
     if nodes is None:
         nodes = list(walk(*roots))
     if fvs is None:
-        fvs = free_var_table(roots, nodes)
+        fvs = free_var_table(roots)
     table: dict[int, Skeleton] = {}
     for e in reversed(nodes):
         t = type(e)

@@ -5,6 +5,7 @@ from liftlab.analysis import (
     scan_program,
     split_groups,
 )
+from liftlab.lifter import lift_program
 from liftlab.machine import evaluate, value_key
 from liftlab.syntax import (
     AtomExpr,
@@ -39,22 +40,28 @@ class TestFreeVars:
         assert table_entry(rhs) == {"x", "y"}
 
     def test_literal(self):
-        assert table_entry(AtomExpr(Lit(42))) == frozenset()
+        # The table keeps right-hand sides only, so the literal sits in one.
+        assert table_entry(Thunk(AtomExpr(Lit(42)))) == frozenset()
 
     def test_let_removes_binder(self):
-        e = expr_of("let h = \\ e -> f e e in h x")
-        assert table_entry(e) == {"f", "x"}
+        rhs = Thunk(expr_of("let h = \\ e -> f e e in h x"))
+        assert table_entry(rhs) == {"f", "x"}
 
     def test_agrees_with_naive_reference(self, corpus, hand_programs):
-        # Every node and right-hand side of one table over all roots.
-        programs = corpus[:200] + list(hand_programs.values())
-        for p in programs:
-            table = free_var_table([tb.body for tb in p.top_binds] + [p.main])
-            for e in program_nodes(p):
-                assert table[id(e)] == free_vars(e)
-                if isinstance(e, Let):
-                    for _, rhs in e.group.binds:
-                        assert table[id(rhs)] == free_vars(rhs)
+        # Every right-hand side of one table over all roots, of each input
+        # and of its lifted output, which the interpreter folds too; and
+        # the table holds nothing else.
+        checked = 0
+        for p in [*corpus, *hand_programs.values()]:
+            for q in (p, lift_program(p)[0]):
+                table = free_var_table([tb.body for tb in q.top_binds] + [q.main])
+                lets = [e for e in program_nodes(q) if isinstance(e, Let)]
+                rhss = [rhs for e in lets for _, rhs in e.group.binds]
+                assert len(table) == len(rhss)
+                for rhs in rhss:
+                    assert table[id(rhs)] == free_vars(rhs)
+                checked += len(rhss)
+        assert checked > 10_000
 
 
 class TestClosureSlots:
@@ -124,7 +131,21 @@ class TestSplitGroups:
 
     def test_fixpoint(self, corpus, hand_programs):
         for p in corpus[:200] + list(hand_programs.values()):
-            assert split_groups(p) == p
+            assert split_groups(p) is p
+
+    def test_shares_what_holds_no_split(self):
+        p = parse(
+            "k x = let u = \\ a -> v a and v = \\ b -> u x in v 1;\n"
+            "main = case k 2 of { default r -> let g = \\ a -> a and h = \\ b -> g b in h r }"
+        )
+        sp = split_groups(p)
+        assert sp.top_binds[0] is p.top_binds[0]
+        assert sp.main.scrutinee is p.main.scrutinee
+        assert [e.group.binders() for e in program_nodes(sp) if isinstance(e, Let)] == [
+            ("u", "v"),
+            ("g",),
+            ("h",),
+        ]
 
     def test_semantics_and_words_preserved(self, corpus):
         for p in corpus[:200]:

@@ -2,11 +2,12 @@ import gc
 import hashlib
 import sys
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
-from liftlab import lifter
-from liftlab.lifter import lift_program, liftable_sites
+from liftlab import lifter, machine
+from liftlab.lifter import LiftConfig, apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import (
     ArityMismatch,
     BlackholeLoop,
@@ -29,6 +30,7 @@ from liftlab.syntax import (
     Var,
     parse,
     program_nodes,
+    validate,
 )
 
 from conftest import PROGRAMS_DIR, load_inline
@@ -350,6 +352,54 @@ class TestOracle:
             calls.clear()
             rows = enumerate_lift_subsets(hand_programs[name])
             assert len(rows) >= 4 and len(calls) == 1, name
+
+
+def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
+    # evaluate and its free-variable fold need globally unique names, so
+    # every program the pipeline evaluates must validate: each oracle
+    # subset, the output under each ablation and a second lifting pass.
+    ablations = [
+        LiftConfig(check_closure_growth=False),
+        LiftConfig(allow_unknown_calls=True),
+        LiftConfig(max_arity_nonrec=1, max_arity_rec=1),
+    ]
+    checked = 0
+    for p in [*corpus[:300], *hand_programs.values()]:
+        plan = plan_lifts(p)
+        sites = plan.sites()
+        outputs = [apply_lifts(plan, cfg) for cfg in ablations]
+        outputs.append(lift_program(lift_program(p)[0])[0])
+        if len(sites) <= 4:  # enumerate_lift_subsets' default limit
+            for k in range(1, len(sites) + 1):
+                for chosen in combinations(sites, k):
+                    outputs.append(apply_lifts(plan, force_sites=frozenset(chosen)))
+        for q in outputs:
+            assert validate(q) == []
+        checked += len(outputs)
+    assert checked > 1_400
+
+
+def test_setup_folds_once_per_group_not_per_allocation(monkeypatch):
+    # The interpreter folds free variables once per outermost let group
+    # that runs: as often for 10 loop iterations as for 1,000, and never
+    # when main allocates nothing.
+    calls = []
+    real = machine.free_var_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(machine, "free_var_table", counting)
+    counts = []
+    for n in (10, 1_000):
+        calls.clear()
+        evaluate(countdown_at(n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1
+    calls.clear()
+    evaluate(load_inline("main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }"))
+    assert calls == []
 
 
 def test_charged_words_follow_closure_slots(corpus, hand_programs):

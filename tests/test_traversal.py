@@ -153,18 +153,39 @@ def test_tables_need_no_recursion():
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), Var("y"))))
         body = Case(App(f"f{k}", (Var("z"),)), (), (f"x{k}", e))
         e = Let(BindGroup(((f"f{k}", rhs),)), body)
+    root = Thunk(e)  # the table keeps right-hand sides only
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        fvs = free_var_table([e])[id(e)]
+        fvs = free_var_table([root])
         skel = skeleton_table([e], frozenset())[id(e)]
     finally:
         sys.setrecursionlimit(old)
-    assert fvs == {"y", "z"}
+    assert len(fvs) == n + 1 and fvs[id(root)] == {"y", "z"}
     depth = 0
     while isinstance(skel, Seq):  # one let node, then one case node, per step
         skel, depth = skel.right, depth + 1
     assert depth == 2 * n and skel == NIL
+
+
+def test_free_vars_of_nested_lambdas_need_no_recursion():
+    # Lambdas inside lambdas: f{k} = \ p{k} -> let f{k+1} = ... in f{k+1} p{k},
+    # and the innermost body y p1 p{n} mentions the outermost parameter.
+    n = 3000
+    body = App("y", (Var("p1"), Var(f"p{n}")))
+    for k in range(n, 0, -1):
+        rhs = Lambda(MULTI_SHOT, (f"p{k}",), body)
+        body = Let(BindGroup(((f"f{k}", rhs),)), App(f"f{k}", (Var(f"p{k - 1}"),)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        fvs = free_var_table([rhs])
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(fvs) == n and fvs[id(rhs)] == {"y"}
+    for _ in range(n - 1):
+        rhs = rhs.body.group.binds[0][1]
+        assert fvs[id(rhs)] == {"y", "p1"}
 
 
 def test_lift_needs_no_recursion():
