@@ -21,20 +21,20 @@ in one pre-order walk and one bottom-up loop.  :func:`apply_lifts` does the
 per-call work on a plan: required sets, decisions (or the forced sites),
 fresh names, and two loops without recursion, a decision pass in pre-order
 that decides each group and rewrites each leaf and a rewrite pass over the
-same order reversed that rebuilds every let and case and the new
-definitions.  ``lift_program`` is the two in a row; the oracle plans once
-and applies the plan to every subset, collecting no decisions.
+same order reversed that builds the new definitions and rebuilds each let
+and case whose children changed, sharing the rest with the input.
+``lift_program`` is the two in a row; the oracle plans once and applies
+the plan to every subset, collecting no decisions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 from .analysis import BinderFacts, free_var_table, scan_program
-from .skeleton import GrowthValue, Seq, Skeleton, closure_growth, skeleton_table
+from .skeleton import GrowthValue, Skeleton, closure_growth, skeleton_table
 from .syntax import (
     App,
     AtomExpr,
@@ -50,6 +50,7 @@ from .syntax import (
     Var,
     _fresh,
     map_subexprs,
+    occurrences,
     subexprs,
 )
 
@@ -125,7 +126,9 @@ def required_set(
     if binders & required.keys():
         raise LiftError(f"group {sorted(binders)} already lifted")
     slots = frozenset().union(*[skels[id(rhs)].left.fvs for _, rhs in group.binds])
-    return expand(required, slots) - binders
+    if not required.keys().isdisjoint(slots):
+        slots = expand(required, slots)
+    return slots - binders
 
 
 def predicted_growth(
@@ -143,12 +146,16 @@ def predicted_growth(
     matches the closure the interpreter would actually have allocated.
     """
     binders = frozenset(let.group.binders())
-    parts = [skels[id(rhs)] for _, rhs in let.group.binds]
-    skel = Seq(reduce(Seq, [part.right for part in parts]), skels[id(let.body)])
-    savings = sum(
-        1 + len(expand(required, part.left.fvs - binders) - binders) for part in parts
-    )
-    return closure_growth(rqs, binders, skel) - savings
+    growth = closure_growth(rqs, binders, skels[id(let.body)])
+    for _, rhs in let.group.binds:
+        part = skels[id(rhs)]
+        # The parts and the body are in sequence, so their growths add.
+        growth += closure_growth(rqs, binders, part.right)
+        slots = part.left.fvs - binders
+        if not required.keys().isdisjoint(slots):
+            slots = expand(required, slots) - binders
+        growth -= 1 + len(slots)
+    return growth
 
 
 def decide(
@@ -165,32 +172,21 @@ def decide(
     binders = group.binders()
     params = tuple(sorted(rqs))
 
-    def reject(reason: str, **extra) -> Decision:
-        return Decision(
-            site=site,
-            binders=binders,
-            lifted=False,
-            reason=reason,
-            criterion=CRITERION[reason],
-            required_set=params,
-            **extra,
-        )
-
     for name, rhs in group.binds:
-        if isinstance(rhs, Thunk):
-            return reject(UPDATABLE, offending_var=name)
+        if type(rhs) is Thunk:
+            return _rejected(site, binders, params, UPDATABLE, offending_var=name)
 
     if not cfg.allow_arg_occurrences:
         for name in binders:
             if facts[name].occurs_as_argument:
-                return reject(ARG_OCCURRENCE, offending_var=name)
+                return _rejected(site, binders, params, ARG_OCCURRENCE, offending_var=name)
 
     if not cfg.allow_unknown_calls:
         offenders = sorted(
             v for v in params if v in facts and facts[v].is_known_function
         )
         if offenders:
-            return reject(KNOWN_CALLS, offending_var=offenders[0])
+            return _rejected(site, binders, params, KNOWN_CALLS, offending_var=offenders[0])
 
     limit = cfg.max_arity_nonrec
     if cfg.max_arity_rec != limit and plan.recursive(group):
@@ -198,21 +194,18 @@ def decide(
     for name, rhs in group.binds:
         new_arity = len(params) + len(rhs.params)
         if new_arity > limit:
-            return reject(CALLING_CONVENTION, resulting_arity=new_arity)
+            return _rejected(site, binders, params, CALLING_CONVENTION, resulting_arity=new_arity)
 
     predicted = predicted_growth(let, rqs, required, plan.skels)
     if cfg.check_closure_growth and predicted > 0:
-        return reject(CLOSURE_GROWTH, predicted_net_words=predicted)
+        return _rejected(site, binders, params, CLOSURE_GROWTH, predicted_net_words=predicted)
+    return Decision(site, binders, True, LIFTED, None, params, predicted_net_words=predicted)
 
-    return Decision(
-        site=site,
-        binders=binders,
-        lifted=True,
-        reason=LIFTED,
-        criterion=None,
-        required_set=params,
-        predicted_net_words=predicted,
-    )
+
+def _rejected(
+    site: str, binders: tuple[str, ...], params: tuple[str, ...], reason: str, **extra
+) -> Decision:
+    return Decision(site, binders, False, reason, CRITERION[reason], params, **extra)
 
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
@@ -337,27 +330,33 @@ def apply_lifts(
     stack: list[tuple[Expr | str, Mapping[str, str]]] = [(r, {}) for r in reversed(plan.roots)]
     while stack:
         e, rename = stack.pop()
-        if isinstance(e, str):
+        t = type(e)
+        if t is str:
             raise LiftError(f"cannot lift updatable binding {e!r}")
-        if not isinstance(e, (Let, Case)):
-            order.append((e, _rewrite_leaf(e, required, rename)))
+        if t is not Let and t is not Case:
+            # Outside every lifted right-hand side, a leaf that mentions no
+            # lifted binder stays as it is.
+            if rename or (required and not required.keys().isdisjoint(occurrences(e))):
+                order.append((e, _rewrite_leaf(e, required, rename)))
+            else:
+                order.append((e, e))
             continue
-        if isinstance(e, Let):
+        if t is Let:
             group = e.group
+            binders = group.binders()
             rqs = required_set(group, required, skels)
             if force_sites is None:
-                site = "+".join(group.binders())
-                decision = decide(e, rqs, required, plan, cfg, site)
+                decision = decide(e, rqs, required, plan, cfg, "+".join(binders))
                 if decisions is not None:
                     decisions.append(decision)
                 lifted = decision.lifted
             else:
-                lifted = group.binders() in force_sites
+                lifted = binders in force_sites
                 if decisions is not None:
                     decisions.append(
                         Decision(
-                            site="+".join(group.binders()),
-                            binders=group.binders(),
+                            site="+".join(binders),
+                            binders=binders,
                             lifted=lifted,
                             reason=FORCED,
                             criterion=None,
@@ -365,11 +364,11 @@ def apply_lifts(
                             predicted_net_words=predicted_growth(e, rqs, required, skels),
                         )
                     )
-        if isinstance(e, Case) or not lifted:
+        if t is Case or not lifted:
             order.append((e, None))
             stack.extend([(c, rename) for c in reversed(subexprs(e))])
             continue
-        for name in group.binders():
+        for name in binders:
             required[name] = rqs
         # The required variables keep their original binding sites
         # elsewhere in the program, so the prepended parameters get fresh
@@ -386,14 +385,25 @@ def apply_lifts(
             # its body would have been visited.
             stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner))
 
+    p = plan.program
+    if not required:
+        # Nothing lifted, so nothing changed; still a new program, which
+        # callers may tell from ``p`` by identity.
+        return Program(p.top_binds, p.main)
     # Pass 2, over the order reversed: children come before their parent, the
     # first child last, so they pop off ``results`` in child order.  Results
-    # go by position, so a node object found in two places is rebuilt for each.
+    # go by position, so a node object found in two places is rebuilt for
+    # each place where its children changed, and shared where none did.
     results: list[Expr] = []
     lifted_groups: list[list[TopBind]] = []
     for e, info in reversed(order):
         if info is None:
-            results.append(map_subexprs(e, lambda _: results.pop()))
+            kids = subexprs(e)
+            new_kids = [results.pop() for _ in kids]
+            if any([a is not b for a, b in zip(new_kids, kids)]):
+                it = iter(new_kids)
+                e = map_subexprs(e, lambda _: next(it))
+            results.append(e)
         elif isinstance(e, Let):
             # The rebuilt let body stays on ``results`` as the let's own.
             lifted_groups.append(
@@ -401,8 +411,10 @@ def apply_lifts(
             )
         else:
             results.append(info)
-    p = plan.program
-    tops = [TopBind(tb.name, tb.params, results.pop()) for tb in p.top_binds]
+    tops = []
+    for tb in p.top_binds:
+        body = results.pop()
+        tops.append(tb if body is tb.body else TopBind(tb.name, tb.params, body))
     # Back in pre-order, a group's definitions precede those lifted out of
     # its own right-hand sides.
     tops += [tb for group in reversed(lifted_groups) for tb in group]

@@ -8,7 +8,10 @@ until it yields a value, forces that value, and returns it to the innermost
 pending frame (a case scrutinee, a thunk update, argument values waiting for
 a forced head or an oversaturated call's result, or a primop operand).
 The frames live on an explicit stack, so evaluation depth is bounded by
-fuel, never by the host's recursion limit.
+fuel, never by the host's recursion limit.  A frame is pushed only to wait
+for evaluation, as in the STG machine: a case whose scrutinee's int is
+already at hand, or a primop whose operand is a thunk already evaluated,
+goes straight on, charged the same steps.
 
 Closures are flat.  A function or thunk stores only the values of its slots,
 its :func:`~liftlab.analysis.closure_slots` (free variables, minus itself,
@@ -318,8 +321,43 @@ class _Machine:
                     raise OutOfFuel(f"exceeded {fuel} steps")
                 t = type(expr)
                 if t is Case:
+                    s = expr.scrutinee
+                    ts = type(s)
+                    if ts is not App:
+                        # At hand: a literal, or a variable of the running
+                        # activation bound to an int or to a thunk already
+                        # evaluated to one; or a primop on two such atoms.
+                        # Such a scrutinee is charged its step and chosen on
+                        # at once; anything else waits on a frame.
+                        v = w = None
+                        if ts is AtomExpr:
+                            a = s.atom
+                            v = a.value if type(a) is Lit else env.get(a.name)
+                        elif ts is PrimApp:
+                            a, b = s.args
+                            w = b.value if type(b) is Lit else env.get(b.name)
+                            if type(w) is ThunkCell:
+                                w = w.value
+                            if type(w) is int:
+                                v = a.value if type(a) is Lit else env.get(a.name)
+                        if type(v) is ThunkCell:
+                            v = v.value
+                        if type(v) is int:
+                            steps += 1
+                            if steps > fuel:
+                                raise OutOfFuel(f"exceeded {fuel} steps")
+                            if ts is PrimApp:
+                                v = prims[s.op](v, w)
+                            for pat, body in expr.alts:
+                                if pat == v:
+                                    expr = body
+                                    break
+                            else:
+                                dname, expr = expr.default
+                                env[dname] = v
+                            continue
                     push((_CASE, expr, env))
-                    expr = expr.scrutinee
+                    expr = s
                 elif t is App:
                     head = expr.head
                     fn = env.get(head)
@@ -358,8 +396,12 @@ class _Machine:
                         if v is None:
                             v = tops[a.name]
                     if type(v) is not int:
-                        push((_LEFT, expr, env))
-                        break
+                        # A thunk already evaluated is read in place.
+                        if type(v) is ThunkCell and type(v.value) is int:
+                            v = v.value
+                        else:
+                            push((_LEFT, expr, env))
+                            break
                     x = v
                     if type(b) is Lit:
                         v = b.value
@@ -368,8 +410,11 @@ class _Machine:
                         if v is None:
                             v = tops[b.name]
                     if type(v) is not int:
-                        push((_RIGHT, expr, x))
-                        break
+                        if type(v) is ThunkCell and type(v.value) is int:
+                            v = v.value
+                        else:
+                            push((_RIGHT, expr, x))
+                            break
                     v = prims[expr.op](x, v)
                     break
                 elif t is AtomExpr:

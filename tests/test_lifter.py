@@ -27,9 +27,12 @@ from liftlab.syntax import (
     Lit,
     Program,
     Var,
+    occurrences,
     parse,
     print_program,
+    subexprs,
     validate,
+    walk,
 )
 
 from conftest import PROGRAMS_DIR, load_inline
@@ -367,6 +370,59 @@ def test_lift_output_pinned(corpus, hand_programs):
             h.update(print_program(lifted).encode())
             h.update(repr(ds).encode())
     assert h.hexdigest() == LIFT_OUTPUT_DIGEST
+
+
+def kept_subtrees(p: Program, lifted: frozenset[str]) -> list:
+    """Nodes of ``p`` outside every lifted right-hand side whose subtree
+    mentions no binder in ``lifted`` and holds no lifted let."""
+    out = []
+
+    def visit(e) -> bool:
+        if type(e) is Let and not lifted.isdisjoint(e.group.binders()):
+            visit(e.body)
+            return False
+        clean = lifted.isdisjoint(occurrences(e))
+        for c in subexprs(e):
+            clean = visit(c) and clean
+        if clean:
+            out.append(e)
+        return clean
+
+    for root in [tb.body for tb in p.top_binds] + [p.main]:
+        visit(root)
+    return out
+
+
+def assert_shares_what_it_keeps(p: Program, q: Program, lifted: frozenset[str]) -> None:
+    assert q is not p
+    if not lifted:
+        assert q.top_binds is p.top_binds and q.main is p.main
+    in_output = {id(e) for e in walk(*[tb.body for tb in q.top_binds], q.main)}
+    assert all(id(e) in in_output for e in kept_subtrees(p, lifted))
+
+
+class TestSharing:
+    """The lifter rebuilds only what lifting changes and shares the rest
+    with its input."""
+
+    def test_default_lifts_share(self, corpus, hand_programs):
+        for p in [*corpus, *hand_programs.values()]:
+            q, ds = lift_program(p)
+            assert_shares_what_it_keeps(
+                p, q, frozenset(b for d in ds if d.lifted for b in d.binders)
+            )
+
+    def test_forced_lifts_share(self, corpus, hand_programs):
+        # As the oracle applies one plan to every subset of the sites.
+        for p in [*corpus[:300], *hand_programs.values()]:
+            plan = plan_lifts(p)
+            sites = plan.sites()
+            if len(sites) > 4:
+                continue
+            for n in range(len(sites) + 1):
+                for chosen in combinations(sites, n):
+                    q = lifter.apply_lifts(plan, force_sites=frozenset(chosen))
+                    assert_shares_what_it_keeps(p, q, frozenset(b for s in chosen for b in s))
 
 
 def collect_calls(e, head):

@@ -242,11 +242,111 @@ class TestErrors:
             evaluate(parse("main = 1"), fuel=0)
 
 
+class TestFramelessCase:
+    """A case whose scrutinee's int is already at hand pushes no frame.
+    Each test pins what the machine did when every case pushed one."""
+
+    def test_fuel_checked_before_the_primop(self):
+        # Two steps, the case's and its scrutinee's; the division runs only
+        # once the second is paid for.
+        p = load_inline("main = case %# 1 0 of { default d -> d }")
+        with pytest.raises(OutOfFuel):
+            evaluate(p, fuel=1)
+        with pytest.raises(DivideByZero):
+            evaluate(p, fuel=2)
+
+    def test_blackholed_thunk_still_detected(self):
+        p = load_inline("main = let t = thunk (case t of { default x -> x }) in t")
+        with pytest.raises(BlackholeLoop):
+            evaluate(p)
+
+    @pytest.mark.parametrize(
+        "src, value, steps",
+        [
+            (
+                "main = let t = thunk (+# 1 2) in "
+                "case t of { default a -> case t of { 3 -> 7; default b -> b } }",
+                "7",
+                8,
+            ),
+            (
+                "main = let t = thunk (+# 1 2) in "
+                "case t of { default a -> case +# t a of { default b -> b } }",
+                "6",
+                8,
+            ),
+            ("main = let t = thunk 5 in case t of { default a -> +# t t }", "10", 6),
+        ],
+        ids=["case-on-thunk", "case-on-primop", "primop-operands"],
+    )
+    def test_evaluated_thunk_read_in_place(self, src, value, steps):
+        v, stats = evaluate(load_inline(src))
+        t = stats.per_binder["t"]
+        assert (render_value(v), stats.steps, t.allocations, t.entries) == (value, steps, 1, 1)
+
+    @pytest.mark.parametrize(
+        "src, value, steps, entries",
+        [
+            ("f = 3;\nmain = case f of { 3 -> 1; default d -> 0 }", "1", 5, 1),
+            (
+                "f = 3;\nmain = case f of { 3 -> case f of { default e -> e }; default d -> 0 }",
+                "3",
+                9,
+                2,
+            ),
+        ],
+        ids=["once", "twice"],
+    )
+    def test_nullary_top_level_still_entered(self, src, value, steps, entries):
+        v, stats = evaluate(load_inline(src))
+        f = stats.per_binder["f"]
+        assert (render_value(v), stats.steps, f.entries) == (value, steps, entries)
+
+
 # sha256 of every observable of evaluate, for each program of the
 # acceptance corpus and then of programs/*.stg, before and after
 # lift_program.  Computed with the recursive interpreter that preceded the
 # explicit-stack one; a change here changes what the lab measures.
 OBSERVABLE_DIGEST = "79b26cf224fefdffbf400520d4878354a7c4c7e59736f68cd571652aad570a19"
+
+# Steps of each programs/*.stg before and after lift_program, so a change
+# to step accounting names the program that moved.
+STEPS = {
+    "callweb": (106, 85),
+    "countdown": (16504, 15504),
+    "growth_balanced": (86, 78),
+    "growth_multishot": (61, 61),
+    "growth_shared": (17, 15),
+    "known_call": (59, 59),
+    "mutual": (57, 56),
+    "one_shot": (21, 18),
+    "scc_chain": (13, 10),
+    "shared_thunk": (21, 20),
+    "tally": (10013, 10013),
+    "trivial": (1, 1),
+    "wide_args": (28, 28),
+}
+
+
+def test_steps_pinned(hand_programs):
+    steps = {
+        name: tuple(evaluate(q)[1].steps for q in (p, lift_program(p)[0]))
+        for name, p in hand_programs.items()
+    }
+    assert steps == STEPS
+
+
+def test_fuel_is_exact(corpus, hand_programs):
+    # A run given exactly the steps it took ends as it did unbounded; one
+    # step fewer runs out of fuel, whatever error the next step would raise.
+    for p in [*hand_programs.values(), *corpus[:200]]:
+        for q in (p, lift_program(p)[0]):
+            value, s = evaluate(q)
+            again, s2 = evaluate(q, fuel=s.steps)
+            assert (value_key(again), s2) == (value_key(value), s)
+            if s.steps > 1:
+                with pytest.raises(OutOfFuel):
+                    evaluate(q, fuel=s.steps - 1)
 
 
 def test_observable_output_pinned(corpus, hand_programs):
