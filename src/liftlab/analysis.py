@@ -1,5 +1,7 @@
 """Free-variable, occurrence, and binding-group analyses; free variables
-are kept per right-hand side and need globally unique names."""
+are kept per right-hand side and need globally unique names.  The scan and
+the free-variable table of a whole program are memoised on the program
+object (see :func:`~liftlab.syntax._analyses`)."""
 
 from __future__ import annotations
 
@@ -21,10 +23,10 @@ from .syntax import (
     Thunk,
     TopBind,
     Var,
+    _analyses,
     map_subexprs,
     program_nodes,
     subexprs,
-    walk,
 )
 
 
@@ -147,6 +149,38 @@ def scan_program(
     return nodes, facts, names
 
 
+def _scanned(p: Program) -> tuple[list[Expr], dict[str, BinderFacts], frozenset[str]]:
+    """:func:`scan_program` of ``p``, its names frozen, made once per
+    program object (see :func:`~liftlab.syntax._analyses`)."""
+    memo = _analyses(p)
+    scan = memo.get("scan")
+    if scan is None:
+        nodes, facts, names = scan_program(p)
+        scan = memo["scan"] = (nodes, facts, frozenset(names))
+    return scan
+
+
+def _binder_names(p: Program) -> list[str]:
+    """Every let binder and top-level name of ``p``, sorted once each: the
+    interpreter's stats rows.  Made once per program object from the scan,
+    whose facts name every let binder."""
+    memo = _analyses(p)
+    names = memo.get("binders")
+    if names is None:
+        names = memo["binders"] = sorted({*_scanned(p)[1], *[tb.name for tb in p.top_binds]})
+    return names
+
+
+def _free_vars(p: Program) -> dict[int, frozenset[str]]:
+    """The :func:`free_var_table` of ``p``'s top-level bodies and ``main``,
+    made once per program object."""
+    memo = _analyses(p)
+    free = memo.get("free")
+    if free is None:
+        free = memo["free"] = free_var_table([tb.body for tb in p.top_binds] + [p.main])
+    return free
+
+
 # ---------------------------------------------------------------------------
 # SCC splitting of binding groups
 # ---------------------------------------------------------------------------
@@ -200,12 +234,14 @@ def split_groups(p: Program) -> Program:
     groups of two or more members, over one :func:`free_var_table`, so
     names must be globally unique.  One bottom-up loop without recursion
     rebuilds what holds a split and shares every other subtree; with no
-    split, the result is ``p`` itself.
+    split, the result is ``p`` itself, which keeps the scan and the table
+    read here for the lifter and the interpreter.  A split only regroups
+    binders, so a new result gets ``p``'s occurrence facts and names, and
+    each right-hand side the free variables of the one it was rebuilt from.
     """
-    roots = [tb.body for tb in p.top_binds] + [p.main]
-    nodes = list(walk(*roots))
+    nodes, facts, used = _scanned(p)
     wide = [e for e in nodes if type(e) is Let and len(e.group.binds) > 1]
-    fvs = free_var_table(roots) if wide else {}
+    fvs = _free_vars(p) if wide else {}
     splits: dict[int, list[list[int]]] = {}
     for e in wide:
         comps = _scc_components(e.group.binders(), [fvs[id(rhs)] for _, rhs in e.group.binds])
@@ -216,6 +252,9 @@ def split_groups(p: Program) -> Program:
     # Over the nodes reversed, children come before their parent, the first
     # child last, so they pop off ``results`` in child order.
     results: list[Expr] = []
+    # The result's table: p's, with each rebuilt right-hand side in place
+    # of the one it replaces.
+    free = dict(fvs)
     for e in reversed(nodes):
         t = type(e)
         if t is Let or t is Case:
@@ -226,7 +265,11 @@ def split_groups(p: Program) -> Program:
                 results.append(e)
                 continue
             it = iter(new_kids)
-            e = map_subexprs(e, lambda _: next(it))
+            new = map_subexprs(e, lambda _: next(it))
+            if t is Let:
+                for (_, rhs), (_, new_rhs) in zip(e.group.binds, new.group.binds):
+                    free[id(new_rhs)] = free.pop(id(rhs))
+            e = new
             if comps is not None:
                 binds, e = e.group.binds, e.body
                 # Tarjan pops dependencies first; wrap in reverse so they
@@ -238,4 +281,8 @@ def split_groups(p: Program) -> Program:
         tb if tb.body is body else TopBind(tb.name, tb.params, body)
         for tb, body in zip(p.top_binds, reversed(results))
     ]
-    return Program(tuple(tops), results[0])
+    q = Program(tuple(tops), results[0])
+    memo = _analyses(q)
+    memo["scan"] = (list(program_nodes(q)), facts, used)
+    memo["free"] = free
+    return q

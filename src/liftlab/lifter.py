@@ -24,7 +24,12 @@ that decides each group and rewrites each leaf and a rewrite pass over the
 same order reversed that builds the new definitions and rebuilds each let
 and case whose children changed, sharing the rest with the input.
 ``lift_program`` is the two in a row; the oracle plans once and applies
-the plan to every subset, collecting no decisions.
+the plan to every subset, collecting no decisions.  The plan's parts are
+memoised on the program (see :func:`~liftlab.syntax._analyses`), so
+:func:`lift_program`, :func:`liftable_sites` and the oracle on one program
+object scan it and build its skeletons once between them.  A leaf that
+lifting does not change, inside a lifted right-hand side too, is the
+input's own object.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import BinderFacts, free_var_table, scan_program
+from .analysis import BinderFacts, _binder_names, _free_vars, _scanned
 from .skeleton import GrowthValue, Skeleton, closure_growth, skeleton_table
 from .syntax import (
     App,
@@ -48,6 +53,7 @@ from .syntax import (
     Thunk,
     TopBind,
     Var,
+    _analyses,
     _fresh,
     map_subexprs,
     occurrences,
@@ -210,7 +216,7 @@ def _rejected(
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     """Groups that may be force-lifted without breaking validity (C5 and C1 hold)."""
-    nodes, facts, _ = scan_program(p)
+    nodes, facts, _ = _scanned(p)
     return _liftable(nodes, facts)
 
 
@@ -225,8 +231,9 @@ def _liftable(nodes: list[Expr], facts: dict[str, BinderFacts]) -> list[tuple[st
 
 
 class LiftPlan(NamedTuple):
-    """What lifting reads of one program and nothing it decides; built once
-    by :func:`plan_lifts` and read by every :func:`apply_lifts` on it."""
+    """What lifting reads of one program and nothing it decides; built by
+    :func:`plan_lifts` from parts memoised on the program, and read by every
+    :func:`apply_lifts` on it."""
 
     program: Program
     roots: list[Expr]  # the top-level bodies, then main
@@ -252,12 +259,18 @@ def plan_lifts(p: Program) -> LiftPlan:
     """Analyse ``p`` for lifting: one pre-order walk gives the nodes, the
     occurrence facts and the used names, one more the free variables of
     each right-hand side, and one bottom-up loop over the nodes the
-    skeletons with their closure slot sets."""
-    nodes, facts, used = scan_program(p)
-    roots = [tb.body for tb in p.top_binds] + [p.main]
-    free = free_var_table(roots)
-    skels = skeleton_table(roots, p.top_names(), nodes, free)
-    return LiftPlan(p, roots, nodes, facts, frozenset(used), skels, free)
+    skeletons with their closure slot sets.  Each is made once per program
+    object and memoised on it (see :func:`~liftlab.syntax._analyses`), so
+    a second plan of ``p`` only packs them up again."""
+    memo = _analyses(p)
+    parts = memo.get("plan")
+    if parts is None:
+        nodes, facts, used = _scanned(p)
+        roots = [tb.body for tb in p.top_binds] + [p.main]
+        free = _free_vars(p)
+        skels = skeleton_table(roots, p.top_names(), nodes, free)
+        parts = memo["plan"] = (roots, nodes, facts, used, skels, free)
+    return LiftPlan(p, *parts)
 
 
 def _rewrite_leaf(
@@ -267,14 +280,16 @@ def _rewrite_leaf(
 ) -> Expr:
     """Apply the lifted binders in ``e`` to their required sets, then rename
     into the lifted right-hand side around ``e``; sound because ``rename``'s
-    keys are bound outside it and names are unique before lifting."""
+    keys are bound outside it and names are unique before lifting.  A leaf
+    that needs neither is returned as it is."""
 
     def atom(a):
         return Var(rename[a.name]) if isinstance(a, Var) and a.name in rename else a
 
     if isinstance(e, AtomExpr):
         if not (isinstance(e.atom, Var) and required.get(e.atom.name)):
-            return AtomExpr(atom(e.atom)) if rename else e
+            a = atom(e.atom)
+            return e if a is e.atom else AtomExpr(a)
         e = App(e.atom.name, ())
     for a in e.args:
         if isinstance(a, Var) and required.get(a.name):
@@ -286,9 +301,12 @@ def _rewrite_leaf(
             )
     args = tuple([atom(a) for a in e.args])
     if isinstance(e, PrimApp):
-        return PrimApp(e.op, args)
+        return e if args == e.args else PrimApp(e.op, args)
     extras = [Var(rename.get(v, v)) for v in sorted(required.get(e.head, ()))]
-    return App(rename.get(e.head, e.head), (*extras, *args))
+    head = rename.get(e.head, e.head)
+    if not extras and head == e.head and args == e.args:
+        return e
+    return App(head, (*extras, *args))
 
 
 def lift_program(
@@ -388,8 +406,11 @@ def apply_lifts(
     p = plan.program
     if not required:
         # Nothing lifted, so nothing changed; still a new program, which
-        # callers may tell from ``p`` by identity.
-        return Program(p.top_binds, p.main)
+        # callers may tell from ``p`` by identity.  Its nodes are ``p``'s,
+        # so it shares ``p``'s analyses.
+        q = Program(p.top_binds, p.main)
+        _analyses(q).update(_analyses(p))
+        return q
     # Pass 2, over the order reversed: children come before their parent, the
     # first child last, so they pop off ``results`` in child order.  Results
     # go by position, so a node object found in two places is rebuilt for
@@ -418,4 +439,8 @@ def apply_lifts(
     # Back in pre-order, a group's definitions precede those lifted out of
     # its own right-hand sides.
     tops += [tb for group in reversed(lifted_groups) for tb in group]
-    return Program(tuple(tops), results.pop())
+    q = Program(tuple(tops), results.pop())
+    # Each lifted binder left its let for the top level, so the let binders
+    # and top-level names together, the interpreter's stats rows, are p's.
+    _analyses(q)["binders"] = _binder_names(p)
+    return q

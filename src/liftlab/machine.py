@@ -24,6 +24,13 @@ and top-level definitions allocate nothing.  The resulting word counts are
 the ground truth against which the lifter's closure-growth predictions are
 checked.
 
+What evaluation needs of the program before it steps (each let's slot
+names, and the stats rows) is memoised on the program object (see
+:func:`~liftlab.syntax._analyses`), so a second :func:`evaluate` of one
+object starts at once.  The slots are read from the plan's free-variable
+table when the program was planned; otherwise one fold per outermost let
+group that runs covers those nested in it, kept for the next evaluation.
+
 Counting never keeps a closure alive, as in GHC's ticky-ticky profiling.
 Each let binder that runs gets one list of entry counts, one per
 allocation, and a fixed number of words per allocation (names are unique,
@@ -36,7 +43,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .analysis import closure_slots, free_var_table
+from .analysis import _binder_names, closure_slots, free_var_table
 from .lifter import apply_lifts, plan_lifts
 from .syntax import (
     App,
@@ -48,6 +55,7 @@ from .syntax import (
     Lit,
     PrimApp,
     Program,
+    _analyses,
 )
 
 DEFAULT_FUEL = 10_000_000
@@ -185,27 +193,6 @@ class _Tops(dict):
         raise UnboundVariable(name)
 
 
-def _let_binders(p: Program) -> list[str]:
-    """Every let binder, so binders never allocated still get a stats row.
-    A hand-written loop rather than :func:`~liftlab.syntax.walk`, which
-    takes twice as long here, and every :func:`evaluate` pays for it."""
-    names = []
-    stack = [tb.body for tb in p.top_binds]
-    stack.append(p.main)
-    while stack:
-        e = stack.pop()
-        if type(e) is Let:
-            for name, rhs in e.group.binds:
-                names.append(name)
-                stack.append(rhs.body)
-            stack.append(e.body)
-        elif type(e) is Case:
-            stack.append(e.scrutinee)
-            stack.extend([body for _, body in e.alts])
-            stack.append(e.default[1])
-    return names
-
-
 class _Machine:
     def __init__(self, program: Program, fuel: int):
         if fuel < 1:
@@ -220,13 +207,20 @@ class _Machine:
         # holds it: per let binder that ran, the entry count of each of its
         # allocations and the words one allocation takes.
         self.counters: dict[str, tuple[list[int], int]] = {}
-        self.free_vars: dict[int, frozenset[str]] = {}
         # id(let) -> per binding (name, rhs, slot names, entry counts)
         self.plans: dict[int, list[tuple]] = {}
+        # What does not depend on the run is memoised on the program: the
+        # layouts of the lets and the free variables they are read from, the
+        # whole table if the program was planned, else what runs so far
+        # have folded.
+        memo = _analyses(program)
+        self.layouts: dict[int, list[tuple]] = memo.setdefault("layouts", {})
+        free = memo.get("free")
+        self.free_vars = memo.setdefault("folded", {}) if free is None else free
 
     def _stats(self, steps: int) -> AllocStats:
-        names = sorted([*_let_binders(self.program), *self.tops])
-        per_binder = dict.fromkeys(names, _NEVER_RAN)
+        # Every binder gets a row, also one never allocated or entered.
+        per_binder = dict.fromkeys(_binder_names(self.program), _NEVER_RAN)
         words = closures = 0
         for name, (counts, width) in self.counters.items():
             n = len(counts)
@@ -239,19 +233,28 @@ class _Machine:
         return AllocStats(words, closures, steps, per_binder)
 
     def _plan(self, let: Let) -> list[tuple]:
-        """Per binding: name, right-hand side, slot names, entry counts.  One
-        :func:`free_var_table` per outermost group that runs covers those
-        nested in it; most of a program never runs, so none is made ahead."""
-        rhss = [rhs for _, rhs in let.group.binds]
-        if rhss and id(rhss[0]) not in self.free_vars:
-            self.free_vars.update(free_var_table(rhss))
-        plan = []
-        for name, rhs in let.group.binds:
-            slots = tuple(sorted(closure_slots(name, self.free_vars[id(rhs)], self.top_names)))
-            # Names are unique, so every allocation for ``name`` stores
-            # the same slots.
-            counts = self.counters.setdefault(name, ([], 1 + len(slots)))[0]
-            plan.append((name, rhs, slots, counts))
+        """Per binding: name, right-hand side, slot names, entry counts; all
+        but the counts come from the let's layout, made once per program.
+        Without a plan's table, one :func:`free_var_table` per outermost
+        group that runs covers those nested in it; most of a program never
+        runs, so none is made ahead."""
+        layout = self.layouts.get(id(let))
+        if layout is None:
+            free = self.free_vars
+            rhss = [rhs for _, rhs in let.group.binds]
+            if rhss and id(rhss[0]) not in free:
+                free.update(free_var_table(rhss))
+            layout = []
+            for name, rhs in let.group.binds:
+                # Names are unique, so every allocation for ``name`` stores
+                # the same slots.
+                slots = tuple(sorted(closure_slots(name, free[id(rhs)], self.top_names)))
+                layout.append((name, rhs, slots, 1 + len(slots)))
+            self.layouts[id(let)] = layout
+        plan = [
+            (name, rhs, slots, self.counters.setdefault(name, ([], width))[0])
+            for name, rhs, slots, width in layout
+        ]
         self.plans[id(let)] = plan
         return plan
 

@@ -23,6 +23,12 @@ when one of its binders occurs free in one of its right-hand sides (the
 lifter reads that from its free-variable table, in
 :meth:`~liftlab.lifter.LiftPlan.recursive`); the SCC pre-pass splits groups
 into their minimal components (see :mod:`liftlab.analysis`).
+
+Programs are immutable, so what an analysis finds about one is memoised on
+the ``Program`` object itself (:func:`_analyses`): :func:`freshen` and
+:func:`validate` share one scope walk, and the analysis, lifter and
+interpreter modules keep their whole-program tables there too.  A copy of
+a program analyses afresh; ``==``, ``hash`` and ``repr`` ignore the memo.
 """
 
 from __future__ import annotations
@@ -99,7 +105,13 @@ class BindGroup:
     binds: tuple[tuple[str, "Rhs"], ...]
 
     def binders(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.binds)
+        """The group's names in order, built on the first call and kept in
+        the frozen instance's ``__dict__``, which ``==``, ``hash`` and
+        ``repr`` do not read."""
+        names = self.__dict__.get("_binders")
+        if names is None:
+            names = self.__dict__["_binders"] = tuple(name for name, _ in self.binds)
+        return names
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,35 @@ class Program:
 
     def top_names(self) -> frozenset[str]:
         return frozenset(tb.name for tb in self.top_binds)
+
+
+class _Analyses(dict):
+    """What the analyses found about one program, by name (see
+    :func:`_analyses`): ``scope`` here; ``scan``, ``free`` (the whole
+    program's free-variable table) and ``binders`` in
+    :mod:`liftlab.analysis`; ``plan`` in :mod:`liftlab.lifter`; ``layouts``
+    and ``folded`` in :mod:`liftlab.machine`.  A pickled or deep-copied one
+    comes back empty, since its tables are keyed by the ``id`` of the
+    original's nodes."""
+
+    def __init__(self, owner: int | None = None) -> None:
+        self.owner = owner  # the id of the program it describes
+
+    def __reduce__(self):
+        return _Analyses, ()
+
+
+def _analyses(p: Program) -> _Analyses:
+    """The analyses memoised on ``p``, which every analysis of the program
+    as a whole reads and fills, so each is built once per program object.
+    They live in the frozen instance's ``__dict__``: freed with ``p``, never
+    referring to ``p`` (so no cycle outlives it), and unseen by ``==``,
+    ``hash`` and ``repr``, which read the fields.  They are ``p``'s only
+    while they carry ``id(p)``, so a copy of ``p`` analyses afresh."""
+    memo = p.__dict__.get("_analyses")
+    if memo is None or memo.owner != id(p):
+        memo = p.__dict__["_analyses"] = _Analyses(id(p))
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +778,23 @@ class _ScopeWalk:
         return e
 
 
+def _scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
+    """``p``'s :class:`_ScopeWalk`, made once per program: its violations,
+    its bound-twice errors, and its renamed program (None when that is
+    ``p``, so the memo never refers to ``p``)."""
+    memo = _analyses(p)
+    scope = memo.get("scope")
+    if scope is None:
+        walk = _ScopeWalk(p)
+        scope = memo["scope"] = (walk.out, walk.twice, None if walk.result is p else walk.result)
+    return scope
+
+
 def validate(p: Program) -> list[Violation]:
     """Check ANF shape, global name uniqueness, lambda arity and scoping;
     the list is empty exactly when the program is well-formed.  Shares its
     scope walk, and so its scoping rules, with :func:`freshen`."""
-    return _ScopeWalk(p).out
+    return list(_scope(p)[0])
 
 
 def freshen(p: Program) -> Program:
@@ -753,10 +806,10 @@ def freshen(p: Program) -> Program:
     renaming; idempotent.  Raises :class:`ScopeError` on the first unbound
     variable, else on a name bound twice in one let group or at the top
     level, whose occurrences could mean either binding."""
-    walk = _ScopeWalk(p)
-    for v in walk.out:
+    out, twice, fresh = _scope(p)
+    for v in out:
         if v.tag == "UnboundVariable":
             raise ScopeError(f"unbound variable {v.detail!r}")
-    if walk.twice:
-        raise ScopeError(walk.twice[0])
-    return walk.result
+    if twice:
+        raise ScopeError(twice[0])
+    return p if fresh is None else fresh

@@ -29,6 +29,13 @@ def load_inline(text: str) -> Program:
     return split_groups(p)
 
 
+def load_program(name: str) -> Program:
+    """``programs/<name>.stg``, loaded as a new object.  The analyses are
+    memoised on each program object, so a test that counts them, or
+    replaces an analysis function, must not share programs with others."""
+    return load_inline((PROGRAMS_DIR / f"{name}.stg").read_text(encoding="utf-8"))
+
+
 @pytest.fixture(autouse=True)
 def recursion_limit_unchanged():
     """Library calls must leave the process-wide recursion limit as found."""
@@ -39,8 +46,7 @@ def recursion_limit_unchanged():
 
 @pytest.fixture(scope="session")
 def hand_programs() -> dict[str, Program]:
-    files = sorted(PROGRAMS_DIR.glob("*.stg"))
-    return {f.stem: load_inline(f.read_text(encoding="utf-8")) for f in files}
+    return {f.stem: load_program(f.stem) for f in sorted(PROGRAMS_DIR.glob("*.stg"))}
 
 
 @pytest.fixture(scope="session")

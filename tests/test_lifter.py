@@ -25,6 +25,7 @@ from liftlab.syntax import (
     Lambda,
     Let,
     Lit,
+    PrimApp,
     Program,
     Var,
     occurrences,
@@ -35,7 +36,7 @@ from liftlab.syntax import (
     walk,
 )
 
-from conftest import PROGRAMS_DIR, load_inline
+from conftest import PROGRAMS_DIR, load_inline, load_program
 from reference import recursive
 
 
@@ -303,9 +304,13 @@ class TestLiftProgram:
         sites = liftable_sites(hand_programs["shared_thunk"])
         assert ("t",) not in sites and ("addT",) in sites
 
-    def test_plan_reads_one_free_var_table(self, hand_programs, monkeypatch):
-        # The skeletons' slot sets come from the one free-variable fold, read
-        # once per plan, wherever a module has imported it.
+    def test_plan_reads_one_free_var_table(self, monkeypatch):
+        # The skeletons' slot sets come from the one free-variable fold,
+        # wherever a module has imported it: one fold from loading a
+        # program through its first plan (split_groups folds these three
+        # and hands the table on to the new program it makes), none for a
+        # second plan of the same object.  Programs are loaded afresh, so
+        # no plan or fold memoised by another test is found.
         calls = []
         real = analysis.free_var_table
 
@@ -317,7 +322,10 @@ class TestLiftProgram:
             monkeypatch.setattr(module, "free_var_table", counting, raising=False)
         for name in ("growth_balanced", "callweb", "scc_chain"):
             calls.clear()
-            plan_lifts(hand_programs[name])
+            p = load_program(name)
+            plan_lifts(p)
+            assert len(calls) == 1, name
+            plan_lifts(p)
             assert len(calls) == 1, name
 
     def test_lifted_predictions_never_positive_by_default(self, corpus, hand_programs):
@@ -423,6 +431,40 @@ class TestSharing:
                 for chosen in combinations(sites, n):
                     q = lifter.apply_lifts(plan, force_sites=frozenset(chosen))
                     assert_shares_what_it_keeps(p, q, frozenset(b for s in chosen for b in s))
+
+    def test_unchanged_leaves_of_a_lifted_rhs_are_kept(self):
+        # countdown's g becomes g a_1 m: its leaves a and g m1 change, the
+        # other three leaves are the input's own objects.
+        p = load_program("countdown")
+        q, ds = lift_program(p)
+        assert decision_for(ds, "g").lifted
+        old = next(e for e in walk(p.top_binds[0].body) if type(e) is Let).group.binds[0][1]
+        new = next(tb for tb in q.top_binds if tb.name == "g")
+        assert new.params == ("a_1", "m")
+        old_leaves = {id(e) for e in walk(old.body) if not subexprs(e)}
+        kept = [e for e in walk(new.body) if id(e) in old_leaves]
+        assert kept == [
+            AtomExpr(Var("m")),
+            PrimApp("-#", (Var("m0"), Lit(1))),
+            PrimApp("+#", (Lit(1), Var("gr"))),
+        ]
+        assert len(list(walk(new.body))) == 8
+
+
+def test_group_binders_built_once():
+    # A group builds its binders tuple on the first call and returns that
+    # same object after, so required_set, decide, predicted_growth and
+    # LiftPlan.recursive share one tuple per group across apply_lifts.
+    cfg = LiftConfig(max_arity_rec=4)  # so decide asks LiftPlan.recursive
+    for name in ("callweb", "countdown", "growth_balanced", "mutual", "tally", "wide_args"):
+        plan = plan_lifts(load_program(name))
+        lets = [e for e in plan.nodes if type(e) is Let]
+        first = [e.group.binders() for e in lets]
+        assert first == [tuple(n for n, _ in e.group.binds) for e in lets], name
+        decisions = []
+        lifter.apply_lifts(plan, cfg, decisions=decisions)
+        assert len(decisions) == len(lets), name
+        assert all(e.group.binders() is b for e, b in zip(lets, first)), name
 
 
 def collect_calls(e, head):

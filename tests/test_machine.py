@@ -33,8 +33,19 @@ from liftlab.syntax import (
     validate,
 )
 
-from conftest import PROGRAMS_DIR, load_inline
+from conftest import PROGRAMS_DIR, load_inline, load_program
 from reference import closure_slot_fvs
+
+
+def memoising_run(name: str) -> None:
+    """Evaluate, plan and run the oracle on one fresh program object, so
+    that each call after the first reads what is memoised on it."""
+    p = load_program(name)
+    evaluate(p)
+    lift_program(p)
+    evaluate(p)
+    enumerate_lift_subsets(p)
+    evaluate(p)
 
 
 def countdown_at(n: int):
@@ -165,8 +176,16 @@ class TestCounters:
             (lambda ps: evaluate(load_inline("main = let w = \\ x -> w x in w 1"), 1_000), OutOfFuel),
             (lambda ps: evaluate(load_inline("main = let t = thunk t in t")), BlackholeLoop),
             (lambda ps: enumerate_lift_subsets(ps["countdown"], fuel=1_000), OutOfFuel),
+            (lambda ps: memoising_run("growth_balanced"), None),
         ],
-        ids=["evaluate", "oracle", "evaluate-out-of-fuel", "evaluate-blackhole", "oracle-out-of-fuel"],
+        ids=[
+            "evaluate",
+            "oracle",
+            "evaluate-out-of-fuel",
+            "evaluate-blackhole",
+            "oracle-out-of-fuel",
+            "memoised",
+        ],
     )
     def test_collector_and_limits_untouched(
         self, run, raises, hand_programs, recursion_limit_unchanged
@@ -439,7 +458,11 @@ class TestOracle:
             checked += 1
         assert checked > 700
 
-    def test_one_plan_per_call(self, hand_programs, monkeypatch):
+    def test_one_plan_per_call(self, monkeypatch):
+        # One skeleton table for the first oracle call on a program object,
+        # none for a second call on the same object.  Programs are loaded
+        # afresh, so no plan memoised by another test is found.
+        programs = {name: load_program(name) for name in ("growth_balanced", "callweb", "scc_chain")}
         calls = []
         real = lifter.skeleton_table
 
@@ -448,10 +471,12 @@ class TestOracle:
             return real(*args)
 
         monkeypatch.setattr(lifter, "skeleton_table", counting)
-        for name in ("growth_balanced", "callweb", "scc_chain"):
+        for name, p in programs.items():
             calls.clear()
-            rows = enumerate_lift_subsets(hand_programs[name])
+            rows = enumerate_lift_subsets(p)
             assert len(rows) >= 4 and len(calls) == 1, name
+            calls.clear()
+            assert enumerate_lift_subsets(p) == rows and calls == [], name
 
 
 def test_programs_the_interpreter_sees_validate(corpus, hand_programs):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from liftlab import analysis, skeleton
 
+from conftest import PROGRAMS_DIR, load_program
 from test_acceptance import estimator_mismatches
 
 REFERENCE = Path(__file__).resolve().parent / "reference.py"
@@ -69,13 +70,15 @@ def test_forbidden_imports_are_found():
     assert forbidden_imports("from . import syntax\n") == ["."]
 
 
-def test_criterion_4_sees_a_slot_rule_that_keeps_the_binder(hand_programs, monkeypatch):
+def test_criterion_4_sees_a_slot_rule_that_keeps_the_binder(monkeypatch):
     # Only a recursive group's closure captures its own binder, and the
-    # random corpus has none, so this runs on programs/.
+    # random corpus has none, so this runs on programs/, loaded afresh so
+    # that nothing analysed under the replaced rule is memoised on the
+    # programs other tests read.
     def keeps_binder(binder, free, top_names):
         return free - top_names
 
-    programs = list(hand_programs.values())
+    programs = [load_program(f.stem) for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
     assert estimator_mismatches(programs, random.Random(424242))[1] == 0
     # skeleton imported the name, so it is replaced where it is read too.
     monkeypatch.setattr(analysis, "closure_slots", keeps_binder)
