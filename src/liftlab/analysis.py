@@ -1,11 +1,12 @@
 """Free-variable, occurrence, and binding-group analyses; free variables
-are kept per right-hand side and need globally unique names.  The scan and
-the free-variable table of a whole program are memoised on the program
-object (see :func:`~liftlab.syntax._analyses`)."""
+are kept per right-hand side and need globally unique names.  One walk,
+:func:`scan`, finds the nodes, occurrence facts, names and free variables
+together; a whole program's scan is memoised on the program object (see
+:func:`~liftlab.syntax._analyses`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     App,
@@ -30,60 +31,6 @@ from .syntax import (
 )
 
 
-def free_var_table(roots: list[Expr | Rhs]) -> dict[int, frozenset[str]]:
-    """Free variables of every right-hand side under ``roots``, and of each
-    root that is one, keyed by ``id``; callers read no other entry.
-
-    Names must be globally unique, as :func:`~liftlab.syntax.freshen`
-    makes them and :func:`~liftlab.syntax.validate` checks, so a right-hand
-    side's free variables are the names it mentions less its parameters and
-    the binders inside it: one walk without recursion collects those two
-    sets per open right-hand side.  Group binders count as free in their
-    own right-hand sides.  Top-level names are *not* filtered here; callers
-    that need closure contents use :func:`closure_slots`.
-    """
-    table: dict[int, frozenset[str]] = {}
-    mentioned: set[str] = set()  # names occurring in the open right-hand side
-    bound: set[str] = set()  # binders inside it
-    outer: list[tuple] = []  # per enclosing open one: (rhs, mentioned, bound)
-    stack: list = list(roots)  # nodes, right-hand sides and None, which closes one
-    while stack:
-        e = stack.pop()
-        t = type(e)
-        if t is AtomExpr:
-            if type(e.atom) is Var:
-                mentioned.add(e.atom.name)
-        elif t is App or t is PrimApp:
-            if t is App:
-                mentioned.add(e.head)
-            for a in e.args:
-                if type(a) is Var:
-                    mentioned.add(a.name)
-        elif t is Let:
-            stack.append(e.body)
-            for name, rhs in e.group.binds:
-                bound.add(name)
-                stack.append(rhs)
-        elif t is Case:
-            bound.add(e.default[0])
-            stack.append(e.scrutinee)
-            stack.extend([body for _, body in e.alts])
-            stack.append(e.default[1])
-        elif e is None:
-            rhs, enclosing, enclosing_bound = outer.pop()
-            mentioned -= bound
-            if type(rhs) is Lambda:
-                mentioned.difference_update(rhs.params)
-            table[id(rhs)] = fvs = frozenset(mentioned)
-            mentioned, bound = enclosing, enclosing_bound
-            mentioned |= fvs
-        else:  # a right-hand side opens
-            outer.append((e, mentioned, bound))
-            mentioned, bound = set(), set()
-            stack += (None, e.body)
-    return table
-
-
 def closure_slots(
     binder: str, free: frozenset[str], top_names: frozenset[str]
 ) -> frozenset[str]:
@@ -102,62 +49,114 @@ def cardinality(rhs: Rhs) -> Cardinality:
 
 
 # ---------------------------------------------------------------------------
-# Occurrence facts
+# The scan: occurrence facts, names and free variables in one walk
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinderFacts:
+class BinderFacts(NamedTuple):
     occurs_as_argument: bool
     is_known_function: bool
 
 
-def scan_program(
-    p: Program,
-) -> tuple[list[Expr], dict[str, BinderFacts], set[str]]:
-    """One walk over ``p``: its :func:`program_nodes`, the
-    :class:`BinderFacts` of every let-bound binder, and the set of every
-    binder and parameter name.
+class Scan(NamedTuple):
+    """What one pre-order walk finds under its roots (see :func:`scan`)."""
+
+    nodes: list[Expr]  # every node, in :func:`~liftlab.syntax.walk` order
+    facts: dict[str, BinderFacts]  # per let binder
+    names: frozenset[str]  # every binder and parameter name
+    free: dict[int, frozenset[str]]  # per right-hand side, keyed by ``id``
+
+
+def scan(roots: list[Expr | Rhs]) -> Scan:
+    """One walk without recursion over ``roots``: their nodes in pre-order,
+    the :class:`BinderFacts` of every let binder, every binder and parameter
+    name, and the free variables of every right-hand side under them (and of
+    each root that is one).
 
     A binder occurs as an argument when it appears in a non-head atom
     position of an application or primop.  Case scrutinee variables count as
     head-position uses.
+
+    Names must be globally unique, as :func:`~liftlab.syntax.freshen` makes
+    them and :func:`~liftlab.syntax.validate` checks, so a right-hand side's
+    free variables are the names it mentions less its parameters and the
+    binders inside it, two sets kept per open right-hand side.  Group
+    binders count as free in their own right-hand sides.  Top-level names
+    are *not* filtered here; callers that need closure contents use
+    :func:`closure_slots`.
     """
     nodes: list[Expr] = []
     known: dict[str, bool] = {}
     as_arg: set[str] = set()
-    names = {name for tb in p.top_binds for name in (tb.name, *tb.params)}
-    for e in program_nodes(p):
-        nodes.append(e)
+    names: set[str] = set()  # besides the let binders, the keys of known
+    free: dict[int, frozenset[str]] = {}
+    mentioned: set[str] = set()  # names occurring in the open right-hand side
+    bound: set[str] = set()  # binders inside it
+    outer: list[tuple] = []  # per enclosing open one: (rhs, mentioned, bound)
+    # Nodes, right-hand sides, which open one, and None, which closes it.
+    stack: list = list(reversed(roots))
+    while stack:
+        e = stack.pop()
         t = type(e)
-        if t is Let:
-            for name, rhs in e.group.binds:
-                known[name] = type(rhs) is Lambda
-                names.add(name)
-                if known[name]:
-                    names.update(rhs.params)
-        elif t is Case:
-            names.add(e.default[0])
-        elif t is not AtomExpr:  # App or PrimApp
+        if t is AtomExpr:
+            nodes.append(e)
+            if type(e.atom) is Var:
+                mentioned.add(e.atom.name)
+        elif t is App or t is PrimApp:
+            nodes.append(e)
+            if t is App:
+                mentioned.add(e.head)
             for a in e.args:
-                if type(a) is Var and a.name in known:
-                    as_arg.add(a.name)
+                if type(a) is Var:
+                    mentioned.add(a.name)
+                    if a.name in known:
+                        as_arg.add(a.name)
+        elif t is Let:
+            nodes.append(e)
+            stack.append(e.body)
+            for name, rhs in reversed(e.group.binds):
+                known[name] = type(rhs) is Lambda
+                bound.add(name)
+                stack.append(rhs)
+        elif t is Case:
+            nodes.append(e)
+            bound.add(e.default[0])
+            names.add(e.default[0])
+            stack.append(e.default[1])
+            stack.extend([body for _, body in reversed(e.alts)])
+            stack.append(e.scrutinee)
+        elif e is None:
+            rhs, enclosing, enclosing_bound = outer.pop()
+            mentioned -= bound
+            if type(rhs) is Lambda:
+                mentioned.difference_update(rhs.params)
+            free[id(rhs)] = fvs = frozenset(mentioned)
+            mentioned, bound = enclosing, enclosing_bound
+            mentioned |= fvs
+        else:  # a right-hand side opens
+            outer.append((e, mentioned, bound))
+            mentioned, bound = set(), set()
+            if type(e) is Lambda:
+                names.update(e.params)
+            stack += (None, e.body)
     facts = {
         name: BinderFacts(occurs_as_argument=name in as_arg, is_known_function=k)
         for name, k in known.items()
     }
-    return nodes, facts, names
+    return Scan(nodes, facts, frozenset(names.union(known)), free)
 
 
-def _scanned(p: Program) -> tuple[list[Expr], dict[str, BinderFacts], frozenset[str]]:
-    """:func:`scan_program` of ``p``, its names frozen, made once per
-    program object (see :func:`~liftlab.syntax._analyses`)."""
+def scan_program(p: Program) -> Scan:
+    """The :func:`scan` of ``p``'s top-level bodies and ``main``, its names
+    with the top-level names and parameters, made once per program object
+    (see :func:`~liftlab.syntax._analyses`)."""
     memo = _analyses(p)
-    scan = memo.get("scan")
-    if scan is None:
-        nodes, facts, names = scan_program(p)
-        scan = memo["scan"] = (nodes, facts, frozenset(names))
-    return scan
+    s = memo.get("scan")
+    if s is None:
+        s = scan([tb.body for tb in p.top_binds] + [p.main])
+        tops = [name for tb in p.top_binds for name in (tb.name, *tb.params)]
+        s = memo["scan"] = s._replace(names=s.names.union(tops))
+    return s
 
 
 def _binder_names(p: Program) -> list[str]:
@@ -167,18 +166,8 @@ def _binder_names(p: Program) -> list[str]:
     memo = _analyses(p)
     names = memo.get("binders")
     if names is None:
-        names = memo["binders"] = sorted({*_scanned(p)[1], *[tb.name for tb in p.top_binds]})
+        names = memo["binders"] = sorted({*scan_program(p).facts, *[tb.name for tb in p.top_binds]})
     return names
-
-
-def _free_vars(p: Program) -> dict[int, frozenset[str]]:
-    """The :func:`free_var_table` of ``p``'s top-level bodies and ``main``,
-    made once per program object."""
-    memo = _analyses(p)
-    free = memo.get("free")
-    if free is None:
-        free = memo["free"] = free_var_table([tb.body for tb in p.top_binds] + [p.main])
-    return free
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +220,22 @@ def split_groups(p: Program) -> Program:
 
     Components are emitted as nested lets, dependencies outermost.
     Semantics and allocation totals are preserved.  Tarjan runs only on
-    groups of two or more members, over one :func:`free_var_table`, so
-    names must be globally unique.  One bottom-up loop without recursion
-    rebuilds what holds a split and shares every other subtree; with no
-    split, the result is ``p`` itself, which keeps the scan and the table
-    read here for the lifter and the interpreter.  A split only regroups
-    binders, so a new result gets ``p``'s occurrence facts and names, and
-    each right-hand side the free variables of the one it was rebuilt from.
+    groups of two or more members, over the free variables of
+    :func:`scan_program`, so names must be globally unique.  One bottom-up
+    loop without recursion rebuilds what holds a split and shares every
+    other subtree; with no split, the result is ``p`` itself, which keeps
+    the scan read here for the lifter and the interpreter.  A split only
+    regroups binders, so a new result gets ``p``'s occurrence facts and
+    names, and each right-hand side the free variables of the one it was
+    rebuilt from.
     """
-    nodes, facts, used = _scanned(p)
-    wide = [e for e in nodes if type(e) is Let and len(e.group.binds) > 1]
-    fvs = _free_vars(p) if wide else {}
+    nodes, facts, used, fvs = scan_program(p)
     splits: dict[int, list[list[int]]] = {}
-    for e in wide:
-        comps = _scc_components(e.group.binders(), [fvs[id(rhs)] for _, rhs in e.group.binds])
-        if len(comps) > 1:
-            splits[id(e)] = comps
+    for e in nodes:
+        if type(e) is Let and len(e.group.binds) > 1:
+            comps = _scc_components(e.group.binders(), [fvs[id(rhs)] for _, rhs in e.group.binds])
+            if len(comps) > 1:
+                splits[id(e)] = comps
     if not splits:
         return p  # every group is its only component
     # Over the nodes reversed, children come before their parent, the first
@@ -282,7 +271,5 @@ def split_groups(p: Program) -> Program:
         for tb, body in zip(p.top_binds, reversed(results))
     ]
     q = Program(tuple(tops), results[0])
-    memo = _analyses(q)
-    memo["scan"] = (list(program_nodes(q)), facts, used)
-    memo["free"] = free
+    _analyses(q)["scan"] = Scan(list(program_nodes(q)), facts, used, free)
     return q

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .analysis import split_groups
-from .lifter import CLOSURE_GROWTH, Decision, LiftConfig, LiftError, lift_program
+from .lifter import CLOSURE_GROWTH, Decision, LiftConfig, LiftError, lift_program, plan_lifts
 from .machine import (
     DEFAULT_FUEL,
     EvalError,
@@ -24,7 +24,7 @@ from .machine import (
     minimal_subset,
     render_value,
 )
-from .skeleton import skeleton_sexpr, skeleton_table
+from .skeleton import skeleton_sexpr
 from .syntax import (
     INF,
     ParseError,
@@ -177,7 +177,7 @@ def cmd_dump_lifted(args: argparse.Namespace) -> int:
 def cmd_dump_skeleton(args: argparse.Namespace) -> int:
     program = _load(args.file)
     roots = [tb.body for tb in program.top_binds] + [program.main]
-    skels = skeleton_table(roots, program.top_names())
+    skels = plan_lifts(program).skels
     names = [tb.name for tb in program.top_binds] + ["main"]
     for name, root in zip(names, roots):
         print(f"{name}: {skeleton_sexpr(skels[id(root)])}")

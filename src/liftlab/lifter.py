@@ -16,20 +16,20 @@ every occurrence becomes a head application carrying the required set.
 
 Lifting is split into analysis and application, as in GHC's
 ``GHC.Stg.Lift.Analysis`` and ``GHC.Stg.Lift``.  :func:`plan_lifts` reads
-only the program: its nodes, occurrence facts, used names and skeletons,
-in one pre-order walk and one bottom-up loop.  :func:`apply_lifts` does the
-per-call work on a plan: required sets, decisions (or the forced sites),
-fresh names, and two loops without recursion, a decision pass in pre-order
-that decides each group and rewrites each leaf and a rewrite pass over the
-same order reversed that builds the new definitions and rebuilds each let
-and case whose children changed, sharing the rest with the input.
-``lift_program`` is the two in a row; the oracle plans once and applies
-the plan to every subset, collecting no decisions.  The plan's parts are
-memoised on the program (see :func:`~liftlab.syntax._analyses`), so
-:func:`lift_program`, :func:`liftable_sites` and the oracle on one program
-object scan it and build its skeletons once between them.  A leaf that
-lifting does not change, inside a lifted right-hand side too, is the
-input's own object.
+only the program: its scan (nodes, occurrence facts, used names and free
+variables, from one pre-order walk) and its skeletons, from one bottom-up
+loop.  :func:`apply_lifts` does the per-call work on a plan: required
+sets, decisions (or the forced sites), fresh names, and two loops without
+recursion, a decision pass in pre-order that decides each group and
+rewrites each leaf and a rewrite pass over the same order reversed that
+builds the new definitions and rebuilds each let and case whose children
+changed, sharing the rest with the input.  ``lift_program`` is the two in
+a row; the oracle plans once and applies the plan to every subset,
+collecting no decisions.  The scan and the skeletons are memoised on the
+program (see :func:`~liftlab.syntax._analyses`), so :func:`lift_program`,
+:func:`liftable_sites` and the oracle on one program object scan it and
+build its skeletons once between them.  A leaf that lifting does not
+change, inside a lifted right-hand side too, is the input's own object.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import BinderFacts, _binder_names, _free_vars, _scanned
+from .analysis import BinderFacts, Scan, _binder_names, scan_program
 from .skeleton import GrowthValue, Skeleton, closure_growth, skeleton_table
 from .syntax import (
     App,
@@ -173,7 +173,7 @@ def decide(
     site: str,
 ) -> Decision:
     """Apply the rejection checks in order C5, C1, C4, C3, C2."""
-    facts = plan.facts
+    facts = plan.scan.facts
     group = let.group
     binders = group.binders()
     params = tuple(sorted(rqs))
@@ -216,8 +216,8 @@ def _rejected(
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     """Groups that may be force-lifted without breaking validity (C5 and C1 hold)."""
-    nodes, facts, _ = _scanned(p)
-    return _liftable(nodes, facts)
+    s = scan_program(p)
+    return _liftable(s.nodes, s.facts)
 
 
 def _liftable(nodes: list[Expr], facts: dict[str, BinderFacts]) -> list[tuple[str, ...]]:
@@ -236,41 +236,34 @@ class LiftPlan(NamedTuple):
     :func:`apply_lifts` on it."""
 
     program: Program
-    roots: list[Expr]  # the top-level bodies, then main
-    nodes: list[Expr]  # every node under roots, pre-order
-    facts: dict[str, BinderFacts]
-    used: frozenset[str]  # every binder and parameter name
+    scan: Scan  # the program's scan_program
     skels: dict[int, Skeleton]
-    free: dict[int, frozenset[str]]  # free_var_table: per right-hand side
 
     def sites(self) -> list[tuple[str, ...]]:
         """The program's :func:`liftable_sites`."""
-        return _liftable(self.nodes, self.facts)
+        return _liftable(self.scan.nodes, self.scan.facts)
 
     def recursive(self, group: BindGroup) -> bool:
         """Whether a binder of ``group`` is free in one of its right-hand
-        sides, read from the table without a walk; exact since no name is
+        sides, read from the scan without a walk; exact since no name is
         bound twice."""
         binders = group.binders()
-        return any(not self.free[id(rhs)].isdisjoint(binders) for _, rhs in group.binds)
+        return any(not self.scan.free[id(rhs)].isdisjoint(binders) for _, rhs in group.binds)
 
 
 def plan_lifts(p: Program) -> LiftPlan:
-    """Analyse ``p`` for lifting: one pre-order walk gives the nodes, the
-    occurrence facts and the used names, one more the free variables of
-    each right-hand side, and one bottom-up loop over the nodes the
-    skeletons with their closure slot sets.  Each is made once per program
-    object and memoised on it (see :func:`~liftlab.syntax._analyses`), so
-    a second plan of ``p`` only packs them up again."""
+    """Analyse ``p`` for lifting: its :func:`scan_program`, and one bottom-up
+    loop over the scan's nodes for the skeletons with their closure slot
+    sets.  Each is made once per program object and memoised on it (see
+    :func:`~liftlab.syntax._analyses`), so a second plan of ``p`` only packs
+    them up again."""
+    s = scan_program(p)
     memo = _analyses(p)
-    parts = memo.get("plan")
-    if parts is None:
-        nodes, facts, used = _scanned(p)
+    skels = memo.get("plan")
+    if skels is None:
         roots = [tb.body for tb in p.top_binds] + [p.main]
-        free = _free_vars(p)
-        skels = skeleton_table(roots, p.top_names(), nodes, free)
-        parts = memo["plan"] = (roots, nodes, facts, used, skels, free)
-    return LiftPlan(p, *parts)
+        skels = memo["plan"] = skeleton_table(roots, p.top_names(), s)
+    return LiftPlan(p, s, skels)
 
 
 def _rewrite_leaf(
@@ -334,8 +327,9 @@ def apply_lifts(
     decision appended to ``decisions`` when a list is given.  Without one,
     forced groups skip the prediction their decisions would carry."""
     cfg = cfg or LiftConfig()
+    p = plan.program
     skels = plan.skels
-    used = set(plan.used)
+    used = set(plan.scan.names)
     last: dict[str, int] = {}  # _fresh's resume points
     # Every binder lifted so far, mapped to its group's required set.  Names
     # are unique, so an entry is only ever looked up inside its binder's scope.
@@ -345,7 +339,8 @@ def apply_lifts(
     # lifted right-hand side around it.  An ``order`` entry carries a leaf's
     # rewrite, a lifted let's new parameters, or None.
     order: list[tuple[Expr, object]] = []
-    stack: list[tuple[Expr | str, Mapping[str, str]]] = [(r, {}) for r in reversed(plan.roots)]
+    stack: list[tuple[Expr | str, Mapping[str, str]]] = [(p.main, {})]
+    stack += [(tb.body, {}) for tb in reversed(p.top_binds)]
     while stack:
         e, rename = stack.pop()
         t = type(e)
@@ -403,7 +398,6 @@ def apply_lifts(
             # its body would have been visited.
             stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner))
 
-    p = plan.program
     if not required:
         # Nothing lifted, so nothing changed; still a new program, which
         # callers may tell from ``p`` by identity.  Its nodes are ``p``'s,

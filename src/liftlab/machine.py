@@ -27,9 +27,10 @@ checked.
 What evaluation needs of the program before it steps (each let's slot
 names, and the stats rows) is memoised on the program object (see
 :func:`~liftlab.syntax._analyses`), so a second :func:`evaluate` of one
-object starts at once.  The slots are read from the plan's free-variable
-table when the program was planned; otherwise one fold per outermost let
-group that runs covers those nested in it, kept for the next evaluation.
+object starts at once.  The slots are read from the free variables of the
+program's :func:`~liftlab.analysis.scan_program` when it has one; otherwise
+one :func:`~liftlab.analysis.scan` per outermost let group that runs covers
+those nested in it, and what it folds is kept for the next evaluation.
 
 Counting never keeps a closure alive, as in GHC's ticky-ticky profiling.
 Each let binder that runs gets one list of entry counts, one per
@@ -43,7 +44,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .analysis import _binder_names, closure_slots, free_var_table
+from .analysis import _binder_names, closure_slots, scan
 from .lifter import apply_lifts, plan_lifts
 from .syntax import (
     App,
@@ -211,12 +212,12 @@ class _Machine:
         self.plans: dict[int, list[tuple]] = {}
         # What does not depend on the run is memoised on the program: the
         # layouts of the lets and the free variables they are read from, the
-        # whole table if the program was planned, else what runs so far
-        # have folded.
+        # scan's if the program was scanned, else what runs so far have
+        # folded.
         memo = _analyses(program)
         self.layouts: dict[int, list[tuple]] = memo.setdefault("layouts", {})
-        free = memo.get("free")
-        self.free_vars = memo.setdefault("folded", {}) if free is None else free
+        scanned = memo.get("scan")
+        self.free_vars = memo.setdefault("folded", {}) if scanned is None else scanned.free
 
     def _stats(self, steps: int) -> AllocStats:
         # Every binder gets a row, also one never allocated or entered.
@@ -235,15 +236,15 @@ class _Machine:
     def _plan(self, let: Let) -> list[tuple]:
         """Per binding: name, right-hand side, slot names, entry counts; all
         but the counts come from the let's layout, made once per program.
-        Without a plan's table, one :func:`free_var_table` per outermost
-        group that runs covers those nested in it; most of a program never
-        runs, so none is made ahead."""
+        Without the program's scan, one :func:`scan` of each outermost group
+        that runs covers those nested in it; most of a program never runs,
+        so none is made ahead."""
         layout = self.layouts.get(id(let))
         if layout is None:
             free = self.free_vars
             rhss = [rhs for _, rhs in let.group.binds]
             if rhss and id(rhss[0]) not in free:
-                free.update(free_var_table(rhss))
+                free.update(scan(rhss).free)
             layout = []
             for name, rhs in let.group.binds:
                 # Names are unique, so every allocation for ``name`` stores

@@ -2,9 +2,9 @@
 
 A skeleton abstracts an expression down to what matters for allocation:
 which closures exist, each with the variables it stores (the
-:func:`~liftlab.analysis.closure_slots` of its right-hand side's
-:func:`~liftlab.analysis.free_var_table` entry, one per right-hand side:
-the rule the interpreter charges by), how regions are sequenced or branch
+:func:`~liftlab.analysis.closure_slots` of its right-hand side's free
+variables in the :func:`~liftlab.analysis.scan`, the rule the interpreter
+charges by), how regions are sequenced or branch
 against each other, and how often right-hand-side regions are entered per
 allocation.
 ``closure_growth`` evaluates the net heap effect, in words, of adding one
@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .analysis import cardinality, closure_slots, free_var_table
-from .syntax import Cardinality, Case, Expr, INF, Let, walk
+from .analysis import Scan, cardinality, closure_slots, scan as scan_roots
+from .syntax import Cardinality, Case, Expr, INF, Let
 
 GrowthValue = int | float  # int, or INF
 
@@ -68,29 +68,24 @@ _OPEN, _MAX = object(), object()  # _growth's region markers
 
 
 def skeleton_table(
-    roots: list[Expr],
-    top_names: frozenset[str],
-    nodes: list[Expr] | None = None,
-    fvs: dict[int, frozenset[str]] | None = None,
+    roots: list[Expr], top_names: frozenset[str], scan: Scan | None = None
 ) -> dict[int, Skeleton]:
     """The allocation skeleton of every node under ``roots``, keyed by ``id``.
 
     Atoms and applications do not allocate.  A let contributes one closure
     per binding followed by the entry-scaled region of its body, and each of
     its right-hand sides maps to that binding's part, ``Seq(Closure(slots),
-    region)`` with the :func:`closure_slots` of its :func:`free_var_table`
-    entry; case sequences the scrutinee before the branch choice.  Built in
-    one bottom-up loop without recursion; parents share children by
-    reference.  Names must be globally unique: ``fvs``, the roots'
-    :func:`free_var_table`, is read per right-hand side.  ``nodes`` is
-    ``list(walk(*roots))``; pass both when already at hand.
+    region)`` with the :func:`closure_slots` of its free variables; case
+    sequences the scrutinee before the branch choice.  Built in one
+    bottom-up loop without recursion over the nodes of ``scan``, the roots'
+    :func:`~liftlab.analysis.scan` (made here when not given); parents share
+    children by reference.  Names must be globally unique.
     """
-    if nodes is None:
-        nodes = list(walk(*roots))
-    if fvs is None:
-        fvs = free_var_table(roots)
+    if scan is None:
+        scan = scan_roots(roots)
+    fvs = scan.free
     table: dict[int, Skeleton] = {}
-    for e in reversed(nodes):
+    for e in reversed(scan.nodes):
         t = type(e)
         if t is Let:
             body = table[id(e.body)]

@@ -20,7 +20,7 @@ alphanumerics or ``_``; integers are ``-?[0-9]+``; line comments start with
 ``--``.  Application arguments and case patterns are atoms; every lambda is
 the right-hand side of a binding.  A ``let ... and ...`` group is recursive
 when one of its binders occurs free in one of its right-hand sides (the
-lifter reads that from its free-variable table, in
+lifter reads that from the free variables of its scan, in
 :meth:`~liftlab.lifter.LiftPlan.recursive`); the SCC pre-pass splits groups
 into their minimal components (see :mod:`liftlab.analysis`).
 
@@ -167,10 +167,10 @@ class Program:
 
 class _Analyses(dict):
     """What the analyses found about one program, by name (see
-    :func:`_analyses`): ``scope`` here; ``scan``, ``free`` (the whole
-    program's free-variable table) and ``binders`` in
-    :mod:`liftlab.analysis`; ``plan`` in :mod:`liftlab.lifter`; ``layouts``
-    and ``folded`` in :mod:`liftlab.machine`.  A pickled or deep-copied one
+    :func:`_analyses`): ``scope`` here; ``scan`` (nodes, occurrence facts,
+    names and free variables) and ``binders`` in :mod:`liftlab.analysis`;
+    ``plan`` (the skeletons) in :mod:`liftlab.lifter`; ``layouts`` and
+    ``folded`` in :mod:`liftlab.machine`.  A pickled or deep-copied one
     comes back empty, since its tables are keyed by the ``id`` of the
     original's nodes."""
 

@@ -119,3 +119,30 @@ def bound_names(p):
             before = [item.scrutinee, *[body for _, body in item.alts]]
             stack += [item.default[1], item.default[0], *reversed(before)]
     return names
+
+
+def occurrence_facts(p):
+    """Per let binder of ``p``: whether it occurs as an argument (a non-head
+    atom of an application or primop) and whether it is a known function
+    (bound to a lambda)."""
+    known = {}
+    arguments = set()
+
+    def visit(e):
+        if isinstance(e, Let):
+            for name, rhs in e.group.binds:
+                known[name] = isinstance(rhs, Lambda)
+                visit(rhs.body)
+            visit(e.body)
+        elif isinstance(e, Case):
+            visit(e.scrutinee)
+            for _, body in e.alts:
+                visit(body)
+            visit(e.default[1])
+        elif isinstance(e, (App, PrimApp)):
+            arguments.update(a.name for a in e.args if isinstance(a, Var))
+
+    for tb in p.top_binds:
+        visit(tb.body)
+    visit(p.main)
+    return {name: (name in arguments, k) for name, k in known.items()}

@@ -1,7 +1,9 @@
+from collections import Counter
+
 from liftlab.analysis import (
     cardinality,
     closure_slots,
-    free_var_table,
+    scan,
     scan_program,
     split_groups,
 )
@@ -18,7 +20,7 @@ from liftlab.syntax import (
     program_nodes,
 )
 
-from reference import free_vars, recursive
+from reference import free_vars, occurrence_facts, recursive
 
 
 def fs(*names):
@@ -30,7 +32,7 @@ def expr_of(src: str):
 
 
 def table_entry(node):
-    return free_var_table([node])[id(node)]
+    return scan([node]).free[id(node)]
 
 
 class TestFreeVars:
@@ -54,7 +56,7 @@ class TestFreeVars:
         checked = 0
         for p in [*corpus, *hand_programs.values()]:
             for q in (p, lift_program(p)[0]):
-                table = free_var_table([tb.body for tb in q.top_binds] + [q.main])
+                table = scan([tb.body for tb in q.top_binds] + [q.main]).free
                 lets = [e for e in program_nodes(q) if isinstance(e, Let)]
                 rhss = [rhs for e in lets for _, rhs in e.group.binds]
                 assert len(table) == len(rhss)
@@ -81,7 +83,7 @@ class TestOccurrenceFacts:
             "main = let x = thunk 1 in let f = \\ q -> q in "
             "let g = \\ a b c -> a in g 5 x f"
         )
-        facts = scan_program(p)[1]
+        facts = scan_program(p).facts
         assert facts["f"].occurs_as_argument
         assert facts["f"].is_known_function
         assert facts["x"].occurs_as_argument
@@ -89,12 +91,27 @@ class TestOccurrenceFacts:
 
     def test_thunk_is_not_known_function(self):
         p = parse("main = let t = thunk 1 in t")
-        facts = scan_program(p)[1]
+        facts = scan_program(p).facts
         assert not facts["t"].is_known_function
 
     def test_case_scrutinee_is_head_position(self):
         p = parse("main = let f = \\ a -> a in case f 1 of { default r -> r }")
-        assert not scan_program(p)[1]["f"].occurs_as_argument
+        assert not scan_program(p).facts["f"].occurs_as_argument
+
+    def test_agree_with_reference(self, corpus, hand_programs):
+        # The walk's facts, of each input and of its lifted output, are
+        # those of a plain recursion written apart from it; both kinds of
+        # binder, and both facts, occur often.
+        seen = Counter()
+        for p in [*corpus, *hand_programs.values()]:
+            for q in (p, lift_program(p)[0]):
+                facts = scan_program(q).facts
+                expected = occurrence_facts(q)
+                assert {
+                    name: (f.occurs_as_argument, f.is_known_function) for name, f in facts.items()
+                } == expected
+                seen.update(expected.values())
+        assert len(seen) == 4 and min(seen.values()) > 300, seen
 
 
 class TestSplitGroups:

@@ -149,7 +149,7 @@ class TestDecide:
         seen = set()
         for p in [*corpus, *hand_programs.values()]:
             plan = plan_lifts(p)
-            for e in plan.nodes:
+            for e in plan.scan.nodes:
                 if isinstance(e, Let):
                     expected = recursive(e.group)
                     assert plan.recursive(e.group) == expected
@@ -304,22 +304,22 @@ class TestLiftProgram:
         sites = liftable_sites(hand_programs["shared_thunk"])
         assert ("t",) not in sites and ("addT",) in sites
 
-    def test_plan_reads_one_free_var_table(self, monkeypatch):
-        # The skeletons' slot sets come from the one free-variable fold,
-        # wherever a module has imported it: one fold from loading a
-        # program through its first plan (split_groups folds these three
-        # and hands the table on to the new program it makes), none for a
-        # second plan of the same object.  Programs are loaded afresh, so
-        # no plan or fold memoised by another test is found.
+    def test_plan_reads_one_scan(self, monkeypatch):
+        # The facts, names, free variables and skeletons' slot sets all come
+        # from one walk, wherever a module has imported it: one scan from
+        # loading a program through its first plan (split_groups scans these
+        # three and hands the scan on to the new program it makes), none for
+        # a second plan of the same object.  Programs are loaded afresh, so
+        # no plan or scan memoised by another test is found.
         calls = []
-        real = analysis.free_var_table
+        real = analysis.scan
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        for module in (analysis, skeleton, lifter):
-            monkeypatch.setattr(module, "free_var_table", counting, raising=False)
+        monkeypatch.setattr(analysis, "scan", counting)
+        monkeypatch.setattr(skeleton, "scan_roots", counting)
         for name in ("growth_balanced", "callweb", "scc_chain"):
             calls.clear()
             p = load_program(name)
@@ -458,7 +458,7 @@ def test_group_binders_built_once():
     cfg = LiftConfig(max_arity_rec=4)  # so decide asks LiftPlan.recursive
     for name in ("callweb", "countdown", "growth_balanced", "mutual", "tally", "wide_args"):
         plan = plan_lifts(load_program(name))
-        lets = [e for e in plan.nodes if type(e) is Let]
+        lets = [e for e in plan.scan.nodes if type(e) is Let]
         first = [e.group.binders() for e in lets]
         assert first == [tuple(n for n, _ in e.group.binds) for e in lets], name
         decisions = []

@@ -505,25 +505,33 @@ def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
 
 
 def test_setup_folds_once_per_group_not_per_allocation(monkeypatch):
-    # The interpreter folds free variables once per outermost let group
-    # that runs: as often for 10 loop iterations as for 1,000, and never
+    # On a program nobody scanned, the interpreter folds free variables
+    # once per outermost let group that runs: as often for 10 loop
+    # iterations as for 1,000, never again on a second evaluate, and never
     # when main allocates nothing.
     calls = []
-    real = machine.free_var_table
+    real = machine.scan
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(machine, "free_var_table", counting)
+    def unscanned(p):
+        return Program(p.top_binds, p.main)
+
+    monkeypatch.setattr(machine, "scan", counting)
     counts = []
     for n in (10, 1_000):
         calls.clear()
-        evaluate(countdown_at(n))
+        p = unscanned(countdown_at(n))
+        evaluate(p)
         counts.append(len(calls))
-    assert counts[0] == counts[1] >= 1
+        evaluate(p)
+        assert len(calls) == counts[-1]
+    assert counts[0] == counts[1] == 1  # countdown has one let group
     calls.clear()
-    evaluate(load_inline("main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }"))
+    text = "main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }"
+    evaluate(unscanned(load_inline(text)))
     assert calls == []
 
 

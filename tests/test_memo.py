@@ -1,7 +1,8 @@
 """Per-program analyses are memoised on the program object they describe.
 
-The scope walk, the scan, the free-variable table, the skeleton table and
-the interpreter's set-up are each built once per ``Program`` object by
+The scope walk, the scan (nodes, occurrence facts, names and free
+variables), the skeleton table and the interpreter's set-up are each built
+once per ``Program`` object by
 whichever public call asks first, and read by every later call on it.  The
 memo must not change a result, must not survive into a copy, and must not
 keep its program alive.
@@ -16,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from liftlab import analysis, lifter, machine, syntax
+from liftlab import analysis, lifter, machine, skeleton, syntax
 from liftlab.analysis import split_groups
 from liftlab.lifter import lift_program, liftable_sites, plan_lifts
 from liftlab.machine import enumerate_lift_subsets, evaluate
@@ -26,8 +27,8 @@ from conftest import CORPUS_SEED, PROGRAMS_DIR
 from progen import ProgramGen
 
 # programs/ files that split_groups returns unchanged, so the whole
-# pipeline runs on one object; mutual's group is wide, so split_groups
-# folds it and the lifter reuses that table.
+# pipeline runs on one object: split_groups scans it, and the lifter and
+# the interpreter read that scan.
 SHARED = ("countdown", "mutual", "one_shot", "tally")
 
 
@@ -37,9 +38,10 @@ def source(name: str) -> str:
 
 @pytest.fixture
 def built(monkeypatch) -> Counter:
-    """Counts each analysis build, each fold and each right-hand side
-    folded, replacing the analysis functions where the memo helpers look
-    them up."""
+    """Counts each analysis build: each scan of whole roots and each
+    right-hand side it covers, and each fold the interpreter makes and each
+    right-hand side folded, replacing the analysis functions where their
+    callers look them up."""
     counts: Counter = Counter()
 
     class CountingWalk(syntax._ScopeWalk):
@@ -54,19 +56,21 @@ def built(monkeypatch) -> Counter:
 
         return build
 
-    real_fold = analysis.free_var_table
+    def scanning(key, item):
+        def build(roots):
+            s = real_scan(roots)
+            counts[key] += 1
+            counts.update((item, i) for i in s.free)
+            return s
 
-    def fold(roots):
-        table = real_fold(roots)
-        counts["folds"] += 1
-        counts.update(("folded", i) for i in table)
-        return table
+        return build
 
+    real_scan = analysis.scan
     monkeypatch.setattr(syntax, "_ScopeWalk", CountingWalk)
-    monkeypatch.setattr(analysis, "scan_program", counting("scan", analysis.scan_program))
     monkeypatch.setattr(lifter, "skeleton_table", counting("skeletons", lifter.skeleton_table))
-    monkeypatch.setattr(analysis, "free_var_table", fold)
-    monkeypatch.setattr(machine, "free_var_table", fold)
+    monkeypatch.setattr(analysis, "scan", scanning("scan", "scanned"))
+    monkeypatch.setattr(skeleton, "scan_roots", scanning("scan", "scanned"))
+    monkeypatch.setattr(machine, "scan", scanning("folds", "folded"))
     return counts
 
 
@@ -90,23 +94,28 @@ def pipeline(p: Program):
 def test_harness_order_analyses_once(name, built):
     p, _ = pipeline(parse(source(name)))
     assert (built["scope"], built["scan"], built["skeletons"]) == (1, 1, 1)
-    # The program's own right-hand sides are folded once, by split_groups
-    # or the plan, and evaluate reads the plan's table.  (The oracle's
-    # subset programs are new objects that share some right-hand sides
-    # with p, and fold what they run.)
-    rhss = [rhs for e in plan_lifts(p).nodes if type(e) is Let for _, rhs in e.group.binds]
-    assert rhss and all(built[("folded", id(rhs))] == 1 for rhs in rhss)
+    # The program's own right-hand sides are covered by that one scan, in
+    # split_groups, and evaluate reads its table.  (The oracle's subset
+    # programs are new objects that share some right-hand sides with p, and
+    # fold what they run.)
+    rhss = [rhs for e in plan_lifts(p).scan.nodes if type(e) is Let for _, rhs in e.group.binds]
+    assert rhss and all(built[("scanned", id(rhs))] == 1 for rhs in rhss)
+    assert not any(built[("folded", id(rhs))] for rhs in rhss)
 
 
 def test_unplanned_program_folds_lazily_and_keeps_it(built):
-    # Nobody planned it: each outermost group that runs is folded, once,
-    # and a second evaluate of the same object folds nothing.
-    p = split_groups(freshen(parse(source("countdown"))))
-    evaluate(p)
+    # Nobody planned or scanned a lifted output: each outermost group that
+    # runs is folded, once, and a second evaluate of the same object folds nothing.
+    lifted, _ = lift_program(split_groups(freshen(parse(source("one_shot")))))
+    assert any(type(e) is Let for e in syntax.program_nodes(lifted))
+    scans = built["scan"]
+    evaluate(lifted)
     folds = built["folds"]
-    assert folds >= 1 and all(n == 1 for k, n in built.items() if type(k) is tuple)
-    evaluate(p)
-    assert built["folds"] == folds
+    folded = [n for k, n in built.items() if type(k) is tuple and k[0] == "folded"]
+    assert folds >= 1 and folded and all(n == 1 for n in folded)
+    evaluate(lifted)
+    assert built["folds"] == folds and built["scan"] == scans
+    assert "scan" not in vars(lifted)["_analyses"]
 
 
 @pytest.mark.parametrize("name", SHARED + ("callweb", "scc_chain"))
@@ -139,8 +148,8 @@ def test_a_split_program_inherits_the_inputs_analyses():
         if q is p:
             continue
         fresh = copy.copy(q)
-        assert analysis._scanned(q) == analysis._scanned(fresh)
-        inherited, table = analysis._free_vars(q), analysis._free_vars(fresh)
+        inherited, table = analysis.scan_program(q), analysis.scan_program(fresh)
+        assert [id(e) for e in inherited.nodes] == [id(e) for e in table.nodes]
         assert inherited == table
         checked += 1
     assert checked > 100
@@ -164,8 +173,7 @@ def test_a_lifted_program_inherits_the_inputs_analyses():
             assert analysis._binder_names(q) == analysis._binder_names(fresh)
             if "plan" in vars(q)["_analyses"]:
                 seen["nothing lifted"] += 1
-                assert analysis._scanned(q) == analysis._scanned(fresh)
-                assert analysis._free_vars(q) == analysis._free_vars(fresh)
+                assert analysis.scan_program(q) == analysis.scan_program(fresh)
                 assert evaluate(q) == evaluate(fresh)
             else:
                 seen["lifted"] += 1

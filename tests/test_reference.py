@@ -64,7 +64,7 @@ def test_reference_imports_only_ast_types():
 def test_forbidden_imports_are_found():
     assert forbidden_imports("import math\nfrom itertools import chain\n") == []
     assert forbidden_imports("from liftlab.syntax import Let, walk\n") == ["liftlab.syntax.walk"]
-    assert forbidden_imports("from liftlab.analysis import free_var_table\n") == ["liftlab.analysis"]
+    assert forbidden_imports("from liftlab.analysis import scan\n") == ["liftlab.analysis"]
     assert forbidden_imports("import liftlab.skeleton\n") == ["liftlab.skeleton"]
     assert forbidden_imports("from conftest import load_inline\n") == ["conftest"]
     assert forbidden_imports("from . import syntax\n") == ["."]

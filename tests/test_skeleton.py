@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from liftlab.analysis import scan
 from liftlab.skeleton import (
     Alt,
     Closure,
@@ -19,7 +20,6 @@ from liftlab.syntax import (
     MULTI_SHOT,
     Let,
     parse,
-    program_nodes,
 )
 
 from progen import random_disjoint_sets
@@ -95,16 +95,15 @@ class TestSkeletonize:
                 assert skeleton_sexpr(skel) == reference(skel)
 
     def test_slot_sets_match_closure_slot_fvs(self, corpus, hand_programs):
-        # A table over nodes walked by the caller and one that walks them
-        # agree, and each closure holds the reference's slot set for its
-        # right-hand side.
+        # A table over the caller's scan and one that scans agree, and each
+        # closure holds the reference's slot set for its right-hand side.
         for p in [*corpus, *hand_programs.values()]:
             roots = [tb.body for tb in p.top_binds] + [p.main]
             tops = p.top_names()
-            nodes = list(program_nodes(p))
-            table = skeleton_table(roots, tops, nodes)
+            s = scan(roots)
+            table = skeleton_table(roots, tops, s)
             assert table == skeleton_table(roots, tops)
-            for e in nodes:
+            for e in s.nodes:
                 if isinstance(e, Let):
                     for name, rhs in e.group.binds:
                         slots = closure_slot_fvs(name, rhs, tops)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from liftlab.analysis import free_var_table, scan_program, split_groups
+from liftlab.analysis import scan, scan_program, split_groups
 from liftlab.lifter import lift_program, liftable_sites
 from liftlab.machine import evaluate, render_value
 from liftlab.skeleton import NIL, Seq, closure_growth, skeleton_table
@@ -50,9 +50,12 @@ def _check_contract(p):
     nodes = list(program_nodes(p))
     roots = [tb.body for tb in p.top_binds] + [p.main]
     assert nodes == [n for r in roots for n in _preorder(r)]
-    scanned, _, names = scan_program(p)
-    assert [id(n) for n in scanned] == [id(n) for n in nodes]
-    assert names == set(bound_names(p))
+    s = scan_program(p)
+    assert [id(n) for n in s.nodes] == [id(n) for n in nodes]
+    assert s.names == set(bound_names(p))
+    binds = [bind for e in nodes if isinstance(e, Let) for bind in e.group.binds]
+    assert set(s.free) == {id(rhs) for _, rhs in binds}
+    assert s.facts.keys() == {name for name, _ in binds}
     for e in nodes:
         assert map_subexprs(e, lambda c: c) == e
     lets = [e.group.binders() for e in nodes if isinstance(e, Let)]
@@ -157,7 +160,7 @@ def test_tables_need_no_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        fvs = free_var_table([root])
+        fvs = scan([root]).free
         skel = skeleton_table([e], frozenset())[id(e)]
     finally:
         sys.setrecursionlimit(old)
@@ -179,7 +182,7 @@ def test_free_vars_of_nested_lambdas_need_no_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        fvs = free_var_table([rhs])
+        fvs = scan([rhs]).free
     finally:
         sys.setrecursionlimit(old)
     assert len(fvs) == n and fvs[id(rhs)] == {"y"}
