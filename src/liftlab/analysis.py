@@ -1,8 +1,11 @@
 """Free-variable, occurrence, and binding-group analyses; free variables
 are kept per right-hand side and need globally unique names.  One walk,
 :func:`scan`, finds the nodes, occurrence facts, names and free variables
-together; a whole program's scan is memoised on the program object (see
-:func:`~liftlab.syntax._analyses`)."""
+together.  It stores each right-hand side's free variables on the node
+itself, where :func:`free_vars` reads them, as GHC's ``GHC.Stg.FVs``
+annotates each STG closure, so a subtree two programs share brings them
+along; the rest of a whole program's scan is memoised on the program
+object (see :func:`~liftlab.syntax._analyses`)."""
 
 from __future__ import annotations
 
@@ -25,9 +28,9 @@ from .syntax import (
     TopBind,
     Var,
     _analyses,
-    map_subexprs,
     program_nodes,
     subexprs,
+    with_subexprs,
 )
 
 
@@ -64,14 +67,14 @@ class Scan(NamedTuple):
     nodes: list[Expr]  # every node, in :func:`~liftlab.syntax.walk` order
     facts: dict[str, BinderFacts]  # per let binder
     names: frozenset[str]  # every binder and parameter name
-    free: dict[int, frozenset[str]]  # per right-hand side, keyed by ``id``
 
 
 def scan(roots: list[Expr | Rhs]) -> Scan:
     """One walk without recursion over ``roots``: their nodes in pre-order,
     the :class:`BinderFacts` of every let binder, every binder and parameter
-    name, and the free variables of every right-hand side under them (and of
-    each root that is one).
+    name; and it stores the free variables of every right-hand side under
+    them (and of each root that is one) on that right-hand side, for
+    :func:`free_vars`.
 
     A binder occurs as an argument when it appears in a non-head atom
     position of an application or primop.  Case scrutinee variables count as
@@ -89,7 +92,6 @@ def scan(roots: list[Expr | Rhs]) -> Scan:
     known: dict[str, bool] = {}
     as_arg: set[str] = set()
     names: set[str] = set()  # besides the let binders, the keys of known
-    free: dict[int, frozenset[str]] = {}
     mentioned: set[str] = set()  # names occurring in the open right-hand side
     bound: set[str] = set()  # binders inside it
     outer: list[tuple] = []  # per enclosing open one: (rhs, mentioned, bound)
@@ -130,7 +132,7 @@ def scan(roots: list[Expr | Rhs]) -> Scan:
             mentioned -= bound
             if type(rhs) is Lambda:
                 mentioned.difference_update(rhs.params)
-            free[id(rhs)] = fvs = frozenset(mentioned)
+            rhs.__dict__["_free"] = fvs = frozenset(mentioned)
             mentioned, bound = enclosing, enclosing_bound
             mentioned |= fvs
         else:  # a right-hand side opens
@@ -143,7 +145,19 @@ def scan(roots: list[Expr | Rhs]) -> Scan:
         name: BinderFacts(occurs_as_argument=name in as_arg, is_known_function=k)
         for name, k in known.items()
     }
-    return Scan(nodes, facts, frozenset(names.union(known)), free)
+    return Scan(nodes, facts, frozenset(names.union(known)))
+
+
+def free_vars(rhs: Rhs) -> frozenset[str]:
+    """The free variables of ``rhs``, as the last :func:`scan` over it
+    stored them in the frozen instance's ``__dict__``, which ``==``,
+    ``hash`` and ``repr`` do not read; a right-hand side nobody has scanned
+    is scanned here."""
+    fvs = rhs.__dict__.get("_free")
+    if fvs is None:
+        scan([rhs])
+        fvs = rhs.__dict__["_free"]
+    return fvs
 
 
 def scan_program(p: Program) -> Scan:
@@ -220,20 +234,20 @@ def split_groups(p: Program) -> Program:
 
     Components are emitted as nested lets, dependencies outermost.
     Semantics and allocation totals are preserved.  Tarjan runs only on
-    groups of two or more members, over the free variables of
-    :func:`scan_program`, so names must be globally unique.  One bottom-up
-    loop without recursion rebuilds what holds a split and shares every
-    other subtree; with no split, the result is ``p`` itself, which keeps
-    the scan read here for the lifter and the interpreter.  A split only
-    regroups binders, so a new result gets ``p``'s occurrence facts and
-    names, and each right-hand side the free variables of the one it was
-    rebuilt from.
+    groups of two or more members, over the free variables that
+    :func:`scan_program` stores, so names must be globally unique.  One
+    bottom-up loop without recursion rebuilds what holds a split and shares
+    every other subtree; with no split, the result is ``p`` itself, which
+    keeps the scan read here for the lifter and the interpreter.  A split
+    only regroups binders, so a new result gets ``p``'s occurrence facts
+    and names, and each right-hand side it rebuilds the free variables of
+    the one it replaces.
     """
-    nodes, facts, used, fvs = scan_program(p)
+    nodes, facts, used = scan_program(p)
     splits: dict[int, list[list[int]]] = {}
     for e in nodes:
         if type(e) is Let and len(e.group.binds) > 1:
-            comps = _scc_components(e.group.binders(), [fvs[id(rhs)] for _, rhs in e.group.binds])
+            comps = _scc_components(e.group.binders(), [free_vars(rhs) for _, rhs in e.group.binds])
             if len(comps) > 1:
                 splits[id(e)] = comps
     if not splits:
@@ -241,35 +255,27 @@ def split_groups(p: Program) -> Program:
     # Over the nodes reversed, children come before their parent, the first
     # child last, so they pop off ``results`` in child order.
     results: list[Expr] = []
-    # The result's table: p's, with each rebuilt right-hand side in place
-    # of the one it replaces.
-    free = dict(fvs)
     for e in reversed(nodes):
         t = type(e)
         if t is Let or t is Case:
-            kids = subexprs(e)
-            new_kids = [results.pop() for _ in kids]
-            comps = splits.get(id(e))
-            if comps is None and all(a is b for a, b in zip(new_kids, kids)):
-                results.append(e)
-                continue
-            it = iter(new_kids)
-            new = map_subexprs(e, lambda _: next(it))
+            new = with_subexprs(e, [results.pop() for _ in subexprs(e)])
             if t is Let:
                 for (_, rhs), (_, new_rhs) in zip(e.group.binds, new.group.binds):
-                    free[id(new_rhs)] = free.pop(id(rhs))
+                    if new_rhs is not rhs:
+                        new_rhs.__dict__["_free"] = free_vars(rhs)
+                comps = splits.get(id(e))
+                if comps is not None:
+                    binds, new = new.group.binds, new.body
+                    # Tarjan pops dependencies first; wrap in reverse so they
+                    # end up outermost and stay in scope for their dependents.
+                    for comp in reversed(comps):
+                        new = Let(BindGroup(tuple([binds[i] for i in comp])), new)
             e = new
-            if comps is not None:
-                binds, e = e.group.binds, e.body
-                # Tarjan pops dependencies first; wrap in reverse so they
-                # end up outermost and stay in scope for their dependents.
-                for comp in reversed(comps):
-                    e = Let(BindGroup(tuple([binds[i] for i in comp])), e)
         results.append(e)
     tops = [
         tb if tb.body is body else TopBind(tb.name, tb.params, body)
         for tb, body in zip(p.top_binds, reversed(results))
     ]
     q = Program(tuple(tops), results[0])
-    _analyses(q)["scan"] = Scan(list(program_nodes(q)), facts, used, free)
+    _analyses(q)["scan"] = Scan(list(program_nodes(q)), facts, used)
     return q

@@ -16,20 +16,22 @@ every occurrence becomes a head application carrying the required set.
 
 Lifting is split into analysis and application, as in GHC's
 ``GHC.Stg.Lift.Analysis`` and ``GHC.Stg.Lift``.  :func:`plan_lifts` reads
-only the program: its scan (nodes, occurrence facts, used names and free
-variables, from one pre-order walk) and its skeletons, from one bottom-up
-loop.  :func:`apply_lifts` does the per-call work on a plan: required
-sets, decisions (or the forced sites), fresh names, and two loops without
-recursion, a decision pass in pre-order that decides each group and
-rewrites each leaf and a rewrite pass over the same order reversed that
-builds the new definitions and rebuilds each let and case whose children
-changed, sharing the rest with the input.  ``lift_program`` is the two in
-a row; the oracle plans once and applies the plan to every subset,
-collecting no decisions.  The scan and the skeletons are memoised on the
+only the program: its scan (nodes, occurrence facts and used names, from
+one pre-order walk that stores each right-hand side's free variables on
+it) and its skeletons, from one bottom-up loop.  :func:`apply_lifts` does
+the per-call work on a plan: required sets, decisions (or the forced
+sites), fresh names, and two loops without recursion, a decision pass in
+pre-order that decides each group and rewrites each leaf and a rewrite
+pass over the same order reversed that builds the new definitions and
+rebuilds each let and case whose children changed, sharing the rest with
+the input.  ``lift_program`` is the two in a row; the oracle plans once
+and applies the plan to every subset, collecting no decisions.  The scan and the skeletons are memoised on the
 program (see :func:`~liftlab.syntax._analyses`), so :func:`lift_program`,
 :func:`liftable_sites` and the oracle on one program object scan it and
 build its skeletons once between them.  A leaf that lifting does not
-change, inside a lifted right-hand side too, is the input's own object.
+change, inside a lifted right-hand side too, is the input's own object,
+and so is a right-hand side whose body it does not change, which keeps
+its free variables for the interpreter.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import BinderFacts, Scan, _binder_names, scan_program
+from .analysis import Scan, _binder_names, free_vars, scan_program
 from .skeleton import GrowthValue, Skeleton, closure_growth, skeleton_table
 from .syntax import (
     App,
@@ -55,9 +57,9 @@ from .syntax import (
     Var,
     _analyses,
     _fresh,
-    map_subexprs,
     occurrences,
     subexprs,
+    with_subexprs,
 )
 
 LIFTED = "Lifted"
@@ -215,12 +217,9 @@ def _rejected(
 
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
-    """Groups that may be force-lifted without breaking validity (C5 and C1 hold)."""
-    s = scan_program(p)
-    return _liftable(s.nodes, s.facts)
-
-
-def _liftable(nodes: list[Expr], facts: dict[str, BinderFacts]) -> list[tuple[str, ...]]:
+    """Groups that may be force-lifted without breaking validity (C5 and C1
+    hold), in pre-order, read from the program's :func:`scan_program`."""
+    nodes, facts, _ = scan_program(p)
     return [
         e.group.binders()
         for e in nodes
@@ -239,16 +238,12 @@ class LiftPlan(NamedTuple):
     scan: Scan  # the program's scan_program
     skels: dict[int, Skeleton]
 
-    def sites(self) -> list[tuple[str, ...]]:
-        """The program's :func:`liftable_sites`."""
-        return _liftable(self.scan.nodes, self.scan.facts)
-
     def recursive(self, group: BindGroup) -> bool:
         """Whether a binder of ``group`` is free in one of its right-hand
-        sides, read from the scan without a walk; exact since no name is
-        bound twice."""
+        sides, read from their :func:`free_vars` without a walk; exact since
+        no name is bound twice."""
         binders = group.binders()
-        return any(not self.scan.free[id(rhs)].isdisjoint(binders) for _, rhs in group.binds)
+        return any(not free_vars(rhs).isdisjoint(binders) for _, rhs in group.binds)
 
 
 def plan_lifts(p: Program) -> LiftPlan:
@@ -413,12 +408,7 @@ def apply_lifts(
     lifted_groups: list[list[TopBind]] = []
     for e, info in reversed(order):
         if info is None:
-            kids = subexprs(e)
-            new_kids = [results.pop() for _ in kids]
-            if any([a is not b for a, b in zip(new_kids, kids)]):
-                it = iter(new_kids)
-                e = map_subexprs(e, lambda _: next(it))
-            results.append(e)
+            results.append(with_subexprs(e, [results.pop() for _ in subexprs(e)]))
         elif isinstance(e, Let):
             # The rebuilt let body stays on ``results`` as the let's own.
             lifted_groups.append(

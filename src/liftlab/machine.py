@@ -24,13 +24,15 @@ and top-level definitions allocate nothing.  The resulting word counts are
 the ground truth against which the lifter's closure-growth predictions are
 checked.
 
-What evaluation needs of the program before it steps (each let's slot
-names, and the stats rows) is memoised on the program object (see
+What evaluation needs of the program before it steps (the stats rows,
+and each let's slot names) is memoised on the program object (see
 :func:`~liftlab.syntax._analyses`), so a second :func:`evaluate` of one
-object starts at once.  The slots are read from the free variables of the
-program's :func:`~liftlab.analysis.scan_program` when it has one; otherwise
-one :func:`~liftlab.analysis.scan` per outermost let group that runs covers
-those nested in it, and what it folds is kept for the next evaluation.
+object starts at once.  The slots are read from each right-hand side's
+:func:`~liftlab.analysis.free_vars`.  The stats rows come first, from the
+program's :func:`~liftlab.analysis.scan_program` unless the lifter handed
+them on, so a program nobody scanned is scanned once, whole, before it
+runs; a lifted output scans only the right-hand sides the lift rebuilt,
+when they first run.
 
 Counting never keeps a closure alive, as in GHC's ticky-ticky profiling.
 Each let binder that runs gets one list of entry counts, one per
@@ -44,8 +46,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .analysis import _binder_names, closure_slots, scan
-from .lifter import apply_lifts, plan_lifts
+from .analysis import _binder_names, closure_slots, free_vars
+from .lifter import apply_lifts, liftable_sites, plan_lifts
 from .syntax import (
     App,
     AtomExpr,
@@ -211,17 +213,14 @@ class _Machine:
         # id(let) -> per binding (name, rhs, slot names, entry counts)
         self.plans: dict[int, list[tuple]] = {}
         # What does not depend on the run is memoised on the program: the
-        # layouts of the lets and the free variables they are read from, the
-        # scan's if the program was scanned, else what runs so far have
-        # folded.
-        memo = _analyses(program)
-        self.layouts: dict[int, list[tuple]] = memo.setdefault("layouts", {})
-        scanned = memo.get("scan")
-        self.free_vars = memo.setdefault("folded", {}) if scanned is None else scanned.free
+        # stats rows, whose scan stores the free variables of every
+        # right-hand side when the program has none, and the let layouts.
+        self.rows = _binder_names(program)
+        self.layouts: dict[int, list[tuple]] = _analyses(program).setdefault("layouts", {})
 
     def _stats(self, steps: int) -> AllocStats:
         # Every binder gets a row, also one never allocated or entered.
-        per_binder = dict.fromkeys(_binder_names(self.program), _NEVER_RAN)
+        per_binder = dict.fromkeys(self.rows, _NEVER_RAN)
         words = closures = 0
         for name, (counts, width) in self.counters.items():
             n = len(counts)
@@ -235,21 +234,14 @@ class _Machine:
 
     def _plan(self, let: Let) -> list[tuple]:
         """Per binding: name, right-hand side, slot names, entry counts; all
-        but the counts come from the let's layout, made once per program.
-        Without the program's scan, one :func:`scan` of each outermost group
-        that runs covers those nested in it; most of a program never runs,
-        so none is made ahead."""
+        but the counts come from the let's layout, made once per program."""
         layout = self.layouts.get(id(let))
         if layout is None:
-            free = self.free_vars
-            rhss = [rhs for _, rhs in let.group.binds]
-            if rhss and id(rhss[0]) not in free:
-                free.update(scan(rhss).free)
             layout = []
             for name, rhs in let.group.binds:
                 # Names are unique, so every allocation for ``name`` stores
                 # the same slots.
-                slots = tuple(sorted(closure_slots(name, free[id(rhs)], self.top_names)))
+                slots = tuple(sorted(closure_slots(name, free_vars(rhs), self.top_names)))
                 layout.append((name, rhs, slots, 1 + len(slots)))
             self.layouts[id(let)] = layout
         plan = [
@@ -538,7 +530,7 @@ def enumerate_lift_subsets(
     The program is analysed once, and each subset only applies that plan.
     """
     plan = plan_lifts(p)
-    sites = plan.sites()
+    sites = liftable_sites(plan.program)
     if len(sites) > max_groups:
         raise SubsetTooLarge(f"{len(sites)} liftable groups exceed limit {max_groups}")
     rows = []

@@ -2,11 +2,10 @@
 
 A skeleton abstracts an expression down to what matters for allocation:
 which closures exist, each with the variables it stores (the
-:func:`~liftlab.analysis.closure_slots` of its right-hand side's free
-variables in the :func:`~liftlab.analysis.scan`, the rule the interpreter
-charges by), how regions are sequenced or branch
-against each other, and how often right-hand-side regions are entered per
-allocation.
+:func:`~liftlab.analysis.closure_slots` of its right-hand side's
+:func:`~liftlab.analysis.free_vars`, the rule the interpreter charges by),
+how regions are sequenced or branch against each other, and how often
+right-hand-side regions are entered per allocation.
 ``closure_growth`` evaluates the net heap effect, in words, of adding one
 variable set to and removing another from every closure that mentions a
 removed variable.  Results live in the integers extended with infinity:
@@ -23,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .analysis import Scan, cardinality, closure_slots, scan as scan_roots
+from . import analysis
+from .analysis import Scan, cardinality, closure_slots, free_vars
 from .syntax import Cardinality, Case, Expr, INF, Let
 
 GrowthValue = int | float  # int, or INF
@@ -75,15 +75,14 @@ def skeleton_table(
     Atoms and applications do not allocate.  A let contributes one closure
     per binding followed by the entry-scaled region of its body, and each of
     its right-hand sides maps to that binding's part, ``Seq(Closure(slots),
-    region)`` with the :func:`closure_slots` of its free variables; case
+    region)`` with the :func:`closure_slots` of its :func:`free_vars`; case
     sequences the scrutinee before the branch choice.  Built in one
     bottom-up loop without recursion over the nodes of ``scan``, the roots'
     :func:`~liftlab.analysis.scan` (made here when not given); parents share
     children by reference.  Names must be globally unique.
     """
     if scan is None:
-        scan = scan_roots(roots)
-    fvs = scan.free
+        scan = analysis.scan(roots)
     table: dict[int, Skeleton] = {}
     for e in reversed(scan.nodes):
         t = type(e)
@@ -93,7 +92,7 @@ def skeleton_table(
             parts = []
             for name, rhs in e.group.binds:
                 inner = table[id(rhs.body)]
-                slots = closure_slots(name, fvs[id(rhs)], top_names)
+                slots = closure_slots(name, free_vars(rhs), top_names)
                 captured = captured.union(slots, inner.captured)
                 table[id(rhs)] = part = Seq(Closure(slots), Scaled(cardinality(rhs), inner))
                 parts.append(part)

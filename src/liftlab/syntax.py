@@ -20,21 +20,24 @@ alphanumerics or ``_``; integers are ``-?[0-9]+``; line comments start with
 ``--``.  Application arguments and case patterns are atoms; every lambda is
 the right-hand side of a binding.  A ``let ... and ...`` group is recursive
 when one of its binders occurs free in one of its right-hand sides (the
-lifter reads that from the free variables of its scan, in
+lifter reads that from their :func:`~liftlab.analysis.free_vars`, in
 :meth:`~liftlab.lifter.LiftPlan.recursive`); the SCC pre-pass splits groups
 into their minimal components (see :mod:`liftlab.analysis`).
 
 Programs are immutable, so what an analysis finds about one is memoised on
-the ``Program`` object itself (:func:`_analyses`): :func:`freshen` and
+the object it describes, in the frozen instance's ``__dict__``, which
+``==``, ``hash`` and ``repr`` ignore: a right-hand side keeps its free
+variables and a group its binders, and a ``Program`` keeps its
+whole-program tables (:func:`_analyses`): :func:`freshen` and
 :func:`validate` share one scope walk, and the analysis, lifter and
-interpreter modules keep their whole-program tables there too.  A copy of
-a program analyses afresh; ``==``, ``hash`` and ``repr`` ignore the memo.
+interpreter modules keep theirs there too.  A copy of a program analyses
+afresh.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -167,12 +170,11 @@ class Program:
 
 class _Analyses(dict):
     """What the analyses found about one program, by name (see
-    :func:`_analyses`): ``scope`` here; ``scan`` (nodes, occurrence facts,
-    names and free variables) and ``binders`` in :mod:`liftlab.analysis`;
-    ``plan`` (the skeletons) in :mod:`liftlab.lifter`; ``layouts`` and
-    ``folded`` in :mod:`liftlab.machine`.  A pickled or deep-copied one
-    comes back empty, since its tables are keyed by the ``id`` of the
-    original's nodes."""
+    :func:`_analyses`): ``scope`` here; ``scan`` (nodes, occurrence facts
+    and names) and ``binders`` in :mod:`liftlab.analysis`; ``plan`` (the
+    skeletons) in :mod:`liftlab.lifter`; ``layouts`` in
+    :mod:`liftlab.machine`.  A pickled or deep-copied one comes back empty,
+    since its tables are keyed by the ``id`` of the original's nodes."""
 
     def __init__(self, owner: int | None = None) -> None:
         self.owner = owner  # the id of the program it describes
@@ -211,32 +213,28 @@ def subexprs(e: Expr) -> tuple[Expr, ...]:
     raise AssertionError(e)
 
 
-def map_subexprs(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """Rebuild ``e`` with ``f`` applied to each sub-expression, in
+def with_subexprs(e: Expr, kids: list[Expr]) -> Expr:
+    """``e`` with its sub-expressions replaced by ``kids``, given in
     :func:`subexprs` order; binders, parameters and patterns are kept.
-
-    Plain loops keep this to one stack frame between ``f``'s calls, so
-    recursive callers reach the same nesting depth as a direct recursion
-    (pass a bound method or ``functools.partial``, not a lambda).
-    """
-    if isinstance(e, (AtomExpr, App, PrimApp)):
-        return e
+    ``e`` itself when every child is its own, and otherwise a node that
+    keeps each right-hand side whose body is its own, so what is stored on
+    a right-hand side (see :func:`~liftlab.analysis.free_vars`) stays."""
     if isinstance(e, Let):
-        binds = []
-        for name, rhs in e.group.binds:
-            if isinstance(rhs, Lambda):
-                binds.append((name, Lambda(rhs.card, rhs.params, f(rhs.body))))
-            else:
-                binds.append((name, Thunk(f(rhs.body))))
-        return Let(BindGroup(tuple(binds)), f(e.body))
+        binds = e.group.binds
+        if all([body is rhs.body for body, (_, rhs) in zip(kids, binds)]):
+            return e if kids[-1] is e.body else Let(e.group, kids[-1])
+        new = []
+        for body, (name, rhs) in zip(kids, binds):
+            if body is not rhs.body:
+                rhs = Lambda(rhs.card, rhs.params, body) if isinstance(rhs, Lambda) else Thunk(body)
+            new.append((name, rhs))
+        return Let(BindGroup(tuple(new)), kids[-1])
     if isinstance(e, Case):
-        scrut = f(e.scrutinee)
-        alts = []
-        for pat, body in e.alts:
-            alts.append((pat, f(body)))
-        dname, dbody = e.default
-        return Case(scrut, tuple(alts), (dname, f(dbody)))
-    raise AssertionError(e)
+        if all([a is b for a, b in zip(kids, subexprs(e))]):
+            return e
+        alts = tuple([(pat, body) for (pat, _), body in zip(e.alts, kids[1:])])
+        return Case(kids[0], alts, (e.default[0], kids[-1]))
+    return e
 
 
 def walk(*roots: Expr) -> Iterator[Expr]:

@@ -3,7 +3,7 @@
 Each is written from README's cost model as a plain recursion over the AST.
 Nothing here imports from liftlab but the AST types of ``liftlab.syntax``,
 so a cross-check against these functions cannot share a bug with the
-free-variable fold, the closure slot rule or the skeletons it checks
+free-variable scan, the closure slot rule or the skeletons it checks
 (``test_reference_imports_only_ast_types`` holds that rule).
 """
 

@@ -1,5 +1,6 @@
 from collections import Counter
 
+from liftlab import analysis
 from liftlab.analysis import (
     cardinality,
     closure_slots,
@@ -31,37 +32,34 @@ def expr_of(src: str):
     return parse(f"main = {src}").main
 
 
-def table_entry(node):
-    return scan([node]).free[id(node)]
-
-
 class TestFreeVars:
     def test_lambda_captures(self):
         e = expr_of("let f = \\ a b -> case +# x y of { default s -> +# a b } in f 1 2")
         _, rhs = e.group.binds[0]
-        assert table_entry(rhs) == {"x", "y"}
+        assert analysis.free_vars(rhs) == {"x", "y"}
 
     def test_literal(self):
         # The table keeps right-hand sides only, so the literal sits in one.
-        assert table_entry(Thunk(AtomExpr(Lit(42)))) == frozenset()
+        assert analysis.free_vars(Thunk(AtomExpr(Lit(42)))) == frozenset()
 
     def test_let_removes_binder(self):
         rhs = Thunk(expr_of("let h = \\ e -> f e e in h x"))
-        assert table_entry(rhs) == {"f", "x"}
+        assert analysis.free_vars(rhs) == {"f", "x"}
 
     def test_agrees_with_naive_reference(self, corpus, hand_programs):
-        # Every right-hand side of one table over all roots, of each input
-        # and of its lifted output, which the interpreter folds too; and
-        # the table holds nothing else.
+        # Every right-hand side under all roots, of each input and of its
+        # lifted output, which the interpreter reads too, carries what one
+        # scan over the roots stored on it.
         checked = 0
         for p in [*corpus, *hand_programs.values()]:
             for q in (p, lift_program(p)[0]):
-                table = scan([tb.body for tb in q.top_binds] + [q.main]).free
                 lets = [e for e in program_nodes(q) if isinstance(e, Let)]
                 rhss = [rhs for e in lets for _, rhs in e.group.binds]
-                assert len(table) == len(rhss)
                 for rhs in rhss:
-                    assert table[id(rhs)] == free_vars(rhs)
+                    vars(rhs).pop("_free", None)
+                scan([tb.body for tb in q.top_binds] + [q.main])
+                for rhs in rhss:
+                    assert vars(rhs)["_free"] == free_vars(rhs)
                 checked += len(rhss)
         assert checked > 10_000
 
@@ -73,8 +71,8 @@ class TestClosureSlots:
     def test_slot_fvs_reads_the_rhs_free_variables(self):
         e = expr_of("let f = \\ a -> case +# a x of { default s -> f g s } in f 1")
         name, rhs = e.group.binds[0]
-        assert closure_slots(name, table_entry(rhs), fs("g")) == {"x"}
-        assert closure_slots(name, table_entry(rhs), fs()) == {"g", "x"}
+        assert closure_slots(name, analysis.free_vars(rhs), fs("g")) == {"x"}
+        assert closure_slots(name, analysis.free_vars(rhs), fs()) == {"g", "x"}
 
 
 class TestOccurrenceFacts:

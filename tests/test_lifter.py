@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from liftlab import analysis, lifter, skeleton
+from liftlab import analysis, lifter
 from liftlab.lifter import (
     LiftConfig,
     LiftError,
@@ -319,7 +319,6 @@ class TestLiftProgram:
             return real(*args)
 
         monkeypatch.setattr(analysis, "scan", counting)
-        monkeypatch.setattr(skeleton, "scan_roots", counting)
         for name in ("growth_balanced", "callweb", "scc_chain"):
             calls.clear()
             p = load_program(name)
@@ -424,7 +423,7 @@ class TestSharing:
         # As the oracle applies one plan to every subset of the sites.
         for p in [*corpus[:300], *hand_programs.values()]:
             plan = plan_lifts(p)
-            sites = plan.sites()
+            sites = liftable_sites(plan.program)
             if len(sites) > 4:
                 continue
             for n in range(len(sites) + 1):

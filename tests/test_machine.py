@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from liftlab import lifter, machine
+from liftlab import analysis, lifter
 from liftlab.lifter import LiftConfig, apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import (
     ArityMismatch,
@@ -480,9 +480,10 @@ class TestOracle:
 
 
 def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
-    # evaluate and its free-variable fold need globally unique names, so
-    # every program the pipeline evaluates must validate: each oracle
-    # subset, the output under each ablation and a second lifting pass.
+    # evaluate and the scan it reads free variables from need globally
+    # unique names, so every program the pipeline evaluates must validate:
+    # each oracle subset, the output under each ablation and a second
+    # lifting pass.
     ablations = [
         LiftConfig(check_closure_growth=False),
         LiftConfig(allow_unknown_calls=True),
@@ -491,7 +492,7 @@ def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
     checked = 0
     for p in [*corpus[:300], *hand_programs.values()]:
         plan = plan_lifts(p)
-        sites = plan.sites()
+        sites = liftable_sites(plan.program)
         outputs = [apply_lifts(plan, cfg) for cfg in ablations]
         outputs.append(lift_program(lift_program(p)[0])[0])
         if len(sites) <= 4:  # enumerate_lift_subsets' default limit
@@ -505,34 +506,34 @@ def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
 
 
 def test_setup_folds_once_per_group_not_per_allocation(monkeypatch):
-    # On a program nobody scanned, the interpreter folds free variables
-    # once per outermost let group that runs: as often for 10 loop
-    # iterations as for 1,000, never again on a second evaluate, and never
-    # when main allocates nothing.
+    # A freshly parsed program nobody scanned is scanned once, whole, by
+    # its first evaluate, for the stats rows; that scan stores the free
+    # variables every let's set-up reads, so no let group is scanned on its
+    # own: as many scans for 10 loop iterations as for 1,000, none on a
+    # second evaluate, and the same one when main allocates nothing.
     calls = []
-    real = machine.scan
+    real = analysis.scan
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(roots):
+        calls.append([id(r) for r in roots])
+        return real(roots)
 
-    def unscanned(p):
-        return Program(p.top_binds, p.main)
+    def roots(p):
+        return [id(r) for r in [tb.body for tb in p.top_binds] + [p.main]]
 
-    monkeypatch.setattr(machine, "scan", counting)
-    counts = []
+    monkeypatch.setattr(analysis, "scan", counting)
+    countdown = (PROGRAMS_DIR / "countdown.stg").read_text()
     for n in (10, 1_000):
         calls.clear()
-        p = unscanned(countdown_at(n))
+        p = parse(countdown.replace("1000", str(n)))
         evaluate(p)
-        counts.append(len(calls))
+        assert calls == [roots(p)]
         evaluate(p)
-        assert len(calls) == counts[-1]
-    assert counts[0] == counts[1] == 1  # countdown has one let group
+        assert calls == [roots(p)]
     calls.clear()
-    text = "main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }"
-    evaluate(unscanned(load_inline(text)))
-    assert calls == []
+    p = parse("main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }")
+    evaluate(p)
+    assert calls == [roots(p)]
 
 
 def test_charged_words_follow_closure_slots(corpus, hand_programs):

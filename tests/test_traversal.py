@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from liftlab.analysis import scan, scan_program, split_groups
+from liftlab.analysis import free_vars, scan, scan_program, split_groups
 from liftlab.lifter import lift_program, liftable_sites
 from liftlab.machine import evaluate, render_value
 from liftlab.skeleton import NIL, Seq, closure_growth, skeleton_table
@@ -27,17 +27,17 @@ from liftlab.syntax import (
     Thunk,
     Var,
     freshen,
-    map_subexprs,
     occurrences,
     parse,
     program_nodes,
     subexprs,
     validate,
     walk,
+    with_subexprs,
 )
 
 from conftest import forward_group_text
-from reference import bound_names, direct_growth, recursive
+from reference import bound_names, direct_growth, free_vars as reference_free_vars, recursive
 
 
 def _preorder(e):
@@ -54,10 +54,12 @@ def _check_contract(p):
     assert [id(n) for n in s.nodes] == [id(n) for n in nodes]
     assert s.names == set(bound_names(p))
     binds = [bind for e in nodes if isinstance(e, Let) for bind in e.group.binds]
-    assert set(s.free) == {id(rhs) for _, rhs in binds}
+    # Every right-hand side under the roots carries its free variables.
+    for _, rhs in binds:
+        assert vars(rhs)["_free"] == reference_free_vars(rhs)
     assert s.facts.keys() == {name for name, _ in binds}
     for e in nodes:
-        assert map_subexprs(e, lambda c: c) == e
+        assert with_subexprs(e, list(subexprs(e))) is e
     lets = [e.group.binders() for e in nodes if isinstance(e, Let)]
     _, decisions = lift_program(p, force_sites=frozenset())
     assert lets == [d.binders for d in decisions]
@@ -68,11 +70,13 @@ def _check_contract(p):
 def test_contract_on_corpus(corpus):
     for p in corpus:
         _check_contract(p)
+        _check_contract(lift_program(p)[0])
 
 
 def test_contract_on_hand_programs(hand_programs):
     for p in hand_programs.values():
         _check_contract(p)
+        _check_contract(lift_program(p)[0])
 
 
 def test_walk_children_order():
@@ -160,11 +164,13 @@ def test_tables_need_no_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        fvs = scan([root]).free
+        scan([root])
         skel = skeleton_table([e], frozenset())[id(e)]
     finally:
         sys.setrecursionlimit(old)
-    assert len(fvs) == n + 1 and fvs[id(root)] == {"y", "z"}
+    rhss = [root] + [node.group.binds[0][1] for node in walk(e) if isinstance(node, Let)]
+    assert len(rhss) == n + 1 and all("_free" in vars(rhs) for rhs in rhss)
+    assert free_vars(root) == {"y", "z"}
     depth = 0
     while isinstance(skel, Seq):  # one let node, then one case node, per step
         skel, depth = skel.right, depth + 1
@@ -182,13 +188,13 @@ def test_free_vars_of_nested_lambdas_need_no_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        fvs = scan([rhs]).free
+        scan([rhs])
     finally:
         sys.setrecursionlimit(old)
-    assert len(fvs) == n and fvs[id(rhs)] == {"y"}
+    assert vars(rhs)["_free"] == {"y"}
     for _ in range(n - 1):
         rhs = rhs.body.group.binds[0][1]
-        assert fvs[id(rhs)] == {"y", "p1"}
+        assert vars(rhs)["_free"] == {"y", "p1"}
 
 
 def test_lift_needs_no_recursion():
