@@ -31,14 +31,15 @@ variables and a group its binders, and a ``Program`` keeps its
 whole-program tables (:func:`_analyses`): :func:`freshen` and
 :func:`validate` share one scope walk, and the analysis, lifter and
 interpreter modules keep theirs there too.  A copy of a program analyses
-afresh.
+afresh.  ``==`` and ``hash`` compare the fields structurally on an explicit
+stack, so equal programs of any nesting depth compare equal.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 
 INF = float("inf")
@@ -50,6 +51,22 @@ KEYWORDS = frozenset({"let", "and", "in", "case", "of", "default", "thunk"})
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
+
+
+class _Node:
+    """Structural ``==`` and ``hash`` for the compound nodes, on an explicit
+    stack (see :func:`_same`), where the generated ones recurse once per
+    nesting level; the leaves ``Var`` and ``Lit`` keep the generated ones."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same(self, other)
+
+    def __hash__(self) -> int:
+        return _shape_hash(self)
 
 
 @dataclass(frozen=True)
@@ -89,22 +106,22 @@ MULTI_SHOT = Cardinality(0, INF)
 THUNK_CARD = Cardinality(0, 1)
 
 
-@dataclass(frozen=True)
-class Lambda:
+@dataclass(frozen=True, eq=False)
+class Lambda(_Node):
     card: Cardinality
     params: tuple[str, ...]
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class Thunk:
+@dataclass(frozen=True, eq=False)
+class Thunk(_Node):
     """Updatable nullary closure; memoised after its first entry."""
 
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class BindGroup:
+@dataclass(frozen=True, eq=False)
+class BindGroup(_Node):
     binds: tuple[tuple[str, "Rhs"], ...]
 
     def binders(self) -> tuple[str, ...]:
@@ -117,31 +134,31 @@ class BindGroup:
         return names
 
 
-@dataclass(frozen=True)
-class AtomExpr:
+@dataclass(frozen=True, eq=False)
+class AtomExpr(_Node):
     atom: Var | Lit
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False)
+class App(_Node):
     head: str
     args: tuple[Var | Lit, ...]
 
 
-@dataclass(frozen=True)
-class PrimApp:
+@dataclass(frozen=True, eq=False)
+class PrimApp(_Node):
     op: str
     args: tuple[Var | Lit, Var | Lit]
 
 
-@dataclass(frozen=True)
-class Let:
+@dataclass(frozen=True, eq=False)
+class Let(_Node):
     group: BindGroup
     body: "Expr"
 
 
-@dataclass(frozen=True)
-class Case:
+@dataclass(frozen=True, eq=False)
+class Case(_Node):
     scrutinee: "Expr"
     alts: tuple[tuple[int, "Expr"], ...]
     default: tuple[str, "Expr"]
@@ -152,15 +169,15 @@ Rhs = Lambda | Thunk
 Atom = Var | Lit
 
 
-@dataclass(frozen=True)
-class TopBind:
+@dataclass(frozen=True, eq=False)
+class TopBind(_Node):
     name: str
     params: tuple[str, ...]
     body: Expr
 
 
-@dataclass(frozen=True)
-class Program:
+@dataclass(frozen=True, eq=False)
+class Program(_Node):
     top_binds: tuple[TopBind, ...]
     main: Expr
 
@@ -168,11 +185,59 @@ class Program:
         return frozenset(tb.name for tb in self.top_binds)
 
 
+_FIELDS = {
+    cls: tuple([f.name for f in fields(cls)])
+    for cls in (Lambda, Thunk, BindGroup, AtomExpr, App, PrimApp, Let, Case, TopBind, Program)
+}
+
+
+def _same(a: _Node, b: _Node) -> bool:
+    """What the generated ``==`` computes: fields in order, tuples element
+    by element, any other value by its own ``==``."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        names = _FIELDS.get(type(x))
+        if names is not None:
+            if type(y) is not type(x):
+                return False
+            stack += [(getattr(x, f), getattr(y, f)) for f in names]
+        elif type(x) is tuple and type(y) is tuple:
+            if len(x) != len(y):
+                return False
+            stack += zip(x, y)
+        elif x != y:
+            return False
+    return True
+
+
+def _shape_hash(a: _Node) -> int:
+    """A hash of ``a``'s pre-order: each node's type, each tuple's length
+    and every other value, so values :func:`_same` finds equal hash
+    equal."""
+    items: list = []
+    stack: list = [a]
+    while stack:
+        x = stack.pop()
+        names = _FIELDS.get(type(x))
+        if names is not None:
+            items.append(type(x))
+            stack += [getattr(x, f) for f in reversed(names)]
+        elif type(x) is tuple:
+            items.append(len(x))
+            stack += reversed(x)
+        else:
+            items.append(x)
+    return hash(tuple(items))
+
+
 class _Analyses(dict):
     """What the analyses found about one program, by name (see
     :func:`_analyses`): ``scope`` here; ``scan`` (nodes, occurrence facts
     and names) and ``binders`` in :mod:`liftlab.analysis`; ``plan`` (the
-    skeletons) in :mod:`liftlab.lifter`; ``layouts`` in
+    skeletons) in :mod:`liftlab.lifter`; ``layouts`` and ``compiled`` in
     :mod:`liftlab.machine`.  A pickled or deep-copied one comes back empty,
     since its tables are keyed by the ``id`` of the original's nodes."""
 

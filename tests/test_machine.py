@@ -6,12 +6,15 @@ from itertools import combinations
 
 import pytest
 
-from liftlab import analysis, lifter
+from liftlab import analysis, lifter, machine
+from liftlab.cli import main as cli_main
 from liftlab.lifter import LiftConfig, apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import (
+    DEFAULT_FUEL,
     ArityMismatch,
     BlackholeLoop,
     DivideByZero,
+    EvalError,
     OutOfFuel,
     SubsetTooLarge,
     UnboundVariable,
@@ -28,6 +31,7 @@ from liftlab.syntax import (
     Program,
     Thunk,
     Var,
+    _analyses,
     parse,
     program_nodes,
     validate,
@@ -259,6 +263,181 @@ class TestErrors:
     def test_bad_fuel(self):
         with pytest.raises(ValueError):
             evaluate(parse("main = 1"), fuel=0)
+
+
+def dict_engine(p, fuel=DEFAULT_FUEL):
+    return machine._Machine(p, fuel).run()
+
+
+def frames_engine(p, fuel=DEFAULT_FUEL):
+    return machine._run_frames(p, fuel)
+
+
+def outcome(run, p, fuel=DEFAULT_FUEL):
+    """What a run shows: the value's key and the stats, or the error's type
+    and message."""
+    try:
+        value, stats = run(p, fuel)
+    except EvalError as exc:
+        return type(exc), str(exc)
+    return value_key(value), stats
+
+
+# Each run ends in an error or takes a path the hand-written programs and
+# the corpus may not: forced heads applied to arguments, a primop operand
+# that is a function, and names bound nowhere (not validated).
+EDGE_PROGRAMS = [
+    ("main = let w = \\ x -> w x in w 1", True),
+    ("main = let t = thunk t in t", True),
+    ("main = let t = thunk (case t of { default x -> x }) in t", True),
+    ("main = let t = thunk 5 in t 1", True),
+    ("f a b = a;\nmain = f 1", True),
+    ("main = %# 1 0", True),
+    ("main = case %# 1 0 of { default d -> d }", True),
+    ("main = let f = \\ a -> a in +# f 1", True),
+    ("main = let f = \\ a -> a in let t = thunk f in +# 1 t", True),
+    ("main = let f = \\ a -> +# a 1 in let t = thunk f in t 41", True),
+    ("k a = h;\nh b = b;\ng = k;\nmain = g 1 2", True),
+    (
+        "k a = h;\nh b = +# b 1;\n"
+        "main = let t = thunk k in case t 1 2 of { default r -> t 3 r }",
+        True,
+    ),
+    ("main = let mk = \\ a -> let inner = \\ b -> +# a b in inner in mk 1 2", True),
+    ("f = 3;\nmain = case f of { 3 -> case f of { default e -> e }; default d -> 0 }", True),
+    ("main = nowhere", False),
+    ("main = nowhere 1", False),
+    ("main = let g = \\ a -> +# a nowhere in g 1", False),
+    ("main = let t = thunk 1 in +# t nowhere", False),
+    ("main = case nowhere of { default d -> d }", False),
+]
+
+
+def edge_programs():
+    return [load_inline(text) if valid else parse(text) for text, valid in EDGE_PROGRAMS]
+
+
+class TestCompiledFrames:
+    """Runs that pass _HANDOVER steps restart on compiled frames, which
+    must show exactly what the dict-environment engine shows."""
+
+    def test_engines_agree(self, corpus, hand_programs):
+        # Both engines through their private entry points, on every
+        # program before and after lifting; the compiled engine's fuel is
+        # exact as well.
+        checked, errors = 0, set()
+        for p in [*hand_programs.values(), *corpus, *edge_programs()]:
+            for q in (p, lift_program(p)[0]) if validate(p) == [] else (p,):
+                assert outcome(frames_engine, q, 1_000) == outcome(dict_engine, q, 1_000)
+                expected = outcome(dict_engine, q, 200_000)
+                assert outcome(frames_engine, q, 200_000) == expected
+                checked += 1
+                if type(expected[0]) is not tuple:
+                    errors.add(expected[0])
+                    continue
+                steps = expected[1].steps
+                assert outcome(frames_engine, q, steps) == expected
+                if steps > 1:
+                    with pytest.raises(OutOfFuel, match=f"^exceeded {steps - 1} steps$"):
+                        frames_engine(q, steps - 1)
+        assert checked > 2_000
+        assert errors == {ArityMismatch, BlackholeLoop, DivideByZero, OutOfFuel, UnboundVariable}
+
+    @pytest.mark.parametrize(
+        "src, shown",
+        [("main = let f = \\ a -> a in f", "<fun f>"), ("g x = x;\nmain = g", "<fun g>")],
+        ids=["let", "top-level"],
+    )
+    def test_compiled_closures_render(self, src, shown):
+        value, _ = frames_engine(load_inline(src))
+        assert (render_value(value), value_key(value)) == (shown, ("fun", shown[5:-1]))
+
+    @pytest.mark.parametrize(
+        "main, steps, compiled",
+        [
+            ("let u = thunk 0 in f 199", 1_000, []),
+            ("case 0 of { default z -> f 199 }", 1_001, [DEFAULT_FUEL]),
+        ],
+        ids=["1000-steps", "1001-steps"],
+    )
+    def test_handover(self, main, steps, compiled, monkeypatch):
+        loop = "f n = case n of { 0 -> 0; default m -> case -# m 1 of { default k -> f k } };\n"
+        p = load_inline(loop + "main = " + main)
+        runs = []
+        real = machine._run_frames
+
+        def counting(q, fuel):
+            runs.append(fuel)
+            return real(q, fuel)
+
+        monkeypatch.setattr(machine, "_run_frames", counting)
+        expected = outcome(dict_engine, p)
+        assert outcome(evaluate, p) == expected and expected[1].steps == steps
+        assert runs == compiled
+        # Compiled once per program object, on the first run that needs it.
+        code = _analyses(p).get("compiled")
+        assert (code is not None) == bool(compiled)
+        assert outcome(evaluate, p, steps) == expected
+        assert outcome(evaluate, p, steps - 1) == (OutOfFuel, f"exceeded {steps - 1} steps")
+        assert _analyses(p).get("compiled") is code
+
+    @pytest.mark.parametrize("fuel", [1_000, 1_001, 16_503, 16_504])
+    def test_countdown_fuel_across_handover(self, fuel, hand_programs):
+        p = hand_programs["countdown"]
+        got = outcome(evaluate, p, fuel)
+        assert got == outcome(dict_engine, p, fuel)
+        if fuel < 16_504:
+            assert got == (OutOfFuel, f"exceeded {fuel} steps")
+        else:
+            assert got[0] == ("int", 500) and got[1].steps == 16_504
+
+    @pytest.mark.parametrize(
+        "result, error, message",
+        [
+            ("%# a 0", DivideByZero, "500 %# 0"),
+            (
+                "let t = thunk t in t",
+                BlackholeLoop,
+                "thunk 't' was entered again while it was being evaluated",
+            ),
+            ("a 5", ArityMismatch, "application of non-function result of 'a'"),
+            ("nowhere", UnboundVariable, "nowhere"),
+        ],
+        ids=["divide-by-zero", "blackhole", "arity", "unbound"],
+    )
+    def test_errors_after_handover(self, result, error, message, tmp_path, capsys):
+        # countdown reaches its result after 16,000 steps; here that
+        # result raises.  A name bound nowhere does not validate, so that
+        # program is only parsed, and the command line rejects it sooner.
+        text = (PROGRAMS_DIR / "countdown.stg").read_text().replace("1 -> a;", f"1 -> {result};")
+        p = parse(text) if error is UnboundVariable else load_inline(text)
+        assert outcome(evaluate, p) == outcome(dict_engine, p) == (error, message)
+        if error is not UnboundVariable:
+            path = tmp_path / "countdown.stg"
+            path.write_text(text)
+            assert cli_main(["lift", str(path), "--eval"]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"liftlab: error: {message}\n")
+
+    def test_cli_out_of_fuel_names_the_callers_fuel(self, capsys):
+        code = cli_main(["lift", str(PROGRAMS_DIR / "countdown.stg"), "--eval", "--fuel", "1001"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "liftlab: error: exceeded 1001 steps\n")
+
+    def test_tally_peak_memory(self):
+        # Each pending iteration of tally's g holds its frame, a case
+        # frame, an update frame and the thunk h.  Activations as dicts
+        # keyed by name peaked at 14.9 MB here.
+        text = (PROGRAMS_DIR / "tally.stg").read_text().replace("g 1000", "g 20000")
+        p = load_inline(text)
+        tracemalloc.start()
+        try:
+            value, _ = evaluate(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert render_value(value) == "20010"
+        assert peak <= 7_500_000
 
 
 class TestFramelessCase:

@@ -1,10 +1,11 @@
 """Per-program analyses are memoised on the program object they describe.
 
 The scope walk, the scan (nodes, occurrence facts and names), the
-skeleton table and the interpreter's set-up are each built once per
-``Program`` object by whichever public call asks first, and read by every
-later call on it.  The memo must not change a result, must not survive into
-a copy, and must not keep its program alive.  The free variables of each
+skeleton table and the interpreter's set-up (with its compiled frames, for
+runs past 1,000 steps) are each built once per ``Program`` object by
+whichever public call asks first, and read by every later call on it.
+The memo must not change a result, must not survive into a copy, and must
+not keep its program alive.  The free variables of each
 right-hand side are stored on the right-hand side itself, so a program that
 shares it with another, as a lifted output shares what lifting keeps, reads
 them without a scan.

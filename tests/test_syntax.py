@@ -252,6 +252,48 @@ class TestPrint:
         assert "{1,1}" in print_program(p)
 
 
+def _deep(n: int, leaf: int) -> Program:
+    """Built from constructors, as the parser cannot nest this deep: step k
+    binds ``t{k} = thunk k`` and scrutinises ``t{k}``, whose default
+    branch holds step k + 1, so the program nests 2n let and case levels."""
+    e = AtomExpr(Lit(leaf))
+    for k in range(n, 0, -1):
+        case = Case(AtomExpr(Var(f"t{k}")), ((k, App("f", (Var(f"t{k}"),))),), (f"d{k}", e))
+        e = Let(BindGroup(((f"t{k}", Thunk(AtomExpr(Lit(k)))),)), case)
+    f = Lambda(MULTI_SHOT, ("a",), PrimApp("+#", (Var("a"), Lit(1))))
+    return Program((TopBind("f", ("x",), Let(BindGroup((("g", f),)), App("g", (Var("x"),)))),), e)
+
+
+class TestStructuralEquality:
+    def test_deep_programs_compare_and_hash_without_recursion(self):
+        p, twin, other = _deep(3000, 1), _deep(3000, 1), _deep(3000, 2)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            seen = (p == twin, twin == p, p != twin, hash(p) == hash(twin), p == other, p != other)
+        finally:
+            sys.setrecursionlimit(old)
+        assert p is not twin
+        assert seen == (True, True, False, True, False, True)
+
+    def test_fields_in_order_and_exact(self):
+        # Each pair differs in one field, or in a node's type.
+        e = PrimApp("+#", (Var("a"), Lit(1)))
+        pairs = [
+            (App("f", (Var("x"),)), App("f", (Var("y"),))),
+            (App("f", (Var("x"),)), App("f", (Var("x"), Lit(1)))),
+            (Lambda(MULTI_SHOT, ("a",), e), Lambda(Cardinality(0, 1), ("a",), e)),
+            (Lambda(MULTI_SHOT, ("a",), e), Thunk(e)),
+            (Case(e, ((1, e),), ("d", e)), Case(e, ((2, e),), ("d", e))),
+            (Case(e, (), ("d", e)), Case(e, (), ("c", e))),
+            (AtomExpr(Var("a")), Var("a")),
+        ]
+        for a, b in pairs:
+            assert a != b and not a == b and b != a
+            assert a == type(a)(*[getattr(a, f) for f in a.__dataclass_fields__])
+        assert {parse("main = let t = thunk 1 in t"): 1}[parse("main = let t = thunk 1 in t")] == 1
+
+
 class TestValidate:
     def test_hand_programs_clean(self, hand_programs):
         for name, p in hand_programs.items():
