@@ -26,13 +26,14 @@ checked.
 
 What evaluation needs of the program before it steps (the stats rows,
 and each let's slot names) is memoised on the program object (see
-:func:`~liftlab.syntax._analyses`), so a second :func:`evaluate` of one
-object starts at once.  The slots are read from each right-hand side's
-:func:`~liftlab.analysis.free_vars`.  The stats rows come first, from the
-program's :func:`~liftlab.analysis.scan_program` unless the lifter handed
-them on, so a program nobody scanned is scanned once, whole, before it
-runs; a lifted output scans only the right-hand sides the lift rebuilt,
-when they first run.
+:func:`~liftlab.syntax._analyses`), and so is a completed run, so a
+second :func:`evaluate` of one object does not run at all.  The slots
+are read from each right-hand side's :func:`~liftlab.analysis.free_vars`.
+The stats rows come first, from the program's
+:func:`~liftlab.analysis.scan_program` unless the lifter handed them on,
+so a program nobody scanned is scanned once, whole, before it runs; a
+lifted output scans only the right-hand sides the lift rebuilt, when they
+first run.
 
 There are two engines, chosen by run length, and both do all of the
 above.  Every run starts on the first, :class:`_Machine`, whose
@@ -62,6 +63,7 @@ it, so once the program drops the closure it is freed and its count stays.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -174,12 +176,37 @@ class BinderStats:
 _NEVER_RAN = BinderStats(0, 0, 0, ())
 
 
-@dataclass
-class AllocStats:
+class _Rows(dict):
+    """A run's rows, per binder, while the run fills them in."""
+
+    __slots__ = ()
+
+
+class _ReadOnlyRows(_Rows):
+    """A finished run's rows, which refuse every change, so one run can be
+    shared.  A run fills in a :class:`_Rows` and then switches its class
+    to this one, which copies nothing."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("per_binder is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _ReadOnlyRows, (dict(self),)
+
+
+class AllocStats(NamedTuple):
+    """A run's counts.  Immutable, rows included, since :func:`evaluate`
+    hands the same run to every later call on the program."""
+
     words_allocated: int
     closures_allocated: int
     steps: int
-    per_binder: dict[str, BinderStats]
+    per_binder: Mapping[str, BinderStats]
 
 
 def _stats(rows: list[str], counters, tops, steps: int) -> AllocStats:
@@ -187,7 +214,7 @@ def _stats(rows: list[str], counters, tops, steps: int) -> AllocStats:
     entry counts and the words of one allocation, ``tops`` the top-level
     closures by name.  Every binder in ``rows`` gets a row, also one never
     allocated or entered."""
-    per_binder = dict.fromkeys(rows, _NEVER_RAN)
+    per_binder = _Rows.fromkeys(rows, _NEVER_RAN)
     words = closures = 0
     for name, (counts, width) in counters:
         n = len(counts)
@@ -197,6 +224,7 @@ def _stats(rows: list[str], counters, tops, steps: int) -> AllocStats:
     for name, fn in tops:
         if fn.counts[0]:
             per_binder[name] = BinderStats(0, fn.counts[0], 0, ())
+    per_binder.__class__ = _ReadOnlyRows
     return AllocStats(words, closures, steps, per_binder)
 
 
@@ -237,7 +265,7 @@ class _Tops(dict):
 
 
 class _Machine:
-    def __init__(self, program: Program, fuel: int):
+    def __init__(self, program: Program, fuel: int, memo: dict | None = None):
         if fuel < 1:
             raise ValueError("fuel must be positive")
         self.program = program
@@ -256,7 +284,9 @@ class _Machine:
         # stats rows, whose scan stores the free variables of every
         # right-hand side when the program has none, and the let layouts.
         self.rows = _binder_names(program)
-        self.layouts: dict[int, list[tuple]] = _analyses(program).setdefault("layouts", {})
+        if memo is None:
+            memo = _analyses(program)
+        self.layouts: dict[int, list[tuple]] = memo.setdefault("layouts", {})
 
     def _plan(self, let: Let) -> list[tuple]:
         """Per binding: name, right-hand side, slot names, entry counts; all
@@ -1008,14 +1038,32 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     running activation's environment in place.  A run that passes
     :data:`_HANDOVER` steps starts again from the beginning on compiled
     frames, which give the same value, stats and errors.
+
+    A completed run is memoised on ``p`` (see
+    :func:`~liftlab.syntax._analyses`), and a later call on the same object
+    returns that very result when its steps fit the fuel.  Evaluation is
+    deterministic, so with less fuel the run would end at step ``fuel + 1``,
+    and the call raises that :class:`OutOfFuel` without running.  A run
+    that raises is not stored.
     """
+    memo = _analyses(p)
+    run = memo.get("run")
+    if run is not None:
+        if fuel < 1:
+            raise ValueError("fuel must be positive")
+        if run[1].steps > fuel:
+            raise OutOfFuel(f"exceeded {fuel} steps")
+        return run
     try:
-        return _Machine(p, min(fuel, _HANDOVER)).run()
+        run = _Machine(p, min(fuel, _HANDOVER), memo).run()
     except OutOfFuel:
         if fuel <= _HANDOVER:
             raise
-    # Out of the handler, so the abandoned run is freed before this one.
-    return _run_frames(p, fuel)
+    if run is None:
+        # Out of the handler, so the abandoned run is freed before this one.
+        run = _run_frames(p, fuel)
+    memo["run"] = run
+    return run
 
 
 class SubsetTooLarge(Exception):
@@ -1039,6 +1087,11 @@ def enumerate_lift_subsets(
     no argument occurrences).  Row 0 is the empty subset, i.e. the original
     program; rows follow bitmask order over the sites in traversal order.
     The program is analysed once, and each subset only applies that plan.
+    Row 0 reads ``p``'s stored run when ``p`` was evaluated, and the
+    subset an earlier :func:`~liftlab.lifter.lift_program` of ``p`` lifted
+    reads that output and its stored run (see :func:`evaluate` and
+    :func:`~liftlab.lifter.apply_lifts`), so the rows evaluate afresh only
+    the subsets the pipeline has not run.
     """
     plan = plan_lifts(p)
     sites = liftable_sites(plan.program)

@@ -54,9 +54,10 @@ KEYWORDS = frozenset({"let", "and", "in", "case", "of", "default", "thunk"})
 
 
 class _Node:
-    """Structural ``==`` and ``hash`` for the compound nodes, on an explicit
-    stack (see :func:`_same`), where the generated ones recurse once per
-    nesting level; the leaves ``Var`` and ``Lit`` keep the generated ones."""
+    """Structural ``==``, ``hash`` and ``repr`` for the compound nodes, on
+    an explicit stack (see :func:`_same`), where the generated ones recurse
+    once per nesting level; the leaves ``Var`` and ``Lit`` keep the
+    generated ones."""
 
     __slots__ = ()
 
@@ -67,6 +68,9 @@ class _Node:
 
     def __hash__(self) -> int:
         return _shape_hash(self)
+
+    def __repr__(self) -> str:
+        return _repr(self)
 
 
 @dataclass(frozen=True)
@@ -106,21 +110,21 @@ MULTI_SHOT = Cardinality(0, INF)
 THUNK_CARD = Cardinality(0, 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lambda(_Node):
     card: Cardinality
     params: tuple[str, ...]
     body: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Thunk(_Node):
     """Updatable nullary closure; memoised after its first entry."""
 
     body: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BindGroup(_Node):
     binds: tuple[tuple[str, "Rhs"], ...]
 
@@ -134,30 +138,30 @@ class BindGroup(_Node):
         return names
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AtomExpr(_Node):
     atom: Var | Lit
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(_Node):
     head: str
     args: tuple[Var | Lit, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PrimApp(_Node):
     op: str
     args: tuple[Var | Lit, Var | Lit]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Let(_Node):
     group: BindGroup
     body: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Case(_Node):
     scrutinee: "Expr"
     alts: tuple[tuple[int, "Expr"], ...]
@@ -169,14 +173,14 @@ Rhs = Lambda | Thunk
 Atom = Var | Lit
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TopBind(_Node):
     name: str
     params: tuple[str, ...]
     body: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Program(_Node):
     top_binds: tuple[TopBind, ...]
     main: Expr
@@ -213,6 +217,32 @@ def _same(a: _Node, b: _Node) -> bool:
     return True
 
 
+def _repr(a: _Node) -> str:
+    """What the generated ``repr`` prints: ``Type(field=value, ...)``,
+    tuples as Python prints them, any other value by its own ``repr``.
+    The stack holds text to emit, as ``str``, and the nodes and tuples
+    still to print; any other value becomes its ``repr`` when pushed."""
+    out: list[str] = []
+    stack: list = [a]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        names = _FIELDS.get(type(x))
+        if names is not None:
+            head, tail = f"{type(x).__qualname__}(", ")"
+            parts = [(f"{', ' if i else ''}{f}=", getattr(x, f)) for i, f in enumerate(names)]
+        else:
+            head, tail = "(", ",)" if len(x) == 1 else ")"
+            parts = [(", " if i else "", v) for i, v in enumerate(x)]
+        stack.append(tail)
+        for sep, v in reversed(parts):
+            stack += [v if type(v) is tuple or type(v) in _FIELDS else repr(v), sep]
+        stack.append(head)
+    return "".join(out)
+
+
 def _shape_hash(a: _Node) -> int:
     """A hash of ``a``'s pre-order: each node's type, each tuple's length
     and every other value, so values :func:`_same` finds equal hash
@@ -237,7 +267,9 @@ class _Analyses(dict):
     """What the analyses found about one program, by name (see
     :func:`_analyses`): ``scope`` here; ``scan`` (nodes, occurrence facts
     and names) and ``binders`` in :mod:`liftlab.analysis`; ``plan`` (the
-    skeletons) in :mod:`liftlab.lifter`; ``layouts`` and ``compiled`` in
+    skeletons) and ``lifted`` (the last lift output, with the set of
+    groups it lifted) in :mod:`liftlab.lifter`; ``layouts``, ``compiled``
+    and ``run`` (a completed run's value and stats) in
     :mod:`liftlab.machine`.  A pickled or deep-copied one comes back empty,
     since its tables are keyed by the ``id`` of the original's nodes."""
 

@@ -52,6 +52,12 @@ def memoising_run(name: str) -> None:
     evaluate(p)
 
 
+def fresh(p: Program) -> Program:
+    """A new object of ``p``'s nodes.  Nothing memoised on ``p`` carries
+    over, its run included, so evaluating it runs an engine."""
+    return Program(p.top_binds, p.main)
+
+
 def countdown_at(n: int):
     text = (PROGRAMS_DIR / "countdown.stg").read_text().replace("1000", str(n))
     return load_inline(text)
@@ -129,8 +135,8 @@ class TestEvaluate:
 
     def test_determinism(self, hand_programs):
         p = hand_programs["tally"]
-        first = evaluate(p)
-        second = evaluate(p)
+        first = evaluate(fresh(p))
+        second = evaluate(fresh(p))
         assert value_key(first[0]) == value_key(second[0])
         assert first[1] == second[1]
 
@@ -175,11 +181,11 @@ class TestCounters:
     @pytest.mark.parametrize(
         "run, raises",
         [
-            (lambda ps: evaluate(ps["tally"]), None),
-            (lambda ps: enumerate_lift_subsets(ps["growth_balanced"]), None),
+            (lambda ps: evaluate(fresh(ps["tally"])), None),
+            (lambda ps: enumerate_lift_subsets(fresh(ps["growth_balanced"])), None),
             (lambda ps: evaluate(load_inline("main = let w = \\ x -> w x in w 1"), 1_000), OutOfFuel),
             (lambda ps: evaluate(load_inline("main = let t = thunk t in t")), BlackholeLoop),
-            (lambda ps: enumerate_lift_subsets(ps["countdown"], fuel=1_000), OutOfFuel),
+            (lambda ps: enumerate_lift_subsets(fresh(ps["countdown"]), fuel=1_000), OutOfFuel),
             (lambda ps: memoising_run("growth_balanced"), None),
         ],
         ids=[
@@ -374,16 +380,22 @@ class TestCompiledFrames:
         expected = outcome(dict_engine, p)
         assert outcome(evaluate, p) == expected and expected[1].steps == steps
         assert runs == compiled
-        # Compiled once per program object, on the first run that needs it.
+        # Compiled once per program object, on the first run that needs it:
+        # a second run of ``p`` on compiled frames reuses the code.
         code = _analyses(p).get("compiled")
         assert (code is not None) == bool(compiled)
-        assert outcome(evaluate, p, steps) == expected
-        assert outcome(evaluate, p, steps - 1) == (OutOfFuel, f"exceeded {steps - 1} steps")
-        assert _analyses(p).get("compiled") is code
+        if compiled:
+            assert outcome(frames_engine, p) == expected
+            assert _analyses(p).get("compiled") is code
+        # Fresh objects, so the fuel bounds real runs, not p's stored one;
+        # only a run past 1,000 steps hands over, with the caller's fuel.
+        assert outcome(evaluate, fresh(p), steps) == expected
+        assert outcome(evaluate, fresh(p), steps - 1) == (OutOfFuel, f"exceeded {steps - 1} steps")
+        assert runs == (compiled + [DEFAULT_FUEL, steps] if compiled else [])
 
     @pytest.mark.parametrize("fuel", [1_000, 1_001, 16_503, 16_504])
     def test_countdown_fuel_across_handover(self, fuel, hand_programs):
-        p = hand_programs["countdown"]
+        p = fresh(hand_programs["countdown"])
         got = outcome(evaluate, p, fuel)
         assert got == outcome(dict_engine, p, fuel)
         if fuel < 16_504:
@@ -528,7 +540,7 @@ STEPS = {
 
 def test_steps_pinned(hand_programs):
     steps = {
-        name: tuple(evaluate(q)[1].steps for q in (p, lift_program(p)[0]))
+        name: tuple(evaluate(fresh(q))[1].steps for q in (p, lift_program(p)[0]))
         for name, p in hand_programs.items()
     }
     assert steps == STEPS
@@ -537,21 +549,22 @@ def test_steps_pinned(hand_programs):
 def test_fuel_is_exact(corpus, hand_programs):
     # A run given exactly the steps it took ends as it did unbounded; one
     # step fewer runs out of fuel, whatever error the next step would raise.
+    # Each call gets a fresh object, so each is a run of its own.
     for p in [*hand_programs.values(), *corpus[:200]]:
         for q in (p, lift_program(p)[0]):
-            value, s = evaluate(q)
-            again, s2 = evaluate(q, fuel=s.steps)
+            value, s = evaluate(fresh(q))
+            again, s2 = evaluate(fresh(q), fuel=s.steps)
             assert (value_key(again), s2) == (value_key(value), s)
             if s.steps > 1:
-                with pytest.raises(OutOfFuel):
-                    evaluate(q, fuel=s.steps - 1)
+                with pytest.raises(OutOfFuel, match=f"^exceeded {s.steps - 1} steps$"):
+                    evaluate(fresh(q), fuel=s.steps - 1)
 
 
 def test_observable_output_pinned(corpus, hand_programs):
     h = hashlib.sha256()
     for p in [*corpus, *hand_programs.values()]:
         for q in (p, lift_program(p)[0]):
-            value, s = evaluate(q)
+            value, s = evaluate(fresh(q))
             per_binder = sorted(
                 (name, b.allocations, b.entries, b.words, b.per_allocation_entries)
                 for name, b in s.per_binder.items()
@@ -570,7 +583,7 @@ def test_observable_output_pinned(corpus, hand_programs):
 class TestCompareAlloc:
     def test_identical_programs(self, hand_programs):
         p = hand_programs["countdown"]
-        assert evaluate(p)[1].words_allocated - evaluate(p)[1].words_allocated == 0
+        assert evaluate(fresh(p))[1].words_allocated - evaluate(fresh(p))[1].words_allocated == 0
 
     def test_profitable_single_lift(self, hand_programs):
         p = hand_programs["growth_shared"]
@@ -628,7 +641,7 @@ class TestOracle:
             for mask in range(2 ** len(sites)):
                 chosen = frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
                 lifted, _ = lift_program(p, force_sites=chosen)
-                value, stats = evaluate(lifted)
+                value, stats = evaluate(fresh(lifted))
                 label = tuple("+".join(s) for s in sites if s in chosen)
                 row = (label, stats.words_allocated, stats.closures_allocated, render_value(value))
                 expected.append(row)
@@ -689,7 +702,8 @@ def test_setup_folds_once_per_group_not_per_allocation(monkeypatch):
     # its first evaluate, for the stats rows; that scan stores the free
     # variables every let's set-up reads, so no let group is scanned on its
     # own: as many scans for 10 loop iterations as for 1,000, none on a
-    # second evaluate, and the same one when main allocates nothing.
+    # second run of either engine, and the same one when main allocates
+    # nothing.
     calls = []
     real = analysis.scan
 
@@ -707,7 +721,8 @@ def test_setup_folds_once_per_group_not_per_allocation(monkeypatch):
         p = parse(countdown.replace("1000", str(n)))
         evaluate(p)
         assert calls == [roots(p)]
-        evaluate(p)
+        dict_engine(p)
+        frames_engine(p)
         assert calls == [roots(p)]
     calls.clear()
     p = parse("main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }")

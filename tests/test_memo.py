@@ -4,6 +4,8 @@ The scope walk, the scan (nodes, occurrence facts and names), the
 skeleton table and the interpreter's set-up (with its compiled frames, for
 runs past 1,000 steps) are each built once per ``Program`` object by
 whichever public call asks first, and read by every later call on it.
+So are a completed run and the last lift output, which the oracle reads
+for the empty subset and for the subset the lifter chose.
 The memo must not change a result, must not survive into a copy, and must
 not keep its program alive.  The free variables of each
 right-hand side are stored on the right-hand side itself, so a program that
@@ -20,11 +22,21 @@ from collections import Counter
 
 import pytest
 
-from liftlab import analysis, lifter, syntax
+from liftlab import analysis, lifter, machine, syntax
 from liftlab.analysis import split_groups
 from liftlab.lifter import lift_program, liftable_sites, plan_lifts
-from liftlab.machine import enumerate_lift_subsets, evaluate
-from liftlab.syntax import Lambda, Let, Program, Thunk, freshen, parse, print_program, validate
+from liftlab.machine import OutOfFuel, enumerate_lift_subsets, evaluate
+from liftlab.syntax import (
+    Lambda,
+    Let,
+    Program,
+    Thunk,
+    _analyses,
+    freshen,
+    parse,
+    print_program,
+    validate,
+)
 
 import reference
 from conftest import CORPUS_SEED, PROGRAMS_DIR
@@ -81,18 +93,19 @@ def built(monkeypatch) -> Counter:
 
 def pipeline(p: Program):
     """The benchmark's order on a parsed program: freshen, validate, split,
-    lift, evaluate twice, the liftable sites, the oracle.  Returns the
-    program and what the calls returned."""
+    lift, evaluate before and after, print, the liftable sites, the
+    oracle.  Returns the program and what the calls returned, the lifted
+    program first."""
     p = freshen(p)
     assert validate(p) == []
     assert split_groups(p) is p
     lifted, decisions = lift_program(p)
-    first = evaluate(p)
-    assert evaluate(p) == first
+    runs = evaluate(p), evaluate(lifted)
+    printed = print_program(lifted)
     sites = liftable_sites(p)
     rows = enumerate_lift_subsets(p)
     assert len(rows) == 2 ** len(sites)
-    return p, (print_program(lifted), decisions, first, sites, rows)
+    return p, (lifted, printed, decisions, runs, sites, rows)
 
 
 @pytest.mark.parametrize("name", SHARED)
@@ -101,9 +114,10 @@ def test_harness_order_analyses_once(name, built):
     assert (built["scope"], built["skeletons"]) == (1, 1)
     # The program is scanned once, whole, in split_groups, which covers
     # each of its own right-hand sides once, and evaluate reads what that
-    # scan stored.  Every other scan is the oracle's: its subset programs
-    # are new objects that share with p the right-hand sides lifting kept,
-    # and scan one right-hand side the lift rebuilt when its let first runs.
+    # scan stored.  Every other scan is the lifted output's or the
+    # oracle's: these are new objects that share with p the right-hand
+    # sides lifting kept, and scan one right-hand side the lift rebuilt
+    # when its let first runs.
     roots = [tb.body for tb in p.top_binds] + [p.main]
     assert [built[("root", id(r))] for r in roots] == [1] * len(roots)
     rhss = rhss_under(roots)
@@ -256,13 +270,196 @@ def test_equality_hash_repr_unchanged(name):
 
 @pytest.mark.parametrize("name", SHARED)
 def test_memo_does_not_keep_its_program_alive(name):
+    # The program was lifted, both sides evaluated and the oracle run, so
+    # it holds its run and its lift output, which holds its own run; with
+    # the collector off, only reference counts free them.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         p, outputs = pipeline(parse(source(name)))
-        ref = weakref.ref(p)
-        del p
-        assert ref() is None
+        lifted = outputs[0]
+        assert _analyses(p)["lifted"][1] is lifted
+        assert "run" in _analyses(p) and "run" in _analyses(lifted)
+        refs = [weakref.ref(p), weakref.ref(lifted)]
+        del p, lifted, outputs
+        assert [ref() for ref in refs] == [None, None]
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.fixture
+def engine_runs(monkeypatch) -> Counter:
+    """Counts the runs that reach an engine, per program object.  Every
+    such run starts on the dict-environment engine, so this counts each
+    evaluation once, also one handed over to compiled frames."""
+    runs: Counter = Counter()
+
+    class Counting(machine._Machine):
+        def __init__(self, program, fuel, memo=None):
+            runs[id(program)] += 1
+            super().__init__(program, fuel, memo)
+
+    monkeypatch.setattr(machine, "_Machine", Counting)
+    return runs
+
+
+def test_harness_order_runs_each_program_once(engine_runs, monkeypatch):
+    # In the benchmark's order, an engine runs once for the program, once
+    # for its lift output and once per oracle subset other than the empty
+    # one, which reads the program's run, and the lifter's own, which is
+    # the lift output and reads its run.
+    applied = []
+    real_apply = machine.apply_lifts
+
+    def recording(plan, *args, **kwargs):
+        q = real_apply(plan, *args, **kwargs)
+        applied.append((kwargs["force_sites"], q))
+        return q
+
+    monkeypatch.setattr(machine, "apply_lifts", recording)
+    rng = random.Random(CORPUS_SEED)
+    texts = [source(f.stem) for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
+    inputs = [parse(text) for text in texts] + [ProgramGen(rng).program() for _ in range(200)]
+    seen = Counter()
+    for p in inputs:
+        p = split_groups(freshen(p))
+        lifted, decisions = lift_program(p)
+        evaluate(p)
+        evaluate(lifted)
+        print_program(lifted)
+        sites = liftable_sites(p)
+        if len(sites) > 4:
+            continue
+        engine_runs.clear()
+        applied.clear()
+        rows = enumerate_lift_subsets(p)
+        chosen = frozenset(d.binders for d in decisions if d.lifted)
+        assert [force for force, _ in applied] == [
+            frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
+            for mask in range(1, 2 ** len(sites))
+        ]
+        for force, q in applied:
+            if force == chosen:
+                assert q is lifted and engine_runs[id(q)] == 0
+                seen["chosen subset reused"] += 1
+            else:
+                assert engine_runs[id(q)] == 1
+        assert engine_runs[id(p)] == 0
+        assert sum(engine_runs.values()) == len(rows) - 1 - bool(chosen)
+        seen["checked"] += 1
+    assert seen["checked"] > 100 and seen["chosen subset reused"] > 20, seen
+
+
+def test_a_stored_run_is_returned_and_bounds_the_fuel(engine_runs):
+    # countdown runs 16,504 steps, past the hand-over.  Less fuel raises
+    # what a fresh run raises, without running; enough returns the run.
+    p = split_groups(freshen(parse(source("countdown"))))
+    run = evaluate(p)
+    assert run[1].steps == 16_504 and engine_runs[id(p)] == 1
+    for fuel in (1, 999, 1_000, 1_001, 16_503):
+        with pytest.raises(OutOfFuel) as stored:
+            evaluate(p, fuel)
+        with pytest.raises(OutOfFuel) as ran:
+            evaluate(Program(p.top_binds, p.main), fuel)
+        assert str(stored.value) == str(ran.value) == f"exceeded {fuel} steps"
+    for fuel in (16_504, 10**9):
+        assert evaluate(p, fuel) is run
+    with pytest.raises(ValueError):
+        evaluate(p, 0)
+    assert engine_runs[id(p)] == 1
+
+
+@pytest.mark.parametrize(
+    "text, fuel, error",
+    [
+        ("main = let t = thunk t in t", 1_000_000, machine.BlackholeLoop),
+        ("main = let w = \\ x -> w x in w 1", 5_000, OutOfFuel),
+    ],
+    ids=["blackhole", "out-of-fuel"],
+)
+def test_errors_are_not_memoised(text, fuel, error, engine_runs):
+    p = split_groups(freshen(parse(text)))
+    for n in (1, 2):
+        with pytest.raises(error):
+            evaluate(p, fuel)
+        assert engine_runs[id(p)] == n
+        assert "run" not in _analyses(p)
+
+
+def test_a_run_that_ran_out_is_not_stored_and_a_later_one_is(engine_runs):
+    p = split_groups(freshen(parse(source("tally"))))
+    with pytest.raises(OutOfFuel):
+        evaluate(p, 2_000)
+    assert "run" not in _analyses(p)
+    run = evaluate(p)
+    assert evaluate(p) is run and engine_runs[id(p)] == 2
+
+
+def test_shared_stats_reject_assignment():
+    p = split_groups(freshen(parse(source("growth_balanced"))))
+    value, stats = evaluate(p)
+    expected = (stats.words_allocated, stats.steps, dict(stats.per_binder))
+    name = next(iter(stats.per_binder))
+    with pytest.raises(AttributeError):
+        stats.words_allocated = 0
+    with pytest.raises(AttributeError):
+        stats.per_binder = {}
+    rows = stats.per_binder
+    for change in (
+        lambda: rows.__setitem__(name, rows[name]),
+        lambda: rows.__delitem__(name),
+        lambda: rows.__ior__({}),
+        rows.clear,
+        lambda: rows.pop(name),
+        rows.popitem,
+        lambda: rows.setdefault("x", None),
+        lambda: rows.update({}),
+    ):
+        with pytest.raises(TypeError):
+            change()
+    again = evaluate(p)
+    assert again[1] is stats
+    assert (stats.words_allocated, stats.steps, dict(stats.per_binder)) == expected
+    # Still a dict to read, to print and to copy.
+    assert isinstance(rows, dict) and repr(rows) == repr(expected[2])
+    for copied in (pickle.loads(pickle.dumps(stats)), copy.deepcopy(stats)):
+        assert copied == stats and type(copied.per_binder) is type(rows)
+
+
+def test_a_lift_of_the_stored_groups_returns_the_stored_output():
+    p = split_groups(freshen(parse(source("growth_balanced"))))
+    plan = plan_lifts(p)
+    lifted, decisions = lift_program(p)
+    key = frozenset(d.binders for d in decisions if d.lifted)
+    assert key and _analyses(p)["lifted"] == (key, lifted)
+    # Forced without a decisions list, before any pass; with one, or by
+    # lifting the same groups from a larger force set, after the decision
+    # pass, whose decisions it still reports.
+    assert lifter.apply_lifts(plan, force_sites=key) is lifted
+    forced, ds = lift_program(p, force_sites=key)
+    assert forced is lifted
+    assert {d.binders for d in ds if d.lifted} == key
+    assert lift_program(p, force_sites=key | {("nowhere",)})[0] is lifted
+    assert lift_program(p)[0] is lifted
+
+
+def test_a_force_set_that_differs_from_the_stored_key_misses():
+    p = split_groups(freshen(parse(source("growth_balanced"))))
+    plan = plan_lifts(p)
+    lifted, decisions = lift_program(p)
+    key = frozenset(d.binders for d in decisions if d.lifted)
+    sites = liftable_sites(p)
+    others = [
+        frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
+        for mask in range(2 ** len(sites))
+    ]
+    others.remove(key)
+    assert len(others) >= 3
+    for force in others:
+        q = lifter.apply_lifts(plan, force_sites=force)
+        assert q is not lifted
+        twin = Program(p.top_binds, p.main)
+        assert print_program(q) == print_program(lift_program(twin, force_sites=force)[0])
+        # The oracle's applies read the memo and leave it as it was.
+        assert _analyses(p)["lifted"] == (key, lifted)

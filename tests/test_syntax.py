@@ -252,6 +252,9 @@ class TestPrint:
         assert "{1,1}" in print_program(p)
 
 
+REPR_DIGEST = "8d4fcedeb844f6fe7feecced91e4da3a5eb0ce21c2829ac224aae935df1f1f89"
+
+
 def _deep(n: int, leaf: int) -> Program:
     """Built from constructors, as the parser cannot nest this deep: step k
     binds ``t{k} = thunk k`` and scrutinises ``t{k}``, whose default
@@ -275,6 +278,42 @@ class TestStructuralEquality:
             sys.setrecursionlimit(old)
         assert p is not twin
         assert seen == (True, True, False, True, False, True)
+
+    def test_deep_program_prints_without_recursion(self):
+        # pytest prints both sides of a failing ``==``.
+        p = _deep(3000, 1)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            text = repr(p)
+        finally:
+            sys.setrecursionlimit(old)
+        step = (
+            "Let(group=BindGroup(binds=(('t{k}', Thunk(body=AtomExpr(atom=Lit(value={k})))),)), "
+            "body=Case(scrutinee=AtomExpr(atom=Var(name='t{k}')), "
+            "alts=(({k}, App(head='f', args=(Var(name='t{k}'),))),), default=('d{k}', "
+        )
+        top = (
+            "Program(top_binds=(TopBind(name='f', params=('x',), body=Let(group=BindGroup("
+            "binds=(('g', Lambda(card=Cardinality(min_entries=0, max_entries=inf), "
+            "params=('a',), body=PrimApp(op='+#', args=(Var(name='a'), Lit(value=1))))),)), "
+            "body=App(head='g', args=(Var(name='x'),)))),), main="
+        )
+        steps = "".join(step.format(k=k) for k in range(1, 3001))
+        assert text == top + steps + "AtomExpr(atom=Lit(value=1))" + ")))" * 3000 + ")"
+
+    def test_repr_is_the_generated_text(self, hand_programs):
+        # sha256 of repr of every programs/*.stg and its lift output, taken
+        # with the dataclass-generated repr.
+        h = hashlib.sha256()
+        for p in hand_programs.values():
+            for q in (p, lift_program(p)[0]):
+                h.update(repr(q).encode())
+        assert h.hexdigest() == REPR_DIGEST
+        assert repr(Case(AtomExpr(Lit(1)), (), ("d", App("f", ())))) == (
+            "Case(scrutinee=AtomExpr(atom=Lit(value=1)), alts=(), "
+            "default=('d', App(head='f', args=())))"
+        )
 
     def test_fields_in_order_and_exact(self):
         # Each pair differs in one field, or in a node's type.
