@@ -28,12 +28,12 @@ the input.  ``lift_program`` is the two in a row; the oracle plans once
 and applies the plan to every subset, collecting no decisions.  The scan and the skeletons are memoised on the
 program (see :func:`~liftlab.syntax._analyses`), so :func:`lift_program`,
 :func:`liftable_sites` and the oracle on one program object scan it and
-build its skeletons once between them.  The last output is memoised
-too, keyed by the groups it lifted, so the oracle's subset of those
-groups is the output :func:`lift_program` returned.  A leaf that lifting
-does not change, inside a lifted right-hand side too, is the input's own
-object, and so is a right-hand side whose body it does not change, which
-keeps its free variables for the interpreter.
+build its skeletons once between them.  :func:`lift_program` memoises its
+output too, keyed by the groups it lifted, so the oracle's subset of
+those groups is that output.  A leaf that lifting does not change,
+inside a lifted right-hand side too, is the input's own object, and so
+is a right-hand side whose body it does not change, which keeps its free
+variables for the interpreter.
 """
 
 from __future__ import annotations
@@ -309,9 +309,17 @@ def lift_program(
     Expects a validated, freshened, SCC-split program.  With ``force_sites``
     the decision logic is bypassed and exactly the named groups are lifted
     (callers must restrict themselves to :func:`liftable_sites`).
+
+    The output depends only on ``p`` and on which groups are lifted, so it
+    is memoised on ``p`` (see :func:`~liftlab.syntax._analyses`), in place
+    of the last, with that set of binder tuples as its key; the oracle
+    reads it for that subset (see
+    :func:`~liftlab.machine.enumerate_lift_subsets`).
     """
     decisions: list[Decision] = []
-    return apply_lifts(plan_lifts(p), cfg, force_sites, decisions), decisions
+    q = apply_lifts(plan_lifts(p), cfg, force_sites, decisions)
+    _analyses(p)["lifted"] = (frozenset(d.binders for d in decisions if d.lifted), q)
+    return q, decisions
 
 
 def apply_lifts(
@@ -323,30 +331,15 @@ def apply_lifts(
     """The planned program lifted as :func:`lift_program` lifts it, each
     decision appended to ``decisions`` when a list is given.  Without one,
     forced groups skip the prediction their decisions would carry, and
-    groups forced to stay skip their required sets, which nothing reads.
-
-    The output depends only on the input and on which groups are lifted,
-    so it is memoised on the input (see :func:`~liftlab.syntax._analyses`)
-    with that set of binder tuples as its key.  An apply that lifts the
-    stored set returns the stored object once its decision pass has run,
-    and a forced apply without a decisions list returns it at once when
-    ``force_sites`` equals the key.  Forced applies without a decisions
-    list are the oracle's subsets, each used once, so they only read the
-    memo; every other apply stores its output in place of the last."""
+    groups forced to stay skip their required sets, which nothing reads."""
     cfg = cfg or LiftConfig()
     p = plan.program
-    memo = _analyses(p)
-    stored = memo.get("lifted")
-    read_only = force_sites is not None and decisions is None
-    if read_only and stored is not None and stored[0] == force_sites:
-        return stored[1]
     skels = plan.skels
     used = set(plan.scan.names)
     last: dict[str, int] = {}  # _fresh's resume points
     # Every binder lifted so far, mapped to its group's required set.  Names
     # are unique, so an entry is only ever looked up inside its binder's scope.
     required: dict[str, frozenset[str]] = {}
-    chosen: list[tuple[str, ...]] = []  # the lifted groups' binders
 
     # Pass 1, pre-order.  A stack entry carries the renaming of the innermost
     # lifted right-hand side around it.  An ``order`` entry carries a leaf's
@@ -396,7 +389,6 @@ def apply_lifts(
             order.append((e, None))
             stack.extend([(c, rename) for c in reversed(subexprs(e))])
             continue
-        chosen.append(binders)
         for name in binders:
             required[name] = rqs
         # The required variables keep their original binding sites
@@ -414,18 +406,12 @@ def apply_lifts(
             # its body would have been visited.
             stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner))
 
-    key = frozenset(chosen)
-    if stored is not None and stored[0] == key:
-        return stored[1]
     if not required:
         # Nothing lifted, so nothing changed; still a new program, which
         # callers may tell from ``p`` by identity.  Its nodes are ``p``'s,
-        # so it shares ``p``'s analyses, taken before ``p`` stores ``q``,
-        # so that ``q`` never refers to itself.
+        # so it shares ``p``'s analyses.
         q = Program(p.top_binds, p.main)
-        _analyses(q).update(memo)
-        if not read_only:
-            memo["lifted"] = (key, q)
+        _analyses(q).update(_analyses(p))
         return q
     # Pass 2, over the order reversed: children come before their parent, the
     # first child last, so they pop off ``results`` in child order.  Results
@@ -454,6 +440,4 @@ def apply_lifts(
     # Each lifted binder left its let for the top level, so the let binders
     # and top-level names together, the interpreter's stats rows, are p's.
     _analyses(q)["binders"] = _binder_names(p)
-    if not read_only:
-        memo["lifted"] = (key, q)
     return q

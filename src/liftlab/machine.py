@@ -176,16 +176,9 @@ class BinderStats:
 _NEVER_RAN = BinderStats(0, 0, 0, ())
 
 
-class _Rows(dict):
-    """A run's rows, per binder, while the run fills them in."""
-
-    __slots__ = ()
-
-
-class _ReadOnlyRows(_Rows):
-    """A finished run's rows, which refuse every change, so one run can be
-    shared.  A run fills in a :class:`_Rows` and then switches its class
-    to this one, which copies nothing."""
+class _ReadOnlyRows(dict):
+    """A finished run's rows, per binder, which refuse every change, so
+    one run can be shared."""
 
     __slots__ = ()
 
@@ -214,7 +207,7 @@ def _stats(rows: list[str], counters, tops, steps: int) -> AllocStats:
     entry counts and the words of one allocation, ``tops`` the top-level
     closures by name.  Every binder in ``rows`` gets a row, also one never
     allocated or entered."""
-    per_binder = _Rows.fromkeys(rows, _NEVER_RAN)
+    per_binder = dict.fromkeys(rows, _NEVER_RAN)
     words = closures = 0
     for name, (counts, width) in counters:
         n = len(counts)
@@ -224,8 +217,8 @@ def _stats(rows: list[str], counters, tops, steps: int) -> AllocStats:
     for name, fn in tops:
         if fn.counts[0]:
             per_binder[name] = BinderStats(0, fn.counts[0], 0, ())
-    per_binder.__class__ = _ReadOnlyRows
-    return AllocStats(words, closures, steps, per_binder)
+    # tuple.__new__ skips the named tuple's own __new__, a Python call.
+    return tuple.__new__(AllocStats, (words, closures, steps, _ReadOnlyRows(per_binder)))
 
 
 def _modulo(x: int, y: int) -> int:
@@ -283,10 +276,13 @@ class _Machine:
         # What does not depend on the run is memoised on the program: the
         # stats rows, whose scan stores the free variables of every
         # right-hand side when the program has none, and the let layouts.
-        self.rows = _binder_names(program)
         if memo is None:
             memo = _analyses(program)
-        self.layouts: dict[int, list[tuple]] = memo.setdefault("layouts", {})
+        self.rows = memo.get("binders") or _binder_names(program)
+        layouts = memo.get("layouts")
+        if layouts is None:
+            layouts = memo["layouts"] = {}
+        self.layouts: dict[int, list[tuple]] = layouts
 
     def _plan(self, let: Let) -> list[tuple]:
         """Per binding: name, right-hand side, slot names, entry counts; all
@@ -1088,20 +1084,25 @@ def enumerate_lift_subsets(
     program; rows follow bitmask order over the sites in traversal order.
     The program is analysed once, and each subset only applies that plan.
     Row 0 reads ``p``'s stored run when ``p`` was evaluated, and the
-    subset an earlier :func:`~liftlab.lifter.lift_program` of ``p`` lifted
-    reads that output and its stored run (see :func:`evaluate` and
-    :func:`~liftlab.lifter.apply_lifts`), so the rows evaluate afresh only
-    the subsets the pipeline has not run.
+    subset the last :func:`~liftlab.lifter.lift_program` of ``p`` lifted
+    reads that output and its stored run (see :func:`evaluate`), so the
+    rows evaluate afresh only the subsets the pipeline has not run.
     """
     plan = plan_lifts(p)
     sites = liftable_sites(plan.program)
     if len(sites) > max_groups:
         raise SubsetTooLarge(f"{len(sites)} liftable groups exceed limit {max_groups}")
+    stored = _analyses(p).get("lifted")
     rows = []
     for mask in range(2 ** len(sites)):
         chosen = frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
-        # Lifting nothing would only copy the program.
-        value, stats = evaluate(apply_lifts(plan, force_sites=chosen) if chosen else p, fuel)
+        if not chosen:
+            q = p  # lifting nothing would only copy the program
+        elif stored is not None and stored[0] == chosen:
+            q = stored[1]
+        else:
+            q = apply_lifts(plan, force_sites=chosen)
+        value, stats = evaluate(q, fuel)
         label = tuple("+".join(s) for s in sites if s in chosen)
         rows.append(
             OracleRow(label, stats.words_allocated, stats.closures_allocated, render_value(value))

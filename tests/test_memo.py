@@ -25,7 +25,7 @@ import pytest
 from liftlab import analysis, lifter, machine, syntax
 from liftlab.analysis import split_groups
 from liftlab.lifter import lift_program, liftable_sites, plan_lifts
-from liftlab.machine import OutOfFuel, enumerate_lift_subsets, evaluate
+from liftlab.machine import DEFAULT_FUEL, OutOfFuel, enumerate_lift_subsets, evaluate
 from liftlab.syntax import (
     Lambda,
     Let,
@@ -131,19 +131,23 @@ def test_unplanned_program_folds_lazily_and_keeps_it(built):
     # Nobody planned or scanned a lifted output.  Lifting f rebuilds go,
     # whose body defines inner, which calls f: the first evaluate scans
     # go's new right-hand side, once, when its let runs, and that covers
-    # inner's; a second evaluate of the same object scans nothing.
+    # inner's; a second run of the same object, on either engine (evaluate
+    # would return the stored run), scans nothing.
     p = split_groups(freshen(parse(source("one_shot"))))
     lifted, _ = lift_program(p, force_sites=frozenset({("f",)}))
     old = {id(rhs) for rhs in rhss_under([tb.body for tb in p.top_binds] + [p.main])}
     new = [rhs for rhs in rhss_under([lifted.main]) if id(rhs) not in old]
     assert len(new) == 2
     scans = built["scan"]
-    evaluate(lifted)
+    first = evaluate(lifted)
     assert built["scan"] == scans + 1
     assert built[("root", id(new[0]))] == 1
     assert [built[("scanned", id(rhs))] for rhs in new] == [1, 1]
-    evaluate(lifted)
-    assert built["scan"] == scans + 1
+    for engine in (machine._Machine(lifted, DEFAULT_FUEL).run, lambda: machine._run_frames(lifted, DEFAULT_FUEL)):
+        again = engine()
+        assert again is not first and again[1] is not first[1]
+        assert again[1] == first[1] and machine.value_key(again[0]) == machine.value_key(first[0])
+        assert built["scan"] == scans + 1
     assert "scan" not in vars(lifted)["_analyses"]
 
 
@@ -304,51 +308,87 @@ def engine_runs(monkeypatch) -> Counter:
     return runs
 
 
+def corpus_inputs() -> list[Program]:
+    """programs/ and 200 corpus programs, freshened and split."""
+    rng = random.Random(CORPUS_SEED)
+    texts = [source(f.stem) for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
+    inputs = [parse(text) for text in texts] + [ProgramGen(rng).program() for _ in range(200)]
+    return [split_groups(freshen(p)) for p in inputs]
+
+
 def test_harness_order_runs_each_program_once(engine_runs, monkeypatch):
     # In the benchmark's order, an engine runs once for the program, once
     # for its lift output and once per oracle subset other than the empty
     # one, which reads the program's run, and the lifter's own, which is
     # the lift output and reads its run.
-    applied = []
-    real_apply = machine.apply_lifts
+    applied, evaluated = [], []
+    real_apply, real_evaluate = machine.apply_lifts, machine.evaluate
 
-    def recording(plan, *args, **kwargs):
+    def applying(plan, *args, **kwargs):
         q = real_apply(plan, *args, **kwargs)
         applied.append((kwargs["force_sites"], q))
         return q
 
-    monkeypatch.setattr(machine, "apply_lifts", recording)
-    rng = random.Random(CORPUS_SEED)
-    texts = [source(f.stem) for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
-    inputs = [parse(text) for text in texts] + [ProgramGen(rng).program() for _ in range(200)]
+    def evaluating(q, *args):
+        evaluated.append(q)
+        return real_evaluate(q, *args)
+
+    monkeypatch.setattr(machine, "apply_lifts", applying)
+    monkeypatch.setattr(machine, "evaluate", evaluating)
     seen = Counter()
-    for p in inputs:
-        p = split_groups(freshen(p))
+    for p in corpus_inputs():
         lifted, decisions = lift_program(p)
+        engine_runs.clear()
         evaluate(p)
         evaluate(lifted)
+        assert engine_runs[id(p)] == engine_runs[id(lifted)] == 1
         print_program(lifted)
         sites = liftable_sites(p)
         if len(sites) > 4:
             continue
         engine_runs.clear()
         applied.clear()
+        evaluated.clear()
         rows = enumerate_lift_subsets(p)
         chosen = frozenset(d.binders for d in decisions if d.lifted)
-        assert [force for force, _ in applied] == [
+        subsets = [
             frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
-            for mask in range(1, 2 ** len(sites))
+            for mask in range(2 ** len(sites))
         ]
-        for force, q in applied:
-            if force == chosen:
+        assert len(evaluated) == len(rows) == len(subsets)
+        assert [force for force, _ in applied] == [s for s in subsets[1:] if s != chosen]
+        made = dict(applied)
+        assert evaluated[0] is p and engine_runs[id(p)] == 0
+        for subset, q in zip(subsets[1:], evaluated[1:]):
+            if subset == chosen:
                 assert q is lifted and engine_runs[id(q)] == 0
                 seen["chosen subset reused"] += 1
             else:
-                assert engine_runs[id(q)] == 1
-        assert engine_runs[id(p)] == 0
+                assert q is made[subset] and engine_runs[id(q)] == 1
         assert sum(engine_runs.values()) == len(rows) - 1 - bool(chosen)
         seen["checked"] += 1
     assert seen["checked"] > 100 and seen["chosen subset reused"] > 20, seen
+
+
+def test_forced_apply_of_the_chosen_groups_is_the_lift_output():
+    # The oracle reads lift_program's output for the groups it lifted; a
+    # forced apply of those groups to a fresh object of the same program,
+    # with no memo to read, prints the same program and runs the same.
+    checked = 0
+    for p in corpus_inputs():
+        lifted, decisions = lift_program(p)
+        chosen = frozenset(d.binders for d in decisions if d.lifted)
+        if not chosen:
+            continue
+        twin = Program(p.top_binds, p.main)
+        forced = lifter.apply_lifts(plan_lifts(twin), force_sites=chosen)
+        assert forced is not lifted and "lifted" not in _analyses(twin)
+        assert print_program(forced) == print_program(lifted)
+        fresh = Program(lifted.top_binds, lifted.main)
+        (v0, s0), (v1, s1) = evaluate(forced), evaluate(fresh)
+        assert s0 == s1 and machine.value_key(v0) == machine.value_key(v1)
+        checked += 1
+    assert checked > 30, checked
 
 
 def test_a_stored_run_is_returned_and_bounds_the_fuel(engine_runs):
@@ -427,39 +467,35 @@ def test_shared_stats_reject_assignment():
         assert copied == stats and type(copied.per_binder) is type(rows)
 
 
-def test_a_lift_of_the_stored_groups_returns_the_stored_output():
+def test_lift_program_stores_its_last_output_and_the_oracle_only_reads_it(engine_runs):
     p = split_groups(freshen(parse(source("growth_balanced"))))
-    plan = plan_lifts(p)
     lifted, decisions = lift_program(p)
     key = frozenset(d.binders for d in decisions if d.lifted)
     assert key and _analyses(p)["lifted"] == (key, lifted)
-    # Forced without a decisions list, before any pass; with one, or by
-    # lifting the same groups from a larger force set, after the decision
-    # pass, whose decisions it still reports.
-    assert lifter.apply_lifts(plan, force_sites=key) is lifted
-    forced, ds = lift_program(p, force_sites=key)
-    assert forced is lifted
-    assert {d.binders for d in ds if d.lifted} == key
-    assert lift_program(p, force_sites=key | {("nowhere",)})[0] is lifted
-    assert lift_program(p)[0] is lifted
-
-
-def test_a_force_set_that_differs_from_the_stored_key_misses():
-    p = split_groups(freshen(parse(source("growth_balanced"))))
-    plan = plan_lifts(p)
-    lifted, decisions = lift_program(p)
-    key = frozenset(d.binders for d in decisions if d.lifted)
     sites = liftable_sites(p)
-    others = [
+    subsets = [
         frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
         for mask in range(2 ** len(sites))
     ]
-    others.remove(key)
-    assert len(others) >= 3
-    for force in others:
-        q = lifter.apply_lifts(plan, force_sites=force)
-        assert q is not lifted
-        twin = Program(p.top_binds, p.main)
-        assert print_program(q) == print_program(lift_program(twin, force_sites=force)[0])
-        # The oracle's applies read the memo and leave it as it was.
-        assert _analyses(p)["lifted"] == (key, lifted)
+    assert key in subsets and len(subsets) >= 4
+    # A forced apply of the stored groups is a new object; the oracle reads
+    # the stored output and leaves the memo as it was.
+    assert lifter.apply_lifts(plan_lifts(p), force_sites=key) is not lifted
+    enumerate_lift_subsets(p)
+    assert _analyses(p)["lifted"] == (key, lifted)
+    assert engine_runs[id(lifted)] == 1
+    # Every later lift is new and takes the stored place, so a force set
+    # that differs from the stored key misses: the oracle then runs the
+    # subset the first lift chose, and reads the new output instead.
+    other = next(s for s in subsets[1:] if s != key)
+    again, ds = lift_program(p, force_sites=other)
+    assert again is not lifted
+    assert {d.binders for d in ds if d.lifted} == other
+    assert _analyses(p)["lifted"] == (other, again)
+    evaluate(again)
+    engine_runs.clear()
+    rows = enumerate_lift_subsets(p)
+    # The first oracle stored p's run, and evaluate stored again's.
+    assert engine_runs[id(p)] == engine_runs[id(again)] == engine_runs[id(lifted)] == 0
+    assert sum(engine_runs.values()) == len(rows) - 2
+    assert lift_program(p)[0] is not lifted
