@@ -263,10 +263,10 @@ class _Machine:
             raise ValueError("fuel must be positive")
         self.program = program
         self.fuel = fuel
-        self.top_names = program.top_names()
-        self.tops = _Tops()
+        tops = self.tops = _Tops()
         for tb in program.top_binds:
-            self.tops[tb.name] = FunValue(tb.name, tb.params, tb.body, [0], 0)
+            tops[tb.name] = FunValue(tb.name, tb.params, tb.body, [0], 0)
+        self.top_names = frozenset(tops)
         # Counters, not closures, so a closure lives only while the program
         # holds it: per let binder that ran, the entry count of each of its
         # allocations and the words one allocation takes.
