@@ -9,12 +9,10 @@ object (see :func:`~liftlab.syntax._analyses`)."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .syntax import (
     App,
     AtomExpr,
-    BindGroup,
+    BinderFacts,
     Cardinality,
     Case,
     Expr,
@@ -23,14 +21,12 @@ from .syntax import (
     PrimApp,
     Program,
     Rhs,
+    Scan,
     THUNK_CARD,
     Thunk,
-    TopBind,
     Var,
     _analyses,
-    program_nodes,
-    subexprs,
-    with_subexprs,
+    _scope,
 )
 
 
@@ -54,19 +50,6 @@ def cardinality(rhs: Rhs) -> Cardinality:
 # ---------------------------------------------------------------------------
 # The scan: occurrence facts, names and free variables in one walk
 # ---------------------------------------------------------------------------
-
-
-class BinderFacts(NamedTuple):
-    occurs_as_argument: bool
-    is_known_function: bool
-
-
-class Scan(NamedTuple):
-    """What one pre-order walk finds under its roots (see :func:`scan`)."""
-
-    nodes: list[Expr]  # every node, in :func:`~liftlab.syntax.walk` order
-    facts: dict[str, BinderFacts]  # per let binder
-    names: frozenset[str]  # every binder and parameter name
 
 
 def scan(roots: list[Expr | Rhs]) -> Scan:
@@ -189,93 +172,20 @@ def _binder_names(p: Program) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _scc_components(names: tuple[str, ...], fvs: list[frozenset[str]]) -> list[list[int]]:
-    """Tarjan over the intra-group reference graph, sinks popped first; its
-    search runs on an explicit stack of (member, next successor's index)."""
-    index_of = {name: i for i, name in enumerate(names)}
-    succs = [sorted(index_of[v] for v in vs if v in index_of) for vs in fvs]
-    n = len(names)
-    # Visit numbers count from 1.  0 is unvisited; n + 1, above every low
-    # link, marks a member already in a component.
-    index, low = [0] * n, [0] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        path = [] if index[root] else [(root, 0)]
-        while path:
-            v, i = path.pop()
-            if i:  # back from its successor i - 1
-                low[v] = min(low[v], low[succs[v][i - 1]])
-            else:
-                counter += 1
-                index[v] = low[v] = counter
-                stack.append(v)
-            while i < len(succs[v]):
-                w = succs[v][i]
-                i += 1
-                if not index[w]:
-                    path += [(v, i), (w, 0)]
-                    break
-                low[v] = min(low[v], index[w])
-            else:
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    for w in comp:
-                        index[w] = n + 1
-                    comps.append(sorted(comp))
-    return comps
-
-
 def split_groups(p: Program) -> Program:
     """Decompose every let group into minimal strongly connected components.
 
     Components are emitted as nested lets, dependencies outermost.
-    Semantics and allocation totals are preserved.  Tarjan runs only on
-    groups of two or more members, over the free variables that
-    :func:`scan_program` stores, so names must be globally unique.  One
-    bottom-up loop without recursion rebuilds what holds a split and shares
-    every other subtree; with no split, the result is ``p`` itself, which
-    keeps the scan read here for the lifter and the interpreter.  A split
-    only regroups binders, so a new result gets ``p``'s occurrence facts
-    and names, and each right-hand side it rebuilds the free variables of
-    the one it replaces.
+    Semantics and allocation totals are preserved.  The scope walk behind
+    :func:`~liftlab.syntax.freshen` and :func:`~liftlab.syntax.validate`
+    makes the split, over the free variables it stores, once per program
+    object, so this reads it: ``p`` itself when no group splits, and
+    otherwise a new program that shares every subtree holding no split and
+    carries the same scan of its own nodes.  Free variables need globally
+    unique names, so a program whose walk renames raises ``ValueError``.
     """
-    nodes, facts, used = scan_program(p)
-    splits: dict[int, list[list[int]]] = {}
-    for e in nodes:
-        if type(e) is Let and len(e.group.binds) > 1:
-            comps = _scc_components(e.group.binders(), [free_vars(rhs) for _, rhs in e.group.binds])
-            if len(comps) > 1:
-                splits[id(e)] = comps
-    if not splits:
-        return p  # every group is its only component
-    # Over the nodes reversed, children come before their parent, the first
-    # child last, so they pop off ``results`` in child order.
-    results: list[Expr] = []
-    for e in reversed(nodes):
-        t = type(e)
-        if t is Let or t is Case:
-            new = with_subexprs(e, [results.pop() for _ in subexprs(e)])
-            if t is Let:
-                for (_, rhs), (_, new_rhs) in zip(e.group.binds, new.group.binds):
-                    if new_rhs is not rhs:
-                        new_rhs.__dict__["_free"] = free_vars(rhs)
-                comps = splits.get(id(e))
-                if comps is not None:
-                    binds, new = new.group.binds, new.body
-                    # Tarjan pops dependencies first; wrap in reverse so they
-                    # end up outermost and stay in scope for their dependents.
-                    for comp in reversed(comps):
-                        new = Let(BindGroup(tuple([binds[i] for i in comp])), new)
-            e = new
-        results.append(e)
-    tops = [
-        tb if tb.body is body else TopBind(tb.name, tb.params, body)
-        for tb, body in zip(p.top_binds, reversed(results))
-    ]
-    q = Program(tuple(tops), results[0])
-    _analyses(q)["scan"] = Scan(list(program_nodes(q)), facts, used)
-    return q
+    _scope(p)
+    memo = _analyses(p)
+    if "split" not in memo:
+        raise ValueError("split_groups needs globally unique names: freshen the program first")
+    return memo["split"] or p

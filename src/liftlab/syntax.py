@@ -41,6 +41,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import islice
+from typing import NamedTuple
 
 INF = float("inf")
 
@@ -707,8 +708,10 @@ def print_program(p: Program) -> str:
     return "".join(out)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Scoping: validation and freshening
+# Scoping: validation, freshening, the scan and the SCC split
 # ---------------------------------------------------------------------------
 
 
@@ -721,6 +724,23 @@ class Violation:
 
 class ScopeError(Exception):
     pass
+
+
+class BinderFacts(NamedTuple):
+    occurs_as_argument: bool
+    is_known_function: bool
+
+
+class Scan(NamedTuple):
+    """What one pre-order walk finds under its roots: the scope walk's, or
+    :func:`~liftlab.analysis.scan`'s."""
+
+    nodes: list[Expr]  # every node, in :func:`walk` order
+    facts: dict[str, BinderFacts]  # per let binder
+    names: frozenset[str]  # every binder and parameter name
+
+
+_PRIMOP_SET = frozenset(PRIMOPS)
 
 
 def _fresh(base: str, used: set[str], last: dict[str, int]) -> str:
@@ -746,142 +766,472 @@ def _path_text(path: str | tuple) -> str:
     return path + "".join(reversed(segments))
 
 
-class _ScopeWalk:
-    """One pre-order walk under the scoping rules: top-level names scope
-    over every body and ``main``, a let group's binders over its right-hand
-    sides and body, parameters over their body, a default binder over its
-    branch.  Binders get :func:`_fresh` names and occurrences those of the
-    binders in scope, in ``result`` (which shares every subtree left as it
-    was); ``out`` holds :func:`validate`'s violations and ``twice`` an error
-    per let group or top level binding a name twice."""
+def _node_paths(p: Program, wanted: set[int]) -> dict[int, str | tuple]:
+    """The paths of the nodes whose pre-order indices are ``wanted``, in the
+    numbering of :func:`program_nodes`: ``top f`` or ``main``, then
+    ``/let f/rhs``, ``/in``, ``/scrutinee``, ``/alt k`` or ``/default`` per
+    step.  Only a walk that found violations asks, so none of this is on
+    the path of a well-formed program."""
+    paths: dict[int, str | tuple] = {}
+    stack: list = [(p.main, "main")]
+    stack += [(tb.body, "top " + tb.name) for tb in reversed(p.top_binds)]
+    index = 0
+    while len(paths) < len(wanted):
+        e, path = stack.pop()
+        if index in wanted:
+            paths[index] = path
+        index += 1
+        t = type(e)
+        if t is Let:
+            stack.append((e.body, (path, "/in")))
+            for name, rhs in reversed(e.group.binds):
+                stack.append((rhs.body, ((path, "/let " + name), "/rhs")))
+        elif t is Case:
+            stack.append((e.default[1], (path, "/default")))
+            stack += [(body, (path, f"/alt {pat}")) for pat, body in reversed(e.alts)]
+            stack.append((e.scrutinee, (path, "/scrutinee")))
+    return paths
 
-    def __init__(self, p: Program) -> None:
-        self.out: list[Violation] = []
-        self.twice: list[str] = []
-        self.seen: set[str] = set()  # binders as written
-        self.used: set[str] = set()  # fresh names
+
+def _scc_components(names: tuple[str, ...], fvs: list[frozenset[str]]) -> list[list[int]]:
+    """Tarjan over the intra-group reference graph, sinks popped first; its
+    search runs on an explicit stack of (member, next successor's index)."""
+    index_of = {name: i for i, name in enumerate(names)}
+    succs = [sorted(index_of[v] for v in vs if v in index_of) for vs in fvs]
+    n = len(names)
+    # Visit numbers count from 1.  0 is unvisited; n + 1, above every low
+    # link, marks a member already in a component.
+    index, low = [0] * n, [0] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        path = [] if index[root] else [(root, 0)]
+        while path:
+            v, i = path.pop()
+            if i:  # back from its successor i - 1
+                low[v] = min(low[v], low[succs[v][i - 1]])
+            else:
+                counter += 1
+                index[v] = low[v] = counter
+                stack.append(v)
+            while i < len(succs[v]):
+                w = succs[v][i]
+                i += 1
+                if not index[w]:
+                    path += [(v, i), (w, 0)]
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = n + 1
+                    comps.append(sorted(comp))
+    return comps
+
+
+class _ScopeWalk:
+    """One pre-order walk, on an explicit stack, under the scoping rules:
+    top-level names scope over every body and ``main``, a let group's
+    binders over its right-hand sides and body, parameters over their
+    body, a default binder over its branch.
+
+    For :func:`validate` and :func:`freshen` it finds the violations and
+    an error per let group or top level binding a name twice, each at a
+    node's pre-order index (:meth:`violations` makes them text), and the
+    renamed program: binders get :func:`_fresh` names and occurrences
+    those of the binders in scope.  In the same walk it finds what
+    :func:`~liftlab.analysis.scan` finds: the nodes in pre-order, the let
+    binders' occurrence facts, the names, and each right-hand side's free
+    variables (the names it mentions less its parameters and the binders
+    inside it), which it stores on the right-hand side.  When a let's
+    right-hand sides have closed, a group of two or more members is split
+    into its strongly connected components, dependencies outermost, unless
+    a binder has been renamed.
+
+    ``result`` is the program with its renamings and splits: on exit a
+    node is rebuilt only when ``changed`` grew under it, from its
+    children's new nodes, which ``results`` holds as (stack height, node)
+    pairs, the height telling which child; every other subtree is shared.
+    A name not bound before is bound inline; any other goes through
+    :meth:`bind`, which keeps what it shadowed in ``slow``, under the id of
+    its binding site (group, lambda or default), until the scope ends."""
+
+    def __init__(self, p: Program, split: bool = True) -> None:
+        self.split = split
+        self.records: list[tuple] = []  # (node index | None, up, suffix, tag, detail)
+        self.twice: list[tuple] = []  # (node index | None, up, suffix, name)
+        self.used: set[str] = set()  # binder names as written, and fresh names
+        self.picked: set[str] = set()  # fresh names no binder has written
         self.last: dict[str, int] = {}  # base -> its last _fresh suffix
-        self.renamed = 0  # binders and occurrences renamed so far
+        self.renamed = 0  # binders renamed
+        self.splits = 0  # let groups split
         self.env: dict[str, str | None] = {}  # name -> fresh name; None out of scope
-        self.undo: list[tuple[str, str | None]] = []  # what each binding shadowed
-        names = self.bind_site([tb.name for tb in p.top_binds], "", "top ")
+        self.slow: dict[int, tuple[list[str], list]] = {}
+        self.nodes: list[Expr] = []
+        self.known: dict[str, bool] = {}  # let binder -> its right-hand side is a lambda
+        self.as_arg: set[str] = set()
+        names, _ = self.bind([tb.name for tb in p.top_binds], 0, None, 0, "top ", True)
         tops = []
         for tb, name in zip(p.top_binds, names):
-            path = "top " + tb.name
-            params = tuple([self.bind(x, (path, "/param " + x)) for x in tb.params])
-            tops.append(TopBind(name, params, self.expr(tb.body, path)))
-            self.leave(len(params))
-        main = self.expr(p.main, "main")
-        self.result = p if self.renamed == 0 else Program(tuple(tops), main)
+            params, undo = self.bind(tb.params, 0, None, 0, f"top {tb.name}/param ")
+            body = self.expr(tb.body)
+            self.leave(tb.params, undo)
+            if name != tb.name or tuple(params) != tb.params or body is not tb.body:
+                tb = TopBind(name, tuple(params), body)
+            tops.append(tb)
+        main = self.expr(p.main)
+        self.result = p if not (self.renamed or self.splits) else Program(tuple(tops), main)
 
-    def violation(self, path: str | tuple, tag: str, detail: str) -> None:
-        self.out.append(Violation(_path_text(path), tag, detail))
-
-    def bind(self, name: str, path: str | tuple) -> str:
-        if name in self.seen:
-            self.violation(path, "NonUniqueName", name)
-        self.seen.add(name)
-        new = name
-        if name in self.used:
-            new = _fresh(name, self.used, self.last)
-            self.renamed += 1
-        self.used.add(new)
-        self.undo.append((name, self.env.get(name)))
-        self.env[name] = new
-        return new
-
-    def bind_site(self, names: list[str], path: str | tuple, kind: str) -> list[str]:
-        """Bind one group's ``names``, each at ``path`` then ``kind`` and the name."""
+    def bind(self, names, done: int, index: int | None, up: int, kind: str, twice: bool = False):
+        """Bind ``names[done:]`` in order, ``names[:done]`` being bound
+        already, each new as written.  A name bound before is renamed, and
+        is a ``NonUniqueName`` unless no binder has written it.  Violations
+        are at the path of node ``index`` less ``up`` segments, then
+        ``kind`` and the name (nothing when ``kind`` is empty).  Returns the
+        new names, and what each name shadowed, for :meth:`leave`."""
+        env, used, picked = self.env, self.used, self.picked
         if len(set(names)) < len(names):
-            dup = next(n for n in names if names.count(n) > 1)
-            where = _path_text((path, kind + dup))
-            self.twice.append(f"{where}: {dup!r} is bound twice in one group")
-        return [self.bind(name, (path, kind + name)) for name in names]
+            if twice:
+                dup = next(n for n in names if names.count(n) > 1)
+                self.twice.append((index, up, kind + dup, dup))
+        elif not done and used.isdisjoint(names):
+            used.update(names)
+            env.update(zip(names, names))
+            return list(names), []
+        new_names = list(names[:done])
+        written = set(new_names)
+        undo = []
+        for name in names[done:]:
+            if name not in written:
+                written.add(name)
+                undo.append((name, env.get(name)))
+            new = name
+            if name in used:
+                if name in picked:
+                    picked.discard(name)
+                else:
+                    self.records.append((index, up, kind and kind + name, "NonUniqueName", name))
+                new = _fresh(name, used, self.last)
+                picked.add(new)
+                self.renamed += 1
+            used.add(new)
+            env[name] = new
+            new_names.append(new)
+        return new_names, undo
 
-    def leave(self, n: int) -> None:
-        """End the scopes of the last ``n`` bindings."""
-        while n:
-            name, old = self.undo.pop()
-            self.env[name] = old
-            n -= 1
+    def leave(self, names, undo: list) -> None:
+        """End the scopes of one site's ``names``."""
+        env = self.env
+        for name in names:
+            env[name] = None
+        for name, old in undo:
+            env[name] = old
 
-    def resolve(self, name: str, path: str | tuple) -> str:
+    def resolve(self, name: str, index: int, suffix: str) -> str:
         new = self.env.get(name)
         if new is None:
-            self.violation(path, "UnboundVariable", name)
-        elif new != name:
-            self.renamed += 1
-        return new or name
+            self.records.append((index, 0, suffix, "UnboundVariable", name))
+            return name
+        return new
 
-    def atom(self, a: Atom, path: str | tuple) -> Atom:
+    def atom(self, a: Atom, index: int) -> Atom:
         if type(a) is Var:
-            new = self.resolve(a.name, path)
+            new = self.resolve(a.name, index, "/arg")
             return a if new == a.name else Var(new)
         if type(a) is not Lit:
-            self.violation(path, "NonAtomicArg", type(a).__name__)
+            self.records.append((index, 0, "/arg", "NonAtomicArg", type(a).__name__))
         return a
 
-    # One host frame per nesting level: plain loops, and a let's right-hand
-    # sides handled inline.  A node is rebuilt only if ``renamed`` grew.
-    def expr(self, e: Expr, path: str | tuple) -> Expr:
-        t = type(e)
-        before = self.renamed
-        if t is AtomExpr:
-            a = self.atom(e.atom, path)
-            return e if a is e.atom else AtomExpr(a)
-        if t is App:
-            head = self.resolve(e.head, path)
-            args = tuple([self.atom(a, (path, "/arg")) for a in e.args])
-            return e if self.renamed == before else App(head, args)
-        if t is PrimApp:
-            if e.op not in PRIMOPS or len(e.args) != 2:
-                self.violation(path, "UnsaturatedPrimop", e.op)
-            args = tuple([self.atom(a, (path, "/arg")) for a in e.args])
-            return e if self.renamed == before else PrimApp(e.op, args)
-        if t is Let:
-            if not e.group.binds:
-                self.violation(path, "EmptyGroup", "")
-            names = self.bind_site([name for name, _ in e.group.binds], path, "/let ")
-            binds = []
-            for (name, rhs), new in zip(e.group.binds, names):
-                rpath = (path, "/let " + name)
-                r, params = self.renamed, ()
-                if type(rhs) is Lambda:
-                    if not rhs.params:
-                        self.violation(rpath, "ZeroParamLambda", "")
-                    params = tuple([self.bind(x, (rpath, "/param " + x)) for x in rhs.params])
-                body = self.expr(rhs.body, (rpath, "/rhs"))
-                self.leave(len(params))
-                if self.renamed != r:
-                    rhs = Thunk(body) if type(rhs) is Thunk else Lambda(rhs.card, params, body)
-                binds.append((new, rhs))
-            body = self.expr(e.body, (path, "/in"))
-            self.leave(len(names))
-            if self.renamed == before:
-                return e
-            return Let(BindGroup(tuple(binds)), body)
-        if t is Case:
-            scrut = self.expr(e.scrutinee, (path, "/scrutinee"))
-            alts = []
-            for pat, body in e.alts:
-                alts.append((pat, self.expr(body, (path, f"/alt {pat}"))))
-            dname, dbody = e.default
-            default = (self.bind(dname, (path, "/default")), self.expr(dbody, (path, "/default")))
-            self.leave(1)
-            return e if self.renamed == before else Case(scrut, tuple(alts), default)
-        self.violation(path, "NonAtomicArg", t.__name__)
-        return e
+    def leaf(self, e: App | PrimApp, index: int) -> Expr:
+        """An application with a name that is unbound or renamed, or of the
+        wrong shape: its violations, in order, and its renamed node."""
+        if type(e) is App:
+            head = self.resolve(e.head, index, "")
+        elif e.op not in _PRIMOP_SET or len(e.args) != 2:
+            self.records.append((index, 0, "", "UnsaturatedPrimop", e.op))
+        args = tuple([self.atom(a, index) for a in e.args])
+        if all([a is b for a, b in zip(args, e.args)]) and (type(e) is PrimApp or head == e.head):
+            return e
+        return App(head, args) if type(e) is App else PrimApp(e.op, args)
+
+    def expr(self, root: Expr) -> Expr:
+        """Walk ``root``.  The stack holds nodes; a let's ``(name, rhs)``
+        bindings, which open a right-hand side; a case's default, which
+        binds its name; the tuples that close a let or a case and the
+        lists that close a right-hand side, each pushed when it opens."""
+        env, used, slow, known, as_arg = self.env, self.used, self.slow, self.known, self.as_arg
+        nodes, records = self.nodes, self.records
+        mentioned: set[str] = set()  # names occurring in the open right-hand side
+        bound: set[str] = set()  # binders inside it
+        changed = 0
+        results: list[tuple[int, Expr | Rhs]] = []
+        stack: list = [root]
+        while stack:
+            e = stack.pop()
+            t = type(e)
+            if t is tuple:
+                x = e[0]
+                if type(x) is str:
+                    y = e[1]
+                    t = type(y)
+                    if t is Lambda:  # a right-hand side opens
+                        stack.append([y, changed, len(results), mentioned, bound])
+                        mentioned, bound = set(), set()
+                        k = len(used)
+                        for name in y.params:
+                            if name in used:
+                                slow[id(y)] = self.bind(y.params, len(used) - k, len(nodes), 1, "/param ")
+                                changed += 1
+                                break
+                            used.add(name)
+                            env[name] = name
+                        if not y.params:
+                            records.append((len(nodes), 1, "", "ZeroParamLambda", ""))
+                        stack.append(y.body)
+                    elif t is Thunk:
+                        stack.append([y, changed, len(results), mentioned, bound])
+                        mentioned, bound = set(), set()
+                        stack.append(y.body)
+                    else:  # a case's default binds its name
+                        if x in used:
+                            slow[id(e)] = self.bind((x,), 0, len(nodes), 0, "")
+                            changed += 1
+                        else:
+                            used.add(x)
+                            env[x] = x
+                        bound.add(x)
+                        stack.append(y)
+                elif type(x) is Let:
+                    _, before, mark, base = e
+                    group = x.group
+                    binds = group.binds
+                    for name, _ in binds:
+                        env[name] = None
+                    st = slow.pop(id(group), None) if slow else None
+                    if st is not None:
+                        for name, old in st[1]:
+                            env[name] = old
+                    comps = None
+                    if len(binds) > 1 and self.split and not self.renamed:
+                        comps = _components(group, binds)
+                        if comps is not None:
+                            changed += 1
+                            self.splits += 1
+                    if changed != before:
+                        kids = results[mark:]
+                        del results[mark:]
+                        results.append((len(stack), _rebuild_let(x, kids, base, st, comps)))
+                else:  # a case closes
+                    _, before, mark, base = e
+                    dname = x.default[0]
+                    env[dname] = None
+                    st = slow.pop(id(x.default), None) if slow else None
+                    if st is not None:
+                        env[dname] = st[1][0][1]
+                    if changed != before:
+                        kids = results[mark:]
+                        del results[mark:]
+                        results.append((len(stack), _rebuild_case(x, kids, base, st)))
+            elif t is list:  # a right-hand side closes
+                x, before, mark, enclosing, enclosing_bound = e
+                mentioned -= bound
+                st = None
+                if type(x) is Lambda:
+                    params = x.params
+                    mentioned.difference_update(params)
+                    for name in params:
+                        env[name] = None
+                    st = slow.pop(id(x), None) if slow else None
+                    if st is not None:
+                        for name, old in st[1]:
+                            env[name] = old
+                x.__dict__["_free"] = fvs = frozenset(mentioned)
+                mentioned, bound = enclosing, enclosing_bound
+                mentioned |= fvs
+                if changed != before:
+                    body = results.pop()[1] if len(results) > mark else x.body
+                    if type(x) is Thunk:
+                        new = Thunk(body)
+                    else:
+                        new = Lambda(x.card, tuple(st[0]) if st else x.params, body)
+                    if not self.renamed:
+                        new.__dict__["_free"] = fvs
+                    results.append((len(stack), new))
+            elif t is AtomExpr:
+                nodes.append(e)
+                a = e.atom
+                if type(a) is Var:
+                    name = a.name
+                    mentioned.add(name)
+                    new = env.get(name)
+                    if new != name:
+                        if new is None:
+                            records.append((len(nodes) - 1, 0, "", "UnboundVariable", name))
+                        else:
+                            changed += 1
+                            results.append((len(stack), AtomExpr(Var(new))))
+                elif type(a) is not Lit:
+                    records.append((len(nodes) - 1, 0, "", "NonAtomicArg", type(a).__name__))
+            elif t is App or t is PrimApp:
+                nodes.append(e)
+                if t is App:
+                    name = e.head
+                    mentioned.add(name)
+                    ok = env.get(name) == name
+                else:
+                    ok = e.op in _PRIMOP_SET and len(e.args) == 2
+                for a in e.args:
+                    if type(a) is Var:
+                        name = a.name
+                        mentioned.add(name)
+                        if name in known:
+                            as_arg.add(name)
+                        if env.get(name) != name:
+                            ok = False
+                    elif type(a) is not Lit:
+                        ok = False
+                if not ok:
+                    new = self.leaf(e, len(nodes) - 1)
+                    if new is not e:
+                        changed += 1
+                        results.append((len(stack), new))
+            elif t is Let:
+                nodes.append(e)
+                stack.append((e, changed, len(results), len(stack) + 1))
+                binds = e.group.binds
+                k = len(used)
+                for name, rhs in binds:
+                    known[name] = type(rhs) is Lambda
+                    bound.add(name)
+                    if name in used:
+                        self.bind_let(e, len(used) - k, bound)
+                        changed += 1  # at least this binder is renamed
+                        break
+                    used.add(name)
+                    env[name] = name
+                if not binds:
+                    records.append((len(nodes) - 1, 0, "", "EmptyGroup", ""))
+                stack.append(e.body)
+                stack += reversed(binds)
+            elif t is Case:
+                nodes.append(e)
+                stack.append((e, changed, len(results), len(stack) + 1))
+                stack.append(e.default)
+                if e.alts:
+                    stack += [body for _, body in reversed(e.alts)]
+                stack.append(e.scrutinee)
+            else:
+                nodes.append(e)
+                records.append((len(nodes) - 1, 0, "", "NonAtomicArg", t.__name__))
+        return results[0][1] if results else root
+
+    def bind_let(self, e: Let, done: int, bound: set[str]) -> None:
+        """Bind the rest of a let group whose binder ``done`` was bound
+        before, the open right-hand side's ``bound`` set taking the rest."""
+        for name, rhs in e.group.binds[done + 1 :]:
+            self.known[name] = type(rhs) is Lambda
+            bound.add(name)
+        self.slow[id(e.group)] = self.bind(e.group.binders(), done, len(self.nodes) - 1, 0, "/let ", True)
+
+    def violations(self, p: Program) -> tuple[list[Violation], list[str]]:
+        """The violations as :func:`validate` reports them, and the
+        bound-twice errors as :func:`freshen` raises them, with their
+        paths made text."""
+        if not (self.records or self.twice):
+            return [], []
+        paths = _node_paths(p, {r[0] for r in self.records + self.twice if r[0] is not None})
+
+        def where(index: int | None, up: int, suffix: str) -> str:
+            if index is None:
+                return suffix
+            path = paths[index]
+            for _ in range(up):
+                path = path[0]
+            return _path_text(path) + suffix
+
+        out = [Violation(where(*r[:3]), tag, detail) for *r, tag, detail in self.records]
+        twice = [f"{where(*r[:3])}: {r[3]!r} is bound twice in one group" for r in self.twice]
+        return out, twice
+
+
+def _components(group: BindGroup, binds) -> list[list[int]] | None:
+    """The strongly connected components of a group of two or more
+    members, in :func:`_scc_components` order, or None when the group is
+    one.  A group whose right-hand sides mention none of its binders splits
+    into its members, in order, without a search."""
+    names = group.binders()
+    fvs = [rhs.__dict__["_free"] for _, rhs in binds]
+    if all(map(frozenset(names).isdisjoint, fvs)):
+        return [[i] for i in range(len(names))]
+    comps = _scc_components(names, fvs)
+    return comps if len(comps) > 1 else None
+
+
+def _rebuild_let(e: Let, kids: list, base: int, st, comps: list[list[int]] | None) -> Expr:
+    """``e`` with the new children ``kids``, its binders renamed as ``st``
+    says, and split into the components ``comps``, the first outermost."""
+    binds = e.group.binds
+    n = len(binds)
+    rhss = [rhs for _, rhs in binds]
+    body = e.body
+    for height, new in kids:
+        j = n - (height - base)
+        if j == n:
+            body = new
+        else:
+            rhss[j] = new
+    if comps is None and st is None and all([a is b for a, (_, b) in zip(rhss, binds)]):
+        return Let(e.group, body)
+    new_binds = list(zip(st[0] if st else e.group.binders(), rhss))
+    for comp in reversed(comps or [range(n)]):
+        body = Let(BindGroup(tuple([new_binds[i] for i in comp])), body)
+    return body
+
+
+def _rebuild_case(e: Case, kids: list, base: int, st) -> Expr:
+    """``e`` with the new children ``kids`` and its default binder renamed
+    as ``st`` says."""
+    children = [e.scrutinee, *[body for _, body in e.alts], e.default[1]]
+    for height, new in kids:
+        children[len(children) - 1 - (height - base)] = new
+    alts = tuple([(pat, body) for (pat, _), body in zip(e.alts, children[1:])])
+    return Case(children[0], alts, (st[0][0] if st else e.default[0], children[-1]))
 
 
 def _scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
     """``p``'s :class:`_ScopeWalk`, made once per program: its violations,
     its bound-twice errors, and its renamed program (None when that is
-    ``p``, so the memo never refers to ``p``)."""
+    ``p``, so the memo never refers to ``p``).  When it renames nothing,
+    the names are globally unique, so the walk's scan and split hold: they
+    are stored as ``scan`` and ``split`` (None when nothing splits), and a
+    split program gets the same scan of its own nodes.  A split is never
+    made on a program that renames, so such a walk runs again without."""
     memo = _analyses(p)
     scope = memo.get("scope")
     if scope is None:
         walk = _ScopeWalk(p)
-        scope = memo["scope"] = (walk.out, walk.twice, None if walk.result is p else walk.result)
+        if walk.renamed and walk.splits:
+            walk = _ScopeWalk(p, split=False)
+        out, twice = walk.violations(p)
+        if walk.renamed:
+            scope = memo["scope"] = (out, twice, walk.result)
+            return scope
+        as_arg, new = walk.as_arg, tuple.__new__  # BinderFacts' own __new__ is a Python call
+        facts = {name: new(BinderFacts, (name in as_arg, k)) for name, k in walk.known.items()}
+        names = frozenset(walk.used)
+        memo.setdefault("scan", Scan(walk.nodes, facts, names))
+        q = walk.result
+        memo["split"] = None if q is p else q
+        if q is not p:
+            split = _analyses(q)
+            split["scan"] = Scan(list(program_nodes(q)), facts, names)
+            if not out:  # a valid program splits into a valid one
+                split["scope"], split["split"] = ([], [], None), None
+        scope = memo["scope"] = (out, twice, None)
     return scope
 
 

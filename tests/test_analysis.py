@@ -158,6 +158,9 @@ class TestSplitGroups:
             "k x = let u = \\ a -> v a and v = \\ b -> u x in v 1;\n"
             "main = case k 2 of { default r -> let g = \\ a -> a and h = \\ b -> g b in h r }"
         )
+        # Two parameters are bound twice, so the program is freshened
+        # first: split_groups reads free variables only of unique names.
+        p = freshen(p)
         sp = split_groups(p)
         assert sp.top_binds[0] is p.top_binds[0]
         assert sp.main.scrutinee is p.main.scrutinee
