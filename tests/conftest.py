@@ -1,11 +1,12 @@
 import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from liftlab.analysis import split_groups
-from liftlab.syntax import Program, freshen, parse, validate
+from liftlab.syntax import KEYWORDS, Program, freshen, parse, validate
 
 from progen import ProgramGen
 
@@ -20,6 +21,25 @@ def forward_group_text(n: int) -> str:
     binds = [f"g{k} = \\ q{k} -> g{k + 1} q{k}" for k in range(1, n)]
     binds.append(f"g{n} = \\ q{n} -> +# q{n} y")
     return "main = case 7 of { default y ->\n  let " + "\n  and ".join(binds) + "\n  in g1 y }\n"
+
+
+IDENT = re.compile(r"[^\W\d]\w*")
+
+
+def renamings(texts: list[str], n: int, seed: int) -> list[str]:
+    """``n`` texts, each with one to three identifier occurrences (binders
+    and uses alike) replaced by an identifier of the same text, which
+    shadows, unbinds or duplicates names."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        text = rng.choice(texts)
+        spans = [m.span() for m in IDENT.finditer(text) if m.group() not in KEYWORDS]
+        names = sorted({text[a:b] for a, b in spans})
+        for a, b in sorted(rng.sample(spans, min(len(spans), rng.randint(1, 3))), reverse=True):
+            text = text[:a] + rng.choice(names) + text[b:]
+        out.append(text)
+    return out
 
 
 def load_inline(text: str) -> Program:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import liftlab
+from liftlab import cli
 from liftlab.cli import main
 from liftlab.syntax import parse
 
@@ -263,6 +264,52 @@ class TestErrorsAndExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["lift"])  # missing file argument
         assert exc.value.code == 2
+
+    def test_calls_in_sequence_share_one_parser(self, capsys, monkeypatch):
+        # main builds its parser once; each command line in a sequence,
+        # a usage error among them, gives what it gives alone, and no
+        # flag of one call carries over to the next.
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        sequence = [
+            ["lift", prog("growth_shared"), "--max-arity-nonrec", "1", "--report", "json"],
+            ["lift"],
+            ["lift", prog("growth_shared"), "--report", "json"],
+            ["--version"],
+            ["dump-lifted", prog("countdown"), "--max-arity-rec", "1"],
+            ["oracle", prog("one_shot"), "--max-groups", "2"],
+            ["oracle", prog("one_shot")],
+            ["lift", str(PROGRAMS_DIR / "missing.stg")],
+            ["dump-lifted", prog("countdown")],
+        ]
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        together = [call(argv) for argv in sequence]
+        assert len(built) == 1
+        alone = []
+        for argv in sequence:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            alone.append(call(argv))
+        assert together == alone and len(built) == 1 + len(sequence)
+        assert [code for code, _, _ in together] == [0, 2, 0, 0, 0, 1, 0, 1, 0]
+        assert "usage: liftlab" in together[1][2]
+        assert together[3][1] == f"liftlab {liftlab.__version__}\n"
+        configs = [json.loads(together[i][1])["config"]["max_arity_nonrec"] for i in (0, 2)]
+        assert configs == [1, 5]
+        assert together[4][1] != together[8][1]
+        assert "exceed limit 2" in together[5][2] and together[6][1].endswith("minimal: f,go,inner\n")
 
     @pytest.mark.parametrize(
         "flag,value", [("--fuel", "0"), ("--max-arity-nonrec", "0"), ("--fuel", "-3")]

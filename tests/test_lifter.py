@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from itertools import combinations
 
@@ -306,11 +307,13 @@ class TestLiftProgram:
 
     def test_plan_reads_one_scan(self, monkeypatch):
         # The facts, names, free variables and skeletons' slot sets all come
-        # from one walk, wherever a module has imported it: one scan from
-        # loading a program through its first plan (split_groups scans these
-        # three and hands the scan on to the new program it makes), none for
-        # a second plan of the same object.  Programs are loaded afresh, so
-        # no plan or scan memoised by another test is found.
+        # from one walk, wherever a module has imported it: loading a
+        # program through its first plan scans nothing, since the scope
+        # walk made the scan (and handed it on to the split program it
+        # made), and neither does a second plan of the same object; a
+        # copy, which no walk has seen, is scanned once.  Programs are
+        # loaded afresh, so no plan or scan memoised by another test is
+        # found.
         calls = []
         real = analysis.scan
 
@@ -322,9 +325,11 @@ class TestLiftProgram:
         for name in ("growth_balanced", "callweb", "scc_chain"):
             calls.clear()
             p = load_program(name)
-            plan_lifts(p)
-            assert len(calls) == 1, name
-            plan_lifts(p)
+            assert plan_lifts(p).scan is analysis.scan_program(p)
+            assert plan_lifts(p).skels is plan_lifts(p).skels and calls == [], name
+            copied = copy.copy(p)
+            plan_lifts(copied)
+            plan_lifts(copied)
             assert len(calls) == 1, name
 
     def test_lifted_predictions_never_positive_by_default(self, corpus, hand_programs):

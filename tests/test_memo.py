@@ -1,9 +1,10 @@
 """Per-program analyses are memoised on the program object they describe.
 
-The scope walk, the scan (nodes, occurrence facts and names), the
-skeleton table and the interpreter's set-up (with its compiled frames, for
-runs past 1,000 steps) are each built once per ``Program`` object by
-whichever public call asks first, and read by every later call on it.
+The scope walk, which also makes the scan (nodes, occurrence facts and
+names) and the SCC split, the skeleton table and the interpreter's set-up
+(with its compiled frames, for runs past 1,000 steps) are each built once
+per ``Program`` object by whichever public call asks first, and read by
+every later call on it.
 So are a completed run and the last lift output, which the oracle reads
 for the empty subset and for the subset the lifter chose.
 The memo must not change a result, must not survive into a copy, and must
@@ -43,8 +44,8 @@ from conftest import CORPUS_SEED, PROGRAMS_DIR
 from progen import ProgramGen
 
 # programs/ files that split_groups returns unchanged, so the whole
-# pipeline runs on one object: split_groups scans it, and the lifter and
-# the interpreter read that scan.
+# pipeline runs on one object: the scope walk behind freshen scans it, and
+# split_groups, the lifter and the interpreter read that scan.
 SHARED = ("countdown", "mutual", "one_shot", "tally")
 
 
@@ -67,9 +68,9 @@ def built(monkeypatch) -> Counter:
     counts: Counter = Counter()
 
     class CountingWalk(syntax._ScopeWalk):
-        def __init__(self, p):
+        def __init__(self, p, split=True):
             counts["scope"] += 1
-            super().__init__(p)
+            super().__init__(p, split)
 
     def counting(key, real):
         def build(*args):
@@ -109,21 +110,34 @@ def pipeline(p: Program):
 
 
 @pytest.mark.parametrize("name", SHARED)
-def test_harness_order_analyses_once(name, built):
+def test_harness_order_analyses_once(name, built, monkeypatch):
+    # The program is walked once, by freshen, and that walk stores the
+    # free variables of each of its own right-hand sides, once: no scan
+    # starts at or covers any of them, and the sets the walk stored are
+    # the ones every later call reads.  Every scan is the lifted output's
+    # or the oracle's: these are new objects that share with p the
+    # right-hand sides lifting kept, and scan one right-hand side the lift
+    # rebuilt when its let first runs.
+    real_freshen, stored = syntax.freshen, {}
+
+    def freshening(q):
+        q = real_freshen(q)
+        assert built["scan"] == 0
+        rhss = rhss_under([tb.body for tb in q.top_binds] + [q.main])
+        stored.update((id(rhs), vars(rhs)["_free"]) for rhs in rhss)
+        return q
+
+    monkeypatch.setitem(globals(), "freshen", freshening)
     p, _ = pipeline(parse(source(name)))
     assert (built["scope"], built["skeletons"]) == (1, 1)
-    # The program is scanned once, whole, in split_groups, which covers
-    # each of its own right-hand sides once, and evaluate reads what that
-    # scan stored.  Every other scan is the lifted output's or the
-    # oracle's: these are new objects that share with p the right-hand
-    # sides lifting kept, and scan one right-hand side the lift rebuilt
-    # when its let first runs.
     roots = [tb.body for tb in p.top_binds] + [p.main]
-    assert [built[("root", id(r))] for r in roots] == [1] * len(roots)
+    assert not any(built[("root", id(r))] for r in roots)
     rhss = rhss_under(roots)
-    assert rhss and all(built[("scanned", id(rhs))] == 1 for rhs in rhss)
+    assert rhss and len(stored) == len(rhss)
+    assert not any(built[("scanned", id(rhs))] for rhs in rhss)
+    assert all(vars(rhs)["_free"] is stored[id(rhs)] for rhs in rhss)
     starts = [n for k, n in built.items() if type(k) is tuple and k[0] == "root"]
-    assert sum(starts) == len(roots) + built["scan"] - 1
+    assert sum(starts) == built["scan"]
     assert not any(built[("root", id(rhs))] for rhs in rhss)
 
 
@@ -167,30 +181,65 @@ def test_a_copy_analyses_afresh_and_agrees(name, built):
     assert built["skeletons"] == 4
 
 
-def test_a_split_program_inherits_the_inputs_analyses():
-    # split_groups's new program gets the input's occurrence facts and
-    # names, and each rebuilt right-hand side its free variables: the same
-    # as a fresh analysis of the same nodes (a shallow copy).
+def test_a_split_program_inherits_the_inputs_analyses(monkeypatch):
+    # The scope walk that freshens a program splits it, with no scan: the
+    # new program gets the input's occurrence facts and names and a scan
+    # of its own nodes, each rebuilt right-hand side the free variables of
+    # the one it replaces, and the input's clean scope walk, so it splits
+    # no further.  All of it is what a fresh analysis of the same nodes (a
+    # shallow copy) finds, for the input too.
     rng = random.Random(CORPUS_SEED)
     texts = [source(name) for name in ("callweb", "growth_balanced", "scc_chain")]
-    inputs = [freshen(parse(text)) for text in texts]
-    inputs += [freshen(ProgramGen(rng).program()) for _ in range(300)]
+    inputs = [parse(text) for text in texts] + [ProgramGen(rng).program() for _ in range(300)]
+    scans = []
+    real_scan = analysis.scan
+
+    def counting(roots):
+        scans.append(roots)
+        return real_scan(roots)
+
+    monkeypatch.setattr(analysis, "scan", counting)
     checked = rebuilt = 0
-    for p in inputs:
+    for raw in inputs:
+        scans.clear()
+        p = freshen(raw)
         old = {id(rhs) for rhs in rhss_under([tb.body for tb in p.top_binds] + [p.main])}
         q = split_groups(p)
+        assert scans == []
         if q is p:
             continue
+        assert validate(q) == [] and split_groups(q) is q and scans == []
         rhss = rhss_under([tb.body for tb in q.top_binds] + [q.main])
         for rhs in rhss:
             assert vars(rhs)["_free"] == reference.free_vars(rhs)
         rebuilt += sum(id(rhs) not in old for rhs in rhss)
-        fresh = copy.copy(q)
-        inherited, table = analysis.scan_program(q), analysis.scan_program(fresh)
-        assert [id(e) for e in inherited.nodes] == [id(e) for e in table.nodes]
-        assert inherited == table
+        for r in (p, q):
+            inherited, table = analysis.scan_program(r), analysis.scan_program(copy.copy(r))
+            assert [id(e) for e in inherited.nodes] == [id(e) for e in table.nodes]
+            assert inherited == table
         checked += 1
     assert checked > 100 and rebuilt > 50, rebuilt
+
+
+def test_split_groups_reads_the_walk_and_refuses_names_bound_twice():
+    # A program whose walk renames has names that are not globally unique,
+    # so free variables read off them would be wrong: split_groups says to
+    # freshen it, and splits what freshen returns.  A program that splits
+    # nothing is its own split.
+    p = parse("main = let f = \\ a -> a and g = \\ b -> b in let f = \\ c -> c in f 1")
+    with pytest.raises(ValueError, match="freshen"):
+        split_groups(p)
+    q = freshen(p)
+    assert q is not p
+    split = split_groups(q)
+    assert [e.group.binders() for e in syntax.walk(split.main) if type(e) is Let] == [
+        ("f",),
+        ("g",),
+        ("f_1",),
+    ]
+    for name in SHARED:
+        p = freshen(parse(source(name)))
+        assert split_groups(p) is p and _analyses(p)["split"] is None
 
 
 def test_a_lifted_program_inherits_the_inputs_analyses():

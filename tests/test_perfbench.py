@@ -9,14 +9,27 @@ compiled frames, so that engine runs under the benchmark's own output
 checks too.  Untraced, the workloads write no files.  A traced run, in
 about 5 s more, wraps the same calls in spans, cProfile and tracemalloc
 and runs the probes; it writes its traces, so it runs in a copy.
+
+Each workload's ``output_sha256`` is a digest of its first pass's
+decisions, printed programs, stats and oracle rows, so a pinned digest
+catches a change in any of them anywhere in the benchmark pipeline.
 """
 
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The small run's output digests, recorded before the scope walk took over
+# the scan and the SCC split; traced and untraced runs agree.
+OUTPUT_SHA256 = {
+    "corpus": "45be0ec97a84e84b864b50a0f9ae1b98bec3ae53b3b39f3bbd624c39ac436da7",
+    "nested": "898a09e4f0fa3e146bbff62a904cb27e532926ed3ef3c19a6c71b9d46ba5d1b5",
+    "loops": "4e7aba70e1ddee26ddf5ad6e39a13686a13c967e68aa5197b1921f610e9eed07",
+}
 
 
 def small_run(cwd: Path, trace: str) -> str:
@@ -34,6 +47,9 @@ def small_run(cwd: Path, trace: str) -> str:
     ]
     proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    names = re.findall(r"^== (\w+) \(trace", proc.stdout, re.M)
+    digests = dict(zip(names, re.findall(r"output_sha256=(\w+)", proc.stdout)))
+    assert digests == OUTPUT_SHA256, proc.stdout
     for name in ("corpus", "nested", "loops"):
         assert f"== {name} (trace {trace}): correct=True" in proc.stdout, proc.stdout
     return proc.stdout

@@ -1,7 +1,6 @@
 import hashlib
 import importlib.util
 import random
-import re
 import sys
 
 import pytest
@@ -16,7 +15,6 @@ from liftlab.syntax import (
     Case,
     Cardinality,
     INF,
-    KEYWORDS,
     Lambda,
     Let,
     Lit,
@@ -36,7 +34,7 @@ from liftlab.syntax import (
     validate,
 )
 
-from conftest import PROGRAMS_DIR
+from conftest import PROGRAMS_DIR, renamings
 from reference import bound_names, recursive
 
 
@@ -487,25 +485,6 @@ def _binds_twice_at_one_site(p: Program) -> bool:
     return any(len(set(names)) < len(names) for names in sites)
 
 
-_IDENT = re.compile(r"[^\W\d]\w*")
-
-
-def _renamings(texts: list[str], n: int, seed: int) -> list[str]:
-    """``n`` texts, each with one to three identifier occurrences (binders
-    and uses alike) replaced by an identifier of the same text, which
-    shadows, unbinds or duplicates names."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        text = rng.choice(texts)
-        spans = [m.span() for m in _IDENT.finditer(text) if m.group() not in KEYWORDS]
-        names = sorted({text[a:b] for a, b in spans})
-        for a, b in sorted(rng.sample(spans, min(len(spans), rng.randint(1, 3))), reverse=True):
-            text = text[:a] + rng.choice(names) + text[b:]
-        out.append(text)
-    return out
-
-
 def _nested_ladder(seed: int) -> list[str]:
     """The benchmark's nested depth/width/rqs ladder, from its frozen
     input generator."""
@@ -529,7 +508,7 @@ def test_scope_output_pinned(corpus):
     texts = [print_program(p) for p in corpus]
     texts += [f.read_text() for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
     texts += _nested_ladder(5)
-    texts += _renamings(texts, 3000, 8)
+    texts += renamings(texts, 3000, 8)
     h = hashlib.sha256()
     outcomes = {"parse": 0, "scope": 0, "renamed": 0, "violations": 0}
     for text in texts:

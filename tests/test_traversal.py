@@ -24,6 +24,7 @@ from liftlab.syntax import (
     Lit,
     PrimApp,
     Program,
+    ScopeError,
     Thunk,
     Var,
     freshen,
@@ -242,6 +243,98 @@ def test_split_groups_needs_no_recursion():
         e = e.body
     assert names == [f"g{k}" for k in range(n, 0, -1)]
     assert e == App("g1", (Var("y"),))
+
+
+def _deep_nest(n: int, bottom) -> Program:
+    """``case 3 of { default x0 -> <step 1> }``, where step k binds
+    ``f{k} = \\ p{k} -> +# p{k} x{k-1}`` and scrutinises ``f{k} x{k-1}``
+    with default ``x{k}``, down to ``bottom``: 2n + 1 levels, built from
+    constructors, since the parser still recurses."""
+    e = bottom
+    for k in range(n, 0, -1):
+        x = Var(f"x{k - 1}")
+        rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), x)))
+        body = Case(App(f"f{k}", (x,)), (), (f"x{k}", e))
+        e = Let(BindGroup(((f"f{k}", rhs),)), body)
+    return Program((), Case(AtomExpr(Lit(3)), (), ("x0", e)))
+
+
+def _at_limit(fn, *args):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+DEPTH = 10_000
+# The path of the bottom of ``_deep_nest(DEPTH, ...)``: main's default,
+# then each step's let body and case default.
+DEEP_PATH = "main/default" + "/in/default" * DEPTH
+
+
+def _bottom(p: Program):
+    """What ``_deep_nest(DEPTH, ...)`` holds at its bottom."""
+    e = p.main.default[1]
+    for _ in range(DEPTH):
+        e = e.body.default[1]
+    return e
+
+
+def test_scope_walk_scan_and_split_need_no_recursion():
+    # At the bottom, h calls g: the group splits, g outermost, so the
+    # whole spine above it is rebuilt.
+    g = Lambda(MULTI_SHOT, ("a",), PrimApp("+#", (Var("a"), Var(f"x{DEPTH}"))))
+    h = Lambda(MULTI_SHOT, ("b",), App("g", (Var("b"),)))
+    p = _deep_nest(DEPTH, Let(BindGroup((("h", h), ("g", g))), App("h", (Lit(1),))))
+    assert _at_limit(freshen, p) is p
+    assert _at_limit(validate, p) == []
+    s = _at_limit(scan_program, p)
+    q = _at_limit(split_groups, p)
+    nodes = list(program_nodes(p))
+    assert len(nodes) == 4 * DEPTH + 6 and [id(e) for e in s.nodes] == [id(e) for e in nodes]
+    assert len(s.facts) == DEPTH + 2 and s.names == set(bound_names(p))
+    assert q is not p and q.main.scrutinee is p.main.scrutinee
+    bottom = _bottom(q)
+    assert [bottom.group.binders(), bottom.body.group.binders()] == [("g",), ("h",)]
+    assert bottom.group.binds[0][1] is g and bottom.body.group.binds[0][1] is h
+    assert free_vars(h) == {"g"} and free_vars(g) == {f"x{DEPTH}"}
+    split = scan_program(q)
+    assert [id(e) for e in split.nodes] == [id(e) for e in program_nodes(q)]
+    assert (split.facts, split.names) == (s.facts, s.names)
+    assert _at_limit(split_groups, q) is q
+
+
+def test_renaming_at_depth_needs_no_recursion():
+    # The bottom binds f1 again: freshen renames it and its use, and
+    # rebuilds the spine above; validate reports the name bound twice.
+    inner = Lambda(MULTI_SHOT, ("q",), AtomExpr(Var("q")))
+    p = _deep_nest(DEPTH, Let(BindGroup((("f1", inner),)), App("f1", (Var(f"x{DEPTH}"),))))
+    violations = _at_limit(validate, p)
+    assert [(v.path, v.tag, v.detail) for v in violations] == [
+        (DEEP_PATH + "/let f1", "NonUniqueName", "f1")
+    ]
+    q = _at_limit(freshen, p)
+    bottom = _bottom(q)
+    assert bottom.group.binders() == ("f1_1",) and bottom.group.binds[0][1] is inner
+    assert bottom.body == App("f1_1", (Var(f"x{DEPTH}"),))
+    assert q.main.default[1].group is p.main.default[1].group
+    with pytest.raises(ValueError, match="freshen"):
+        _at_limit(split_groups, p)
+    assert _at_limit(validate, q) == [] and _at_limit(split_groups, q) is q
+
+
+def test_unbound_name_at_depth_needs_no_recursion():
+    p = _deep_nest(DEPTH, AtomExpr(Var("zz")))
+    violations = _at_limit(validate, p)
+    assert [(v.path, v.tag, v.detail) for v in violations] == [
+        (DEEP_PATH, "UnboundVariable", "zz")
+    ]
+    assert len(DEEP_PATH) == 12 + 11 * DEPTH
+    assert DEEP_PATH.startswith("main/default/in/default/in/default")
+    with pytest.raises(ScopeError, match="^unbound variable 'zz'$"):
+        _at_limit(freshen, p)
 
 
 def _captured_chain(n: int) -> Program:
