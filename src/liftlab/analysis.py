@@ -1,7 +1,12 @@
 """Free-variable, occurrence, and binding-group analyses; free variables
-are kept per right-hand side and need globally unique names.  One walk,
-:func:`scan`, finds the nodes, occurrence facts, names and free variables
-together.  It stores each right-hand side's free variables on the node
+are kept per right-hand side and need globally unique names.  The scope
+walk behind :func:`~liftlab.syntax.freshen` finds the nodes, occurrence
+facts, names and free variables of a program, and splits its let groups,
+in the pass that makes its names unique, so :func:`scan_program` and
+:func:`split_groups` read what it stored.  :func:`scan` finds the same in
+one walk for what no scope walk has seen: a right-hand side
+:func:`free_vars` scans lazily, and a program such as a lift output or a
+copy.  Each right-hand side's free variables are stored on the node
 itself, where :func:`free_vars` reads them, as GHC's ``GHC.Stg.FVs``
 annotates each STG closure, so a subtree two programs share brings them
 along; the rest of a whole program's scan is memoised on the program
@@ -144,9 +149,11 @@ def free_vars(rhs: Rhs) -> frozenset[str]:
 
 
 def scan_program(p: Program) -> Scan:
-    """The :func:`scan` of ``p``'s top-level bodies and ``main``, its names
-    with the top-level names and parameters, made once per program object
-    (see :func:`~liftlab.syntax._analyses`)."""
+    """The scan of ``p``'s top-level bodies and ``main``, its names with the
+    top-level names and parameters: the one its scope walk stored, when a
+    walk has seen ``p`` and renamed nothing, and otherwise their
+    :func:`scan`, made once per program object (see
+    :func:`~liftlab.syntax._analyses`)."""
     memo = _analyses(p)
     s = memo.get("scan")
     if s is None:

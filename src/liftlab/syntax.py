@@ -1,4 +1,5 @@
-"""The calculus: AST, concrete text format, validation, and renaming.
+"""The calculus: AST, concrete text format, validation, renaming, and the
+scope walk that also scans programs and splits their let groups.
 
 Programs are a sequence of top-level bindings followed by a ``main``
 expression, written in a small A-normal-form language::
@@ -22,15 +23,24 @@ the right-hand side of a binding.  A ``let ... and ...`` group is recursive
 when one of its binders occurs free in one of its right-hand sides (the
 lifter reads that from their :func:`~liftlab.analysis.free_vars`, in
 :meth:`~liftlab.lifter.LiftPlan.recursive`); the SCC pre-pass splits groups
-into their minimal components (see :mod:`liftlab.analysis`).
+into their minimal components (see
+:func:`~liftlab.analysis.split_groups`).
+
+:func:`freshen`, :func:`validate` and
+:func:`~liftlab.analysis.split_groups` share one scope walk on an explicit
+stack, which visits each node once: in that visit it checks and renames
+names, makes the scan that :func:`~liftlab.analysis.scan_program` returns
+(nodes, occurrence facts, names and each right-hand side's free
+variables), and splits let groups into their strongly connected
+components.  The parser and the printer still recurse once per nesting
+level.
 
 Programs are immutable, so what an analysis finds about one is memoised on
 the object it describes, in the frozen instance's ``__dict__``, which
 ``==``, ``hash`` and ``repr`` ignore: a right-hand side keeps its free
 variables and a group its binders, and a ``Program`` keeps its
-whole-program tables (:func:`_analyses`): :func:`freshen` and
-:func:`validate` share one scope walk, and the analysis, lifter and
-interpreter modules keep theirs there too.  A copy of a program analyses
+whole-program tables (:func:`_analyses`), the scope walk's and those of
+the analysis, lifter and interpreter modules.  A copy of a program analyses
 afresh.  ``==`` and ``hash`` compare the fields structurally on an explicit
 stack, so equal programs of any nesting depth compare equal.
 """
@@ -266,8 +276,11 @@ def _shape_hash(a: _Node) -> int:
 
 class _Analyses(dict):
     """What the analyses found about one program, by name (see
-    :func:`_analyses`): ``scope`` here; ``scan`` (nodes, occurrence facts
-    and names) and ``binders`` in :mod:`liftlab.analysis`; ``plan`` (the
+    :func:`_analyses`): ``scope`` (violations, bound-twice errors, the
+    renamed program), and when the scope walk renames nothing, ``scan``
+    (nodes, occurrence facts and names) and ``split`` (the split program,
+    None when nothing splits), here; ``scan`` of a program no walk has
+    seen, and ``binders``, in :mod:`liftlab.analysis`; ``plan`` (the
     skeletons) and ``lifted`` (the last lift output, with the set of
     groups it lifted) in :mod:`liftlab.lifter`; ``layouts``, ``compiled``
     and ``run`` (a completed run's value and stats) in
