@@ -753,9 +753,6 @@ class Scan(NamedTuple):
     names: frozenset[str]  # every binder and parameter name
 
 
-_PRIMOP_SET = frozenset(PRIMOPS)
-
-
 def _fresh(base: str, used: set[str], last: dict[str, int]) -> str:
     """``base``, or if that is in ``used`` the first ``base_k`` (k = 1, 2, ...)
     not in it.  The probe resumes after ``last[base]``, the suffix of the
@@ -906,15 +903,10 @@ class _ScopeWalk:
         are at the path of node ``index`` less ``up`` segments, then
         ``kind`` and the name (nothing when ``kind`` is empty).  Returns the
         new names, and what each name shadowed, for :meth:`leave`."""
+        if twice and len(set(names)) < len(names):
+            dup = next(n for n in names if names.count(n) > 1)
+            self.twice.append((index, up, kind + dup, dup))
         env, used, picked = self.env, self.used, self.picked
-        if len(set(names)) < len(names):
-            if twice:
-                dup = next(n for n in names if names.count(n) > 1)
-                self.twice.append((index, up, kind + dup, dup))
-        elif not done and used.isdisjoint(names):
-            used.update(names)
-            env.update(zip(names, names))
-            return list(names), []
         new_names = list(names[:done])
         written = set(new_names)
         undo = []
@@ -964,7 +956,7 @@ class _ScopeWalk:
         wrong shape: its violations, in order, and its renamed node."""
         if type(e) is App:
             head = self.resolve(e.head, index, "")
-        elif e.op not in _PRIMOP_SET or len(e.args) != 2:
+        elif e.op not in PRIMOPS or len(e.args) != 2:
             self.records.append((index, 0, "", "UnsaturatedPrimop", e.op))
         args = tuple([self.atom(a, index) for a in e.args])
         if all([a is b for a, b in zip(args, e.args)]) and (type(e) is PrimApp or head == e.head):
@@ -991,23 +983,21 @@ class _ScopeWalk:
                 if type(x) is str:
                     y = e[1]
                     t = type(y)
-                    if t is Lambda:  # a right-hand side opens
+                    if t is Lambda or t is Thunk:  # a right-hand side opens
                         stack.append([y, changed, len(results), mentioned, bound])
                         mentioned, bound = set(), set()
-                        k = len(used)
-                        for name in y.params:
-                            if name in used:
-                                slow[id(y)] = self.bind(y.params, len(used) - k, len(nodes), 1, "/param ")
-                                changed += 1
-                                break
-                            used.add(name)
-                            env[name] = name
-                        if not y.params:
-                            records.append((len(nodes), 1, "", "ZeroParamLambda", ""))
-                        stack.append(y.body)
-                    elif t is Thunk:
-                        stack.append([y, changed, len(results), mentioned, bound])
-                        mentioned, bound = set(), set()
+                        if t is Lambda:
+                            k = len(used)
+                            for name in y.params:
+                                if name in used:
+                                    done = len(used) - k
+                                    slow[id(y)] = self.bind(y.params, done, len(nodes), 1, "/param ")
+                                    changed += 1
+                                    break
+                                used.add(name)
+                                env[name] = name
+                            if not y.params:
+                                records.append((len(nodes), 1, "", "ZeroParamLambda", ""))
                         stack.append(y.body)
                     else:  # a case's default binds its name
                         if x in used:
@@ -1096,7 +1086,7 @@ class _ScopeWalk:
                     mentioned.add(name)
                     ok = env.get(name) == name
                 else:
-                    ok = e.op in _PRIMOP_SET and len(e.args) == 2
+                    ok = e.op in PRIMOPS and len(e.args) == 2
                 for a in e.args:
                     if type(a) is Var:
                         name = a.name
@@ -1148,7 +1138,8 @@ class _ScopeWalk:
         for name, rhs in e.group.binds[done + 1 :]:
             self.known[name] = type(rhs) is Lambda
             bound.add(name)
-        self.slow[id(e.group)] = self.bind(e.group.binders(), done, len(self.nodes) - 1, 0, "/let ", True)
+        index = len(self.nodes) - 1
+        self.slow[id(e.group)] = self.bind(e.group.binders(), done, index, 0, "/let ", True)
 
     def violations(self, p: Program) -> tuple[list[Violation], list[str]]:
         """The violations as :func:`validate` reports them, and the
@@ -1233,8 +1224,7 @@ def _scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
         if walk.renamed:
             scope = memo["scope"] = (out, twice, walk.result)
             return scope
-        as_arg, new = walk.as_arg, tuple.__new__  # BinderFacts' own __new__ is a Python call
-        facts = {name: new(BinderFacts, (name in as_arg, k)) for name, k in walk.known.items()}
+        facts = {name: BinderFacts(name in walk.as_arg, k) for name, k in walk.known.items()}
         names = frozenset(walk.used)
         memo.setdefault("scan", Scan(walk.nodes, facts, names))
         q = walk.result

@@ -309,7 +309,8 @@ class TestErrorsAndExitCodes:
         configs = [json.loads(together[i][1])["config"]["max_arity_nonrec"] for i in (0, 2)]
         assert configs == [1, 5]
         assert together[4][1] != together[8][1]
-        assert "exceed limit 2" in together[5][2] and together[6][1].endswith("minimal: f,go,inner\n")
+        assert "exceed limit 2" in together[5][2]
+        assert together[6][1].endswith("minimal: f,go,inner\n")
 
     @pytest.mark.parametrize(
         "flag,value", [("--fuel", "0"), ("--max-arity-nonrec", "0"), ("--fuel", "-3")]
