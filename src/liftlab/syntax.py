@@ -721,8 +721,6 @@ def print_program(p: Program) -> str:
     return "".join(out)
 
 
-
-
 # ---------------------------------------------------------------------------
 # Scoping: validation, freshening, the scan and the SCC split
 # ---------------------------------------------------------------------------
