@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -244,17 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """:func:`build_parser`'s parser, built on the first call and kept:
     building it takes about fourteen times as long as parsing one command
     line, and parsing leaves it as it was."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1018,10 +1018,13 @@ class _ScopeWalk:
                             env[name] = old
                     comps = None
                     if len(binds) > 1 and self.split and not self.renamed:
-                        comps = _components(group, binds)
-                        if comps is not None:
+                        fvs = [rhs.__dict__["_free"] for _, rhs in binds]
+                        comps = _scc_components(group.binders(), fvs)
+                        if len(comps) > 1:
                             changed += 1
                             self.splits += 1
+                        else:
+                            comps = None
                     if changed != before:
                         kids = results[mark:]
                         del results[mark:]
@@ -1158,19 +1161,6 @@ class _ScopeWalk:
         out = [Violation(where(*r[:3]), tag, detail) for *r, tag, detail in self.records]
         twice = [f"{where(*r[:3])}: {r[3]!r} is bound twice in one group" for r in self.twice]
         return out, twice
-
-
-def _components(group: BindGroup, binds) -> list[list[int]] | None:
-    """The strongly connected components of a group of two or more
-    members, in :func:`_scc_components` order, or None when the group is
-    one.  A group whose right-hand sides mention none of its binders splits
-    into its members, in order, without a search."""
-    names = group.binders()
-    fvs = [rhs.__dict__["_free"] for _, rhs in binds]
-    if all(map(frozenset(names).isdisjoint, fvs)):
-        return [[i] for i in range(len(names))]
-    comps = _scc_components(names, fvs)
-    return comps if len(comps) > 1 else None
 
 
 def _rebuild_let(e: Let, kids: list, base: int, st, comps: list[list[int]] | None) -> Expr:

@@ -295,12 +295,12 @@ class TestErrorsAndExitCodes:
             ["dump-lifted", prog("countdown")],
         ]
         monkeypatch.setattr(cli, "build_parser", counting)
-        monkeypatch.setattr(cli, "_PARSER", None)
+        cli._parser.cache_clear()
         together = [call(argv) for argv in sequence]
         assert len(built) == 1
         alone = []
         for argv in sequence:
-            monkeypatch.setattr(cli, "_PARSER", None)
+            cli._parser.cache_clear()
             alone.append(call(argv))
         assert together == alone and len(built) == 1 + len(sequence)
         assert [code for code, _, _ in together] == [0, 2, 0, 0, 0, 1, 0, 1, 0]
