@@ -40,7 +40,7 @@ def closure_slots(
 ) -> frozenset[str]:
     """The variables a closure for ``binder`` stores, of the free variables
     ``free`` of its right-hand side: self-references go through the closure
-    pointer and top-level names need no slot.  The skeletons' closures and
+    pointer and top-level names need no slot.  The growth index's slots and
     the interpreter's charged words both follow this one rule."""
     return free - {binder} - top_names
 

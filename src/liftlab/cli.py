@@ -178,10 +178,10 @@ def cmd_dump_lifted(args: argparse.Namespace) -> int:
 def cmd_dump_skeleton(args: argparse.Namespace) -> int:
     program = _load(args.file)
     roots = [tb.body for tb in program.top_binds] + [program.main]
-    skels = plan_lifts(program).skels
+    index = plan_lifts(program).index
     names = [tb.name for tb in program.top_binds] + ["main"]
     for name, root in zip(names, roots):
-        print(f"{name}: {skeleton_sexpr(skels[id(root)])}")
+        print(f"{name}: {skeleton_sexpr(root, index)}")
     return 0
 
 
@@ -261,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liftlab: error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the parser and the printer recurse once per nesting level; the
-        # recursion limit is left as it is.
+        # the parser recurses once per nesting level; the recursion limit
+        # is left as it is.
         print(
             "liftlab: error: the program nests too deeply for this implementation "
             f"(Python recursion limit {sys.getrecursionlimit()} reached)",

@@ -18,22 +18,24 @@ Lifting is split into analysis and application, as in GHC's
 ``GHC.Stg.Lift.Analysis`` and ``GHC.Stg.Lift``.  :func:`plan_lifts` reads
 only the program: its scan (nodes, occurrence facts and used names, from
 one pre-order walk that stores each right-hand side's free variables on
-it) and its skeletons, from one bottom-up loop.  :func:`apply_lifts` does
-the per-call work on a plan: required sets, decisions (or the forced
-sites), fresh names, and two loops without recursion, a decision pass in
-pre-order that decides each group and rewrites each leaf and a rewrite
-pass over the same order reversed that builds the new definitions and
-rebuilds each let and case whose children changed, sharing the rest with
-the input.  ``lift_program`` is the two in a row; the oracle plans once
-and applies the plan to every subset, collecting no decisions.  The scan and the skeletons are memoised on the
-program (see :func:`~liftlab.syntax._analyses`), so :func:`lift_program`,
-:func:`liftable_sites` and the oracle on one program object scan it and
-build its skeletons once between them.  :func:`lift_program` memoises its
-output too, keyed by the groups it lifted, so the oracle's subset of
-those groups is that output.  A leaf that lifting does not change,
-inside a lifted right-hand side too, is the input's own object, and so
-is a right-hand side whose body it does not change, which keeps its free
-variables for the interpreter.
+it) and its :class:`~liftlab.skeleton.GrowthIndex` (closure slots,
+subtree intervals and capturing lets), from one reverse loop over the
+scan's nodes.  :func:`apply_lifts` does the per-call work on a plan:
+required sets, decisions (or the forced sites), fresh names, and two
+loops without recursion, a decision pass in pre-order that decides each
+group and rewrites each leaf and a rewrite pass over the same order
+reversed that builds the new definitions and rebuilds each let and case
+whose children changed, sharing the rest with the input.
+``lift_program`` is the two in a row; the oracle plans once and applies
+the plan to every subset, collecting no decisions.  The scan and the
+index are memoised on the program (see :func:`~liftlab.syntax._analyses`),
+so :func:`lift_program`, :func:`liftable_sites` and the oracle on one
+program object scan it and index it once between them.
+:func:`lift_program` memoises its output too, keyed by the groups it
+lifted, so the oracle's subset of those groups is that output.  A leaf
+that lifting does not change, inside a lifted right-hand side too, is the
+input's own object, and so is a right-hand side whose body it does not
+change, which keeps its free variables for the interpreter.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import Scan, _binder_names, free_vars, scan_program
-from .skeleton import GrowthValue, Skeleton, closure_growth, skeleton_table
+from .skeleton import GrowthIndex, GrowthValue, closure_growth, growth_index
 from .syntax import (
     App,
     AtomExpr,
@@ -127,15 +129,15 @@ def expand(
 def required_set(
     group: BindGroup,
     required: Mapping[str, frozenset[str]],
-    skels: dict[int, Skeleton],
+    index: GrowthIndex,
 ) -> frozenset[str]:
     """The extra parameters every member of ``group`` takes if it is lifted:
-    the members' closure slot sets in ``skels``, with lifted binders expanded
+    the members' closure slot sets in ``index``, with lifted binders expanded
     through ``required`` and the group's own binders removed."""
     binders = frozenset(group.binders())
     if binders & required.keys():
         raise LiftError(f"group {sorted(binders)} already lifted")
-    slots = frozenset().union(*[skels[id(rhs)].left.fvs for _, rhs in group.binds])
+    slots = frozenset().union(*[index.slots[id(rhs)] for _, rhs in group.binds])
     if not required.keys().isdisjoint(slots):
         slots = expand(required, slots)
     return slots - binders
@@ -145,23 +147,23 @@ def predicted_growth(
     let: Let,
     rqs: frozenset[str],
     required: Mapping[str, frozenset[str]],
-    skels: dict[int, Skeleton],
+    index: GrowthIndex,
 ) -> GrowthValue:
     """Estimated net words from lifting ``let``'s group with required set ``rqs``.
 
-    Evaluates closure growth over the let's skeleton with the group's own
-    closure nodes dropped, then subtracts the words those closures took: one
-    code word plus one slot per captured variable, per binding, with group
-    members excluded and the lifts in ``required`` expanded so the count
-    matches the closure the interpreter would actually have allocated.
+    Evaluates closure growth over the let's body and each right-hand side's
+    region, leaving out the group's own closures, then subtracts the words
+    those closures took: one code word plus one slot per captured variable,
+    per binding, with group members excluded and the lifts in ``required``
+    expanded so the count matches the closure the interpreter would
+    actually have allocated.
     """
     binders = frozenset(let.group.binders())
-    growth = closure_growth(rqs, binders, skels[id(let.body)])
+    growth = closure_growth(rqs, binders, let.body, index)
     for _, rhs in let.group.binds:
-        part = skels[id(rhs)]
-        # The parts and the body are in sequence, so their growths add.
-        growth += closure_growth(rqs, binders, part.right)
-        slots = part.left.fvs - binders
+        # The regions and the body are in sequence, so their growths add.
+        growth += closure_growth(rqs, binders, rhs, index)
+        slots = index.slots[id(rhs)] - binders
         if not required.keys().isdisjoint(slots):
             slots = expand(required, slots) - binders
         growth -= 1 + len(slots)
@@ -206,7 +208,7 @@ def decide(
         if new_arity > limit:
             return _rejected(site, binders, params, CALLING_CONVENTION, resulting_arity=new_arity)
 
-    predicted = predicted_growth(let, rqs, required, plan.skels)
+    predicted = predicted_growth(let, rqs, required, plan.index)
     if cfg.check_closure_growth and predicted > 0:
         return _rejected(site, binders, params, CLOSURE_GROWTH, predicted_net_words=predicted)
     return Decision(site, binders, True, LIFTED, None, params, predicted_net_words=predicted)
@@ -238,7 +240,7 @@ class LiftPlan(NamedTuple):
 
     program: Program
     scan: Scan  # the program's scan_program
-    skels: dict[int, Skeleton]
+    index: GrowthIndex
 
     def recursive(self, group: BindGroup) -> bool:
         """Whether a binder of ``group`` is free in one of its right-hand
@@ -249,18 +251,17 @@ class LiftPlan(NamedTuple):
 
 
 def plan_lifts(p: Program) -> LiftPlan:
-    """Analyse ``p`` for lifting: its :func:`scan_program`, and one bottom-up
-    loop over the scan's nodes for the skeletons with their closure slot
-    sets.  Each is made once per program object and memoised on it (see
+    """Analyse ``p`` for lifting: its :func:`scan_program`, and its
+    :func:`growth_index` from one reverse loop over the scan's nodes.  Each
+    is made once per program object and memoised on it (see
     :func:`~liftlab.syntax._analyses`), so a second plan of ``p`` only packs
     them up again."""
     s = scan_program(p)
     memo = _analyses(p)
-    skels = memo.get("plan")
-    if skels is None:
-        roots = [tb.body for tb in p.top_binds] + [p.main]
-        skels = memo["plan"] = skeleton_table(roots, p.top_names(), s)
-    return LiftPlan(p, s, skels)
+    index = memo.get("plan")
+    if index is None:
+        index = memo["plan"] = growth_index(s.nodes, p.top_names())
+    return LiftPlan(p, s, index)
 
 
 def _rewrite_leaf(
@@ -334,7 +335,7 @@ def apply_lifts(
     groups forced to stay skip their required sets, which nothing reads."""
     cfg = cfg or LiftConfig()
     p = plan.program
-    skels = plan.skels
+    index = plan.index
     used = set(plan.scan.names)
     last: dict[str, int] = {}  # _fresh's resume points
     # Every binder lifted so far, mapped to its group's required set.  Names
@@ -364,7 +365,7 @@ def apply_lifts(
             group = e.group
             binders = group.binders()
             if force_sites is None:
-                rqs = required_set(group, required, skels)
+                rqs = required_set(group, required, index)
                 decision = decide(e, rqs, required, plan, cfg, "+".join(binders))
                 if decisions is not None:
                     decisions.append(decision)
@@ -372,7 +373,7 @@ def apply_lifts(
             else:
                 lifted = binders in force_sites
                 if lifted or decisions is not None:
-                    rqs = required_set(group, required, skels)
+                    rqs = required_set(group, required, index)
                 if decisions is not None:
                     decisions.append(
                         Decision(
@@ -382,7 +383,7 @@ def apply_lifts(
                             reason=FORCED,
                             criterion=None,
                             required_set=tuple(sorted(rqs)),
-                            predicted_net_words=predicted_growth(e, rqs, required, skels),
+                            predicted_net_words=predicted_growth(e, rqs, required, index),
                         )
                     )
         if t is Case or not lifted:

@@ -15,7 +15,7 @@ goes straight on, charged the same steps.
 
 Closures are flat.  A function or thunk stores only the values of its slots,
 its :func:`~liftlab.analysis.closure_slots` (free variables, minus itself,
-minus top-level names), the rule the skeletons' closures follow too, so
+minus top-level names), the rule the growth index's slots follow too, so
 predicted and charged words agree by construction.  A call runs in a copy
 of the slots plus the closure itself and the arguments, and top-level names
 resolve through one shared table.  Every executed let allocates, per

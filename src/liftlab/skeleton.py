@@ -1,111 +1,80 @@
-"""Allocation skeletons and the closure-growth estimate.
+"""The closure-growth estimate, over the expression tree and one index.
 
-A skeleton abstracts an expression down to what matters for allocation:
-which closures exist, each with the variables it stores (the
-:func:`~liftlab.analysis.closure_slots` of its right-hand side's
-:func:`~liftlab.analysis.free_vars`, the rule the interpreter charges by),
-how regions are sequenced or branch against each other, and how often
-right-hand-side regions are entered per allocation.
 ``closure_growth`` evaluates the net heap effect, in words, of adding one
-variable set to and removing another from every closure that mentions a
+variable set to and removing another from every closure that captures a
 removed variable.  Results live in the integers extended with infinity:
 positive growth in a region that may be entered arbitrarily often is
-infinite.
+infinite.  It walks the expression tree itself, with a program's
+:class:`GrowthIndex`: each right-hand side's closure slots (the
+:func:`~liftlab.analysis.closure_slots` of its
+:func:`~liftlab.analysis.free_vars`, the rule the interpreter charges by),
+each let and case node's pre-order interval, and per variable the sorted
+positions of the lets with a closure capturing it, so one ``bisect`` tells
+whether a subtree holds a closure the change can touch.
 
-The tests check ``closure_growth`` over these skeletons against a direct
-recursion over the expression tree, written independently in
-``tests/reference.py``; the two must agree exactly.
+The tests check ``closure_growth`` against a direct recursion over the
+expression tree, written independently in ``tests/reference.py``; the two
+must agree exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from bisect import bisect_left
+from typing import NamedTuple
 
-from . import analysis
-from .analysis import Scan, cardinality, closure_slots, free_vars
-from .syntax import Cardinality, Case, Expr, INF, Let
+from .analysis import cardinality, closure_slots, free_vars
+from .syntax import Cardinality, Case, Expr, INF, Lambda, Let, Rhs, Thunk
 
 GrowthValue = int | float  # int, or INF
 
-
-@dataclass(frozen=True)
-class Nil:
-    captured = frozenset()  # see Seq.captured; not a field
+_OPEN = object()  # closure_growth's marker: a branch of a case opens
 
 
-@dataclass(frozen=True)
-class Closure:
-    fvs: frozenset[str]
+class GrowthIndex(NamedTuple):
+    """What :func:`closure_growth` reads of one program besides its tree.
+    Positions are indices into the program's pre-order node list."""
+
+    slots: dict[int, frozenset[str]]  # per right-hand side, by id: its closure's slots
+    spans: dict[int, tuple[int, int]]  # per let and case, by id: (position, subtree end)
+    capturers: dict[str, list[int]]  # per variable: the lets with a closure storing it, ascending
 
 
-@dataclass(frozen=True)
-class Seq:
-    left: "Skeleton"
-    right: "Skeleton"
-    # Set on let and case nodes by skeleton_table: the union of the closure
-    # slot sets beneath, so closure_growth can skip subtrees it cannot change.
-    captured: frozenset[str] | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Alt:
-    left: "Skeleton"
-    right: "Skeleton"
-
-
-@dataclass(frozen=True)
-class Scaled:
-    card: Cardinality
-    inner: "Skeleton"
-
-
-Skeleton = Nil | Closure | Seq | Alt | Scaled
-
-NIL = Nil()
-
-_OPEN, _MAX = object(), object()  # _growth's region markers
-
-
-def skeleton_table(
-    roots: list[Expr], top_names: frozenset[str], scan: Scan | None = None
-) -> dict[int, Skeleton]:
-    """The allocation skeleton of every node under ``roots``, keyed by ``id``.
-
-    Atoms and applications do not allocate.  A let contributes one closure
-    per binding followed by the entry-scaled region of its body, and each of
-    its right-hand sides maps to that binding's part, ``Seq(Closure(slots),
-    region)`` with the :func:`closure_slots` of its :func:`free_vars`; case
-    sequences the scrutinee before the branch choice.  Built in one
-    bottom-up loop without recursion over the nodes of ``scan``, the roots'
-    :func:`~liftlab.analysis.scan` (made here when not given); parents share
-    children by reference.  Names must be globally unique.
-    """
-    if scan is None:
-        scan = analysis.scan(roots)
-    table: dict[int, Skeleton] = {}
-    for e in reversed(scan.nodes):
+def growth_index(nodes: list[Expr], top_names: frozenset[str]) -> GrowthIndex:
+    """The index of the program whose pre-order node list is ``nodes``, in
+    one loop over them reversed.  Names must be globally unique.  A node
+    object found in two places keeps its first place's interval, whose
+    subtree is the same."""
+    slots: dict[int, frozenset[str]] = {}
+    spans: dict[int, tuple[int, int]] = {}
+    capturers: dict[str, list[int]] = {}
+    # The subtree ends of the nodes after the current one whose parent is
+    # at or before it, first child on top: a node's end is its last child's.
+    ends: list[int] = []
+    for i in range(len(nodes) - 1, -1, -1):
+        e = nodes[i]
         t = type(e)
         if t is Let:
-            body = table[id(e.body)]
-            captured = body.captured
-            parts = []
-            for name, rhs in e.group.binds:
-                inner = table[id(rhs.body)]
-                slots = closure_slots(name, free_vars(rhs), top_names)
-                captured = captured.union(slots, inner.captured)
-                table[id(rhs)] = part = Seq(Closure(slots), Scaled(cardinality(rhs), inner))
-                parts.append(part)
-            table[id(e)] = Seq(reduce(Seq, parts), body, captured)
+            binds = e.group.binds
+            for name, rhs in binds:
+                slots[id(rhs)] = s = closure_slots(name, free_vars(rhs), top_names)
+                for v in s:
+                    at = capturers.get(v)
+                    if at is None:
+                        capturers[v] = [i]
+                    elif at[-1] != i:
+                        at.append(i)
+            k = len(binds) + 1
         elif t is Case:
-            scrut = table[id(e.scrutinee)]
-            branches = [table[id(body)] for _, body in e.alts]
-            branches.append(table[id(e.default[1])])
-            captured = scrut.captured.union(*[b.captured for b in branches])
-            table[id(e)] = Seq(scrut, reduce(Alt, branches), captured)
+            k = len(e.alts) + 2
         else:
-            table[id(e)] = NIL
-    return table
+            ends.append(i + 1)
+            continue
+        end = ends[-k]
+        ends[-k:] = [end]
+        spans[id(e)] = (i, end)
+    for at in capturers.values():
+        at.reverse()
+    return GrowthIndex(slots, spans, capturers)
 
 
 def _scale(n: GrowthValue, card: Cardinality) -> GrowthValue:
@@ -121,84 +90,109 @@ def _scale(n: GrowthValue, card: Cardinality) -> GrowthValue:
     return 0 if n == 0 else INF
 
 
-def _closure_delta(
-    fvs: frozenset[str], added: frozenset[str], removed: frozenset[str]
-) -> GrowthValue:
-    hits = len(fvs & removed)
-    if hits == 0:
-        return 0
-    return len(added - fvs) - hits
-
-
 def closure_growth(
-    added: frozenset[str], removed: frozenset[str], skel: Skeleton
+    added: frozenset[str], removed: frozenset[str], e: Expr | Rhs, index: GrowthIndex
 ) -> GrowthValue:
-    """Net word change over a skeleton; ``added`` and ``removed`` must be disjoint."""
-    if added & removed:
+    """Net word change under ``e`` when every closure that captures a
+    ``removed`` variable drops the removed ones and captures the ``added``
+    ones it lacks: a let adds each binding's closure delta, then its
+    entry-scaled right-hand-side region, then its body; a case adds its
+    scrutinee, then its worst branch.  For a right-hand side ``e``, the
+    growth of its entry-scaled region, without its own closure.  ``e`` is a
+    node of the program that ``index`` describes; ``added`` and ``removed``
+    must be disjoint."""
+    if not added.isdisjoint(removed):
         raise ValueError("added and removed variable sets overlap")
-    return _growth(added, removed, skel)
-
-
-def _growth(
-    added: frozenset[str], removed: frozenset[str], skel: Skeleton
-) -> GrowthValue:
-    # An explicit stack, so a deep skeleton cannot exhaust the host stack.
-    # ``values[-1]`` sums the innermost open region: a Scaled inner part or
-    # one branch of an Alt.  Each region is closed by the marker pushed
-    # below it: its Cardinality, _OPEN (the left branch is done, open the
-    # right one) or _MAX (both branches are done).  Sums are exact in any
-    # order, because values are integers or +INF.
+    capturers = index.capturers
+    if capturers.keys().isdisjoint(removed):
+        return 0
+    lists = list(filter(None, map(capturers.get, removed)))
+    slots, spans = index.slots, index.spans
+    # An explicit stack, so a deep tree cannot exhaust the host stack;
+    # ``values[-1]`` sums the innermost open region, a right-hand side's
+    # or a case branch's, which the marker pushed below it closes: its
+    # Cardinality, or the count of the case's branches.  Sums are exact in
+    # any order, as values are integers or +INF.  A let or case is skipped
+    # when no let in its interval stores a removed variable.
     values: list[GrowthValue] = [0]
-    stack: list = [skel]
+    stack: list = [e]
     while stack:
-        s = stack.pop()
-        t = type(s)
-        if t is Seq:
-            if s.captured is None or not s.captured.isdisjoint(removed):
-                stack += (s.right, s.left)
-        elif t is Closure:
-            values[-1] += _closure_delta(s.fvs, added, removed)
-        elif t is Scaled:
-            stack += (s.card, s.inner)
-            values.append(0)
+        e = stack.pop()
+        t = type(e)
+        if t is Let or t is Case:
+            pos, end = spans[id(e)]
+            for at in lists:
+                k = bisect_left(at, pos)
+                if k < len(at) and at[k] < end:
+                    break
+            else:
+                continue
+            if t is Let:
+                stack.append(e.body)
+                for _, rhs in e.group.binds:
+                    fvs = slots[id(rhs)]
+                    hits = len(fvs & removed)
+                    if hits:
+                        values[-1] += len(added - fvs) - hits
+                    stack.append(rhs)
+            else:
+                branches = [body for _, body in e.alts]
+                branches.append(e.default[1])
+                stack.append(len(branches))
+                for body in reversed(branches):
+                    stack += (body, _OPEN)
+                stack.append(e.scrutinee)
+        elif t is Lambda or t is Thunk:
+            body = e.body
+            if type(body) is Let or type(body) is Case:  # a leaf's region allocates nothing
+                stack += (cardinality(e), body)
+                values.append(0)
         elif t is Cardinality:
             inner = values.pop()
-            values[-1] += _scale(inner, s)
-        elif t is Alt:
-            stack += (_MAX, s.right, _OPEN, s.left)
+            values[-1] += _scale(inner, e)
+        elif e is _OPEN:
             values.append(0)
-        elif s is _OPEN:
-            values.append(0)
-        elif s is _MAX:
-            right = values.pop()
-            left = values.pop()
-            values[-1] += max(left, right)
-        elif t is not Nil:
-            raise AssertionError(s)
+        elif t is int:
+            worst = max(values[-e:])
+            del values[-e:]
+            values[-1] += worst
     return values[0]
 
 
-def skeleton_sexpr(skel: Skeleton) -> str:
-    """Debug rendering, e.g. ``(seq (closure f x) (scaled {0,*} nil))``;
-    built on an explicit stack, so a deep skeleton renders at any
-    recursion limit."""
+def skeleton_sexpr(e: Expr, index: GrowthIndex) -> str:
+    """The allocation structure of ``e`` as ``dump-skeleton`` prints it,
+    e.g. ``(seq (seq (closure f) (scaled {0,*} nil)) nil)``: ``nil`` for an
+    atom or application; for a let, one ``(seq (closure SLOTS) (scaled CARD
+    BODY))`` per binding and then its body; for a case, its scrutinee and
+    then its branches; each sequence chained as left-nested ``seq`` pairs
+    and the branches as left-nested ``alt`` pairs.  Built on an explicit
+    stack, so a deep tree renders at any recursion limit."""
     out: list[str] = []
-    stack: list = [skel]  # skeletons still to render and closing text
+    stack: list = [e]  # nodes still to render and text
     while stack:
-        s = stack.pop()
-        t = type(s)
+        e = stack.pop()
+        t = type(e)
         if t is str:
-            out.append(s)
-        elif t is Nil:
-            out.append("nil")
-        elif t is Closure:
-            out.append("(closure" + "".join([" " + v for v in sorted(s.fvs)]) + ")")
-        elif t is Seq or t is Alt:
-            out.append("(seq " if t is Seq else "(alt ")
-            stack += (")", s.right, " ", s.left)
-        elif t is Scaled:
-            out.append(f"(scaled {s.card} ")
-            stack += (")", s.inner)
+            out.append(e)
+        elif t is Let:
+            binds = e.group.binds
+            out.append("(seq " * len(binds))
+            stack += (")", e.body, " ")
+            for _, rhs in reversed(binds[1:]):
+                stack += (")", rhs, " ")
+            stack.append(binds[0][1])
+        elif t is Case:
+            branches = [body for _, body in e.alts]
+            branches.append(e.default[1])
+            stack.append(")")
+            for body in reversed(branches[1:]):
+                stack += (")", body, " ")
+            stack += (branches[0], " (alt" * (len(branches) - 1) + " ", e.scrutinee)
+            out.append("(seq ")
+        elif t is Lambda or t is Thunk:
+            fvs = "".join([" " + v for v in sorted(index.slots[id(e)])])
+            out.append(f"(seq (closure{fvs}) (scaled {cardinality(e)} ")
+            stack += ("))", e.body)
         else:
-            raise AssertionError(s)
+            out.append("nil")
     return "".join(out)

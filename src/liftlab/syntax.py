@@ -281,7 +281,7 @@ class _Analyses(dict):
     (nodes, occurrence facts and names) and ``split`` (the split program,
     None when nothing splits), here; ``scan`` of a program no walk has
     seen, and ``binders``, in :mod:`liftlab.analysis`; ``plan`` (the
-    skeletons) and ``lifted`` (the last lift output, with the set of
+    growth index) and ``lifted`` (the last lift output, with the set of
     groups it lifted) in :mod:`liftlab.lifter`; ``layouts``, ``compiled``
     and ``run`` (a completed run's value and stats) in
     :mod:`liftlab.machine`.  A pickled or deep-copied one comes back empty,
@@ -677,32 +677,36 @@ def _block(e: Expr, ind: int, out: list[str], inline: str, broken: str) -> None:
     """Append ``e``'s text to ``out`` under the one layout rule: a simple
     ``e`` follows ``inline`` on the same line; any other follows ``broken``
     on a new line indented by ``ind``, and its sub-expressions are laid out
-    by the same rule.  One host frame per nesting level."""
-    if _is_simple(e):
-        out.append(inline + _pp_simple(e))
-        return
-    pad = " " * ind
-    out.append(f"{broken}\n{pad}")
-    if isinstance(e, Let):
-        for i, (name, rhs) in enumerate(e.group.binds):
-            kw = f"\n{pad}and" if i else "let"
-            out.append(f"{kw} {name} = {_pp_rhs_head(rhs)}")
-            _block(rhs.body, ind + 4, out, " ", "")
-        _block(e.body, ind, out, f"\n{pad}in ", f"\n{pad}in")
-    elif isinstance(e, Case):
-        _block(e.scrutinee, ind + 4, out, "case ", "case")
-        out.append(" of {" if _is_simple(e.scrutinee) else f"\n{pad}of {{")
-        alt_pad = " " * (ind + 2)
-        for pat, body in e.alts:
-            arrow = f"\n{alt_pad}{pat} -> "
-            _block(body, ind + 6, out, arrow, arrow)
-            out.append(";")
-        binder, dbody = e.default
-        arrow = f"\n{alt_pad}default {binder} -> "
-        _block(dbody, ind + 6, out, arrow, arrow)
-        out.append(f"\n{pad}}}")
-    else:
-        raise AssertionError(e)
+    by the same rule.  An explicit stack of pieces still to append, text or
+    ``(e, ind, inline, broken)``, so a deep program prints at any recursion
+    limit."""
+    stack: list = [(e, ind, inline, broken)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, ind, inline, broken = item
+        if _is_simple(e):
+            out.append(inline + _pp_simple(e))
+            continue
+        pad = " " * ind
+        out.append(f"{broken}\n{pad}")
+        if isinstance(e, Let):
+            todo: list = []
+            for i, (name, rhs) in enumerate(e.group.binds):
+                kw = f"\n{pad}and" if i else "let"
+                todo += (f"{kw} {name} = {_pp_rhs_head(rhs)}", (rhs.body, ind + 4, " ", ""))
+            todo.append((e.body, ind, f"\n{pad}in ", f"\n{pad}in"))
+        else:
+            of = " of {" if _is_simple(e.scrutinee) else f"\n{pad}of {{"
+            todo = [(e.scrutinee, ind + 4, "case ", "case"), of]
+            arms = [(str(pat), body, ";") for pat, body in e.alts]
+            arms.append((f"default {e.default[0]}", e.default[1], f"\n{pad}}}"))
+            for head, body, close in arms:
+                arrow = f"\n{' ' * (ind + 2)}{head} -> "
+                todo += ((body, ind + 6, arrow, arrow), close)
+        stack += reversed(todo)
 
 
 def print_program(p: Program) -> str:

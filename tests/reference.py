@@ -3,7 +3,7 @@
 Each is written from README's cost model as a plain recursion over the AST.
 Nothing here imports from liftlab but the AST types of ``liftlab.syntax``,
 so a cross-check against these functions cannot share a bug with the
-free-variable scan, the closure slot rule or the skeletons it checks
+free-variable scan, the closure slot rule or the growth index it checks
 (``test_reference_imports_only_ast_types`` holds that rule).
 """
 
@@ -60,7 +60,7 @@ def recursive(group):
     return any(names & free_vars(rhs) for _, rhs in group.binds)
 
 
-def _scaled(n, rhs):
+def scaled(n, rhs):
     # A region entered at least once keeps its negative growth; one entered
     # at most once keeps its positive growth; one entered unboundedly often
     # turns positive growth infinite; one never entered contributes nothing.
@@ -86,7 +86,7 @@ def direct_growth(added, removed, e, top_names):
             slots = closure_slot_fvs(name, rhs, top_names)
             if slots & removed:
                 total += len(added - slots) - len(slots & removed)
-            total += _scaled(direct_growth(added, removed, rhs.body, top_names), rhs)
+            total += scaled(direct_growth(added, removed, rhs.body, top_names), rhs)
         return total
     if isinstance(e, Case):
         branches = [direct_growth(added, removed, body, top_names) for _, body in e.alts]

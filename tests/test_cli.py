@@ -10,9 +10,10 @@ import pytest
 import liftlab
 from liftlab import cli
 from liftlab.cli import main
-from liftlab.syntax import parse
+from liftlab.lifter import LiftConfig, lift_program
+from liftlab.syntax import parse, print_program
 
-from conftest import PROGRAMS_DIR, forward_group_text
+from conftest import PROGRAMS_DIR, forward_group_text, load_inline
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +208,26 @@ class TestErrorsAndExitCodes:
         assert code == 0 and err == ""
         assert out.startswith("main: (seq nil (seq (seq (closure y) ")
         assert out.count("(closure ") == 1000 and out.count("(scaled ") == 1000
+
+    def test_flat_forward_group_dumps_lifted(self, tmp_path, capsys):
+        # No member lifts (C4 or, for the last, C3 rejects it), so what is
+        # printed is the split chain, 1,000 lets deep.
+        flat = tmp_path / "forward.stg"
+        flat.write_text(forward_group_text(1000))
+        argv = ("dump-lifted", str(flat), "--max-arity-nonrec", "1")
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 0 and err == ""
+        sys.setrecursionlimit(20000)
+        try:
+            lifted, _ = lift_program(load_inline(flat.read_text()), LiftConfig(max_arity_nonrec=1))
+            assert out == print_program(lifted) and parse(out) == lifted
+        finally:
+            sys.setrecursionlimit(old)
 
     def test_non_utf8_input_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "latin1.stg"

@@ -15,7 +15,6 @@ from liftlab.lifter import (
     required_set,
 )
 from liftlab.machine import evaluate, value_key
-from liftlab.skeleton import skeleton_table
 from liftlab.syntax import (
     MULTI_SHOT,
     App,
@@ -56,8 +55,7 @@ def load_text_variant(name, old, new):
 
 def rqs_of(src: str, required=None):
     p = parse(src)
-    skels = skeleton_table([tb.body for tb in p.top_binds] + [p.main], p.top_names())
-    return required_set(p.main.group, required or {}, skels)
+    return required_set(p.main.group, required or {}, plan_lifts(p).index)
 
 
 class TestExpander:
@@ -306,7 +304,7 @@ class TestLiftProgram:
         assert ("t",) not in sites and ("addT",) in sites
 
     def test_plan_reads_one_scan(self, monkeypatch):
-        # The facts, names, free variables and skeletons' slot sets all come
+        # The facts, names, free variables and the index's slot sets all come
         # from one walk, wherever a module has imported it: loading a
         # program through its first plan scans nothing, since the scope
         # walk made the scan (and handed it on to the split program it
@@ -326,7 +324,7 @@ class TestLiftProgram:
             calls.clear()
             p = load_program(name)
             assert plan_lifts(p).scan is analysis.scan_program(p)
-            assert plan_lifts(p).skels is plan_lifts(p).skels and calls == [], name
+            assert plan_lifts(p).index is plan_lifts(p).index and calls == [], name
             copied = copy.copy(p)
             plan_lifts(copied)
             plan_lifts(copied)

@@ -651,18 +651,18 @@ class TestOracle:
         assert checked > 700
 
     def test_one_plan_per_call(self, monkeypatch):
-        # One skeleton table for the first oracle call on a program object,
+        # One growth index for the first oracle call on a program object,
         # none for a second call on the same object.  Programs are loaded
         # afresh, so no plan memoised by another test is found.
         programs = {name: load_program(name) for name in ("growth_balanced", "callweb", "scc_chain")}
         calls = []
-        real = lifter.skeleton_table
+        real = lifter.growth_index
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(lifter, "skeleton_table", counting)
+        monkeypatch.setattr(lifter, "growth_index", counting)
         for name, p in programs.items():
             calls.clear()
             rows = enumerate_lift_subsets(p)

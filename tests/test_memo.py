@@ -1,7 +1,7 @@
 """Per-program analyses are memoised on the program object they describe.
 
 The scope walk, which also makes the scan (nodes, occurrence facts and
-names) and the SCC split, the skeleton table and the interpreter's set-up
+names) and the SCC split, the growth index and the interpreter's set-up
 (with its compiled frames, for runs past 1,000 steps) are each built once
 per ``Program`` object by whichever public call asks first, and read by
 every later call on it.
@@ -63,8 +63,9 @@ def rhss_under(roots) -> list:
 @pytest.fixture
 def built(monkeypatch) -> Counter:
     """Counts each analysis build: each scan, each root it starts from and
-    each right-hand side it covers, replacing the analysis functions where
-    their callers look them up."""
+    each right-hand side it covers, and each growth index with the node
+    list it indexes, replacing the analysis functions where their callers
+    look them up."""
     counts: Counter = Counter()
 
     class CountingWalk(syntax._ScopeWalk):
@@ -72,12 +73,10 @@ def built(monkeypatch) -> Counter:
             counts["scope"] += 1
             super().__init__(p, split)
 
-    def counting(key, real):
-        def build(*args):
-            counts[key] += 1
-            return real(*args)
-
-        return build
+    def indexing(nodes, top_names):
+        counts["index"] += 1
+        counts[("index", id(nodes))] += 1
+        return real_index(nodes, top_names)
 
     def scanning(roots):
         counts["scan"] += 1
@@ -85,9 +84,9 @@ def built(monkeypatch) -> Counter:
         counts.update(("scanned", id(rhs)) for rhs in rhss_under(roots))
         return real_scan(roots)
 
-    real_scan = analysis.scan
+    real_scan, real_index = analysis.scan, lifter.growth_index
     monkeypatch.setattr(syntax, "_ScopeWalk", CountingWalk)
-    monkeypatch.setattr(lifter, "skeleton_table", counting("skeletons", lifter.skeleton_table))
+    monkeypatch.setattr(lifter, "growth_index", indexing)
     monkeypatch.setattr(analysis, "scan", scanning)
     return counts
 
@@ -129,7 +128,9 @@ def test_harness_order_analyses_once(name, built, monkeypatch):
 
     monkeypatch.setitem(globals(), "freshen", freshening)
     p, _ = pipeline(parse(source(name)))
-    assert (built["scope"], built["skeletons"]) == (1, 1)
+    # One growth index in all, and that over p's own scan.
+    assert (built["scope"], built["index"]) == (1, 1)
+    assert built[("index", id(analysis.scan_program(p).nodes))] == 1
     roots = [tb.body for tb in p.top_binds] + [p.main]
     assert not any(built[("root", id(r))] for r in roots)
     rhss = rhss_under(roots)
@@ -170,7 +171,8 @@ def test_a_copy_analyses_afresh_and_agrees(name, built):
     p = split_groups(freshen(parse(source(name))))
     lifted, decisions = lift_program(p)
     expected = (print_program(lifted), decisions, evaluate(p))
-    assert built["skeletons"] == 1
+    assert built["index"] == 1
+    assert built[("index", id(analysis.scan_program(p).nodes))] == 1
     for q in (copy.deepcopy(p), copy.copy(p), pickle.loads(pickle.dumps(p))):
         assert q is not p and q == p
         # A deep copy or a pickle leaves tables keyed by p's nodes behind;
@@ -178,7 +180,8 @@ def test_a_copy_analyses_afresh_and_agrees(name, built):
         assert not vars(q)["_analyses"] or vars(q)["_analyses"] is vars(p)["_analyses"]
         lifted, decisions = lift_program(q)
         assert (print_program(lifted), decisions, evaluate(q)) == expected
-    assert built["skeletons"] == 4
+        assert built[("index", id(analysis.scan_program(q).nodes))] == 1
+    assert built["index"] == 4
 
 
 def test_a_split_program_inherits_the_inputs_analyses(monkeypatch):

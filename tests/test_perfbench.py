@@ -15,13 +15,29 @@ decisions, printed programs, stats and oracle rows, so a pinned digest
 catches a change in any of them anywhere in the benchmark pipeline.
 """
 
+import cProfile
+import importlib.util
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+from liftlab.lifter import lift_program
+
+from conftest import load_program
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# The entries of perfbench/run.py's PROFILED table that name a liftlab
+# function.  cProfile finds them by file and function name, so a function
+# renamed or moved to another module would read 0 calls without an error.
+PROFILED_IN_LIFTLAB = (
+    "analysis.free_vars",
+    "skeleton.closure_growth",
+    "lifter.decide",
+    "lifter.predicted_growth",
+)
 
 # The small run's output digests, recorded before the scope walk took over
 # the scan and the SCC split; traced and untraced runs agree.
@@ -68,3 +84,19 @@ def test_benchmark_traced_small_run_exits_0(tmp_path):
     for name in ("corpus", "nested", "loops"):
         assert (tmp_path / "perfbench" / "out" / f"trace-{name}-1.json").is_file()
     assert "machine.oracle_s" in out and "cli.lift_eval_s" in out
+
+
+def test_profiled_functions_are_where_the_benchmark_looks(monkeypatch):
+    # perfbench's own reader of a profile counts a call of each when a
+    # fresh program, one that reaches C2, is lifted under cProfile.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # for its dataclasses
+    spec.loader.exec_module(run)
+    p = load_program("growth_balanced")
+    profile = cProfile.Profile()
+    profile.runcall(lift_program, p)
+    calls = run.profiled_calls(profile)
+    for name in PROFILED_IN_LIFTLAB:
+        assert calls[name][0] > 0, name

@@ -3,8 +3,8 @@
 A cross-check is only as strong as the independence of its second
 implementation (McKeeman, "Differential Testing for Software", 1998), so
 the reference may import nothing from liftlab but AST types, and criterion
-4's comparison must catch a slot rule the skeletons and the reference do not
-share.
+4's comparison must catch a slot rule the growth index and the reference do
+not share.
 """
 
 import ast

@@ -10,9 +10,9 @@ import sys
 import pytest
 
 from liftlab.analysis import free_vars, scan, scan_program, split_groups
-from liftlab.lifter import lift_program, liftable_sites
+from liftlab.lifter import lift_program, liftable_sites, plan_lifts
 from liftlab.machine import evaluate, render_value
-from liftlab.skeleton import NIL, Seq, closure_growth, skeleton_table
+from liftlab.skeleton import closure_growth, growth_index, skeleton_sexpr
 from liftlab.syntax import (
     MULTI_SHOT,
     App,
@@ -161,21 +161,31 @@ def test_tables_need_no_recursion():
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), Var("y"))))
         body = Case(App(f"f{k}", (Var("z"),)), (), (f"x{k}", e))
         e = Let(BindGroup(((f"f{k}", rhs),)), body)
-    root = Thunk(e)  # the table keeps right-hand sides only
+    root = Thunk(e)  # the scan keeps right-hand sides' free variables only
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        scan([root])
-        skel = skeleton_table([e], frozenset())[id(e)]
+        nodes = scan([root]).nodes
+        index = growth_index(nodes, frozenset())
+        text = skeleton_sexpr(e, index)
+        growth = closure_growth(frozenset({"q", "r"}), frozenset({"y"}), e, index)
     finally:
         sys.setrecursionlimit(old)
     rhss = [root] + [node.group.binds[0][1] for node in walk(e) if isinstance(node, Let)]
     assert len(rhss) == n + 1 and all("_free" in vars(rhs) for rhs in rhss)
     assert free_vars(root) == {"y", "z"}
-    depth = 0
-    while isinstance(skel, Seq):  # one let node, then one case node, per step
-        skel, depth = skel.right, depth + 1
-    assert depth == 2 * n and skel == NIL
+    # One let node, then one case node, per step, each reaching to the
+    # end of the node list; every f{k} captures y.
+    assert nodes[0] is e and len(index.spans) == 2 * n
+    assert all(
+        index.spans[id(node)] == (i, len(nodes))
+        for i, node in enumerate(nodes)
+        if isinstance(node, (Let, Case))
+    )
+    assert index.capturers == {"y": [i for i, node in enumerate(nodes) if isinstance(node, Let)]}
+    step = "(seq (seq (closure y) (scaled {0,*} nil)) (seq nil "
+    assert text == step * n + "nil" + "))" * n
+    assert growth == n
 
 
 def test_free_vars_of_nested_lambdas_need_no_recursion():
@@ -370,15 +380,19 @@ def test_growth_needs_no_recursion():
     # The explicit stack gives exactly what the reference recursion gives:
     # adding one more variable grows each of the 1,000 f closures by a word.
     let = p.main.default[1]
-    skel = skeleton_table([let], frozenset())[id(let)]
     added, removed = frozenset({"y", "q"}), frozenset({"g"})
     old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        growth = closure_growth(added, removed, let, plan_lifts(p).index)
+    finally:
+        sys.setrecursionlimit(old)
     sys.setrecursionlimit(20000)
     try:
         direct = direct_growth(added, removed, let, frozenset())
     finally:
         sys.setrecursionlimit(old)
-    assert closure_growth(added, removed, skel) == direct == 1000
+    assert growth == direct == 1000
 
 
 def test_evaluate_needs_no_recursion():
