@@ -30,12 +30,12 @@ whose children changed, sharing the rest with the input.
 the plan to every subset, collecting no decisions.  The scan and the
 index are memoised on the program (see :func:`~liftlab.syntax._analyses`),
 so :func:`lift_program`, :func:`liftable_sites` and the oracle on one
-program object scan it and index it once between them.
-:func:`lift_program` memoises its output too, keyed by the groups it
-lifted, so the oracle's subset of those groups is that output.  A leaf
-that lifting does not change, inside a lifted right-hand side too, is the
-input's own object, and so is a right-hand side whose body it does not
-change, which keeps its free variables for the interpreter.
+program object scan it and index it once between them.  Lifting nothing
+returns the input itself, and :func:`lift_program` memoises any other
+output, keyed by the groups it lifted, for the oracle's subset of those
+groups.  Lifting keeps as the input's own objects each leaf it does not
+change, inside a lifted right-hand side too, and each right-hand side
+whose body it does not change, with the free variables stored on it.
 """
 
 from __future__ import annotations
@@ -311,15 +311,18 @@ def lift_program(
     the decision logic is bypassed and exactly the named groups are lifted
     (callers must restrict themselves to :func:`liftable_sites`).
 
-    The output depends only on ``p`` and on which groups are lifted, so it
-    is memoised on ``p`` (see :func:`~liftlab.syntax._analyses`), in place
-    of the last, with that set of binder tuples as its key; the oracle
-    reads it for that subset (see
-    :func:`~liftlab.machine.enumerate_lift_subsets`).
+    The output is ``p`` itself when no group is lifted; any other output
+    depends only on ``p`` and on which groups are lifted, so it is memoised
+    on ``p`` (see :func:`~liftlab.syntax._analyses`), in place of the last,
+    with that set of binder tuples as its key; the oracle reads it for that
+    subset (see :func:`~liftlab.machine.enumerate_lift_subsets`).
     """
     decisions: list[Decision] = []
     q = apply_lifts(plan_lifts(p), cfg, force_sites, decisions)
-    _analyses(p)["lifted"] = (frozenset(d.binders for d in decisions if d.lifted), q)
+    if q is p:  # an entry would be a cycle, and any stored one is stale
+        _analyses(p).pop("lifted", None)
+    else:
+        _analyses(p)["lifted"] = (frozenset(d.binders for d in decisions if d.lifted), q)
     return q, decisions
 
 
@@ -329,9 +332,9 @@ def apply_lifts(
     force_sites: frozenset[tuple[str, ...]] | None = None,
     decisions: list[Decision] | None = None,
 ) -> Program:
-    """The planned program lifted as :func:`lift_program` lifts it, each
-    decision appended to ``decisions`` when a list is given.  Without one,
-    forced groups skip the prediction their decisions would carry, and
+    """The planned program lifted as :func:`lift_program` lifts it (the
+    input itself if nothing is), each decision appended to ``decisions``
+    when a list is given.  Without one, forced groups skip predictions and
     groups forced to stay skip their required sets, which nothing reads."""
     cfg = cfg or LiftConfig()
     p = plan.program
@@ -408,12 +411,7 @@ def apply_lifts(
             stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner))
 
     if not required:
-        # Nothing lifted, so nothing changed; still a new program, which
-        # callers may tell from ``p`` by identity.  Its nodes are ``p``'s,
-        # so it shares ``p``'s analyses.
-        q = Program(p.top_binds, p.main)
-        _analyses(q).update(_analyses(p))
-        return q
+        return p  # nothing lifted, so nothing changed
     # Pass 2, over the order reversed: children come before their parent, the
     # first child last, so they pop off ``results`` in child order.  Results
     # go by position, so a node object found in two places is rebuilt for

@@ -27,13 +27,13 @@ checked.
 What evaluation needs of the program before it steps (the stats rows,
 and each let's slot names) is memoised on the program object (see
 :func:`~liftlab.syntax._analyses`), and so is a completed run, so a
-second :func:`evaluate` of one object does not run at all.  The slots
-are read from each right-hand side's :func:`~liftlab.analysis.free_vars`.
-The stats rows come first, from the program's
-:func:`~liftlab.analysis.scan_program` unless the lifter handed them on,
-so a program nobody scanned is scanned once, whole, before it runs; a
-lifted output scans only the right-hand sides the lift rebuilt, when they
-first run.
+second :func:`evaluate` of one object (a lift that lifts nothing returns
+the input itself) does not run at all.  The slots are read from each
+right-hand side's :func:`~liftlab.analysis.free_vars`.  The stats rows
+come first, from the program's :func:`~liftlab.analysis.scan_program`
+unless the lifter handed them on, so a program nobody scanned is scanned
+once, whole, before it runs; a lifted output scans only the right-hand
+sides the lift rebuilt, when they first run.
 
 There are two engines, chosen by run length, and both do all of the
 above.  Every run starts on the first, :class:`_Machine`, whose
@@ -1097,7 +1097,7 @@ def enumerate_lift_subsets(
     for mask in range(2 ** len(sites)):
         chosen = frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
         if not chosen:
-            q = p  # lifting nothing would only copy the program
+            q = p  # what lifting nothing returns, without the walk
         elif stored is not None and stored[0] == chosen:
             q = stored[1]
         else:

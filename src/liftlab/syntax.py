@@ -281,11 +281,11 @@ class _Analyses(dict):
     (nodes, occurrence facts and names) and ``split`` (the split program,
     None when nothing splits), here; ``scan`` of a program no walk has
     seen, and ``binders``, in :mod:`liftlab.analysis`; ``plan`` (the
-    growth index) and ``lifted`` (the last lift output, with the set of
-    groups it lifted) in :mod:`liftlab.lifter`; ``layouts``, ``compiled``
-    and ``run`` (a completed run's value and stats) in
-    :mod:`liftlab.machine`.  A pickled or deep-copied one comes back empty,
-    since its tables are keyed by the ``id`` of the original's nodes."""
+    growth index) and ``lifted`` (the last lift output and the groups it
+    lifted; none if it returned the input itself) in :mod:`liftlab.lifter`;
+    ``layouts``, ``compiled`` and ``run`` (a completed run's value and stats)
+    in :mod:`liftlab.machine`.  A pickled or deep-copied one comes back
+    empty, since its tables are keyed by the ``id`` of the original's nodes."""
 
     def __init__(self, owner: int | None = None) -> None:
         self.owner = owner  # the id of the program it describes

@@ -404,9 +404,8 @@ def kept_subtrees(p: Program, lifted: frozenset[str]) -> list:
 
 
 def assert_shares_what_it_keeps(p: Program, q: Program, lifted: frozenset[str]) -> None:
-    assert q is not p
-    if not lifted:
-        assert q.top_binds is p.top_binds and q.main is p.main
+    # Lifting nothing returns the input itself; anything else, a new program.
+    assert (q is p) == (not lifted)
     in_output = {id(e) for e in walk(*[tb.body for tb in q.top_binds], q.main)}
     assert all(id(e) in in_output for e in kept_subtrees(p, lifted))
 

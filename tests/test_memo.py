@@ -23,9 +23,9 @@ from collections import Counter
 
 import pytest
 
-from liftlab import analysis, lifter, machine, syntax
+from liftlab import analysis, cli, lifter, machine, syntax
 from liftlab.analysis import split_groups
-from liftlab.lifter import lift_program, liftable_sites, plan_lifts
+from liftlab.lifter import LiftConfig, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import DEFAULT_FUEL, OutOfFuel, enumerate_lift_subsets, evaluate
 from liftlab.syntax import (
     Lambda,
@@ -248,10 +248,10 @@ def test_split_groups_reads_the_walk_and_refuses_names_bound_twice():
 
 
 def test_a_lifted_program_inherits_the_inputs_analyses():
-    # apply_lifts gives its result the input's stats rows, and all of the
-    # input's analyses when it lifts nothing: the same as a fresh analysis
-    # of the result (a shallow copy), for its default lifts and for each
-    # site the oracle forces alone.
+    # apply_lifts gives its result the input's stats rows, and returns the
+    # input itself when it lifts nothing: the same as a fresh analysis of
+    # the result (a shallow copy), for its default lifts and for each site
+    # the oracle forces alone.
     rng = random.Random(CORPUS_SEED)
     inputs = [split_groups(freshen(parse(source(f.stem)))) for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
     inputs += [split_groups(freshen(ProgramGen(rng).program())) for _ in range(200)]
@@ -330,13 +330,18 @@ def test_equality_hash_repr_unchanged(name):
 def test_memo_does_not_keep_its_program_alive(name):
     # The program was lifted, both sides evaluated and the oracle run, so
     # it holds its run and its lift output, which holds its own run; with
-    # the collector off, only reference counts free them.
+    # the collector off, only reference counts free them.  tally keeps
+    # every group, so its output is the program itself and is not stored.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         p, outputs = pipeline(parse(source(name)))
         lifted = outputs[0]
-        assert _analyses(p)["lifted"][1] is lifted
+        assert (lifted is p) == (name == "tally")
+        if lifted is p:
+            assert "lifted" not in _analyses(p)
+        else:
+            assert _analyses(p)["lifted"][1] is lifted
         assert "run" in _analyses(p) and "run" in _analyses(lifted)
         refs = [weakref.ref(p), weakref.ref(lifted)]
         del p, lifted, outputs
@@ -372,9 +377,10 @@ def corpus_inputs() -> list[Program]:
 
 def test_harness_order_runs_each_program_once(engine_runs, monkeypatch):
     # In the benchmark's order, an engine runs once for the program, once
-    # for its lift output and once per oracle subset other than the empty
-    # one, which reads the program's run, and the lifter's own, which is
-    # the lift output and reads its run.
+    # for its lift output unless that is the program itself (nothing was
+    # lifted), and once per oracle subset other than the empty one, which
+    # reads the program's run, and the lifter's own, which is the lift
+    # output and reads its run.
     applied, evaluated = [], []
     real_apply, real_evaluate = machine.apply_lifts, machine.evaluate
 
@@ -392,10 +398,13 @@ def test_harness_order_runs_each_program_once(engine_runs, monkeypatch):
     seen = Counter()
     for p in corpus_inputs():
         lifted, decisions = lift_program(p)
+        chosen = frozenset(d.binders for d in decisions if d.lifted)
         engine_runs.clear()
         evaluate(p)
         evaluate(lifted)
         assert engine_runs[id(p)] == engine_runs[id(lifted)] == 1
+        assert sum(engine_runs.values()) == 1 + bool(chosen)
+        seen["lifted" if chosen else "kept every group"] += 1
         print_program(lifted)
         sites = liftable_sites(p)
         if len(sites) > 4:
@@ -404,7 +413,6 @@ def test_harness_order_runs_each_program_once(engine_runs, monkeypatch):
         applied.clear()
         evaluated.clear()
         rows = enumerate_lift_subsets(p)
-        chosen = frozenset(d.binders for d in decisions if d.lifted)
         subsets = [
             frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
             for mask in range(2 ** len(sites))
@@ -422,6 +430,16 @@ def test_harness_order_runs_each_program_once(engine_runs, monkeypatch):
         assert sum(engine_runs.values()) == len(rows) - 1 - bool(chosen)
         seen["checked"] += 1
     assert seen["checked"] > 100 and seen["chosen subset reused"] > 20, seen
+    assert seen["lifted"] > 50 and seen["kept every group"] > 50, seen
+
+
+@pytest.mark.parametrize("name, runs", [("tally", 1), ("countdown", 2)])
+def test_lift_eval_runs_an_engine_once_per_distinct_program(name, runs, engine_runs, capsys):
+    # tally keeps every group, so its lift output is the program and the
+    # second evaluate reads the first run; countdown lifts g.
+    assert cli.main(["lift", str(PROGRAMS_DIR / f"{name}.stg"), "--eval"]) == 0
+    capsys.readouterr()
+    assert sum(engine_runs.values()) == runs and len(engine_runs) == runs
 
 
 def test_forced_apply_of_the_chosen_groups_is_the_lift_output():
@@ -553,3 +571,34 @@ def test_lift_program_stores_its_last_output_and_the_oracle_only_reads_it(engine
     assert engine_runs[id(p)] == engine_runs[id(again)] == engine_runs[id(lifted)] == 0
     assert sum(engine_runs.values()) == len(rows) - 2
     assert lift_program(p)[0] is not lifted
+    # A lift of nothing returns p itself and drops the stored output, so
+    # the entry describes the last lift; the oracle's rows stay the same.
+    nothing, ds = lift_program(p, force_sites=frozenset())
+    assert nothing is p and ds and not any(d.lifted for d in ds)
+    assert "lifted" not in _analyses(p)
+    assert enumerate_lift_subsets(p) == rows
+    assert "lifted" not in _analyses(p)
+
+
+def test_a_lift_of_nothing_after_a_lift_frees_the_program_and_its_outputs():
+    # countdown lifts g by default; with arity limits of 1, g stays (C3)
+    # and nothing is lifted.  With the collector off, only reference
+    # counts free the program and both outputs.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        p = split_groups(freshen(parse(source("countdown"))))
+        first, _ = lift_program(p)
+        assert first is not p and _analyses(p)["lifted"][1] is first
+        evaluate(p)
+        evaluate(first)
+        kept, ds = lift_program(p, LiftConfig(max_arity_nonrec=1, max_arity_rec=1))
+        assert kept is p and "lifted" not in _analyses(p)
+        assert [d.criterion for d in ds if d.binders == ("g",)] == ["C3"]
+        assert evaluate(kept) is evaluate(p)
+        refs = [weakref.ref(p), weakref.ref(first)]
+        del p, first, kept
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
