@@ -11,8 +11,9 @@ rejection checks run in a fixed order, cheapest first:
   C2  the estimated net effect on heap allocation is positive
 
 When a group is lifted, its members become new top-level definitions with
-their required set prepended as parameters (in lexicographic order), and
-every occurrence becomes a head application carrying the required set.
+their required set prepended as parameters (in lexicographic order, with
+fresh names of each member's own), and every occurrence becomes a head
+application carrying the required set.
 
 Lifting is split into analysis and application, as in GHC's
 ``GHC.Stg.Lift.Analysis`` and ``GHC.Stg.Lift``.  :func:`plan_lifts` reads
@@ -36,6 +37,13 @@ output, keyed by the groups it lifted, for the oracle's subset of those
 groups.  Lifting keeps as the input's own objects each leaf it does not
 change, inside a lifted right-hand side too, and each right-hand side
 whose body it does not change, with the free variables stored on it.
+
+Lifting checks no scope itself: tests lift open terms on purpose.  It
+keeps names unique and in scope and splits no group further, so the
+output of a split input whose scope walk was clean is marked clean too,
+and :func:`~liftlab.machine.evaluate`'s scope check reads that mark
+instead of walking it.  Any other input leaves its output unmarked, to
+be walked when it is checked.
 """
 
 from __future__ import annotations
@@ -347,7 +355,7 @@ def apply_lifts(
 
     # Pass 1, pre-order.  A stack entry carries the renaming of the innermost
     # lifted right-hand side around it.  An ``order`` entry carries a leaf's
-    # rewrite, a lifted let's new parameters, or None.
+    # rewrite, a lifted let's renaming per member, or None.
     order: list[tuple[Expr, object]] = []
     stack: list[tuple[Expr | str, Mapping[str, str]]] = [(p.main, {})]
     stack += [(tb.body, {}) for tb in reversed(p.top_binds)]
@@ -396,16 +404,20 @@ def apply_lifts(
         for name in binders:
             required[name] = rqs
         # The required variables keep their original binding sites
-        # elsewhere in the program, so the prepended parameters get fresh
-        # names, and each lifted body is renamed to them.
-        inner = {}
-        for v in sorted(rqs):
-            used.add(v)  # so the pick is a v_k even where v is free in the program
-            inner[v] = _fresh(v, used, last)
-            used.add(inner[v])
-        order.append((e, tuple(inner.values())))
+        # elsewhere in the program, so each member's prepended parameters
+        # get fresh names of its own, which keeps names unique, and its
+        # body is renamed to them.
+        inners = []
+        for _ in binders:
+            inner = {}
+            for v in sorted(rqs):
+                used.add(v)  # so the pick is a v_k even where v is free in the program
+                inner[v] = _fresh(v, used, last)
+                used.add(inner[v])
+            inners.append(inner)
+        order.append((e, inners))
         stack.append((e.body, rename))
-        for name, rhs in reversed(group.binds):
+        for (name, rhs), inner in zip(reversed(group.binds), reversed(inners)):
             # A thunk can only be here through force_sites; it fails where
             # its body would have been visited.
             stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner))
@@ -424,7 +436,10 @@ def apply_lifts(
         elif isinstance(e, Let):
             # The rebuilt let body stays on ``results`` as the let's own.
             lifted_groups.append(
-                [TopBind(name, info + rhs.params, results.pop()) for name, rhs in e.group.binds]
+                [
+                    TopBind(name, (*inner.values(), *rhs.params), results.pop())
+                    for (name, rhs), inner in zip(e.group.binds, info)
+                ]
             )
         else:
             results.append(info)
@@ -438,5 +453,13 @@ def apply_lifts(
     q = Program(tuple(tops), results.pop())
     # Each lifted binder left its let for the top level, so the let binders
     # and top-level names together, the interpreter's stats rows, are p's.
-    _analyses(q)["binders"] = _binder_names(p)
+    memo = _analyses(q)
+    memo["binders"] = _binder_names(p)
+    # Lifting a split program whose walk found nothing wrong keeps names
+    # unique and in scope and splits no further, so no walk need check q.
+    # An input nobody walked, or one found wrong, leaves q to be walked.
+    p_memo = _analyses(p)
+    scope = p_memo.get("scope")
+    if scope is not None and not scope[0] and p_memo["split"] is None:
+        memo["scope"], memo["split"] = scope, None
     return q

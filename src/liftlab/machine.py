@@ -24,6 +24,15 @@ and top-level definitions allocate nothing.  The resulting word counts are
 the ground truth against which the lifter's closure-growth predictions are
 checked.
 
+:func:`evaluate` checks the program's scope once, at its entry, as GHC's
+``GHC.Stg.Lint`` checks STG before code generation: it reads the
+memoised scope walk (see :func:`~liftlab.syntax.validate`), and a program
+that does not validate raises :class:`~liftlab.syntax.ScopeError`
+before any engine runs.  A pipeline program, a lift output and an oracle
+subset were walked or marked clean already, so the check is one memo
+lookup, and a program nobody walked is walked once by it.  The engines
+assume what it establishes: every name resolves, and names are unique.
+
 What evaluation needs of the program before it steps (the stats rows,
 and each let's slot names) is memoised on the program object (see
 :func:`~liftlab.syntax._analyses`), and so is a completed run, so a
@@ -31,9 +40,8 @@ second :func:`evaluate` of one object (a lift that lifts nothing returns
 the input itself) does not run at all.  The slots are read from each
 right-hand side's :func:`~liftlab.analysis.free_vars`.  The stats rows
 come first, from the program's :func:`~liftlab.analysis.scan_program`
-unless the lifter handed them on, so a program nobody scanned is scanned
-once, whole, before it runs; a lifted output scans only the right-hand
-sides the lift rebuilt, when they first run.
+(the scope walk's scan) unless the lifter handed them on; a lifted output
+scans only the right-hand sides the lift rebuilt, when they first run.
 
 There are two engines, chosen by run length, and both do all of the
 above.  Every run starts on the first, :class:`_Machine`, whose
@@ -48,10 +56,10 @@ literal.  A frame is a list, the slots in sorted order, then the closure,
 the parameters and the body's let and case binders; a closure is its code
 and its slot values, never itself.  The two charge the same steps, raise
 the same errors and fill the same stats, and the tests compare them on
-every program they have.  The hand-over exists because compiling costs
-more than a short run saves: engines that compiled every program made the
-benchmark's loops ~30% faster but its corpus, whose evaluations take a
-median of 3 steps, 49% to 72% slower in steps per second.
+every valid program they have.  The hand-over exists because compiling
+costs more than a short run saves: engines that compiled every program
+made the benchmark's loops ~30% faster but its corpus, whose evaluations
+take a median of 3 steps, 49% to 72% slower in steps per second.
 
 Counting never keeps a closure alive, as in GHC's ticky-ticky profiling.
 Each let binder that runs gets one list of entry counts, one per
@@ -79,7 +87,9 @@ from .syntax import (
     Lit,
     PrimApp,
     Program,
+    ScopeError,
     _analyses,
+    _scope,
 )
 
 DEFAULT_FUEL = 10_000_000
@@ -90,10 +100,6 @@ class EvalError(Exception):
 
 
 class OutOfFuel(EvalError):
-    pass
-
-
-class UnboundVariable(EvalError):
     pass
 
 
@@ -250,20 +256,11 @@ _LEFT = 3  # (primop, env): first operand forced; read the second
 _RIGHT = 4  # (primop, first operand): second operand forced; compute
 
 
-class _Tops(dict):
-    """Top-level definitions by name; the fallback of every variable lookup."""
-
-    def __missing__(self, name: str):
-        raise UnboundVariable(name)
-
-
 class _Machine:
     def __init__(self, program: Program, fuel: int, memo: dict | None = None):
-        if fuel < 1:
-            raise ValueError("fuel must be positive")
         self.program = program
         self.fuel = fuel
-        tops = self.tops = _Tops()
+        tops = self.tops = {}  # by name; the fallback of every variable lookup
         for tb in program.top_binds:
             tops[tb.name] = FunValue(tb.name, tb.params, tb.body, [0], 0)
         self.top_names = frozenset(tops)
@@ -319,10 +316,7 @@ class _Machine:
         for cell, (_, _, names, _) in zip(cells, plan):
             slots = cell.slots
             for v in names:
-                try:
-                    slots[v] = env[v]
-                except KeyError:
-                    raise UnboundVariable(v) from None
+                slots[v] = env[v]
 
     def _read(self, args, env: dict) -> list:
         """Argument values, unforced: literals as ints, variables looked up."""
@@ -601,23 +595,10 @@ class _Thunk:
         self.index = index
 
 
-class _Unbound:
-    """An operand naming no binder in scope and no top-level definition;
-    reading it raises as the name lookup does."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    @property
-    def value(self):
-        raise UnboundVariable(self.name)
-
-
 # Compiled nodes, each a tuple led by its opcode.  An operand is a frame
 # index (>= 0), a top-level definition's index k stored as ~k (< 0), or a
-# constant read through ``.value``: a Lit, or an _Unbound.
+# Lit, read through ``.value``.  Every name resolves: :func:`evaluate` runs
+# only programs that validate.
 _N_CASE_PRIM = 0  # (op, scrutinee, alts, default index, default body, prim, a, b)
 _N_CASE_ATOM = 1  # (op, scrutinee, alts, default index, default body, a)
 _N_CASE = 2  # (op, scrutinee, alts, default index, default body)
@@ -625,7 +606,6 @@ _N_APP = 3  # (op, head, operands, head name, operand getter or None)
 _N_PRIM = 4  # (op, prim, a, b, primop name)
 _N_ATOM = 5  # (op, operand)
 _N_LET = 6  # (op, ((frame index, code, slot getter or None, binder id, is lambda), ...), body)
-_N_UNBOUND = 7  # (op, name): an unbound head, or a closure slot nothing binds
 # A case of the first two kinds has an operand of its scrutinee in the
 # frame or a literal, so its int may be at hand; alts map each pattern to
 # its body, the first one written for a pattern.
@@ -666,36 +646,34 @@ def _compile(p: Program) -> _Compiled:
     if comp is not None:
         return comp
     top_names = p.top_names()
-    defs = {tb.name: tb for tb in p.top_binds}  # a later definition wins, as in _Tops
-    top_ref = {name: ~k for k, name in enumerate(defs)}
-    tops = [_Code(name, len(tb.params)) for name, tb in defs.items()]
+    top_ref = {tb.name: ~k for k, tb in enumerate(p.top_binds)}
+    tops = [_Code(tb.name, len(tb.params)) for tb in p.top_binds]
     main = _Code(None, 0)
     binder_ids: dict[str, int] = {}
     widths: list[int] = []
     # (code, slot names, parameters, body)
     work: list[tuple] = [(main, (), (), p.main)]
-    work += [(code, (), tb.params, tb.body) for code, tb in zip(tops, defs.values())]
+    work += [(code, (), tb.params, tb.body) for code, tb in zip(tops, p.top_binds)]
     while work:
         code, slot_names, params, body = work.pop()
+        # Names are unique, so one map serves the whole body: each name
+        # gets its frame index where it is bound and keeps it.
         scope: dict[str, int] = {}
 
         def operand(a):
             if type(a) is Lit:
                 return a
             i = scope.get(a.name)
-            if i is None:
-                i = top_ref.get(a.name)
-            return _Unbound(a.name) if i is None else i
+            return top_ref[a.name] if i is None else i
 
         n = 0
         for name in (*slot_names, *([code.binder] if code.binder else ()), *params):
             scope[name] = n
             n += 1
         base = n
-        undo: list[tuple[str, int | None]] = []  # what each binding shadowed
         out: list[tuple] = []  # compiled nodes, children before parents
-        # Expressions, and tuples that bind or unbind a name or build a let
-        # or case from the nodes its children left on ``out``.
+        # Expressions, and tuples that build a let or case from the nodes
+        # its children left on ``out``.
         todo: list = [body]
         while todo:
             e = todo.pop()
@@ -705,50 +683,28 @@ def _compile(p: Program) -> _Compiled:
             elif t is App:
                 h = scope.get(e.head)
                 if h is None:
-                    h = top_ref.get(e.head)
+                    h = top_ref[e.head]
                 args = tuple([operand(a) for a in e.args])
-                if h is None:
-                    out.append((_N_UNBOUND, e.head))
-                else:
-                    out.append((_N_APP, h, args, e.head, _getter(args)))
+                out.append((_N_APP, h, args, e.head, _getter(args)))
             elif t is PrimApp:
                 a, b = e.args
                 out.append((_N_PRIM, _PRIMS[e.op], operand(a), operand(b), e.op))
             elif t is Let:
-                idxs = []
                 for name in e.group.binders():
-                    undo.append((name, scope.get(name)))
                     scope[name] = n
-                    idxs.append(n)
                     n += 1
-                todo += [("unbind", len(idxs)), ("let", e, idxs), e.body]
+                todo += [("let", e), e.body]
             elif t is Case:
-                dname, dbody = e.default
-                todo += [("case", e, n), ("unbind", 1), dbody, ("bind", dname, n)]
-                todo += [alt for _, alt in reversed(e.alts)]
-                todo.append(e.scrutinee)
+                scope[e.default[0]] = n
                 n += 1
-            elif e[0] == "bind":
-                undo.append((e[1], scope.get(e[1])))
-                scope[e[1]] = e[2]
-            elif e[0] == "unbind":
-                for _ in range(e[1]):
-                    name, old = undo.pop()
-                    if old is None:
-                        del scope[name]
-                    else:
-                        scope[name] = old
+                alts = [alt for _, alt in reversed(e.alts)]
+                todo += [("case", e), e.default[1], *alts, e.scrutinee]
             elif e[0] == "let":
-                _, let, idxs = e
                 binds = []
-                missing = None
-                for (name, rhs), i in zip(let.group.binds, idxs):
+                for name, rhs in e[1].group.binds:
                     # Names are unique, so every allocation for ``name``
                     # stores the same slots.
                     names = sorted(closure_slots(name, free_vars(rhs), top_names))
-                    srcs = [scope.get(v) for v in names]
-                    if missing is None and None in srcs:
-                        missing = names[srcs.index(None)]
                     bid = binder_ids.get(name)
                     if bid is None:
                         bid = binder_ids[name] = len(widths)
@@ -757,18 +713,18 @@ def _compile(p: Program) -> _Compiled:
                     rparams = rhs.params if fun else ()
                     rcode = _Code(name, len(rparams))
                     work.append((rcode, names, rparams, rhs.body))
-                    binds.append((i, rcode, _getter(srcs), bid, fun))
-                let_body = out.pop()
-                out.append((_N_UNBOUND, missing) if missing else (_N_LET, tuple(binds), let_body))
+                    getter = _getter([scope[v] for v in names])
+                    binds.append((scope[name], rcode, getter, bid, fun))
+                out.append((_N_LET, tuple(binds), out.pop()))
             else:  # "case"
-                _, case, didx = e
+                case = e[1]
                 k = len(case.alts) + 2
                 scrut, *bodies, dbody = out[-k:]
                 del out[-k:]
                 alts: dict = {}
                 for (pat, _), alt in zip(case.alts, bodies):
                     alts.setdefault(pat, alt)
-                head = (scrut, alts, didx, dbody)
+                head = (scrut, alts, scope[case.default[0]], dbody)
                 if scrut[0] == _N_ATOM and _at_hand(scrut[1]):
                     out.append((_N_CASE_ATOM, *head, scrut[1]))
                 elif scrut[0] == _N_PRIM and _at_hand(scrut[2]) and _at_hand(scrut[3]):
@@ -777,7 +733,7 @@ def _compile(p: Program) -> _Compiled:
                     out.append((_N_CASE, *head))
         code.body = out.pop()
         code.pad = [None] * (n - base)
-    comp = memo["compiled"] = _Compiled(main, tops, list(defs), list(binder_ids), widths)
+    comp = memo["compiled"] = _Compiled(main, tops, list(top_ref), list(binder_ids), widths)
     return comp
 
 
@@ -809,8 +765,6 @@ def _read_operands(args: tuple, frame: list, tops: list) -> list:
 def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
     """:meth:`_Machine.run` on ``p``'s compiled frames: the same steps,
     values, errors and stats."""
-    if fuel < 1:
-        raise ValueError("fuel must be positive")
     rows = _binder_names(p)
     comp = _compile(p)
     tops = [_Fun(code, (), [0], 0) for code in comp.tops]
@@ -930,7 +884,7 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
                 else:
                     v = a.value
                 break
-            elif op == _N_LET:
+            else:  # _N_LET
                 # Bind the group's closures, then fill their slots, so
                 # members of a recursive group capture each other.
                 binds = node[1]
@@ -945,8 +899,6 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
                     if get is not None:
                         frame[i].slots = get(frame)
                 node = node[2]
-            else:
-                raise UnboundVariable(node[1])
         # Force ``v``, then return it to the innermost frames until one
         # of them resumes evaluation.
         while True:
@@ -1029,8 +981,12 @@ _HANDOVER = 1_000
 def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     """Evaluate a program's main expression; exact word accounting.
 
-    ``p`` must be validated (see :func:`~liftlab.syntax.validate`): names
-    are globally unique, which lets let and case-default binders extend the
+    Raises ``ValueError`` when ``fuel`` is not positive, and then
+    :class:`~liftlab.syntax.ScopeError`, naming the first violation as
+    :func:`~liftlab.syntax.validate` reports it, when ``p`` does not
+    validate; no engine runs.  The check reads the memoised scope walk, so
+    it walks ``p`` only if nothing has.  Validated names are in scope and
+    globally unique, which lets let and case-default binders extend the
     running activation's environment in place.  A run that passes
     :data:`_HANDOVER` steps starts again from the beginning on compiled
     frames, which give the same value, stats and errors.
@@ -1042,11 +998,15 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     and the call raises that :class:`OutOfFuel` without running.  A run
     that raises is not stored.
     """
+    if fuel < 1:
+        raise ValueError("fuel must be positive")
     memo = _analyses(p)
+    violations = (memo.get("scope") or _scope(p))[0]
+    if violations:
+        v = violations[0]
+        raise ScopeError(f"invalid program: {v.path}: {v.tag} {v.detail}")
     run = memo.get("run")
     if run is not None:
-        if fuel < 1:
-            raise ValueError("fuel must be positive")
         if run[1].steps > fuel:
             raise OutOfFuel(f"exceeded {fuel} steps")
         return run

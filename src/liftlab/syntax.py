@@ -282,7 +282,10 @@ class _Analyses(dict):
     None when nothing splits), here; ``scan`` of a program no walk has
     seen, and ``binders``, in :mod:`liftlab.analysis`; ``plan`` (the
     growth index) and ``lifted`` (the last lift output and the groups it
-    lifted; none if it returned the input itself) in :mod:`liftlab.lifter`;
+    lifted; none if it returned the input itself) in :mod:`liftlab.lifter`,
+    whose :func:`~liftlab.lifter.apply_lifts` also gives its output
+    ``binders``, and ``scope`` and ``split`` as a clean walk leaves them
+    when its input's walk was clean;
     ``layouts``, ``compiled`` and ``run`` (a completed run's value and stats)
     in :mod:`liftlab.machine`.  A pickled or deep-copied one comes back
     empty, since its tables are keyed by the ``id`` of the original's nodes."""

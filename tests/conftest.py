@@ -1,10 +1,12 @@
 import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from liftlab import machine
 from liftlab.analysis import split_groups
 from liftlab.syntax import KEYWORDS, Program, freshen, parse, validate
 
@@ -78,3 +80,19 @@ def corpus() -> list[Program]:
         p = freshen(raw)
         programs.append(split_groups(p))
     return programs
+
+
+@pytest.fixture
+def engine_runs(monkeypatch) -> Counter:
+    """Counts the runs that reach an engine, per program object.  Every
+    such run starts on the dict-environment engine, so this counts each
+    evaluation once, also one handed over to compiled frames."""
+    runs: Counter = Counter()
+
+    class Counting(machine._Machine):
+        def __init__(self, program, fuel, memo=None):
+            runs[id(program)] += 1
+            super().__init__(program, fuel, memo)
+
+    monkeypatch.setattr(machine, "_Machine", Counting)
+    return runs

@@ -10,7 +10,7 @@ from liftlab.analysis import cardinality, scan_program
 from liftlab.lifter import LiftConfig, lift_program, liftable_sites
 from liftlab.machine import enumerate_lift_subsets, evaluate, value_key
 from liftlab.skeleton import closure_growth, growth_index
-from liftlab.syntax import INF, Lambda, Let, validate
+from liftlab.syntax import INF, Lambda, Let, Program, validate
 
 from conftest import PROGRAMS_DIR, load_inline
 from progen import random_disjoint_sets
@@ -268,7 +268,7 @@ def test_criterion_9_structural_invariants(corpus, hand_programs):
     for p in list(hand_programs.values()) + corpus:
         lifted, decisions = lift_program(p)
         checked += 1
-        if validate(lifted):
+        if validate(Program(lifted.top_binds, lifted.main)):  # walked, not the mark
             bad_validate += 1
             continue
         lifted_binders = {b for d in decisions if d.lifted for b in d.binders}

@@ -27,7 +27,9 @@ from liftlab.syntax import (
     Lit,
     PrimApp,
     Program,
+    ScopeError,
     Var,
+    _analyses,
     occurrences,
     parse,
     print_program,
@@ -89,10 +91,38 @@ class TestExpander:
         assert rqs_of(src) == fs("x", "y")
         lifted, [d] = lift_program(parse(src), force_sites=frozenset({("f", "g")}))
         assert d.required_set == ("x", "y")
+        # One required set, but parameters of each member's own, so names
+        # stay unique.
         assert [tb.params for tb in lifted.top_binds] == [
             ("x_1", "y_1", "a"),
-            ("x_1", "y_1", "b"),
+            ("x_2", "y_2", "b"),
         ]
+
+    def test_group_lift_keeps_names_unique(self):
+        # Members that shared their fresh parameters made an output that
+        # validate rejects (NonUniqueName), though its input validated.
+        p = load_inline(
+            "main = case 1 of { default x -> case 2 of { default y ->\n"
+            "  let f = \\ a -> g x and g = \\ b -> f y in f 1 } }"
+        )
+        lifted, _ = lift_program(p, force_sites=frozenset({("f", "g")}))
+        assert [tb.params for tb in lifted.top_binds] == [("x_1", "y_1", "a"), ("x_2", "y_2", "b")]
+        assert validate(Program(lifted.top_binds, lifted.main)) == []
+
+    @pytest.mark.parametrize("walked", [False, True], ids=["unwalked", "walked"])
+    def test_open_term_output_is_not_marked(self, walked):
+        # x and y are bound nowhere.  The lifter does not check that, and
+        # lifts the open term; its output carries no clean scope mark, so
+        # evaluate walks it and refuses it, whether or not a walk had
+        # already found the input wrong.
+        p = parse("main = let f = \\ a -> g x and g = \\ b -> f y in f 1")
+        if walked:
+            assert [v.tag for v in validate(p)] == ["UnboundVariable"] * 2
+        lifted, _ = lift_program(p, force_sites=frozenset({("f", "g")}))
+        assert "scope" not in _analyses(lifted)
+        with pytest.raises(ScopeError, match="^invalid program: main/arg: UnboundVariable x$"):
+            evaluate(lifted)
+        assert [v.detail for v in validate(lifted)] == ["x", "y"]
 
     def test_double_extension_rejected(self):
         src = "main = let f = \\ a -> a in f 1"
@@ -232,7 +262,9 @@ class TestLiftProgram:
     def test_output_validates(self, corpus, hand_programs):
         for p in corpus[:150] + list(hand_programs.values()):
             lifted, _ = lift_program(p)
-            assert validate(lifted) == []
+            # A new object, so validate walks it rather than reading the
+            # mark apply_lifts left on the output.
+            assert validate(Program(lifted.top_binds, lifted.main)) == []
 
     def test_lifted_binders_head_position_only(self, corpus, hand_programs):
         for p in corpus[:150] + list(hand_programs.values()):
@@ -273,7 +305,7 @@ class TestLiftProgram:
         cfg = LiftConfig(allow_arg_occurrences=True)
         lifted, ds = lift_program(p, cfg)
         assert decision_for(ds, "k").lifted
-        assert validate(lifted) == []
+        assert validate(Program(lifted.top_binds, lifted.main)) == []
         assert value_key(evaluate(lifted)[0]) == value_key(evaluate(p)[0])
 
     def test_forced_lift_measures_positive_growth(self, hand_programs):

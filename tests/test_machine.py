@@ -5,8 +5,9 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
 
-from liftlab import analysis, lifter, machine
+from liftlab import analysis, lifter, machine, syntax
 from liftlab.cli import main as cli_main
 from liftlab.lifter import LiftConfig, apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import (
@@ -17,7 +18,6 @@ from liftlab.machine import (
     EvalError,
     OutOfFuel,
     SubsetTooLarge,
-    UnboundVariable,
     enumerate_lift_subsets,
     evaluate,
     minimal_subset,
@@ -26,12 +26,18 @@ from liftlab.machine import (
 )
 from liftlab.syntax import (
     AtomExpr,
+    BindGroup,
+    Case,
     INF,
     Let,
+    Lit,
     Program,
+    ScopeError,
     Thunk,
+    TopBind,
     Var,
     _analyses,
+    freshen,
     parse,
     program_nodes,
     validate,
@@ -39,6 +45,7 @@ from liftlab.syntax import (
 
 from conftest import PROGRAMS_DIR, load_inline, load_program
 from reference import closure_slot_fvs
+from test_syntax import _EXPRS, _PROPERTY, _TOPS
 
 
 def memoising_run(name: str) -> None:
@@ -220,10 +227,13 @@ class TestErrors:
         with pytest.raises(OutOfFuel):
             evaluate(p, fuel=10_000)
 
-    def test_unbound_variable(self):
+    def test_unbound_variable(self, engine_runs):
+        # A program that does not validate is refused before any engine
+        # runs, with validate's first violation.
         bad = Program((), AtomExpr(Var("nowhere")))
-        with pytest.raises(UnboundVariable):
+        with pytest.raises(ScopeError, match="^invalid program: main: UnboundVariable nowhere$"):
             evaluate(bad)
+        assert not engine_runs
 
     def test_undersaturated_call(self):
         p = parse("f a b = a;\nmain = f 1")
@@ -284,43 +294,46 @@ def outcome(run, p, fuel=DEFAULT_FUEL):
     and message."""
     try:
         value, stats = run(p, fuel)
-    except EvalError as exc:
+    except (EvalError, ScopeError) as exc:
         return type(exc), str(exc)
     return value_key(value), stats
 
 
 # Each run ends in an error or takes a path the hand-written programs and
-# the corpus may not: forced heads applied to arguments, a primop operand
-# that is a function, and names bound nowhere (not validated).
+# the corpus may not: forced heads applied to arguments, and a primop
+# operand that is a function.
 EDGE_PROGRAMS = [
-    ("main = let w = \\ x -> w x in w 1", True),
-    ("main = let t = thunk t in t", True),
-    ("main = let t = thunk (case t of { default x -> x }) in t", True),
-    ("main = let t = thunk 5 in t 1", True),
-    ("f a b = a;\nmain = f 1", True),
-    ("main = %# 1 0", True),
-    ("main = case %# 1 0 of { default d -> d }", True),
-    ("main = let f = \\ a -> a in +# f 1", True),
-    ("main = let f = \\ a -> a in let t = thunk f in +# 1 t", True),
-    ("main = let f = \\ a -> +# a 1 in let t = thunk f in t 41", True),
-    ("k a = h;\nh b = b;\ng = k;\nmain = g 1 2", True),
-    (
-        "k a = h;\nh b = +# b 1;\n"
-        "main = let t = thunk k in case t 1 2 of { default r -> t 3 r }",
-        True,
-    ),
-    ("main = let mk = \\ a -> let inner = \\ b -> +# a b in inner in mk 1 2", True),
-    ("f = 3;\nmain = case f of { 3 -> case f of { default e -> e }; default d -> 0 }", True),
-    ("main = nowhere", False),
-    ("main = nowhere 1", False),
-    ("main = let g = \\ a -> +# a nowhere in g 1", False),
-    ("main = let t = thunk 1 in +# t nowhere", False),
-    ("main = case nowhere of { default d -> d }", False),
+    "main = let w = \\ x -> w x in w 1",
+    "main = let t = thunk t in t",
+    "main = let t = thunk (case t of { default x -> x }) in t",
+    "main = let t = thunk 5 in t 1",
+    "f a b = a;\nmain = f 1",
+    "main = %# 1 0",
+    "main = case %# 1 0 of { default d -> d }",
+    "main = let f = \\ a -> a in +# f 1",
+    "main = let f = \\ a -> a in let t = thunk f in +# 1 t",
+    "main = let f = \\ a -> +# a 1 in let t = thunk f in t 41",
+    "k a = h;\nh b = b;\ng = k;\nmain = g 1 2",
+    "k a = h;\nh b = +# b 1;\nmain = let t = thunk k in case t 1 2 of { default r -> t 3 r }",
+    "main = let mk = \\ a -> let inner = \\ b -> +# a b in inner in mk 1 2",
+    "f = 3;\nmain = case f of { 3 -> case f of { default e -> e }; default d -> 0 }",
+]
+
+# Names bound nowhere, so these do not validate.  In the last, the let
+# binder x is out of scope in the default, and the two engines once
+# answered it differently: the dict engine 1, compiled frames an error.
+UNBOUND_PROGRAMS = [
+    "main = nowhere",
+    "main = nowhere 1",
+    "main = let g = \\ a -> +# a nowhere in g 1",
+    "main = let t = thunk 1 in +# t nowhere",
+    "main = case nowhere of { default d -> d }",
+    "main = case (let x = thunk 1 in 2) of { default d -> x }",
 ]
 
 
 def edge_programs():
-    return [load_inline(text) if valid else parse(text) for text, valid in EDGE_PROGRAMS]
+    return [load_inline(text) for text in EDGE_PROGRAMS]
 
 
 class TestCompiledFrames:
@@ -333,7 +346,7 @@ class TestCompiledFrames:
         # exact as well.
         checked, errors = 0, set()
         for p in [*hand_programs.values(), *corpus, *edge_programs()]:
-            for q in (p, lift_program(p)[0]) if validate(p) == [] else (p,):
+            for q in (p, lift_program(p)[0]):
                 assert outcome(frames_engine, q, 1_000) == outcome(dict_engine, q, 1_000)
                 expected = outcome(dict_engine, q, 200_000)
                 assert outcome(frames_engine, q, 200_000) == expected
@@ -347,7 +360,21 @@ class TestCompiledFrames:
                     with pytest.raises(OutOfFuel, match=f"^exceeded {steps - 1} steps$"):
                         frames_engine(q, steps - 1)
         assert checked > 2_000
-        assert errors == {ArityMismatch, BlackholeLoop, DivideByZero, OutOfFuel, UnboundVariable}
+        assert errors == {ArityMismatch, BlackholeLoop, DivideByZero, OutOfFuel}
+
+    @pytest.mark.parametrize("fuel", [999, 1_000, 1_001])
+    @pytest.mark.parametrize("text", UNBOUND_PROGRAMS)
+    def test_unbound_names_refused_before_any_engine(self, text, fuel, engine_runs):
+        # evaluate checks once, at its entry, what the engines assume:
+        # on either side of the hand-over, a program that does not
+        # validate raises validate's first violation, and no engine runs.
+        p = parse(text)
+        v = validate(p)[0]
+        message = f"invalid program: {v.path}: {v.tag} {v.detail}"
+        assert v.tag == "UnboundVariable"
+        assert outcome(evaluate, p, fuel) == (ScopeError, message)
+        assert outcome(evaluate, p, fuel) == (ScopeError, message)
+        assert not engine_runs and "run" not in _analyses(p)
 
     @pytest.mark.parametrize(
         "src, shown",
@@ -413,23 +440,30 @@ class TestCompiledFrames:
                 "thunk 't' was entered again while it was being evaluated",
             ),
             ("a 5", ArityMismatch, "application of non-function result of 'a'"),
-            ("nowhere", UnboundVariable, "nowhere"),
+            ("nowhere", ScopeError, "top f/alt 1: UnboundVariable nowhere"),
         ],
         ids=["divide-by-zero", "blackhole", "arity", "unbound"],
     )
-    def test_errors_after_handover(self, result, error, message, tmp_path, capsys):
+    def test_errors_after_handover(self, result, error, message, tmp_path, capsys, engine_runs):
         # countdown reaches its result after 16,000 steps; here that
         # result raises.  A name bound nowhere does not validate, so that
-        # program is only parsed, and the command line rejects it sooner.
+        # program is only parsed: evaluate refuses it before any engine
+        # runs, and the command line rejects it sooner, in its own words.
         text = (PROGRAMS_DIR / "countdown.stg").read_text().replace("1 -> a;", f"1 -> {result};")
-        p = parse(text) if error is UnboundVariable else load_inline(text)
-        assert outcome(evaluate, p) == outcome(dict_engine, p) == (error, message)
-        if error is not UnboundVariable:
-            path = tmp_path / "countdown.stg"
-            path.write_text(text)
-            assert cli_main(["lift", str(path), "--eval"]) == 1
-            captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", f"liftlab: error: {message}\n")
+        path = tmp_path / "countdown.stg"
+        path.write_text(text)
+        assert cli_main(["lift", str(path), "--eval"]) == 1
+        captured = capsys.readouterr()
+        if error is ScopeError:
+            p = parse(text)
+            assert outcome(evaluate, p) == (error, f"invalid program: {message}")
+            assert not engine_runs
+            shown = "liftlab: error: unbound variable 'nowhere'\n"  # freshen's words
+        else:
+            p = load_inline(text)
+            assert outcome(evaluate, p) == outcome(dict_engine, p) == (error, message)
+            shown = f"liftlab: error: {message}\n"
+        assert (captured.out, captured.err) == ("", shown)
 
     def test_cli_out_of_fuel_names_the_callers_fuel(self, capsys):
         code = cli_main(["lift", str(PROGRAMS_DIR / "countdown.stg"), "--eval", "--fuel", "1001"])
@@ -450,6 +484,46 @@ class TestCompiledFrames:
             tracemalloc.stop()
         assert render_value(value) == "20010"
         assert peak <= 7_500_000
+
+
+# Over the generated programs of test_syntax (three names, so unbound
+# names, shadowing and names bound twice are common), each as built and
+# freshened, where freshen can rename it, and so again with the names no
+# top-level definition binds defined as 0, which closes most of them.  On
+# either side of the hand-over, evaluate refuses every program validate
+# rejects, and on every other one the two engines and evaluate show the
+# same.  The example is the shape on which the engines once disagreed: a
+# let binder read in a case's default, out of its scope.
+@_PROPERTY
+@example(
+    [],
+    Case(
+        Let(BindGroup((("a", Thunk(AtomExpr(Lit(1)))),)), AtomExpr(Lit(2))),
+        (),
+        ("b", AtomExpr(Var("a"))),
+    ),
+)
+@given(_TOPS, _EXPRS)
+def test_evaluate_refuses_invalid_programs_and_engines_agree(tops, main):
+    defined = {tb.name for tb in tops}
+    zeros = [TopBind(n, (), AtomExpr(Lit(0))) for n in "abc" if n not in defined]
+    programs = []
+    for raw in (Program(tuple(tops), main), Program((*zeros, *tops), main)):
+        programs.append(raw)
+        try:
+            programs.append(freshen(raw))
+        except ScopeError:
+            pass
+    for p in programs:
+        violations = validate(p)
+        for fuel in (999, 1_000, 1_001):
+            if violations:
+                with pytest.raises(ScopeError):
+                    evaluate(fresh(p), fuel)
+                continue
+            expected = outcome(dict_engine, p, fuel)
+            assert outcome(frames_engine, p, fuel) == expected
+            assert outcome(evaluate, fresh(p), fuel) == expected
 
 
 class TestFramelessCase:
@@ -692,42 +766,52 @@ def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
                 for chosen in combinations(sites, k):
                     outputs.append(apply_lifts(plan, force_sites=frozenset(chosen)))
         for q in outputs:
-            assert validate(q) == []
+            # apply_lifts marks q clean and split, so evaluate walks
+            # nothing; a new object is walked, and confirms the mark.
+            assert _analyses(q)["scope"] == ([], [], None) and _analyses(q)["split"] is None
+            copy = fresh(q)
+            assert validate(copy) == [] and _analyses(copy)["split"] is None
         checked += len(outputs)
     assert checked > 1_400
 
 
 def test_setup_folds_once_per_group_not_per_allocation(monkeypatch):
-    # A freshly parsed program nobody scanned is scanned once, whole, by
-    # its first evaluate, for the stats rows; that scan stores the free
-    # variables every let's set-up reads, so no let group is scanned on its
-    # own: as many scans for 10 loop iterations as for 1,000, none on a
-    # second run of either engine, and the same one when main allocates
+    # A freshly parsed program is walked once, by its first evaluate's
+    # scope check, and scanned by nothing else: that walk stores the scan
+    # the stats rows are read from and the free variables every let's
+    # set-up reads, so no let group is scanned on its own.  One walk and
+    # no scan for 10 loop iterations as for 1,000, nothing more on a
+    # second run of either engine, and the same when main allocates
     # nothing.
-    calls = []
-    real = analysis.scan
+    calls, walks = [], []
+    real_scan, real_walk = analysis.scan, syntax._ScopeWalk
 
     def counting(roots):
         calls.append([id(r) for r in roots])
-        return real(roots)
+        return real_scan(roots)
 
-    def roots(p):
-        return [id(r) for r in [tb.body for tb in p.top_binds] + [p.main]]
+    class CountingWalk(real_walk):
+        def __init__(self, p, split=True):
+            walks.append(id(p))
+            super().__init__(p, split)
 
     monkeypatch.setattr(analysis, "scan", counting)
+    monkeypatch.setattr(syntax, "_ScopeWalk", CountingWalk)
     countdown = (PROGRAMS_DIR / "countdown.stg").read_text()
     for n in (10, 1_000):
         calls.clear()
+        walks.clear()
         p = parse(countdown.replace("1000", str(n)))
         evaluate(p)
-        assert calls == [roots(p)]
+        assert (walks, calls) == ([id(p)], [])
         dict_engine(p)
         frames_engine(p)
-        assert calls == [roots(p)]
+        assert (walks, calls) == ([id(p)], [])
     calls.clear()
+    walks.clear()
     p = parse("main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }")
     evaluate(p)
-    assert calls == [roots(p)]
+    assert (walks, calls) == ([id(p)], [])
 
 
 def test_charged_words_follow_closure_slots(corpus, hand_programs):

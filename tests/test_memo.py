@@ -211,7 +211,8 @@ def test_a_split_program_inherits_the_inputs_analyses(monkeypatch):
         assert scans == []
         if q is p:
             continue
-        assert validate(q) == [] and split_groups(q) is q and scans == []
+        assert validate(Program(q.top_binds, q.main)) == []  # walked, not the mark
+        assert split_groups(q) is q and scans == []
         rhss = rhss_under([tb.body for tb in q.top_binds] + [q.main])
         for rhs in rhss:
             assert vars(rhs)["_free"] == reference.free_vars(rhs)
@@ -349,22 +350,6 @@ def test_memo_does_not_keep_its_program_alive(name):
     finally:
         if was_enabled:
             gc.enable()
-
-
-@pytest.fixture
-def engine_runs(monkeypatch) -> Counter:
-    """Counts the runs that reach an engine, per program object.  Every
-    such run starts on the dict-environment engine, so this counts each
-    evaluation once, also one handed over to compiled frames."""
-    runs: Counter = Counter()
-
-    class Counting(machine._Machine):
-        def __init__(self, program, fuel, memo=None):
-            runs[id(program)] += 1
-            super().__init__(program, fuel, memo)
-
-    monkeypatch.setattr(machine, "_Machine", Counting)
-    return runs
 
 
 def corpus_inputs() -> list[Program]:
