@@ -18,7 +18,7 @@ application carrying the required set.
 Lifting is split into analysis and application, as in GHC's
 ``GHC.Stg.Lift.Analysis`` and ``GHC.Stg.Lift``.  :func:`plan_lifts` reads
 only the program: its scan (nodes, occurrence facts and used names, from
-one pre-order walk that stores each right-hand side's free variables on
+the scope walk, which stores each right-hand side's free variables on
 it) and its :class:`~liftlab.skeleton.GrowthIndex` (closure slots,
 subtree intervals and capturing lets), from one reverse loop over the
 scan's nodes.  :func:`apply_lifts` does the per-call work on a plan:
@@ -26,7 +26,10 @@ required sets, decisions (or the forced sites), fresh names, and two
 loops without recursion, a decision pass in pre-order that decides each
 group and rewrites each leaf and a rewrite pass over the same order
 reversed that builds the new definitions and rebuilds each let and case
-whose children changed, sharing the rest with the input.
+whose children changed, sharing the rest with the input.  The rewrite
+pass also builds, bottom-up from its new children, the free variables of
+each node inside a kept right-hand side, and stores them on each
+right-hand side it rebuilds, so no output needs a scan of its own.
 ``lift_program`` is the two in a row; the oracle plans once and applies
 the plan to every subset, collecting no decisions.  The scan and the
 index are memoised on the program (see :func:`~liftlab.syntax._analyses`),
@@ -37,6 +40,8 @@ output, keyed by the groups it lifted, for the oracle's subset of those
 groups.  Lifting keeps as the input's own objects each leaf it does not
 change, inside a lifted right-hand side too, and each right-hand side
 whose body it does not change, with the free variables stored on it.
+A lift output's clean mark holds no scan, so planning a lift of an
+output walks it (see :func:`~liftlab.analysis.scan_program`).
 
 Lifting checks no scope itself: tests lift open terms on purpose.  It
 keeps names unique and in scope and splits no group further, so the
@@ -343,7 +348,9 @@ def apply_lifts(
     """The planned program lifted as :func:`lift_program` lifts it (the
     input itself if nothing is), each decision appended to ``decisions``
     when a list is given.  Without one, forced groups skip predictions and
-    groups forced to stay skip their required sets, which nothing reads."""
+    groups forced to stay skip their required sets, which nothing reads.
+    Every right-hand side of the output carries its free variables: the
+    input's own, or those stored where it was rebuilt."""
     cfg = cfg or LiftConfig()
     p = plan.program
     index = plan.index
@@ -354,13 +361,15 @@ def apply_lifts(
     required: dict[str, frozenset[str]] = {}
 
     # Pass 1, pre-order.  A stack entry carries the renaming of the innermost
-    # lifted right-hand side around it.  An ``order`` entry carries a leaf's
-    # rewrite, a lifted let's renaming per member, or None.
-    order: list[tuple[Expr, object]] = []
-    stack: list[tuple[Expr | str, Mapping[str, str]]] = [(p.main, {})]
-    stack += [(tb.body, {}) for tb in reversed(p.top_binds)]
+    # lifted right-hand side around it, and whether the innermost right-hand
+    # side around it is kept, so pass 2 needs the node's free variables.  An
+    # ``order`` entry carries a leaf's rewrite, a lifted let's renaming per
+    # member, or None, and that flag.
+    order: list[tuple[Expr, object, bool]] = []
+    stack: list[tuple[Expr | str, Mapping[str, str], bool]] = [(p.main, {}, False)]
+    stack += [(tb.body, {}, False) for tb in reversed(p.top_binds)]
     while stack:
-        e, rename = stack.pop()
+        e, rename, need = stack.pop()
         t = type(e)
         if t is str:
             raise LiftError(f"cannot lift updatable binding {e!r}")
@@ -368,9 +377,9 @@ def apply_lifts(
             # Outside every lifted right-hand side, a leaf that mentions no
             # lifted binder stays as it is.
             if rename or (required and not required.keys().isdisjoint(occurrences(e))):
-                order.append((e, _rewrite_leaf(e, required, rename)))
+                order.append((e, _rewrite_leaf(e, required, rename), need))
             else:
-                order.append((e, e))
+                order.append((e, e, need))
             continue
         if t is Let:
             group = e.group
@@ -397,9 +406,14 @@ def apply_lifts(
                             predicted_net_words=predicted_growth(e, rqs, required, index),
                         )
                     )
-        if t is Case or not lifted:
-            order.append((e, None))
-            stack.extend([(c, rename) for c in reversed(subexprs(e))])
+        if t is Case:
+            order.append((e, None, need))
+            stack.extend([(c, rename, need) for c in reversed(subexprs(e))])
+            continue
+        stack.append((e.body, rename, need))
+        if not lifted:
+            order.append((e, None, need))
+            stack.extend([(rhs.body, rename, True) for _, rhs in reversed(group.binds)])
             continue
         for name in binders:
             required[name] = rqs
@@ -415,12 +429,11 @@ def apply_lifts(
                 inner[v] = _fresh(v, used, last)
                 used.add(inner[v])
             inners.append(inner)
-        order.append((e, inners))
-        stack.append((e.body, rename))
+        order.append((e, inners, need))
         for (name, rhs), inner in zip(reversed(group.binds), reversed(inners)):
             # A thunk can only be here through force_sites; it fails where
             # its body would have been visited.
-            stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner))
+            stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner, False))
 
     if not required:
         return p  # nothing lifted, so nothing changed
@@ -428,13 +441,45 @@ def apply_lifts(
     # first child last, so they pop off ``results`` in child order.  Results
     # go by position, so a node object found in two places is rebuilt for
     # each place where its children changed, and shared where none did.
+    # Each flagged node's free variables go on ``frees`` the same way, built
+    # from its new children's; each right-hand side a kept let rebuilds
+    # stores its own, as the scope walk would.  Names are unique, so a let
+    # or case removes its binders from its children's union.
     results: list[Expr] = []
+    frees: list[set[str]] = []
     lifted_groups: list[list[TopBind]] = []
-    for e, info in reversed(order):
+    for e, info, need in reversed(order):
         if info is None:
-            results.append(with_subexprs(e, [results.pop() for _ in subexprs(e)]))
+            new = with_subexprs(e, [results.pop() for _ in subexprs(e)])
+            results.append(new)
+            if type(e) is Let:
+                binds = new.group.binds
+                if new.group is e.group:  # every right-hand side kept, with its own
+                    del frees[len(frees) - len(binds) :]
+                else:
+                    for (_, old), (_, rhs) in zip(e.group.binds, binds):
+                        fvs = frees.pop()
+                        if rhs is not old:
+                            if type(rhs) is Lambda:
+                                fvs.difference_update(rhs.params)
+                            rhs.__dict__["_free"] = frozenset(fvs)
+                if need:
+                    fvs = frees[-1]
+                    for _, rhs in binds:
+                        fvs |= rhs.__dict__["_free"]
+                    fvs.difference_update(e.group.binders())
+            elif need:
+                fvs = frees.pop()
+                for _ in range(len(e.alts) + 1):
+                    other = frees.pop()
+                    if len(other) > len(fvs):  # the smaller joins the larger: linear in depth
+                        fvs, other = other, fvs
+                    fvs |= other
+                fvs.discard(e.default[0])
+                frees.append(fvs)
         elif isinstance(e, Let):
-            # The rebuilt let body stays on ``results`` as the let's own.
+            # The rebuilt let body stays on ``results`` as the let's own,
+            # and so do its free variables.
             lifted_groups.append(
                 [
                     TopBind(name, (*inner.values(), *rhs.params), results.pop())
@@ -443,6 +488,8 @@ def apply_lifts(
             )
         else:
             results.append(info)
+            if need:
+                frees.append(set(occurrences(info)))
     tops = []
     for tb in p.top_binds:
         body = results.pop()

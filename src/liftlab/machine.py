@@ -38,10 +38,11 @@ and each let's slot names) is memoised on the program object (see
 :func:`~liftlab.syntax._analyses`), and so is a completed run, so a
 second :func:`evaluate` of one object (a lift that lifts nothing returns
 the input itself) does not run at all.  The slots are read from each
-right-hand side's :func:`~liftlab.analysis.free_vars`.  The stats rows
-come first, from the program's :func:`~liftlab.analysis.scan_program`
-(the scope walk's scan) unless the lifter handed them on; a lifted output
-scans only the right-hand sides the lift rebuilt, when they first run.
+right-hand side's :func:`~liftlab.analysis.free_vars`, stored by the
+scope walk or by the lift that rebuilt it, so evaluation scans nothing.
+The stats rows come from the program's
+:func:`~liftlab.analysis.scan_program` (the scope walk's scan) unless the
+lifter handed them on.
 
 There are two engines, chosen by run length, and both do all of the
 above.  Every run starts on the first, :class:`_Machine`, whose
@@ -73,6 +74,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import NamedTuple
 
 from .analysis import _binder_names, closure_slots, free_vars
@@ -159,8 +161,14 @@ Value = IntValue | FunValue  # or a compiled _Fun
 
 
 def render_value(v: Value) -> str:
+    """An int in decimal, exactly; a function as ``<fun binder>``."""
     if isinstance(v, IntValue):
-        return str(v.value)
+        try:
+            return str(v.value)
+        except ValueError:
+            # Past sys.get_int_max_str_digits(); Decimal converts exactly
+            # without that limit, and without changing it for the process.
+            return str(Decimal(v.value))
     return f"<fun {v.binder}>"
 
 
@@ -271,8 +279,7 @@ class _Machine:
         # id(let) -> per binding (name, rhs, slot names, entry counts)
         self.plans: dict[int, list[tuple]] = {}
         # What does not depend on the run is memoised on the program: the
-        # stats rows, whose scan stores the free variables of every
-        # right-hand side when the program has none, and the let layouts.
+        # stats rows and the let layouts.
         if memo is None:
             memo = _analyses(program)
         self.rows = memo.get("binders") or _binder_names(program)

@@ -279,13 +279,13 @@ class _Analyses(dict):
     :func:`_analyses`): ``scope`` (violations, bound-twice errors, the
     renamed program), and when the scope walk renames nothing, ``scan``
     (nodes, occurrence facts and names) and ``split`` (the split program,
-    None when nothing splits), here; ``scan`` of a program no walk has
-    seen, and ``binders``, in :mod:`liftlab.analysis`; ``plan`` (the
-    growth index) and ``lifted`` (the last lift output and the groups it
-    lifted; none if it returned the input itself) in :mod:`liftlab.lifter`,
-    whose :func:`~liftlab.lifter.apply_lifts` also gives its output
-    ``binders``, and ``scope`` and ``split`` as a clean walk leaves them
-    when its input's walk was clean;
+    None when nothing splits), here; ``binders`` in
+    :mod:`liftlab.analysis`; ``plan`` (the growth index) and ``lifted``
+    (the last lift output and the groups it lifted; none if it returned
+    the input itself) in :mod:`liftlab.lifter`, whose
+    :func:`~liftlab.lifter.apply_lifts` also gives its output ``binders``,
+    and ``scope`` and ``split`` as a clean walk leaves them when its
+    input's walk was clean, but no ``scan``;
     ``layouts``, ``compiled`` and ``run`` (a completed run's value and stats)
     in :mod:`liftlab.machine`.  A pickled or deep-copied one comes back
     empty, since its tables are keyed by the ``id`` of the original's nodes."""
@@ -750,8 +750,8 @@ class BinderFacts(NamedTuple):
 
 
 class Scan(NamedTuple):
-    """What one pre-order walk finds under its roots: the scope walk's, or
-    :func:`~liftlab.analysis.scan`'s."""
+    """What the scope walk finds under a program's roots (see
+    :func:`~liftlab.analysis.scan_program`)."""
 
     nodes: list[Expr]  # every node, in :func:`walk` order
     facts: dict[str, BinderFacts]  # per let binder
@@ -858,11 +858,13 @@ class _ScopeWalk:
     an error per let group or top level binding a name twice, each at a
     node's pre-order index (:meth:`violations` makes them text), and the
     renamed program: binders get :func:`_fresh` names and occurrences
-    those of the binders in scope.  In the same walk it finds what
-    :func:`~liftlab.analysis.scan` finds: the nodes in pre-order, the let
-    binders' occurrence facts, the names, and each right-hand side's free
-    variables (the names it mentions less its parameters and the binders
-    inside it), which it stores on the right-hand side.  When a let's
+    those of the binders in scope.  In the same walk it makes the
+    program's scan: the nodes in pre-order, the let binders' occurrence
+    facts, the names, and each right-hand side's free variables (the names
+    it mentions less its parameters and the binders inside it), which it
+    stores on the right-hand side.  No other code finds these; the lifter
+    only builds those of the right-hand sides it rebuilds, from their new
+    children (see :func:`~liftlab.lifter.apply_lifts`).  When a let's
     right-hand sides have closed, a group of two or more members is split
     into its strongly connected components, dependencies outermost, unless
     a binder has been renamed.
@@ -1209,32 +1211,38 @@ def _rebuild_case(e: Case, kids: list, base: int, st) -> Expr:
 def _scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
     """``p``'s :class:`_ScopeWalk`, made once per program: its violations,
     its bound-twice errors, and its renamed program (None when that is
-    ``p``, so the memo never refers to ``p``).  When it renames nothing,
-    the names are globally unique, so the walk's scan and split hold: they
-    are stored as ``scan`` and ``split`` (None when nothing splits), and a
-    split program gets the same scan of its own nodes.  A split is never
-    made on a program that renames, so such a walk runs again without."""
+    ``p``, so the memo never refers to ``p``).  A clean mark the lifter
+    left on its output (see :func:`~liftlab.lifter.apply_lifts`) counts as
+    one."""
+    return _analyses(p).get("scope") or _walk_scope(p)
+
+
+def _walk_scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
+    """Walk ``p`` and store what :func:`_scope` returns.  When the walk
+    renames nothing, the names are globally unique, so its scan and split
+    hold: they are stored as ``scan`` and ``split`` (None when nothing
+    splits), and a split program gets the same scan of its own nodes.  A
+    split is never made on a program that renames, so such a walk runs
+    again without."""
     memo = _analyses(p)
-    scope = memo.get("scope")
-    if scope is None:
-        walk = _ScopeWalk(p)
-        if walk.renamed and walk.splits:
-            walk = _ScopeWalk(p, split=False)
-        out, twice = walk.violations(p)
-        if walk.renamed:
-            scope = memo["scope"] = (out, twice, walk.result)
-            return scope
-        facts = {name: BinderFacts(name in walk.as_arg, k) for name, k in walk.known.items()}
-        names = frozenset(walk.used)
-        memo.setdefault("scan", Scan(walk.nodes, facts, names))
-        q = walk.result
-        memo["split"] = None if q is p else q
-        if q is not p:
-            split = _analyses(q)
-            split["scan"] = Scan(list(program_nodes(q)), facts, names)
-            if not out:  # a valid program splits into a valid one
-                split["scope"], split["split"] = ([], [], None), None
-        scope = memo["scope"] = (out, twice, None)
+    walk = _ScopeWalk(p)
+    if walk.renamed and walk.splits:
+        walk = _ScopeWalk(p, split=False)
+    out, twice = walk.violations(p)
+    if walk.renamed:
+        scope = memo["scope"] = (out, twice, walk.result)
+        return scope
+    facts = {name: BinderFacts(name in walk.as_arg, k) for name, k in walk.known.items()}
+    names = frozenset(walk.used)
+    memo.setdefault("scan", Scan(walk.nodes, facts, names))
+    q = walk.result
+    memo["split"] = None if q is p else q
+    if q is not p:
+        split = _analyses(q)
+        split["scan"] = Scan(list(program_nodes(q)), facts, names)
+        if not out:  # a valid program splits into a valid one
+            split["scope"], split["split"] = ([], [], None), None
+    scope = memo["scope"] = (out, twice, None)
     return scope
 
 

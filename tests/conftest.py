@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liftlab import machine
+from liftlab import machine, syntax
 from liftlab.analysis import split_groups
 from liftlab.syntax import KEYWORDS, Program, freshen, parse, validate
 
@@ -96,3 +96,17 @@ def engine_runs(monkeypatch) -> Counter:
 
     monkeypatch.setattr(machine, "_Machine", Counting)
     return runs
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list[int]:
+    """The ids of the programs the scope walk, the one scan, sees, in order."""
+    ids: list[int] = []
+
+    class Counting(syntax._ScopeWalk):
+        def __init__(self, p, split=True):
+            ids.append(id(p))
+            super().__init__(p, split)
+
+    monkeypatch.setattr(syntax, "_ScopeWalk", Counting)
+    return ids

@@ -3,7 +3,8 @@
 Each is written from README's cost model as a plain recursion over the AST.
 Nothing here imports from liftlab but the AST types of ``liftlab.syntax``,
 so a cross-check against these functions cannot share a bug with the
-free-variable scan, the closure slot rule or the growth index it checks
+scope walk, the free variables the lifter stores, the closure slot rule or
+the growth index it checks
 (``test_reference_imports_only_ast_types`` holds that rule).
 """
 
@@ -93,6 +94,31 @@ def direct_growth(added, removed, e, top_names):
         branches.append(direct_growth(added, removed, e.default[1], top_names))
         return direct_growth(added, removed, e.scrutinee, top_names) + max(branches)
     raise AssertionError(e)
+
+
+def preorder(p):
+    """Every expression node of ``p``, each top-level body's then
+    ``main``'s, in pre-order: a let before its right-hand sides' bodies,
+    in order, and then its body; a case before its scrutinee, its
+    alternatives and its default."""
+    out = []
+
+    def visit(e):
+        out.append(e)
+        if isinstance(e, Let):
+            for _, rhs in e.group.binds:
+                visit(rhs.body)
+            visit(e.body)
+        elif isinstance(e, Case):
+            visit(e.scrutinee)
+            for _, body in e.alts:
+                visit(body)
+            visit(e.default[1])
+
+    for tb in p.top_binds:
+        visit(tb.body)
+    visit(p.main)
+    return out
 
 
 def bound_names(p):

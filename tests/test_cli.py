@@ -148,6 +148,28 @@ class TestOracleCommand:
         assert "liftable groups" in err
 
 
+def test_values_past_the_int_digit_limit_render_exactly(tmp_path, capsys):
+    # 10 squared 14 times is 10^16384: 16,385 digits, past the 4,300 that
+    # str() of an int allows by default.  The value is printed in full,
+    # and the process-wide limit is left as it was.
+    src = tmp_path / "square.stg"
+    src.write_text(
+        "sq n k = case <# k 1 of { 1 -> n; default z -> case *# n n of {\n"
+        "  default m -> case -# k 1 of { default j -> sq m j } } };\n"
+        "main = sq 10 14\n"
+    )
+    limit = sys.get_int_max_str_digits()
+    expected = "1" + "0" * 16_384
+    code, out, _ = run_cli(capsys, "lift", str(src), "--eval", "--report", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["eval"]["before"]["value"] == report["eval"]["after"]["value"] == expected
+    code, out, _ = run_cli(capsys, "oracle", str(src))
+    assert code == 0
+    assert out.splitlines()[1] == f"(none)\t0\t0\t{expected}"
+    assert sys.get_int_max_str_digits() == limit
+
+
 class TestErrorsAndExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "lift", "no_such_file.stg")

@@ -335,32 +335,28 @@ class TestLiftProgram:
         sites = liftable_sites(hand_programs["shared_thunk"])
         assert ("t",) not in sites and ("addT",) in sites
 
-    def test_plan_reads_one_scan(self, monkeypatch):
+    def test_plan_reads_one_scan(self, walks):
         # The facts, names, free variables and the index's slot sets all come
-        # from one walk, wherever a module has imported it: loading a
-        # program through its first plan scans nothing, since the scope
-        # walk made the scan (and handed it on to the split program it
-        # made), and neither does a second plan of the same object; a
-        # copy, which no walk has seen, is scanned once.  Programs are
+        # from the scope walk, the one scan there is: loading a program walks
+        # it once, in freshen (a split program inherits the walk's scan),
+        # and neither its first plan nor a second walks it again; a copy,
+        # which no walk has seen, is walked once, by its first plan, and so
+        # is a lift output, whose clean mark holds no scan.  Programs are
         # loaded afresh, so no plan or scan memoised by another test is
         # found.
-        calls = []
-        real = analysis.scan
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(analysis, "scan", counting)
+        assert not hasattr(analysis, "scan")
         for name in ("growth_balanced", "callweb", "scc_chain"):
-            calls.clear()
+            walks.clear()
             p = load_program(name)
+            assert len(walks) == 1, name
             assert plan_lifts(p).scan is analysis.scan_program(p)
-            assert plan_lifts(p).index is plan_lifts(p).index and calls == [], name
-            copied = copy.copy(p)
-            plan_lifts(copied)
-            plan_lifts(copied)
-            assert len(calls) == 1, name
+            assert plan_lifts(p).index is plan_lifts(p).index and len(walks) == 1, name
+            for q in (copy.copy(p), lift_program(p)[0]):
+                assert q is not p and len(walks) == 1, name
+                plan_lifts(q)
+                plan_lifts(q)
+                assert walks[1:] == [id(q)], name
+                walks.pop()
 
     def test_lifted_predictions_never_positive_by_default(self, corpus, hand_programs):
         for p in corpus[:300] + list(hand_programs.values()):

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given
 
-from liftlab import analysis, lifter, machine, syntax
+from liftlab import lifter, machine
 from liftlab.cli import main as cli_main
 from liftlab.lifter import LiftConfig, apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import (
@@ -746,8 +746,8 @@ class TestOracle:
 
 
 def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
-    # evaluate and the scan it reads free variables from need globally
-    # unique names, so every program the pipeline evaluates must validate:
+    # evaluate and the free variables it reads need globally unique
+    # names, so every program the pipeline evaluates must validate:
     # each oracle subset, the output under each ablation and a second
     # lifting pass.
     ablations = [
@@ -775,43 +775,34 @@ def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
     assert checked > 1_400
 
 
-def test_setup_folds_once_per_group_not_per_allocation(monkeypatch):
+def test_setup_folds_once_per_group_not_per_allocation(walks):
     # A freshly parsed program is walked once, by its first evaluate's
-    # scope check, and scanned by nothing else: that walk stores the scan
-    # the stats rows are read from and the free variables every let's
-    # set-up reads, so no let group is scanned on its own.  One walk and
-    # no scan for 10 loop iterations as for 1,000, nothing more on a
-    # second run of either engine, and the same when main allocates
-    # nothing.
-    calls, walks = [], []
-    real_scan, real_walk = analysis.scan, syntax._ScopeWalk
-
-    def counting(roots):
-        calls.append([id(r) for r in roots])
-        return real_scan(roots)
-
-    class CountingWalk(real_walk):
-        def __init__(self, p, split=True):
-            walks.append(id(p))
-            super().__init__(p, split)
-
-    monkeypatch.setattr(analysis, "scan", counting)
-    monkeypatch.setattr(syntax, "_ScopeWalk", CountingWalk)
+    # scope check, the only scan there is: that walk stores the scan the
+    # stats rows are read from and the free variables every let's set-up
+    # reads, so no let group is walked on its own.  One walk for 10 loop
+    # iterations as for 1,000, nothing more on a second run of either
+    # engine, and the same when main allocates nothing.  A lift output
+    # carries its stored sets and the lifter's clean mark, so evaluating it
+    # walks nothing.
     countdown = (PROGRAMS_DIR / "countdown.stg").read_text()
     for n in (10, 1_000):
-        calls.clear()
         walks.clear()
         p = parse(countdown.replace("1000", str(n)))
         evaluate(p)
-        assert (walks, calls) == ([id(p)], [])
+        assert walks == [id(p)]
         dict_engine(p)
         frames_engine(p)
-        assert (walks, calls) == ([id(p)], [])
-    calls.clear()
+        assert walks == [id(p)]
+        lifted, _ = lift_program(p)
+        assert lifted is not p
+        evaluate(lifted)
+        dict_engine(lifted)
+        frames_engine(lifted)
+        assert walks == [id(p)]
     walks.clear()
     p = parse("main = case 1 of { 1 -> 2; default x -> let g = \\ a -> x in g 1 }")
     evaluate(p)
-    assert (walks, calls) == ([id(p)], [])
+    assert walks == [id(p)]
 
 
 def test_charged_words_follow_closure_slots(corpus, hand_programs):

@@ -9,9 +9,9 @@ So are a completed run and the last lift output, which the oracle reads
 for the empty subset and for the subset the lifter chose.
 The memo must not change a result, must not survive into a copy, and must
 not keep its program alive.  The free variables of each
-right-hand side are stored on the right-hand side itself, so a program that
-shares it with another, as a lifted output shares what lifting keeps, reads
-them without a scan.
+right-hand side are stored on the right-hand side itself, by the scope walk
+or by the lift that rebuilt it, so a program that shares it with another,
+as a lifted output shares what lifting keeps, reads them without a walk.
 """
 
 import copy
@@ -62,15 +62,15 @@ def rhss_under(roots) -> list:
 
 @pytest.fixture
 def built(monkeypatch) -> Counter:
-    """Counts each analysis build: each scan, each root it starts from and
-    each right-hand side it covers, and each growth index with the node
-    list it indexes, replacing the analysis functions where their callers
-    look them up."""
+    """Counts each analysis build: each scope walk, the one scan, with the
+    program it walks, and each growth index with the node list it indexes,
+    replacing the analysis functions where their callers look them up."""
     counts: Counter = Counter()
 
     class CountingWalk(syntax._ScopeWalk):
         def __init__(self, p, split=True):
             counts["scope"] += 1
+            counts[("scope", id(p))] += 1
             super().__init__(p, split)
 
     def indexing(nodes, top_names):
@@ -78,16 +78,9 @@ def built(monkeypatch) -> Counter:
         counts[("index", id(nodes))] += 1
         return real_index(nodes, top_names)
 
-    def scanning(roots):
-        counts["scan"] += 1
-        counts.update(("root", id(r)) for r in roots)
-        counts.update(("scanned", id(rhs)) for rhs in rhss_under(roots))
-        return real_scan(roots)
-
-    real_scan, real_index = analysis.scan, lifter.growth_index
+    real_index = lifter.growth_index
     monkeypatch.setattr(syntax, "_ScopeWalk", CountingWalk)
     monkeypatch.setattr(lifter, "growth_index", indexing)
-    monkeypatch.setattr(analysis, "scan", scanning)
     return counts
 
 
@@ -110,59 +103,58 @@ def pipeline(p: Program):
 
 @pytest.mark.parametrize("name", SHARED)
 def test_harness_order_analyses_once(name, built, monkeypatch):
-    # The program is walked once, by freshen, and that walk stores the
-    # free variables of each of its own right-hand sides, once: no scan
-    # starts at or covers any of them, and the sets the walk stored are
-    # the ones every later call reads.  Every scan is the lifted output's
-    # or the oracle's: these are new objects that share with p the
-    # right-hand sides lifting kept, and scan one right-hand side the lift
-    # rebuilt when its let first runs.
+    # The program is walked once, by freshen, and that walk, the one scan,
+    # stores the free variables of each of its own right-hand sides, once:
+    # the sets it stored are the ones every later call reads.  The lifted
+    # output and the oracle's subsets are new objects that share with p
+    # the right-hand sides lifting kept and carry the sets the lift stored
+    # on those it rebuilt, so no walk sees them, and evaluating them reads
+    # only stored sets (free_vars raises for any other).
     real_freshen, stored = syntax.freshen, {}
 
     def freshening(q):
+        assert built["scope"] == 0
         q = real_freshen(q)
-        assert built["scan"] == 0
         rhss = rhss_under([tb.body for tb in q.top_binds] + [q.main])
         stored.update((id(rhs), vars(rhs)["_free"]) for rhs in rhss)
         return q
 
     monkeypatch.setitem(globals(), "freshen", freshening)
-    p, _ = pipeline(parse(source(name)))
-    # One growth index in all, and that over p's own scan.
+    p, outputs = pipeline(parse(source(name)))
+    # One walk and one growth index in all, and that over p's own scan.
     assert (built["scope"], built["index"]) == (1, 1)
     assert built[("index", id(analysis.scan_program(p).nodes))] == 1
-    roots = [tb.body for tb in p.top_binds] + [p.main]
-    assert not any(built[("root", id(r))] for r in roots)
-    rhss = rhss_under(roots)
+    rhss = rhss_under([tb.body for tb in p.top_binds] + [p.main])
     assert rhss and len(stored) == len(rhss)
-    assert not any(built[("scanned", id(rhs))] for rhs in rhss)
     assert all(vars(rhs)["_free"] is stored[id(rhs)] for rhs in rhss)
-    starts = [n for k, n in built.items() if type(k) is tuple and k[0] == "root"]
-    assert sum(starts) == built["scan"]
-    assert not any(built[("root", id(rhs))] for rhs in rhss)
+    lifted = outputs[0]
+    for rhs in rhss_under([tb.body for tb in lifted.top_binds] + [lifted.main]):
+        assert vars(rhs)["_free"] == reference.free_vars(rhs)
+    assert lifted is p or "scan" not in _analyses(lifted)
 
 
-def test_unplanned_program_folds_lazily_and_keeps_it(built):
-    # Nobody planned or scanned a lifted output.  Lifting f rebuilds go,
-    # whose body defines inner, which calls f: the first evaluate scans
-    # go's new right-hand side, once, when its let runs, and that covers
-    # inner's; a second run of the same object, on either engine (evaluate
-    # would return the stored run), scans nothing.
+def test_an_unplanned_lift_output_reads_the_sets_the_lift_stored(built):
+    # Nobody planned or walked a lifted output.  Lifting f rebuilds go,
+    # whose body defines inner, which calls f: the lift stores the free
+    # variables of go's new right-hand side and of inner's, so evaluate
+    # walks nothing, and neither does a second run of the same object, on
+    # either engine (evaluate would return the stored run).
     p = split_groups(freshen(parse(source("one_shot"))))
     lifted, _ = lift_program(p, force_sites=frozenset({("f",)}))
     old = {id(rhs) for rhs in rhss_under([tb.body for tb in p.top_binds] + [p.main])}
     new = [rhs for rhs in rhss_under([lifted.main]) if id(rhs) not in old]
     assert len(new) == 2
-    scans = built["scan"]
+    stored = [vars(rhs)["_free"] for rhs in new]
+    assert stored == [reference.free_vars(rhs) for rhs in new]
+    walks = built["scope"]
     first = evaluate(lifted)
-    assert built["scan"] == scans + 1
-    assert built[("root", id(new[0]))] == 1
-    assert [built[("scanned", id(rhs))] for rhs in new] == [1, 1]
+    assert built["scope"] == walks
     for engine in (machine._Machine(lifted, DEFAULT_FUEL).run, lambda: machine._run_frames(lifted, DEFAULT_FUEL)):
         again = engine()
         assert again is not first and again[1] is not first[1]
         assert again[1] == first[1] and machine.value_key(again[0]) == machine.value_key(first[0])
-        assert built["scan"] == scans + 1
+        assert built["scope"] == walks
+    assert all(vars(rhs)["_free"] is fvs for rhs, fvs in zip(new, stored))
     assert "scan" not in vars(lifted)["_analyses"]
 
 
@@ -184,35 +176,29 @@ def test_a_copy_analyses_afresh_and_agrees(name, built):
     assert built["index"] == 4
 
 
-def test_a_split_program_inherits_the_inputs_analyses(monkeypatch):
-    # The scope walk that freshens a program splits it, with no scan: the
-    # new program gets the input's occurrence facts and names and a scan
-    # of its own nodes, each rebuilt right-hand side the free variables of
-    # the one it replaces, and the input's clean scope walk, so it splits
-    # no further.  All of it is what a fresh analysis of the same nodes (a
-    # shallow copy) finds, for the input too.
+def test_a_split_program_inherits_the_inputs_analyses(built):
+    # The scope walk that freshens a program splits it, with no second
+    # walk: the new program gets the input's occurrence facts and names and
+    # a scan of its own nodes, each rebuilt right-hand side the free
+    # variables of the one it replaces, and the input's clean scope walk,
+    # so it splits no further.  All of it is what a fresh analysis of the
+    # same nodes (a shallow copy) finds, for the input too.
     rng = random.Random(CORPUS_SEED)
     texts = [source(name) for name in ("callweb", "growth_balanced", "scc_chain")]
     inputs = [parse(text) for text in texts] + [ProgramGen(rng).program() for _ in range(300)]
-    scans = []
-    real_scan = analysis.scan
-
-    def counting(roots):
-        scans.append(roots)
-        return real_scan(roots)
-
-    monkeypatch.setattr(analysis, "scan", counting)
     checked = rebuilt = 0
     for raw in inputs:
-        scans.clear()
         p = freshen(raw)
+        walks = built["scope"]
         old = {id(rhs) for rhs in rhss_under([tb.body for tb in p.top_binds] + [p.main])}
         q = split_groups(p)
-        assert scans == []
+        # Only a renamed program, which freshen made, is walked to split.
+        assert built["scope"] == walks + (p is not raw)
         if q is p:
             continue
         assert validate(Program(q.top_binds, q.main)) == []  # walked, not the mark
-        assert split_groups(q) is q and scans == []
+        walks = built["scope"]
+        assert split_groups(q) is q and built["scope"] == walks
         rhss = rhss_under([tb.body for tb in q.top_binds] + [q.main])
         for rhs in rhss:
             assert vars(rhs)["_free"] == reference.free_vars(rhs)
@@ -225,7 +211,7 @@ def test_a_split_program_inherits_the_inputs_analyses(monkeypatch):
     assert checked > 100 and rebuilt > 50, rebuilt
 
 
-def test_split_groups_reads_the_walk_and_refuses_names_bound_twice():
+def test_split_groups_reads_the_walk_and_refuses_names_bound_twice(built):
     # A program whose walk renames has names that are not globally unique,
     # so free variables read off them would be wrong: split_groups says to
     # freshen it, and splits what freshen returns.  A program that splits
@@ -233,6 +219,13 @@ def test_split_groups_reads_the_walk_and_refuses_names_bound_twice():
     p = parse("main = let f = \\ a -> a and g = \\ b -> b in let f = \\ c -> c in f 1")
     with pytest.raises(ValueError, match="freshen"):
         split_groups(p)
+    # So do scan_program, which the lifter plans from, and so the lifter,
+    # reading the stored walk without walking again.
+    walks = built["scope"]
+    for call in (analysis.scan_program, plan_lifts, lift_program):
+        with pytest.raises(ValueError, match="freshen"):
+            call(p)
+    assert built["scope"] == walks
     q = freshen(p)
     # The walk that renamed made no split, so freshen's output keeps the
     # group as written.
@@ -275,22 +268,15 @@ def test_a_lifted_program_inherits_the_inputs_analyses():
     assert seen["nothing lifted"] > 50 and seen["lifted"] > 50, seen
 
 
-def test_lifting_keeps_each_right_hand_side_it_does_not_change(monkeypatch):
+def test_lifting_keeps_each_right_hand_side_it_does_not_change(built):
     # Lifting, by default and with each site the oracle forces alone,
     # keeps every right-hand side whose body it does not change as the
-    # input's own object, with the free variables stored on it; so
-    # evaluating the output scans only right-hand sides the lift made.
+    # input's own object, with the free variables stored on it, and stores
+    # them on each right-hand side it makes; so evaluating the output walks
+    # nothing and reads only stored sets.
     rng = random.Random(CORPUS_SEED)
     inputs = [split_groups(freshen(parse(source(f.stem)))) for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
     inputs += [split_groups(freshen(ProgramGen(rng).program())) for _ in range(200)]
-    scans = []
-    real_scan = analysis.scan
-
-    def counting(roots):
-        scans.append(roots)
-        return real_scan(roots)
-
-    monkeypatch.setattr(analysis, "scan", counting)
     seen = Counter()
     for p in inputs:
         plan = plan_lifts(p)
@@ -303,18 +289,18 @@ def test_lifting_keeps_each_right_hand_side_it_does_not_change(monkeypatch):
             lifter.apply_lifts(plan, force_sites=frozenset([s])) for s in liftable_sites(p)
         ]
         for q in outputs:
-            for rhs in rhss_under([tb.body for tb in q.top_binds] + [q.main]):
+            rhss = rhss_under([tb.body for tb in q.top_binds] + [q.main])
+            for rhs in rhss:
                 kept = by_body.get(id(rhs.body), [])
                 assert not kept or any(rhs is k for k in kept)
                 seen["kept" if kept else "made"] += 1
-            scans.clear()
+            stored = [vars(rhs)["_free"] for rhs in rhss]
+            walks = built["scope"]
             evaluate(q)
-            own_ids = {id(rhs) for rhs in own}
-            for roots in scans:
-                assert len(roots) == 1 and type(roots[0]) in (Lambda, Thunk)
-                assert id(roots[0]) not in own_ids
-            seen["scans"] += len(scans)
-    assert seen["kept"] > 1_000 and seen["made"] > 50 and seen["scans"] > 50, seen
+            assert built["scope"] == walks
+            assert all(vars(rhs)["_free"] is fvs for rhs, fvs in zip(rhss, stored))
+            seen["evaluated"] += q is not p
+    assert seen["kept"] > 1_000 and seen["made"] > 50 and seen["evaluated"] > 50, seen
 
 
 @pytest.mark.parametrize("name", SHARED)

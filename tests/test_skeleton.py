@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from liftlab.analysis import scan, scan_program
+from liftlab.analysis import scan_program
 from liftlab.lifter import lift_program, plan_lifts
 from liftlab.skeleton import closure_growth, growth_index, skeleton_sexpr
-from liftlab.syntax import INF, Case, Lambda, Let, Thunk, parse
+from liftlab.syntax import INF, Case, Lambda, Let, Program, Thunk, parse
 
 from progen import random_disjoint_sets
 from reference import bound_names, closure_slot_fvs, direct_growth, scaled
@@ -141,14 +141,15 @@ class TestSkeletonize:
                 assert skeleton_sexpr(root, index) == reference(root, p.top_names())
 
     def test_slot_sets_match_closure_slot_fvs(self, programs):
-        # An index over the program's scan and one over a fresh scan agree;
-        # each right-hand side has the reference's slot set, each let and
-        # case its pre-order position and subtree end, and each variable
-        # the positions of the lets with a closure storing it.
+        # An index over the program's scan and one over a fresh walk's (of
+        # a new program object with the same nodes) agree; each right-hand
+        # side has the reference's slot set, each let and case its pre-order
+        # position and subtree end, and each variable the positions of the
+        # lets with a closure storing it.
         for p in programs:
             tops = p.top_names()
             index = plan_lifts(p).index
-            assert index == growth_index(scan(roots_of(p)).nodes, tops)
+            assert index == growth_index(scan_program(Program(p.top_binds, p.main)).nodes, tops)
             nodes = [e for root in roots_of(p) for e in preorder(root)]
             scanned = scan_program(p).nodes
             assert len(scanned) == len(nodes) and all(a is b for a, b in zip(scanned, nodes))

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from liftlab.analysis import free_vars, scan, scan_program, split_groups
+from liftlab.analysis import free_vars, scan_program, split_groups
 from liftlab.lifter import lift_program, liftable_sites, plan_lifts
 from liftlab.machine import evaluate, render_value
 from liftlab.skeleton import closure_growth, growth_index, skeleton_sexpr
@@ -26,6 +26,7 @@ from liftlab.syntax import (
     Program,
     ScopeError,
     Thunk,
+    TopBind,
     Var,
     freshen,
     occurrences,
@@ -161,11 +162,14 @@ def test_tables_need_no_recursion():
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), PrimApp("+#", (Var(f"p{k}"), Var("y"))))
         body = Case(App(f"f{k}", (Var("z"),)), (), (f"x{k}", e))
         e = Let(BindGroup(((f"f{k}", rhs),)), body)
-    root = Thunk(e)  # the scan keeps right-hand sides' free variables only
+    root = Thunk(e)  # the walk keeps right-hand sides' free variables only
+    around = Let(BindGroup((("r", root),)), AtomExpr(Var("r")))
+    p = Program((TopBind("t", ("y", "z"), around),), AtomExpr(Lit(0)))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        nodes = scan([root]).nodes
+        # e's nodes: the walk's, less the let around e, its body and main.
+        nodes = scan_program(p).nodes[1:-2]
         index = growth_index(nodes, frozenset())
         text = skeleton_sexpr(e, index)
         growth = closure_growth(frozenset({"q", "r"}), frozenset({"y"}), e, index)
@@ -196,10 +200,11 @@ def test_free_vars_of_nested_lambdas_need_no_recursion():
     for k in range(n, 0, -1):
         rhs = Lambda(MULTI_SHOT, (f"p{k}",), body)
         body = Let(BindGroup(((f"f{k}", rhs),)), App(f"f{k}", (Var(f"p{k - 1}"),)))
+    p = Program((TopBind("t", ("y", "p0"), body),), AtomExpr(Lit(0)))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        scan([rhs])
+        scan_program(p)
     finally:
         sys.setrecursionlimit(old)
     assert vars(rhs)["_free"] == {"y"}
