@@ -1,7 +1,7 @@
 """Batch driver: parse, analyse, lift, evaluate, report.
 
-Exit codes: 0 on success, 1 on parse/validation/evaluation errors and on
-programs nested too deeply for the recursive stages, 2 on usage errors.
+Exit codes: 0 on success, 1 on parse/validation/evaluation errors, 2 on
+usage errors.
 Reports go to stdout, diagnostics to stderr.
 """
 
@@ -259,15 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, ScopeError, InputError, LiftError, EvalError, SubsetTooLarge) as exc:
         print(f"liftlab: error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # the parser recurses once per nesting level; the recursion limit
-        # is left as it is.
-        print(
-            "liftlab: error: the program nests too deeply for this implementation "
-            f"(Python recursion limit {sys.getrecursionlimit()} reached)",
-            file=sys.stderr,
-        )
         return 1
 
 

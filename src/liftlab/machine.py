@@ -33,24 +33,24 @@ subset were walked or marked clean already, so the check is one memo
 lookup, and a program nobody walked is walked once by it.  The engines
 assume what it establishes: every name resolves, and names are unique.
 
-What evaluation needs of the program before it steps (the stats rows,
-and each let's slot names) is memoised on the program object (see
-:func:`~liftlab.syntax._analyses`), and so is a completed run, so a
-second :func:`evaluate` of one object (a lift that lifts nothing returns
-the input itself) does not run at all.  The slots are read from each
-right-hand side's :func:`~liftlab.analysis.free_vars`, stored by the
-scope walk or by the lift that rebuilt it, so evaluation scans nothing.
-The stats rows come from the program's
+A completed run is memoised on the program object (see
+:func:`~liftlab.syntax._analyses`), so a second :func:`evaluate` of one
+object (a lift that lifts nothing returns the input itself) does not run
+at all; so are the stats rows, which come from the program's
 :func:`~liftlab.analysis.scan_program` (the scope walk's scan) unless the
-lifter handed them on.
+lifter handed them on.  Each let's slot names are made on its first run,
+from each right-hand side's :func:`~liftlab.analysis.free_vars`, stored
+by the scope walk or by the lift that rebuilt it, so evaluation scans
+nothing.  What else a run sets up is not kept: a program is run once, or
+again only after a run that raised.
 
 There are two engines, chosen by run length, and both do all of the
 above.  Every run starts on the first, :class:`_Machine`, whose
-activations are dicts keyed by name: it needs no set-up beyond the memo.
-A run that passes :data:`_HANDOVER` (1,000) steps starts again from the
-beginning on the second, :func:`_run_frames`, with the caller's fuel;
-evaluation is deterministic, so that gives what one run would.  The
-second compiles the program once (memoised like the rest) and resolves
+activations are dicts keyed by name: it needs no set-up beyond the stats
+rows.  A run that passes :data:`_HANDOVER` (1,000) steps starts again
+from the beginning on the second, :func:`_run_frames`, with the caller's
+fuel; evaluation is deterministic, so that gives what one run would.  The
+second compiles the program first and resolves
 every variable to a place fixed in advance, as STG gives each closure
 fixed free-variable offsets: a frame index, a top-level definition or a
 literal.  A frame is a list, the slots in sorted order, then the closure,
@@ -265,7 +265,7 @@ _RIGHT = 4  # (primop, first operand): second operand forced; compute
 
 
 class _Machine:
-    def __init__(self, program: Program, fuel: int, memo: dict | None = None):
+    def __init__(self, program: Program, fuel: int):
         self.program = program
         self.fuel = fuel
         tops = self.tops = {}  # by name; the fallback of every variable lookup
@@ -278,39 +278,22 @@ class _Machine:
         self.counters: dict[str, tuple[list[int], int]] = {}
         # id(let) -> per binding (name, rhs, slot names, entry counts)
         self.plans: dict[int, list[tuple]] = {}
-        # What does not depend on the run is memoised on the program: the
-        # stats rows and the let layouts.
-        if memo is None:
-            memo = _analyses(program)
-        self.rows = memo.get("binders") or _binder_names(program)
-        layouts = memo.get("layouts")
-        if layouts is None:
-            layouts = memo["layouts"] = {}
-        self.layouts: dict[int, list[tuple]] = layouts
+        self.rows = _binder_names(program)
 
-    def _plan(self, let: Let) -> list[tuple]:
-        """Per binding: name, right-hand side, slot names, entry counts; all
-        but the counts come from the let's layout, made once per program."""
-        layout = self.layouts.get(id(let))
-        if layout is None:
-            layout = []
+    def _allocate(self, let: Let, env: dict) -> None:
+        """Bind the group's closures in ``env``, then fill their slots, so
+        members of a recursive group capture each other.  The let's plan,
+        per binding its name, right-hand side, slot names and entry
+        counts, is made on its first run."""
+        plan = self.plans.get(id(let))
+        if plan is None:
+            plan = self.plans[id(let)] = []
             for name, rhs in let.group.binds:
                 # Names are unique, so every allocation for ``name`` stores
                 # the same slots.
                 slots = tuple(sorted(closure_slots(name, free_vars(rhs), self.top_names)))
-                layout.append((name, rhs, slots, 1 + len(slots)))
-            self.layouts[id(let)] = layout
-        plan = [
-            (name, rhs, slots, self.counters.setdefault(name, ([], width))[0])
-            for name, rhs, slots, width in layout
-        ]
-        self.plans[id(let)] = plan
-        return plan
-
-    def _allocate(self, let: Let, env: dict) -> None:
-        """Bind the group's closures in ``env``, then fill their slots, so
-        members of a recursive group capture each other."""
-        plan = self.plans.get(id(let)) or self._plan(let)
+                counts = self.counters.setdefault(name, ([], 1 + len(slots)))[0]
+                plan.append((name, rhs, slots, counts))
         cells = []
         for name, rhs, _, counts in plan:
             if type(rhs) is Lambda:
@@ -642,16 +625,10 @@ def _getter(idxs: list) -> operator.itemgetter | None:
 
 
 def _compile(p: Program) -> _Compiled:
-    """``p`` compiled, once per program object (see
-    :func:`~liftlab.syntax._analyses`): every body becomes a :class:`_Code`
-    whose variables are resolved, in the lexical scope, to a frame index,
-    a top-level definition or a literal.  Bodies wait on a work list and
-    each is compiled on an explicit stack, so nesting depth needs no
-    recursion."""
-    memo = _analyses(p)
-    comp = memo.get("compiled")
-    if comp is not None:
-        return comp
+    """``p`` compiled: every body becomes a :class:`_Code` whose variables
+    are resolved, in the lexical scope, to a frame index, a top-level
+    definition or a literal.  Bodies wait on a work list and each is
+    compiled on an explicit stack, so nesting depth needs no recursion."""
     top_names = p.top_names()
     top_ref = {tb.name: ~k for k, tb in enumerate(p.top_binds)}
     tops = [_Code(tb.name, len(tb.params)) for tb in p.top_binds]
@@ -740,8 +717,7 @@ def _compile(p: Program) -> _Compiled:
                     out.append((_N_CASE, *head))
         code.body = out.pop()
         code.pad = [None] * (n - base)
-    comp = memo["compiled"] = _Compiled(main, tops, list(top_ref), list(binder_ids), widths)
-    return comp
+    return _Compiled(main, tops, list(top_ref), list(binder_ids), widths)
 
 
 def _enter(fn, vals: list, head: str, stack: list) -> tuple[tuple, list]:
@@ -1018,7 +994,7 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
             raise OutOfFuel(f"exceeded {fuel} steps")
         return run
     try:
-        run = _Machine(p, min(fuel, _HANDOVER), memo).run()
+        run = _Machine(p, min(fuel, _HANDOVER)).run()
     except OutOfFuel:
         if fuel <= _HANDOVER:
             raise

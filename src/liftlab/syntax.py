@@ -32,8 +32,8 @@ stack, which visits each node once: in that visit it checks and renames
 names, makes the scan that :func:`~liftlab.analysis.scan_program` returns
 (nodes, occurrence facts, names and each right-hand side's free
 variables), and splits let groups into their strongly connected
-components.  The parser and the printer still recurse once per nesting
-level.
+components.  The parser and the printer are loops on explicit stacks too,
+so no stage recurses once per nesting level.
 
 Programs are immutable, so what an analysis finds about one is memoised on
 the object it describes, in the frozen instance's ``__dict__``, which
@@ -286,8 +286,8 @@ class _Analyses(dict):
     :func:`~liftlab.lifter.apply_lifts` also gives its output ``binders``,
     and ``scope`` and ``split`` as a clean walk leaves them when its
     input's walk was clean, but no ``scan``;
-    ``layouts``, ``compiled`` and ``run`` (a completed run's value and stats)
-    in :mod:`liftlab.machine`.  A pickled or deep-copied one comes back
+    and ``run`` (a completed run's value and stats) in
+    :mod:`liftlab.machine`.  A pickled or deep-copied one comes back
     empty, since its tables are keyed by the ``id`` of the original's nodes."""
 
     def __init__(self, owner: int | None = None) -> None:
@@ -468,10 +468,18 @@ def _lex(text: str) -> tuple[list[str], dict[str, Var], dict[str, Lit]]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# What an open construct on the parser's stack waits for (see
+# :meth:`_Parser.expr`): its kind, the token that must follow, and what it holds.
+_AT_RHS = 0  # (kind, "in", binds, name, card, params): a binding's body; params None for a thunk
+_AT_BODY = 1  # (kind, group): the let's body, which no token closes
+_AT_CASE = 2  # (kind, "of") at the scrutinee, then (kind, ";"|"}", scrutinee, alts, pattern|binder)
+_AT_PAREN = 3  # (kind, ")"): a parenthesised expression
+
 
 class _Parser:
-    """Recursive descent over token texts; a token's kind is its membership
-    in the lexer's identifier and integer tables, or its text."""
+    """One loop over token texts with an explicit stack (see :meth:`expr`);
+    a token's kind is its membership in the lexer's identifier and integer
+    tables, or its text."""
 
     def __init__(self, text: str):
         self.text = text
@@ -496,85 +504,130 @@ class _Parser:
         self.pos += 1
         return t
 
-    # atoms ------------------------------------------------------------
-
-    def atom(self) -> Atom:
-        t = self.toks[self.pos]
-        a = self.ints.get(t) or self.idents.get(t)
-        if a is None:
-            raise self.fail(f"expected atom, found {t!r}")
-        self.pos += 1
-        return a
-
     # expressions --------------------------------------------------------
 
     def expr(self) -> Expr:
-        t = self.toks[self.pos]
-        if t == "let":
-            return self.let_expr()
-        if t == "case":
-            return self.case_expr()
-        if t == "(":
-            self.pos += 1
-            e = self.expr()
-            self.expect(")")
-            return e
-        if t in PRIMOPS:
-            self.pos += 1
-            return PrimApp(t, (self.atom(), self.atom()))
-        if t in self.ints:
-            self.pos += 1
-            return AtomExpr(self.ints[t])
-        if t in self.idents:
-            toks, idents, ints = self.toks, self.idents, self.ints
-            pos = self.pos + 1
-            args: list[Atom] = []
-            while True:
+        """The expression at the current token.  ``let``, ``case`` and ``(``
+        push what they wait for on a stack, and each finished sub-expression
+        closes entries until one needs another, so depth needs no recursion."""
+        toks, idents, ints = self.toks, self.idents, self.ints
+        stack: list = []
+        pos = self.pos
+        while True:
+            t = toks[pos]
+            pos += 1
+            if t in idents:
+                args: list[Atom] = []
+                while True:
+                    a = toks[pos]
+                    if a in idents:
+                        args.append(idents[a])
+                    elif a in ints:
+                        args.append(ints[a])
+                    else:
+                        break
+                    pos += 1
+                e = App(t, tuple(args)) if args else AtomExpr(idents[t])
+            elif t == "let":
+                self.pos = pos
+                stack.append(self.binding([]))
+                pos = self.pos
+                continue
+            elif t == "case":
+                stack.append((_AT_CASE, "of"))
+                continue
+            elif t == "(":
+                stack.append((_AT_PAREN, ")"))
+                continue
+            elif t in ints:
+                e = AtomExpr(ints[t])
+            elif t in PRIMOPS:
                 a = toks[pos]
-                if a in idents:
-                    args.append(idents[a])
-                elif a in ints:
-                    args.append(ints[a])
-                else:
-                    break
+                x = ints.get(a) or idents.get(a)
+                if x is None:
+                    raise self.fail(f"expected atom, found {a!r}", pos)
+                b = toks[pos + 1]
+                y = ints.get(b) or idents.get(b)
+                if y is None:
+                    raise self.fail(f"expected atom, found {b!r}", pos + 1)
+                e = PrimApp(t, (x, y))
+                pos += 2
+            else:
+                raise self.fail(f"expected expression, found {t!r}", pos - 1)
+            # ``e`` is finished: close what it completes.
+            while stack:
+                frame = stack.pop()
+                kind = frame[0]
+                if kind is _AT_BODY:
+                    e = Let(frame[1], e)
+                    continue
+                t = toks[pos]
+                if t != frame[1] and (t != "and" or kind is not _AT_RHS):
+                    raise self.fail(f"expected {frame[1]!r}, found {t!r}", pos)
                 pos += 1
-            self.pos = pos
-            if args:
-                return App(t, tuple(args))
-            return AtomExpr(idents[t])
-        raise self.fail(f"expected expression, found {t!r}")
+                if kind is _AT_RHS:
+                    _, _, binds, name, card, params = frame
+                    binds.append((name, Thunk(e) if params is None else Lambda(card, params, e)))
+                    if t == "in":
+                        stack.append((_AT_BODY, BindGroup(tuple(binds))))
+                    else:
+                        self.pos = pos
+                        stack.append(self.binding(binds))
+                        pos = self.pos
+                    break
+                if kind is _AT_CASE and t != "}":
+                    # On to the next alternative or the default.
+                    if t == "of":
+                        if toks[pos] != "{":
+                            raise self.fail(f"expected '{{', found {toks[pos]!r}", pos)
+                        pos += 1
+                        scrutinee, alts = e, []
+                    else:
+                        _, _, scrutinee, alts, pattern = frame
+                        alts.append((pattern, e))
+                    t = toks[pos]
+                    if t in ints:
+                        stack.append((_AT_CASE, ";", scrutinee, alts, ints[t].value))
+                        pos += 1
+                    elif t == "default" and toks[pos + 1] in idents:
+                        stack.append((_AT_CASE, "}", scrutinee, alts, toks[pos + 1]))
+                        pos += 2
+                    else:  # no alternative, no default: raise where it goes wrong
+                        self.pos = pos
+                        self.expect("default")
+                        self.expect_ident()
+                    if toks[pos] != "->":
+                        raise self.fail(f"expected '->', found {toks[pos]!r}", pos)
+                    pos += 1
+                    break
+                if kind is _AT_CASE:  # after the default's body, at "}"
+                    e = Case(frame[2], tuple(frame[3]), (frame[4], e))
+            else:
+                self.pos = pos
+                return e
 
-    def let_expr(self) -> Expr:
-        self.pos += 1  # "let"
-        binds = [self.bind()]
-        while self.toks[self.pos] == "and":
-            self.pos += 1
-            binds.append(self.bind())
-        self.expect("in")
-        body = self.expr()
-        return Let(BindGroup(tuple(binds)), body)
-
-    def bind(self) -> tuple[str, Rhs]:
-        name = self.expect_ident()
-        self.expect("=")
-        return name, self.rhs()
-
-    def rhs(self) -> Rhs:
-        t = self.toks[self.pos]
+    def binding(self, binds: list) -> tuple:
+        """A binding up to its right-hand side's body, as the stack entry
+        that waits for the body (see :data:`_AT_RHS`)."""
+        toks, pos = self.toks, self.pos
+        name = toks[pos]
+        if name not in self.idents or toks[pos + 1] != "=":
+            self.expect_ident()  # raises at the binder or at what follows it
+            self.expect("=")
+        t = toks[pos + 2]
+        self.pos = pos + 3
         if t == "thunk":
-            self.pos += 1
-            return Thunk(self.expr())
+            return _AT_RHS, "in", binds, name, None, None
         if t == "\\":
-            self.pos += 1
             card = MULTI_SHOT
-            if self.toks[self.pos] == "{":
+            if toks[self.pos] == "{":
                 card = self.cardinality()
             params = [self.expect_ident()]
-            while self.toks[self.pos] in self.idents:
+            while toks[self.pos] in self.idents:
                 params.append(self.expect_ident())
             self.expect("->")
-            return Lambda(card, tuple(params), self.expr())
-        raise self.fail("expected right-hand side (lambda or thunk)")
+            return _AT_RHS, "in", binds, name, card, tuple(params)
+        raise self.fail("expected right-hand side (lambda or thunk)", self.pos - 1)
 
     def cardinality(self) -> Cardinality:
         brace = self.pos
@@ -597,26 +650,6 @@ class _Parser:
             return Cardinality(lo, hi)
         except ValueError as exc:
             raise self.fail(str(exc), brace) from None
-
-    def case_expr(self) -> Expr:
-        self.pos += 1  # "case"
-        scrut = self.expr()
-        self.expect("of")
-        self.expect("{")
-        alts: list[tuple[int, Expr]] = []
-        while self.toks[self.pos] in self.ints:
-            pat = self.ints[self.toks[self.pos]].value
-            self.pos += 1
-            self.expect("->")
-            body = self.expr()
-            self.expect(";")
-            alts.append((pat, body))
-        self.expect("default")
-        binder = self.expect_ident()
-        self.expect("->")
-        dbody = self.expr()
-        self.expect("}")
-        return Case(scrut, tuple(alts), (binder, dbody))
 
     # program --------------------------------------------------------------
 

@@ -90,9 +90,9 @@ def engine_runs(monkeypatch) -> Counter:
     runs: Counter = Counter()
 
     class Counting(machine._Machine):
-        def __init__(self, program, fuel, memo=None):
+        def __init__(self, program, fuel):
             runs[id(program)] += 1
-            super().__init__(program, fuel, memo)
+            super().__init__(program, fuel)
 
     monkeypatch.setattr(machine, "_Machine", Counting)
     return runs

@@ -1,16 +1,190 @@
 """Reference analyses the tests check liftlab against.
 
-Each is written from README's cost model as a plain recursion over the AST.
-Nothing here imports from liftlab but the AST types of ``liftlab.syntax``,
-so a cross-check against these functions cannot share a bug with the
-scope walk, the free variables the lifter stores, the closure slot rule or
-the growth index it checks
-(``test_reference_imports_only_ast_types`` holds that rule).
+Each analysis is written from README's cost model as a plain recursion
+over the AST, and :class:`Parser` as a plain recursive descent over the
+grammar in ``liftlab.syntax``'s docstring.  Nothing here imports from
+liftlab but the AST types of ``liftlab.syntax``, so a cross-check against
+these functions cannot share a bug with the parser's loop, the scope walk,
+the free variables the lifter stores, the closure slot rule or the growth
+index it checks (``test_reference_imports_only_ast_types`` holds that
+rule).  The parser is handed its tokens and its error constructor, since
+the lexer and the error texts' positions are not what it checks.
 """
 
 import math
 
-from liftlab.syntax import App, AtomExpr, Case, Lambda, Let, Lit, PrimApp, Thunk, Var
+from liftlab.syntax import (
+    App,
+    AtomExpr,
+    BindGroup,
+    Cardinality,
+    Case,
+    Lambda,
+    Let,
+    Lit,
+    PrimApp,
+    Program,
+    Thunk,
+    TopBind,
+    Var,
+)
+
+PRIMOPS = ("+#", "-#", "*#", "%#", "<#")
+MULTI_SHOT = Cardinality(0, math.inf)
+
+
+class Parser:
+    """Recursive descent over the token texts ``toks``, which end with
+    ``""``; ``idents`` and ``ints`` map identifier and integer tokens to
+    their atoms, and ``error(message, index)`` makes the exception raised
+    at the ``index``-th token.  It recurses once per nesting level."""
+
+    def __init__(self, toks, idents, ints, error):
+        self.toks, self.idents, self.ints = toks, idents, ints
+        self.error = error
+        self.pos = 0
+
+    def fail(self, message, index=None):
+        return self.error(message, self.pos if index is None else index)
+
+    def expect(self, text):
+        t = self.toks[self.pos]
+        if t != text:
+            raise self.fail(f"expected {text!r}, found {t!r}")
+        self.pos += 1
+
+    def expect_ident(self):
+        t = self.toks[self.pos]
+        if t not in self.idents:
+            raise self.fail(f"expected identifier, found {t!r}")
+        self.pos += 1
+        return t
+
+    def atom(self):
+        t = self.toks[self.pos]
+        a = self.ints.get(t) or self.idents.get(t)
+        if a is None:
+            raise self.fail(f"expected atom, found {t!r}")
+        self.pos += 1
+        return a
+
+    def expr(self):
+        t = self.toks[self.pos]
+        if t == "let":
+            return self.let_expr()
+        if t == "case":
+            return self.case_expr()
+        if t == "(":
+            self.pos += 1
+            e = self.expr()
+            self.expect(")")
+            return e
+        if t in PRIMOPS:
+            self.pos += 1
+            return PrimApp(t, (self.atom(), self.atom()))
+        if t in self.ints:
+            self.pos += 1
+            return AtomExpr(self.ints[t])
+        if t in self.idents:
+            self.pos += 1
+            args = []
+            while self.toks[self.pos] in self.idents or self.toks[self.pos] in self.ints:
+                args.append(self.atom())
+            return App(t, tuple(args)) if args else AtomExpr(self.idents[t])
+        raise self.fail(f"expected expression, found {t!r}")
+
+    def let_expr(self):
+        self.pos += 1  # "let"
+        binds = [self.bind()]
+        while self.toks[self.pos] == "and":
+            self.pos += 1
+            binds.append(self.bind())
+        self.expect("in")
+        return Let(BindGroup(tuple(binds)), self.expr())
+
+    def bind(self):
+        name = self.expect_ident()
+        self.expect("=")
+        return name, self.rhs()
+
+    def rhs(self):
+        t = self.toks[self.pos]
+        if t == "thunk":
+            self.pos += 1
+            return Thunk(self.expr())
+        if t == "\\":
+            self.pos += 1
+            card = MULTI_SHOT
+            if self.toks[self.pos] == "{":
+                card = self.cardinality()
+            params = [self.expect_ident()]
+            while self.toks[self.pos] in self.idents:
+                params.append(self.expect_ident())
+            self.expect("->")
+            return Lambda(card, tuple(params), self.expr())
+        raise self.fail("expected right-hand side (lambda or thunk)")
+
+    def cardinality(self):
+        brace = self.pos
+        self.pos += 1  # "{"
+        if self.toks[self.pos] not in ("0", "1"):
+            raise self.fail("entry lower bound must be 0 or 1")
+        lo = int(self.toks[self.pos])
+        self.pos += 1
+        self.expect(",")
+        t = self.toks[self.pos]
+        if t == "*":
+            hi = math.inf
+        elif t in ("0", "1"):
+            hi = int(t)
+        else:
+            raise self.fail("entry upper bound must be 0, 1 or *")
+        self.pos += 1
+        self.expect("}")
+        try:
+            return Cardinality(lo, hi)
+        except ValueError as exc:
+            raise self.fail(str(exc), brace) from None
+
+    def case_expr(self):
+        self.pos += 1  # "case"
+        scrut = self.expr()
+        self.expect("of")
+        self.expect("{")
+        alts = []
+        while self.toks[self.pos] in self.ints:
+            pat = self.ints[self.toks[self.pos]].value
+            self.pos += 1
+            self.expect("->")
+            body = self.expr()
+            self.expect(";")
+            alts.append((pat, body))
+        self.expect("default")
+        binder = self.expect_ident()
+        self.expect("->")
+        dbody = self.expr()
+        self.expect("}")
+        return Case(scrut, tuple(alts), (binder, dbody))
+
+    def program(self):
+        tops = []
+        while True:
+            if self.toks[self.pos] == "":
+                raise self.fail("missing 'main' binding")
+            name = self.expect_ident()
+            params = []
+            while self.toks[self.pos] in self.idents:
+                params.append(self.expect_ident())
+            self.expect("=")
+            body = self.expr()
+            if name == "main" and not params:
+                if self.toks[self.pos] == ";":
+                    self.pos += 1
+                if self.toks[self.pos] != "":
+                    raise self.fail("trailing input after main")
+                return Program(tuple(tops), body)
+            self.expect(";")
+            tops.append(TopBind(name, tuple(params), body))
 
 
 def free_vars(node, bound=frozenset()):

@@ -194,15 +194,21 @@ class TestErrorsAndExitCodes:
         assert err.startswith("liftlab: error: 1:")
         assert "Traceback" not in err
 
-    def test_too_deep_program_exit_1(self, tmp_path, capsys):
+    def test_deep_program_lifts_and_evaluates(self, tmp_path, capsys):
+        # 500 lets deep once ended in the parser's recursion; no stage
+        # recurses now, so at the default limit it runs to its report.
         depth = 500
         lets = "".join(f"let x{k} = thunk {k} in\n" for k in range(depth))
         deep = tmp_path / "deep.stg"
         deep.write_text(f"main =\n{lets}x0\n")
-        code, out, err = run_cli(capsys, "lift", str(deep))
-        assert code == 1 and out == ""
-        assert err.startswith("liftlab: error: ") and "nests too deeply" in err
-        assert "Traceback" not in err
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = run_cli(capsys, "lift", str(deep), "--eval")
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 0 and err == ""
+        assert "agreement: yes" in out and "before: value=0 words=500 " in out
 
     def test_flat_forward_group_lifts(self, tmp_path, capsys):
         # A 1,000-member group nests nothing, though its split is a chain.
@@ -244,7 +250,7 @@ class TestErrorsAndExitCodes:
         finally:
             sys.setrecursionlimit(old)
         assert code == 0 and err == ""
-        sys.setrecursionlimit(20000)
+        sys.setrecursionlimit(1000)
         try:
             lifted, _ = lift_program(load_inline(flat.read_text()), LiftConfig(max_arity_nonrec=1))
             assert out == print_program(lifted) and parse(out) == lifted

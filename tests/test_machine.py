@@ -407,18 +407,11 @@ class TestCompiledFrames:
         expected = outcome(dict_engine, p)
         assert outcome(evaluate, p) == expected and expected[1].steps == steps
         assert runs == compiled
-        # Compiled once per program object, on the first run that needs it:
-        # a second run of ``p`` on compiled frames reuses the code.
-        code = _analyses(p).get("compiled")
-        assert (code is not None) == bool(compiled)
-        if compiled:
-            assert outcome(frames_engine, p) == expected
-            assert _analyses(p).get("compiled") is code
         # Fresh objects, so the fuel bounds real runs, not p's stored one;
         # only a run past 1,000 steps hands over, with the caller's fuel.
         assert outcome(evaluate, fresh(p), steps) == expected
         assert outcome(evaluate, fresh(p), steps - 1) == (OutOfFuel, f"exceeded {steps - 1} steps")
-        assert runs == (compiled + [DEFAULT_FUEL, steps] if compiled else [])
+        assert runs == (compiled + [steps] if compiled else [])
 
     @pytest.mark.parametrize("fuel", [1_000, 1_001, 16_503, 16_504])
     def test_countdown_fuel_across_handover(self, fuel, hand_programs):
@@ -526,23 +519,24 @@ def test_evaluate_refuses_invalid_programs_and_engines_agree(tops, main):
             assert outcome(evaluate, fresh(p), fuel) == expected
 
 
+@pytest.mark.parametrize("engine", [dict_engine, frames_engine], ids=["dict", "frames"])
 class TestFramelessCase:
     """A case whose scrutinee's int is already at hand pushes no frame.
-    Each test pins what the machine did when every case pushed one."""
+    Each test pins what the machine did when every case pushed one, on
+    both engines (compiled frames read such a case as one node, and an
+    evaluated thunk in place), each run on a program object of its own."""
 
-    def test_fuel_checked_before_the_primop(self):
+    def test_fuel_checked_before_the_primop(self, engine):
         # Two steps, the case's and its scrutinee's; the division runs only
         # once the second is paid for.
-        p = load_inline("main = case %# 1 0 of { default d -> d }")
-        with pytest.raises(OutOfFuel):
-            evaluate(p, fuel=1)
-        with pytest.raises(DivideByZero):
-            evaluate(p, fuel=2)
+        src = "main = case %# 1 0 of { default d -> d }"
+        assert outcome(engine, load_inline(src), 1) == (OutOfFuel, "exceeded 1 steps")
+        assert outcome(engine, load_inline(src), 2) == (DivideByZero, "1 %# 0")
 
-    def test_blackholed_thunk_still_detected(self):
+    def test_blackholed_thunk_still_detected(self, engine):
         p = load_inline("main = let t = thunk (case t of { default x -> x }) in t")
         with pytest.raises(BlackholeLoop):
-            evaluate(p)
+            engine(p)
 
     @pytest.mark.parametrize(
         "src, value, steps",
@@ -563,8 +557,8 @@ class TestFramelessCase:
         ],
         ids=["case-on-thunk", "case-on-primop", "primop-operands"],
     )
-    def test_evaluated_thunk_read_in_place(self, src, value, steps):
-        v, stats = evaluate(load_inline(src))
+    def test_evaluated_thunk_read_in_place(self, src, value, steps, engine):
+        v, stats = engine(load_inline(src))
         t = stats.per_binder["t"]
         assert (render_value(v), stats.steps, t.allocations, t.entries) == (value, steps, 1, 1)
 
@@ -581,8 +575,8 @@ class TestFramelessCase:
         ],
         ids=["once", "twice"],
     )
-    def test_nullary_top_level_still_entered(self, src, value, steps, entries):
-        v, stats = evaluate(load_inline(src))
+    def test_nullary_top_level_still_entered(self, src, value, steps, entries, engine):
+        v, stats = engine(load_inline(src))
         f = stats.per_binder["f"]
         assert (render_value(v), stats.steps, f.entries) == (value, steps, entries)
 

@@ -1,12 +1,13 @@
 """Per-program analyses are memoised on the program object they describe.
 
 The scope walk, which also makes the scan (nodes, occurrence facts and
-names) and the SCC split, the growth index and the interpreter's set-up
-(with its compiled frames, for runs past 1,000 steps) are each built once
-per ``Program`` object by whichever public call asks first, and read by
-every later call on it.
+names) and the SCC split, the growth index and the interpreter's stats
+rows are each built once per ``Program`` object by whichever public call
+asks first, and read by every later call on it.
 So are a completed run and the last lift output, which the oracle reads
-for the empty subset and for the subset the lifter chose.
+for the empty subset and for the subset the lifter chose.  What else a
+run sets up (each let's slots, compiled frames) is not kept: a program
+runs again only after a run that raised.
 The memo must not change a result, must not survive into a copy, and must
 not keep its program alive.  The free variables of each
 right-hand side are stored on the right-hand side itself, by the scope walk

@@ -2,11 +2,13 @@ import hashlib
 import importlib.util
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftlab import syntax
 from liftlab.lifter import lift_program
 from liftlab.syntax import (
     App,
@@ -35,7 +37,7 @@ from liftlab.syntax import (
 )
 
 from conftest import PROGRAMS_DIR, renamings
-from reference import bound_names, recursive
+from reference import Parser as ReferenceParser, bound_names, recursive
 
 
 class TestParse:
@@ -183,6 +185,21 @@ _TOKEN_ALPHABET = [
 ]
 
 
+def reference_parse(text: str) -> Program:
+    """``text`` parsed by the recursive descent in ``reference.py``, on the
+    lexer's tokens and with the parser's error positions."""
+    p = syntax._Parser(text)
+    return ReferenceParser(p.toks, p.idents, p.ints, p.fail).program()
+
+
+def parsed(parse_text, text: str) -> Program | str:
+    """The program ``parse_text`` makes of ``text``, or its error's text."""
+    try:
+        return parse_text(text)
+    except ParseError as err:
+        return f"ParseError: {err}"
+
+
 def _parses_or_raises_parse_error(text: str) -> None:
     try:
         p = parse(text)
@@ -192,6 +209,7 @@ def _parses_or_raises_parse_error(text: str) -> None:
     else:
         assert isinstance(p, Program)
         assert parse(print_program(p)) == p
+    assert parsed(parse, text) == parsed(reference_parse, text)
 
 
 _PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -210,6 +228,72 @@ def test_any_text_parses_or_raises_parse_error(text):
 )
 def test_token_soup_parses_or_raises_parse_error(prefix, tokens):
     _parses_or_raises_parse_error(prefix + "".join(tokens))
+
+
+# What a token edit may insert: every symbol and keyword, and atoms.
+_EDIT_TOKENS = sorted(syntax._SYMBOLS - {""}) + ["x", "main", "0", "1", "-3"]
+
+
+def token_mutations(texts: list[str], n: int, seed: int) -> list[str]:
+    """``n`` texts, each one of ``texts`` after one or two token edits: a
+    token deleted, a token inserted before one, a token swapped with the
+    next, or the text cut before a token."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 2)):
+            spans = [m.span(1) for m in syntax._TOKEN.finditer(text)][:-1]
+            if not spans:
+                break
+            i = rng.randrange(len(spans))
+            a, b = spans[i]
+            edit = rng.randrange(4)
+            if edit == 0:
+                text = text[:a] + text[b:]
+            elif edit == 1:
+                text = f"{text[:a]} {rng.choice(_EDIT_TOKENS)} {text[a:]}"
+            elif edit == 2 and i + 1 < len(spans):
+                c, d = spans[i + 1]
+                text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+            else:
+                text = text[:a]
+        out.append(text)
+    return out
+
+
+def test_parser_matches_the_recursive_reference(corpus):
+    # Every text, valid or not, must give what the recursive descent the
+    # parser replaced gives: an equal program or the same error text.
+    texts = [print_program(p) for p in corpus]
+    texts += [f.read_text(encoding="utf-8") for f in sorted(PROGRAMS_DIR.glob("*.stg"))]
+    outcomes = Counter()
+    for text in texts + token_mutations(texts, 6_000, seed=20250810):
+        got = parsed(parse, text)
+        assert got == parsed(reference_parse, text), text
+        outcomes[type(got) is str] += 1
+    assert outcomes[False] > len(texts) + 500 and outcomes[True] > 3_000
+
+
+def test_parse_needs_no_stack_of_its_own():
+    # A let 500 deep in its bindings' bodies, parsed 200 frames down at the
+    # default limit: the recursive descent took a few frames per level.
+    text = "main = " + "".join(f"let x{k} = thunk " for k in range(500)) + "0"
+    text += "".join(f" in x{k}" for k in reversed(range(500)))
+    e = AtomExpr(Lit(0))
+    for k in reversed(range(500)):
+        e = Let(BindGroup(((f"x{k}", Thunk(e)),)), AtomExpr(Var(f"x{k}")))
+
+    def down(n: int) -> Program:
+        return parse(text) if n == 0 else down(n - 1)
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        p = down(200)
+    finally:
+        sys.setrecursionlimit(old)
+    assert p == Program((), e)
 
 
 class TestPrint:
@@ -254,7 +338,7 @@ REPR_DIGEST = "8d4fcedeb844f6fe7feecced91e4da3a5eb0ce21c2829ac224aae935df1f1f89"
 
 
 def _deep(n: int, leaf: int) -> Program:
-    """Built from constructors, as the parser cannot nest this deep: step k
+    """Built from constructors, so that no parse is tested here: step k
     binds ``t{k} = thunk k`` and scrutinises ``t{k}``, whose default
     branch holds step k + 1, so the program nests 2n let and case levels."""
     e = AtomExpr(Lit(leaf))

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from liftlab.analysis import free_vars, scan_program, split_groups
+from liftlab.cli import main as cli_main
 from liftlab.lifter import lift_program, liftable_sites, plan_lifts
 from liftlab.machine import evaluate, render_value
 from liftlab.skeleton import closure_growth, growth_index, skeleton_sexpr
@@ -31,6 +32,7 @@ from liftlab.syntax import (
     freshen,
     occurrences,
     parse,
+    print_program,
     program_nodes,
     subexprs,
     validate,
@@ -117,6 +119,89 @@ def _depth_chain(n: int) -> str:
     lines.append(f"  x{n}")
     lines.append("  " + "}" * (n + 1))
     return "\n".join(lines) + "\n"
+
+
+def _nest(kind: str, n: int) -> str:
+    """A program ``n`` levels deep in one construct the parser opens: lets
+    at their bodies, each binding a thunk; case scrutinees; parentheses;
+    or lambda bodies, where step k's body defines step k + 1 and calls it,
+    and the innermost returns ``a0``."""
+    if kind == "let":
+        return "main =\n" + "".join(f"let x{k} = thunk {k} in\n" for k in range(n)) + "x0\n"
+    if kind == "case":
+        alts = "".join(f" of {{ 1 -> 2; default d{k} -> d{k} }}" for k in range(n))
+        return "main = " + "case " * n + "0" + alts + "\n"
+    if kind == "paren":
+        return "main = " + "(" * n + "+# 1 2" + ")" * n + "\n"
+    heads = "".join(f"let f{k} = \\ a{k} -> " for k in range(n))
+    return "main = " + heads + "a0" + "".join(f" in f{k} {k}" for k in reversed(range(n))) + "\n"
+
+
+# Each nest's value, and whether its lift output prints flat: the printer
+# indents each case and right-hand side one step further, so such a nest's
+# text grows with the square of its depth (a 10,000-deep case nest prints
+# some 1 GB).  Only the lambda nest lifts, every function to the top level.
+NESTS = {"let": ("0", True), "case": ("0", False), "paren": ("3", True), "lambda": ("0", True)}
+
+
+def _commands(path, capsys, dump_lifted: bool = True) -> dict[str, tuple[int, str, str]]:
+    """Exit code, stdout and stderr of each command on ``path``."""
+    commands = [["lift", "--eval"], ["dump-skeleton"]]
+    if dump_lifted:
+        commands.append(["dump-lifted"])
+    runs = {}
+    for name, *flags in commands:
+        runs[name] = (cli_main([name, str(path), *flags]), *capsys.readouterr())
+    return runs
+
+
+@pytest.mark.parametrize("kind", sorted(NESTS))
+def test_deep_nest_runs_every_stage_at_default_recursion_limit(kind, tmp_path, capsys):
+    # 10,000 levels: no stage recurses, the parser included, so every
+    # stage and every command runs at the default limit.
+    value, flat = NESTS[kind]
+    text = _nest(kind, 10_000)
+    path = tmp_path / f"{kind}.stg"
+    path.write_text(text)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        q = split_groups(freshen(parse(text)))
+        assert validate(q) == []
+        lifted, decisions = lift_program(q)
+        results = [evaluate(q), evaluate(lifted)]
+        if flat:
+            assert parse(print_program(lifted)) == lifted
+        runs = _commands(path, capsys, dump_lifted=flat)
+    finally:
+        sys.setrecursionlimit(old)
+    assert [render_value(v) for v, _ in results] == [value, value]
+    assert len(decisions) == (0 if kind in ("case", "paren") else 10_000)
+    assert all(code == 0 and err == "" for code, _, err in runs.values())
+    assert "agreement: yes" in runs["lift"][1]
+    assert runs["dump-skeleton"][1].startswith("main: nil" if kind == "paren" else "main: (seq ")
+    if flat:
+        assert runs["dump-lifted"][1] == print_program(lifted)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTS))
+def test_deep_nest_prints_and_reparses(kind, tmp_path, capsys):
+    # 1,000 levels, so that what nests prints small.
+    text = _nest(kind, 1_000)
+    path = tmp_path / f"{kind}.stg"
+    path.write_text(text)
+    q = split_groups(freshen(parse(text)))
+    lifted, _ = lift_program(q)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert parse(print_program(q)) == q
+        assert parse(print_program(lifted)) == lifted
+        runs = _commands(path, capsys)
+    finally:
+        sys.setrecursionlimit(old)
+    assert all(code == 0 and err == "" for code, _, err in runs.values())
+    assert runs["dump-lifted"][1] == print_program(lifted)
 
 
 @pytest.mark.parametrize("n", [200, 220])
