@@ -25,15 +25,19 @@ scan's nodes.  :func:`apply_lifts` does the per-call work on a plan:
 required sets, decisions (or the forced sites), fresh names, and two
 loops without recursion, a decision pass in pre-order that decides each
 group and rewrites each leaf and a rewrite pass over the same order
-reversed that builds the new definitions and rebuilds each let and case
-whose children changed, sharing the rest with the input.  The rewrite
-pass also builds, bottom-up from its new children, the free variables of
-each node inside a kept right-hand side, and stores them on each
-right-hand side it rebuilds, so no output needs a scan of its own.
-``lift_program`` is the two in a row; the oracle plans once and applies
-the plan to every subset, collecting no decisions.  The scan and the
-index are memoised on the program (see :func:`~liftlab.syntax._analyses`),
-so :func:`lift_program`, :func:`liftable_sites` and the oracle on one
+reversed that builds the new definitions and rebuilds, by its own type,
+each let and case whose children changed, sharing the rest with the
+input.  The rewrite pass also builds, bottom-up from its new children,
+the free variables of each node inside a kept right-hand side, and
+stores them on each right-hand side it rebuilds, so no output needs a
+scan of its own.  A group no closure captures changes no closure's
+slots, which the index's capturing lets tell without a walk, so its
+prediction is its own closures' words alone and only the others call
+:func:`~liftlab.skeleton.closure_growth`.  ``lift_program`` is the two
+in a row; the oracle plans once and applies the plan to every subset,
+collecting no decisions.  The scan, the index and the liftable sites are
+memoised on the program (see :func:`~liftlab.syntax._analyses`), so
+:func:`lift_program`, :func:`liftable_sites` and the oracle on one
 program object scan it and index it once between them.  Lifting nothing
 returns the input itself, and :func:`lift_program` memoises any other
 output, keyed by the groups it lifted, for the oracle's subset of those
@@ -74,9 +78,6 @@ from .syntax import (
     Var,
     _analyses,
     _fresh,
-    occurrences,
-    subexprs,
-    with_subexprs,
 )
 
 LIFTED = "Lifted"
@@ -113,8 +114,7 @@ class LiftConfig:
             raise ValueError("arity limits must be at least 1")
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     site: str
     binders: tuple[str, ...]
     lifted: bool
@@ -147,13 +147,19 @@ def required_set(
     """The extra parameters every member of ``group`` takes if it is lifted:
     the members' closure slot sets in ``index``, with lifted binders expanded
     through ``required`` and the group's own binders removed."""
-    binders = frozenset(group.binders())
-    if binders & required.keys():
+    binders = group.binders()
+    if not required.keys().isdisjoint(binders):
         raise LiftError(f"group {sorted(binders)} already lifted")
-    slots = frozenset().union(*[index.slots[id(rhs)] for _, rhs in group.binds])
-    if not required.keys().isdisjoint(slots):
-        slots = expand(required, slots)
-    return slots - binders
+    binds = group.binds
+    if len(binds) == 1:  # every group of a split program but a mutually recursive one
+        slots = index.slots[id(binds[0][1])]  # its own binder is not in its slots
+        if required.keys().isdisjoint(slots):
+            return slots
+    else:
+        slots = frozenset().union(*[index.slots[id(rhs)] for _, rhs in binds])
+        if required.keys().isdisjoint(slots):
+            return slots.difference(binders)
+    return expand(required, slots).difference(binders)
 
 
 def predicted_growth(
@@ -169,16 +175,26 @@ def predicted_growth(
     those closures took: one code word plus one slot per captured variable,
     per binding, with group members excluded and the lifts in ``required``
     expanded so the count matches the closure the interpreter would
-    actually have allocated.
+    actually have allocated.  The growth is 0 unless a closure captures a
+    member, which ``index`` tells without a walk, so only then does it call
+    :func:`~liftlab.skeleton.closure_growth`, once on the body and once per
+    right-hand side.
     """
-    binders = frozenset(let.group.binders())
-    growth = closure_growth(rqs, binders, let.body, index)
-    for _, rhs in let.group.binds:
+    group = let.group
+    binders = group.binders()
+    growth = 0
+    if not index.capturers.keys().isdisjoint(binders):
+        removed = frozenset(binders)
         # The regions and the body are in sequence, so their growths add.
-        growth += closure_growth(rqs, binders, rhs, index)
-        slots = index.slots[id(rhs)] - binders
+        growth = closure_growth(rqs, removed, let.body, index)
+        for _, rhs in group.binds:
+            growth += closure_growth(rqs, removed, rhs, index)
+    for _, rhs in group.binds:
+        slots = index.slots[id(rhs)]  # its own binder is not in it
+        if len(binders) > 1:
+            slots = slots.difference(binders)
         if not required.keys().isdisjoint(slots):
-            slots = expand(required, slots) - binders
+            slots = expand(required, slots).difference(binders)
         growth -= 1 + len(slots)
     return growth
 
@@ -194,10 +210,11 @@ def decide(
     """Apply the rejection checks in order C5, C1, C4, C3, C2."""
     facts = plan.scan.facts
     group = let.group
+    binds = group.binds
     binders = group.binders()
     params = tuple(sorted(rqs))
 
-    for name, rhs in group.binds:
+    for name, rhs in binds:
         if type(rhs) is Thunk:
             return _rejected(site, binders, params, UPDATABLE, offending_var=name)
 
@@ -207,16 +224,15 @@ def decide(
                 return _rejected(site, binders, params, ARG_OCCURRENCE, offending_var=name)
 
     if not cfg.allow_unknown_calls:
-        offenders = sorted(
-            v for v in params if v in facts and facts[v].is_known_function
-        )
-        if offenders:
-            return _rejected(site, binders, params, KNOWN_CALLS, offending_var=offenders[0])
+        for v in params:  # sorted, so the first offender is the least
+            f = facts.get(v)
+            if f is not None and f.is_known_function:
+                return _rejected(site, binders, params, KNOWN_CALLS, offending_var=v)
 
     limit = cfg.max_arity_nonrec
     if cfg.max_arity_rec != limit and plan.recursive(group):
         limit = cfg.max_arity_rec
-    for name, rhs in group.binds:
+    for _, rhs in binds:
         new_arity = len(params) + len(rhs.params)
         if new_arity > limit:
             return _rejected(site, binders, params, CALLING_CONVENTION, resulting_arity=new_arity)
@@ -224,7 +240,7 @@ def decide(
     predicted = predicted_growth(let, rqs, required, plan.index)
     if cfg.check_closure_growth and predicted > 0:
         return _rejected(site, binders, params, CLOSURE_GROWTH, predicted_net_words=predicted)
-    return Decision(site, binders, True, LIFTED, None, params, predicted_net_words=predicted)
+    return Decision(site, binders, True, LIFTED, None, params, predicted)
 
 
 def _rejected(
@@ -235,15 +251,23 @@ def _rejected(
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     """Groups that may be force-lifted without breaking validity (C5 and C1
-    hold), in pre-order, read from the program's :func:`scan_program`."""
-    nodes, facts, _ = scan_program(p)
-    return [
-        e.group.binders()
-        for e in nodes
-        if type(e) is Let
-        and all(type(rhs) is Lambda for _, rhs in e.group.binds)
-        and not any(facts[b].occurs_as_argument for b in e.group.binders())
-    ]
+    hold), in pre-order, read from the program's :func:`scan_program` once
+    per program object and memoised on it (see
+    :func:`~liftlab.syntax._analyses`); each call returns a new list."""
+    memo = _analyses(p)
+    sites = memo.get("sites")
+    if sites is None:
+        nodes, facts, _ = scan_program(p)
+        sites = memo["sites"] = tuple(
+            [
+                e.group.binders()
+                for e in nodes
+                if type(e) is Let
+                and all(type(rhs) is Lambda for _, rhs in e.group.binds)
+                and not any(facts[b].occurs_as_argument for b in e.group.binders())
+            ]
+        )
+    return list(sites)
 
 
 class LiftPlan(NamedTuple):
@@ -286,31 +310,42 @@ def _rewrite_leaf(
     into the lifted right-hand side around ``e``; sound because ``rename``'s
     keys are bound outside it and names are unique before lifting.  A leaf
     that needs neither is returned as it is."""
-
-    def atom(a):
-        return Var(rename[a.name]) if isinstance(a, Var) and a.name in rename else a
-
-    if isinstance(e, AtomExpr):
-        if not (isinstance(e.atom, Var) and required.get(e.atom.name)):
-            a = atom(e.atom)
-            return e if a is e.atom else AtomExpr(a)
-        e = App(e.atom.name, ())
-    for a in e.args:
-        if isinstance(a, Var) and required.get(a.name):
-            # The occurrence would have to become an application, which is
-            # not a legal argument.  Only reachable with the C1 check off.
-            raise LiftError(
-                f"lifted binder {a.name!r} occurs in argument position; "
-                "such groups cannot be rewritten in ANF"
-            )
-    args = tuple([atom(a) for a in e.args])
-    if isinstance(e, PrimApp):
-        return e if args == e.args else PrimApp(e.op, args)
-    extras = [Var(rename.get(v, v)) for v in sorted(required.get(e.head, ()))]
-    head = rename.get(e.head, e.head)
-    if not extras and head == e.head and args == e.args:
+    t = type(e)
+    if t is AtomExpr:
+        a = e.atom
+        if type(a) is not Var:
+            return e
+        if not required.get(a.name):
+            new = rename.get(a.name)
+            return e if new is None else AtomExpr(Var(new))
+        e, t = App(a.name, ()), App
+    args = e.args
+    new_args = None
+    for i, a in enumerate(args):
+        if type(a) is Var:
+            if required.get(a.name):
+                # The occurrence would have to become an application, which
+                # is not a legal argument.  Only reachable with the C1 check off.
+                raise LiftError(
+                    f"lifted binder {a.name!r} occurs in argument position; "
+                    "such groups cannot be rewritten in ANF"
+                )
+            new = rename.get(a.name)
+            if new is not None:
+                if new_args is None:
+                    new_args = list(args)
+                new_args[i] = Var(new)
+    if new_args is not None:
+        args = tuple(new_args)
+    if t is PrimApp:
+        return e if new_args is None else PrimApp(e.op, args)
+    head = e.head
+    extras = required.get(head)
+    if extras:
+        args = (*[Var(rename.get(v, v)) for v in sorted(extras)], *args)
+    elif new_args is None and head not in rename:
         return e
-    return App(head, (*extras, *args))
+    return App(rename.get(head, head), args)
 
 
 def lift_program(
@@ -374,12 +409,8 @@ def apply_lifts(
         if t is str:
             raise LiftError(f"cannot lift updatable binding {e!r}")
         if t is not Let and t is not Case:
-            # Outside every lifted right-hand side, a leaf that mentions no
-            # lifted binder stays as it is.
-            if rename or (required and not required.keys().isdisjoint(occurrences(e))):
-                order.append((e, _rewrite_leaf(e, required, rename), need))
-            else:
-                order.append((e, e, need))
+            # Until a group is lifted, no leaf changes.
+            order.append((e, _rewrite_leaf(e, required, rename) if required else e, need))
             continue
         if t is Let:
             group = e.group
@@ -408,7 +439,9 @@ def apply_lifts(
                     )
         if t is Case:
             order.append((e, None, need))
-            stack.extend([(c, rename, need) for c in reversed(subexprs(e))])
+            stack.append((e.default[1], rename, need))
+            stack += [(body, rename, need) for _, body in reversed(e.alts)]
+            stack.append((e.scrutinee, rename, need))
             continue
         stack.append((e.body, rename, need))
         if not lifted:
@@ -438,9 +471,11 @@ def apply_lifts(
     if not required:
         return p  # nothing lifted, so nothing changed
     # Pass 2, over the order reversed: children come before their parent, the
-    # first child last, so they pop off ``results`` in child order.  Results
-    # go by position, so a node object found in two places is rebuilt for
-    # each place where its children changed, and shared where none did.
+    # first child last, so they pop off ``results`` in child order, one per
+    # right-hand side and one for the body of a let, and one for the
+    # scrutinee, each alternative and the default of a case.  Results go by
+    # position, so a node object found in two places is rebuilt for each
+    # place where its children changed, and shared where none did.
     # Each flagged node's free variables go on ``frees`` the same way, built
     # from its new children's; each right-hand side a kept let rebuilds
     # stores its own, as the scope walk would.  Names are unique, so a let
@@ -449,47 +484,76 @@ def apply_lifts(
     frees: list[set[str]] = []
     lifted_groups: list[list[TopBind]] = []
     for e, info, need in reversed(order):
-        if info is None:
-            new = with_subexprs(e, [results.pop() for _ in subexprs(e)])
-            results.append(new)
-            if type(e) is Let:
-                binds = new.group.binds
-                if new.group is e.group:  # every right-hand side kept, with its own
-                    del frees[len(frees) - len(binds) :]
+        t = type(e)
+        if t is not Let and t is not Case:
+            results.append(info)
+            if need:
+                if type(info) is AtomExpr:
+                    a = info.atom
+                    frees.append({a.name} if type(a) is Var else set())
                 else:
-                    for (_, old), (_, rhs) in zip(e.group.binds, binds):
-                        fvs = frees.pop()
-                        if rhs is not old:
-                            if type(rhs) is Lambda:
-                                fvs.difference_update(rhs.params)
-                            rhs.__dict__["_free"] = frozenset(fvs)
-                if need:
-                    fvs = frees[-1]
-                    for _, rhs in binds:
-                        fvs |= rhs.__dict__["_free"]
-                    fvs.difference_update(e.group.binders())
-            elif need:
+                    fvs = {a.name for a in info.args if type(a) is Var}
+                    if type(info) is App:
+                        fvs.add(info.head)
+                    frees.append(fvs)
+        elif t is Case:
+            scrutinee = results.pop()
+            same = scrutinee is e.scrutinee
+            alts = []
+            for pat, body in e.alts:
+                new = results.pop()
+                same = same and new is body
+                alts.append((pat, new))
+            binder, body = e.default
+            new = results.pop()
+            if same and new is body:
+                results.append(e)
+            else:
+                results.append(Case(scrutinee, tuple(alts), (binder, new)))
+            if need:
                 fvs = frees.pop()
-                for _ in range(len(e.alts) + 1):
+                for _ in range(len(alts) + 1):
                     other = frees.pop()
                     if len(other) > len(fvs):  # the smaller joins the larger: linear in depth
                         fvs, other = other, fvs
                     fvs |= other
-                fvs.discard(e.default[0])
+                fvs.discard(binder)
                 frees.append(fvs)
-        elif isinstance(e, Let):
-            # The rebuilt let body stays on ``results`` as the let's own,
-            # and so do its free variables.
+        elif info is None:  # a kept let: each right-hand side whose body changed is rebuilt
+            group = e.group
+            binds = group.binds
+            new_binds = None
+            for i, (name, rhs) in enumerate(binds):
+                body = results.pop()
+                fvs = frees.pop()
+                if body is not rhs.body:
+                    if type(rhs) is Lambda:
+                        rhs = Lambda(rhs.card, rhs.params, body)
+                        fvs.difference_update(rhs.params)
+                    else:
+                        rhs = Thunk(body)
+                    rhs.__dict__["_free"] = frozenset(fvs)
+                    if new_binds is None:
+                        new_binds = list(binds)
+                    new_binds[i] = (name, rhs)
+            if new_binds is not None:
+                group = BindGroup(tuple(new_binds))
+            body = results.pop()
+            results.append(e if group is e.group and body is e.body else Let(group, body))
+            if need:
+                fvs = frees[-1]
+                for _, rhs in group.binds:
+                    fvs |= rhs.__dict__["_free"]
+                fvs.difference_update(e.group.binders())
+        else:
+            # A lifted let: its rebuilt body stays on ``results`` as the
+            # let's own, and so do its free variables.
             lifted_groups.append(
                 [
                     TopBind(name, (*inner.values(), *rhs.params), results.pop())
                     for (name, rhs), inner in zip(e.group.binds, info)
                 ]
             )
-        else:
-            results.append(info)
-            if need:
-                frees.append(set(occurrences(info)))
     tops = []
     for tb in p.top_binds:
         body = results.pop()

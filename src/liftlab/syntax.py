@@ -280,9 +280,10 @@ class _Analyses(dict):
     renamed program), and when the scope walk renames nothing, ``scan``
     (nodes, occurrence facts and names) and ``split`` (the split program,
     None when nothing splits), here; ``binders`` in
-    :mod:`liftlab.analysis`; ``plan`` (the growth index) and ``lifted``
-    (the last lift output and the groups it lifted; none if it returned
-    the input itself) in :mod:`liftlab.lifter`, whose
+    :mod:`liftlab.analysis`; ``plan`` (the growth index), ``sites`` (the
+    liftable groups, in pre-order) and ``lifted`` (the last lift output
+    and the groups it lifted; none if it returned the input itself) in
+    :mod:`liftlab.lifter`, whose
     :func:`~liftlab.lifter.apply_lifts` also gives its output ``binders``,
     and ``scope`` and ``split`` as a clean walk leaves them when its
     input's walk was clean, but no ``scan``;
@@ -315,47 +316,11 @@ def _analyses(p: Program) -> _Analyses:
 # ---------------------------------------------------------------------------
 
 
-def subexprs(e: Expr) -> tuple[Expr, ...]:
-    """Immediate sub-expressions: a let's right-hand-side bodies, then its
-    body; a case's scrutinee, alternatives, then default.  Leaves have none."""
-    if isinstance(e, (AtomExpr, App, PrimApp)):
-        return ()
-    if isinstance(e, Let):
-        return (*[rhs.body for _, rhs in e.group.binds], e.body)
-    if isinstance(e, Case):
-        return (e.scrutinee, *[body for _, body in e.alts], e.default[1])
-    raise AssertionError(e)
-
-
-def with_subexprs(e: Expr, kids: list[Expr]) -> Expr:
-    """``e`` with its sub-expressions replaced by ``kids``, given in
-    :func:`subexprs` order; binders, parameters and patterns are kept.
-    ``e`` itself when every child is its own, and otherwise a node that
-    keeps each right-hand side whose body is its own, so what is stored on
-    a right-hand side (see :func:`~liftlab.analysis.free_vars`) stays."""
-    if isinstance(e, Let):
-        binds = e.group.binds
-        if all([body is rhs.body for body, (_, rhs) in zip(kids, binds)]):
-            return e if kids[-1] is e.body else Let(e.group, kids[-1])
-        new = []
-        for body, (name, rhs) in zip(kids, binds):
-            if body is not rhs.body:
-                rhs = Lambda(rhs.card, rhs.params, body) if isinstance(rhs, Lambda) else Thunk(body)
-            new.append((name, rhs))
-        return Let(BindGroup(tuple(new)), kids[-1])
-    if isinstance(e, Case):
-        if all([a is b for a, b in zip(kids, subexprs(e))]):
-            return e
-        alts = tuple([(pat, body) for (pat, _), body in zip(e.alts, kids[1:])])
-        return Case(kids[0], alts, (e.default[0], kids[-1]))
-    return e
-
-
 def walk(*roots: Expr) -> Iterator[Expr]:
-    """Every node under ``roots``, pre-order, children in :func:`subexprs`
-    order.  Uses an explicit stack, so depth is not limited by recursion;
-    pushes children itself rather than through :func:`subexprs`, which
-    halves the cost of this hot loop."""
+    """Every node under ``roots``, pre-order: a let before its right-hand
+    sides' bodies and then its body, a case before its scrutinee, its
+    alternatives and then its default.  Uses an explicit stack, so depth
+    is not limited by recursion."""
     stack = list(reversed(roots))
     while stack:
         e = stack.pop()
@@ -372,17 +337,6 @@ def walk(*roots: Expr) -> Iterator[Expr]:
 def program_nodes(p: Program) -> Iterator[Expr]:
     """:func:`walk` over the top-level bodies, then ``main``."""
     return walk(*[tb.body for tb in p.top_binds], p.main)
-
-
-def occurrences(e: Expr) -> tuple[str, ...]:
-    """Names occurring in the node itself; none for ``let`` and ``case``."""
-    if isinstance(e, AtomExpr):
-        return (e.atom.name,) if isinstance(e.atom, Var) else ()
-    if isinstance(e, App):
-        return (e.head, *[a.name for a in e.args if isinstance(a, Var)])
-    if isinstance(e, PrimApp):
-        return tuple([a.name for a in e.args if isinstance(a, Var)])
-    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,49 @@ def forward_group_text(n: int) -> str:
     return "main = case 7 of { default y ->\n  let " + "\n  and ".join(binds) + "\n  in g1 y }\n"
 
 
+def depth_text(n: int) -> str:
+    """A let/case chain ``n`` steps deep, as perfbench's depth family:
+    ``f{k} = \\ p{k} -> +# p{k} x{k-1}`` is called on ``x{k-1}``, whose
+    result ``x{k}`` the next step reads."""
+    lines = ["main =\n  case 3 of { default x0 ->"]
+    for k in range(1, n + 1):
+        lines.append(f"  let f{k} = \\ p{k} -> +# p{k} x{k - 1} in")
+        lines.append(f"  case f{k} x{k - 1} of {{ default x{k} ->")
+    lines.append(f"  x{n}")
+    lines.append("  " + "}" * (n + 1))
+    return "\n".join(lines) + "\n"
+
+
+def width_text(n: int) -> str:
+    """One group of ``n`` helpers, ``g{k}`` calling ``g{k-1}``, as
+    perfbench's width family: a chain of ``n`` lets once split."""
+    lines = ["main =\n  case 3 of { default y ->", "  let g1 = \\ q1 -> +# q1 y"]
+    lines += [f"  and g{k} = \\ q{k} -> g{k - 1} q{k}" for k in range(2, n + 1)]
+    lines.append(f"  in g{n} y }}")
+    return "\n".join(lines) + "\n"
+
+
+def rqs_text(n: int) -> str:
+    """A helper whose required set has ``n`` variables, as perfbench's rqs
+    family."""
+    lines = ["main ="]
+    lines += [f"  case {k % 10} of {{ default v{k} ->" for k in range(1, n + 1)]
+    lines.append("  let h = \\ s0 ->")
+    for k in range(1, n + 1):
+        lines.append(f"    case +# s{k - 1} v{k} of {{ default s{k} ->")
+    lines.append(f"    s{n}" + " }" * n)
+    lines.append("  in h 1" + " }" * n)
+    return "\n".join(lines) + "\n"
+
+
+NESTED_FAMILIES = {"depth": depth_text, "width": width_text, "rqs": rqs_text}
+
+
+def nested_family_texts(sizes=(8, 16, 32)) -> dict[str, str]:
+    """perfbench's nested families at ``sizes``, by ``family-size``."""
+    return {f"{name}-{n}": text(n) for name, text in NESTED_FAMILIES.items() for n in sizes}
+
+
 IDENT = re.compile(r"[^\W\d]\w*")
 
 

@@ -270,6 +270,27 @@ def direct_growth(added, removed, e, top_names):
     raise AssertionError(e)
 
 
+def subexprs(e):
+    """Immediate sub-expressions: a let's right-hand-side bodies, then its
+    body; a case's scrutinee, alternatives, then default.  Leaves have none."""
+    if isinstance(e, Let):
+        return (*[rhs.body for _, rhs in e.group.binds], e.body)
+    if isinstance(e, Case):
+        return (e.scrutinee, *[body for _, body in e.alts], e.default[1])
+    return ()
+
+
+def occurrences(e):
+    """Names occurring in the node itself; none for ``let`` and ``case``."""
+    if isinstance(e, AtomExpr):
+        return (e.atom.name,) if isinstance(e.atom, Var) else ()
+    if isinstance(e, App):
+        return (e.head, *[a.name for a in e.args if isinstance(a, Var)])
+    if isinstance(e, PrimApp):
+        return tuple([a.name for a in e.args if isinstance(a, Var)])
+    return ()
+
+
 def preorder(p):
     """Every expression node of ``p``, each top-level body's then
     ``main``'s, in pre-order: a let before its right-hand sides' bodies,

@@ -30,16 +30,15 @@ from liftlab.syntax import (
     ScopeError,
     Var,
     _analyses,
-    occurrences,
     parse,
     print_program,
-    subexprs,
     validate,
     walk,
 )
 
-from conftest import PROGRAMS_DIR, load_inline, load_program
-from reference import recursive
+import reference
+from conftest import PROGRAMS_DIR, load_inline, load_program, nested_family_texts
+from reference import occurrences, recursive, subexprs
 
 
 def fs(*names):
@@ -478,6 +477,136 @@ class TestSharing:
             PrimApp("+#", (Lit(1), Var("gr"))),
         ]
         assert len(list(walk(new.body))) == 8
+
+
+# A two-member recursive group, which split_groups keeps whole: ``f``,
+# lifted first, is expanded into the group's required set, and ``h``'s
+# closure captures ``even``, so the group's prediction walks.
+MUTUAL_TEXT = """\
+main = case 1 of { default x -> case 2 of { default y ->
+  let f = \\ a -> +# a x in
+  let even = \\ n -> case n of { 0 -> f y; default m -> case -# m 1 of { default k -> odd k } }
+  and odd = \\ n2 -> case n2 of { 0 -> +# x 0; default m2 -> case -# m2 1 of { default k2 -> even k2 } } in
+  let h = \\ z -> case even z of { default r -> +# r y } in
+  h 5 } }
+"""
+
+
+def reference_values(p, decisions):
+    """Each decision's required set and prediction, recomputed from
+    :mod:`reference` alone: the group's closure slots, expanded through
+    the required sets of the groups lifted before it and less the group;
+    and the direct growth of the let's body and of each right-hand side's
+    scaled region, less one word plus one per slot for each closure."""
+    top = frozenset(tb.name for tb in p.top_binds)
+    lets = [e for e in reference.preorder(p) if type(e) is Let]
+    assert [d.binders for d in decisions] == [e.group.binders() for e in lets]
+    required = {}
+    out = []
+    for let, d in zip(lets, decisions):
+        binders = frozenset(let.group.binders())
+        slots = {}
+        for name, rhs in let.group.binds:
+            own = reference.closure_slot_fvs(name, rhs, top)
+            slots[name] = set().union(*[required.get(v, {v}) for v in own]) - binders
+        rqs = frozenset().union(*slots.values())
+        predicted = reference.direct_growth(rqs, binders, let.body, top)
+        for name, rhs in let.group.binds:
+            region = reference.direct_growth(rqs, binders, rhs.body, top)
+            predicted += reference.scaled(region, rhs) - 1 - len(slots[name])
+        out.append((tuple(sorted(rqs)), predicted))
+        if d.lifted:
+            required.update(dict.fromkeys(binders, set(rqs)))
+    return out
+
+
+def test_required_sets_and_predictions_match_reference(corpus, hand_programs):
+    programs = [*corpus, *hand_programs.values(), load_inline(MUTUAL_TEXT)]
+    programs += [load_inline(text) for text in nested_family_texts().values()]
+    groups = predicted = 0
+    for p in programs:
+        runs = [None]
+        sites = liftable_sites(p)
+        if len(sites) <= 4:
+            runs += [frozenset(c) for n in range(len(sites) + 1) for c in combinations(sites, n)]
+        for force_sites in runs:
+            _, ds = lift_program(p, force_sites=force_sites)
+            for d, (rqs, growth) in zip(ds, reference_values(p, ds)):
+                assert d.required_set == rqs, d
+                groups += len(d.binders) > 1
+                if d.predicted_net_words is not None:
+                    assert d.predicted_net_words == growth, d
+                    predicted += 1
+    assert groups > 10 and predicted > 8_000, (groups, predicted)
+
+
+@pytest.fixture
+def growth_walks(monkeypatch) -> list[list]:
+    """Per ``predicted_growth`` call the lifter makes, in order: the let and
+    how many times it called ``closure_growth``."""
+    calls: list[list] = []
+    real_predict, real_growth = lifter.predicted_growth, lifter.closure_growth
+
+    def predicting(let, *args):
+        calls.append([let, 0])
+        return real_predict(let, *args)
+
+    def growing(*args):
+        calls[-1][1] += 1
+        return real_growth(*args)
+
+    monkeypatch.setattr(lifter, "predicted_growth", predicting)
+    monkeypatch.setattr(lifter, "closure_growth", growing)
+    return calls
+
+
+def test_closure_growth_runs_only_for_captured_groups(corpus, growth_walks):
+    # A group whose members no closure of the program captures changes no
+    # closure's slots, so its prediction needs no walk; any other walks the
+    # let's body and each right-hand side.  Which closures capture what is
+    # read from the reference, not from the growth index.
+    captured = uncaptured = 0
+    for p in corpus:
+        top = frozenset(tb.name for tb in p.top_binds)
+        slots = set().union(
+            *[
+                reference.closure_slot_fvs(name, rhs, top)
+                for e in reference.preorder(p)
+                if type(e) is Let
+                for name, rhs in e.group.binds
+            ]
+        )
+        growth_walks.clear()
+        _, ds = lift_program(p)
+        assert len(growth_walks) == sum(d.predicted_net_words is not None for d in ds)
+        for let, n in growth_walks:
+            if slots.isdisjoint(let.group.binders()):
+                assert n == 0
+                uncaptured += 1
+            else:
+                assert n == 1 + len(let.group.binds)
+                captured += 1
+    assert captured > 100 and uncaptured > 1000, (captured, uncaptured)
+
+
+def test_liftable_sites_scan_once_per_program(monkeypatch):
+    scans = []
+    real_scan = lifter.scan_program
+
+    def scanning(p):
+        scans.append(id(p))
+        return real_scan(p)
+
+    monkeypatch.setattr(lifter, "scan_program", scanning)
+    for name in ("known_call", "mutual", "shared_thunk"):
+        p = load_program(name)
+        scans.clear()
+        sites = liftable_sites(p)
+        expected = list(sites)
+        sites.append(("junk",))
+        sites.reverse()
+        assert liftable_sites(p) == expected and liftable_sites(p) == expected, name
+        assert scans == [id(p)], name
 
 
 def test_group_binders_built_once():

@@ -30,30 +30,27 @@ from liftlab.syntax import (
     TopBind,
     Var,
     freshen,
-    occurrences,
     parse,
     print_program,
     program_nodes,
-    subexprs,
     validate,
     walk,
-    with_subexprs,
 )
 
 from conftest import forward_group_text
-from reference import bound_names, direct_growth, free_vars as reference_free_vars, recursive
-
-
-def _preorder(e):
-    yield e
-    for c in subexprs(e):
-        yield from _preorder(c)
+from reference import (
+    bound_names,
+    direct_growth,
+    free_vars as reference_free_vars,
+    occurrences,
+    preorder,
+    recursive,
+)
 
 
 def _check_contract(p):
     nodes = list(program_nodes(p))
-    roots = [tb.body for tb in p.top_binds] + [p.main]
-    assert nodes == [n for r in roots for n in _preorder(r)]
+    assert [id(n) for n in nodes] == [id(n) for n in preorder(p)]
     s = scan_program(p)
     assert [id(n) for n in s.nodes] == [id(n) for n in nodes]
     assert s.names == set(bound_names(p))
@@ -62,8 +59,6 @@ def _check_contract(p):
     for _, rhs in binds:
         assert vars(rhs)["_free"] == reference_free_vars(rhs)
     assert s.facts.keys() == {name for name, _ in binds}
-    for e in nodes:
-        assert with_subexprs(e, list(subexprs(e))) is e
     lets = [e.group.binders() for e in nodes if isinstance(e, Let)]
     _, decisions = lift_program(p, force_sites=frozenset())
     assert lets == [d.binders for d in decisions]

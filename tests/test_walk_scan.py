@@ -31,7 +31,14 @@ from liftlab.syntax import (
 )
 
 import reference
-from conftest import CORPUS_SEED, CORPUS_SIZE, PROGRAMS_DIR, renamings
+from conftest import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    PROGRAMS_DIR,
+    load_inline,
+    nested_family_texts,
+    renamings,
+)
 from progen import ProgramGen
 
 
@@ -150,3 +157,44 @@ def test_walk_agrees_with_reference_after_freshen(walks, applied):
             lifted += 1
             checked += check_lifts(split, walks, applied, measure=False)
     assert renamed > 400 and lifted > 400 and checked > 4_000, (renamed, lifted, checked)
+
+
+def thunk_nest_text(n: int) -> str:
+    """Thunk ``t{k}``'s body defines ``t{k+1}``, down to ``t{n}``, whose body
+    defines and calls ``f``.  Each thunk is kept (C5) and ``f`` is lifted,
+    so a lift rebuilds all ``n`` right-hand sides, one inside the next."""
+    lines = ["main =", "  case 3 of { default x0 ->"]
+    lines += [f"  let t{k} = thunk case +# x{k - 1} 1 of {{ default x{k} ->" for k in range(1, n + 1)]
+    lines.append(f"  let f = \\ a -> +# a x{n} in f x0")
+    lines += [f"  }} in case t{k} of {{ default r{k} -> +# r{k} x{k - 1} }}" for k in range(n, 0, -1)]
+    lines.append("  }")
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_lift_outputs_carry_reference_free_vars(walks):
+    # Deeper than any corpus program: the nested families, whose forced
+    # lifts rebuild kept right-hand sides, and thunk nests, whose lifts
+    # rebuild a chain of right-hand sides each inside the last.  Each
+    # output's stored free variables must be the reference's, found
+    # bottom-up by the rewrite pass without a walk.
+    texts = dict(nested_family_texts())
+    texts |= {f"thunks-{n}": thunk_nest_text(n) for n in (8, 16, 32)}
+    rebuilt = 0
+    for name, text in texts.items():
+        p = load_inline(text)
+        plan, sites = plan_lifts(p), liftable_sites(p)
+        before = list(walks)
+        outputs = [lift_program(p)[0]]
+        for chosen in (sites, sites[::2], sites[1::2], sites[:1], sites[-1:]):
+            outputs.append(apply_lifts(plan, force_sites=frozenset(chosen)))
+        assert walks == before, name
+        old = {id(rhs) for e in reference.preorder(p) if type(e) is Let for _, rhs in e.group.binds}
+        for q in outputs:
+            check_free(q)
+            rebuilt += sum(
+                id(rhs) not in old
+                for e in reference.preorder(q)
+                if type(e) is Let
+                for _, rhs in e.group.binds
+            )
+    assert rebuilt > 300, rebuilt
