@@ -157,8 +157,6 @@ def required_set(
             return slots
     else:
         slots = frozenset().union(*[index.slots[id(rhs)] for _, rhs in binds])
-        if required.keys().isdisjoint(slots):
-            return slots.difference(binders)
     return expand(required, slots).difference(binders)
 
 
@@ -357,7 +355,8 @@ def lift_program(
 
     Expects a validated, freshened, SCC-split program.  With ``force_sites``
     the decision logic is bypassed and exactly the named groups are lifted
-    (callers must restrict themselves to :func:`liftable_sites`).
+    (callers must restrict themselves to :func:`liftable_sites`); a named
+    group that holds a thunk raises :class:`LiftError`.
 
     The output is ``p`` itself when no group is lifted; any other output
     depends only on ``p`` and on which groups are lifted, so it is memoised
@@ -401,13 +400,11 @@ def apply_lifts(
     # ``order`` entry carries a leaf's rewrite, a lifted let's renaming per
     # member, or None, and that flag.
     order: list[tuple[Expr, object, bool]] = []
-    stack: list[tuple[Expr | str, Mapping[str, str], bool]] = [(p.main, {}, False)]
+    stack: list[tuple[Expr, Mapping[str, str], bool]] = [(p.main, {}, False)]
     stack += [(tb.body, {}, False) for tb in reversed(p.top_binds)]
     while stack:
         e, rename, need = stack.pop()
         t = type(e)
-        if t is str:
-            raise LiftError(f"cannot lift updatable binding {e!r}")
         if t is not Let and t is not Case:
             # Until a group is lifted, no leaf changes.
             order.append((e, _rewrite_leaf(e, required, rename) if required else e, need))
@@ -423,6 +420,10 @@ def apply_lifts(
                 lifted = decision.lifted
             else:
                 lifted = binders in force_sites
+                if lifted:
+                    for name, rhs in group.binds:
+                        if type(rhs) is Thunk:
+                            raise LiftError(f"cannot lift updatable binding {name!r}")
                 if lifted or decisions is not None:
                     rqs = required_set(group, required, index)
                 if decisions is not None:
@@ -463,10 +464,8 @@ def apply_lifts(
                 used.add(inner[v])
             inners.append(inner)
         order.append((e, inners, need))
-        for (name, rhs), inner in zip(reversed(group.binds), reversed(inners)):
-            # A thunk can only be here through force_sites; it fails where
-            # its body would have been visited.
-            stack.append((rhs.body if isinstance(rhs, Lambda) else name, inner, False))
+        for (_, rhs), inner in zip(reversed(group.binds), reversed(inners)):
+            stack.append((rhs.body, inner, False))
 
     if not required:
         return p  # nothing lifted, so nothing changed

@@ -8,10 +8,11 @@ until it yields a value, forces that value, and returns it to the innermost
 pending frame (a case scrutinee, a thunk update, argument values waiting for
 a forced head or an oversaturated call's result, or a primop operand).
 The frames live on an explicit stack, so evaluation depth is bounded by
-fuel, never by the host's recursion limit.  A frame is pushed only to wait
-for evaluation, as in the STG machine: a case whose scrutinee's int is
-already at hand, or a primop whose operand is a thunk already evaluated,
-goes straight on, charged the same steps.
+fuel, never by the host's recursion limit.  A case whose scrutinee's int
+is already at hand (a literal, an int in the running activation, or a
+primop on two such atoms) pushes no frame and goes straight on, charged
+the same steps.  Every other scrutinee and primop operand, a thunk
+already evaluated included, is forced through a frame.
 
 Closures are flat.  A function or thunk stores only the values of its slots,
 its :func:`~liftlab.analysis.closure_slots` (free variables, minus itself,
@@ -38,11 +39,11 @@ A completed run is memoised on the program object (see
 object (a lift that lifts nothing returns the input itself) does not run
 at all; so are the stats rows, which come from the program's
 :func:`~liftlab.analysis.scan_program` (the scope walk's scan) unless the
-lifter handed them on.  Each let's slot names are made on its first run,
-from each right-hand side's :func:`~liftlab.analysis.free_vars`, stored
-by the scope walk or by the lift that rebuilt it, so evaluation scans
-nothing.  What else a run sets up is not kept: a program is run once, or
-again only after a run that raised.
+lifter handed them on.  A closure's slot names come from its right-hand
+side's :func:`~liftlab.analysis.free_vars`, stored by the scope walk or
+by the lift that rebuilt it, so evaluation scans nothing.  What else a
+run sets up is not kept: a program is run once, or again only after a
+run that raised.
 
 There are two engines, chosen by run length, and both do all of the
 above.  Every run starts on the first, :class:`_Machine`, whose
@@ -276,34 +277,28 @@ class _Machine:
         # holds it: per let binder that ran, the entry count of each of its
         # allocations and the words one allocation takes.
         self.counters: dict[str, tuple[list[int], int]] = {}
-        # id(let) -> per binding (name, rhs, slot names, entry counts)
-        self.plans: dict[int, list[tuple]] = {}
         self.rows = _binder_names(program)
 
     def _allocate(self, let: Let, env: dict) -> None:
         """Bind the group's closures in ``env``, then fill their slots, so
-        members of a recursive group capture each other.  The let's plan,
-        per binding its name, right-hand side, slot names and entry
-        counts, is made on its first run."""
-        plan = self.plans.get(id(let))
-        if plan is None:
-            plan = self.plans[id(let)] = []
-            for name, rhs in let.group.binds:
-                # Names are unique, so every allocation for ``name`` stores
-                # the same slots.
-                slots = tuple(sorted(closure_slots(name, free_vars(rhs), self.top_names)))
-                counts = self.counters.setdefault(name, ([], 1 + len(slots)))[0]
-                plan.append((name, rhs, slots, counts))
+        members of a recursive group capture each other.  Each closure
+        stores its :func:`~liftlab.analysis.closure_slots`, read from its
+        right-hand side's stored free variables at every allocation: a
+        short run allocates each let about once."""
         cells = []
-        for name, rhs, _, counts in plan:
+        for name, rhs in let.group.binds:
+            names = closure_slots(name, free_vars(rhs), self.top_names)
+            # Names are unique, so every allocation for ``name`` stores the
+            # same slots.
+            counts = self.counters.setdefault(name, ([], 1 + len(names)))[0]
             if type(rhs) is Lambda:
                 cell = FunValue(name, rhs.params, rhs.body, counts, len(counts))
             else:
                 cell = ThunkCell(name, rhs.body, counts, len(counts))
             counts.append(0)
             env[name] = cell
-            cells.append(cell)
-        for cell, (_, _, names, _) in zip(cells, plan):
+            cells.append((cell, names))
+        for cell, names in cells:
             slots = cell.slots
             for v in names:
                 slots[v] = env[v]
@@ -357,10 +352,10 @@ class _Machine:
                     ts = type(s)
                     if ts is not App:
                         # At hand: a literal, or a variable of the running
-                        # activation bound to an int or to a thunk already
-                        # evaluated to one; or a primop on two such atoms.
-                        # Such a scrutinee is charged its step and chosen on
-                        # at once; anything else waits on a frame.
+                        # activation bound to an int; or a primop on two
+                        # such atoms.  Such a scrutinee is charged its step
+                        # and chosen on at once; anything else waits on a
+                        # frame.
                         v = w = None
                         if ts is AtomExpr:
                             a = s.atom
@@ -368,12 +363,8 @@ class _Machine:
                         elif ts is PrimApp:
                             a, b = s.args
                             w = b.value if type(b) is Lit else env.get(b.name)
-                            if type(w) is ThunkCell:
-                                w = w.value
                             if type(w) is int:
                                 v = a.value if type(a) is Lit else env.get(a.name)
-                        if type(v) is ThunkCell:
-                            v = v.value
                         if type(v) is int:
                             steps += 1
                             if steps > fuel:
@@ -428,12 +419,8 @@ class _Machine:
                         if v is None:
                             v = tops[a.name]
                     if type(v) is not int:
-                        # A thunk already evaluated is read in place.
-                        if type(v) is ThunkCell and type(v.value) is int:
-                            v = v.value
-                        else:
-                            push((_LEFT, expr, env))
-                            break
+                        push((_LEFT, expr, env))
+                        break
                     x = v
                     if type(b) is Lit:
                         v = b.value
@@ -442,11 +429,8 @@ class _Machine:
                         if v is None:
                             v = tops[b.name]
                     if type(v) is not int:
-                        if type(v) is ThunkCell and type(v.value) is int:
-                            v = v.value
-                        else:
-                            push((_RIGHT, expr, x))
-                            break
+                        push((_RIGHT, expr, x))
+                        break
                     v = prims[expr.op](x, v)
                     break
                 elif t is AtomExpr:
@@ -768,13 +752,9 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
             if op == _N_CASE_PRIM:
                 b = node[7]
                 w = frame[b] if type(b) is int else b.value
-                if type(w) is _Thunk:
-                    w = w.value
                 if type(w) is int:
                     a = node[6]
                     v = frame[a] if type(a) is int else a.value
-                    if type(v) is _Thunk:
-                        v = v.value
                     if type(v) is int:
                         steps += 1
                         if steps > fuel:
@@ -792,8 +772,6 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
             elif op == _N_CASE_ATOM:
                 a = node[5]
                 v = frame[a] if type(a) is int else a.value
-                if type(v) is _Thunk:
-                    v = v.value
                 if type(v) is int:
                     steps += 1
                     if steps > fuel:
@@ -841,11 +819,8 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
                 else:
                     v = a.value
                 if type(v) is not int:
-                    if type(v) is _Thunk and type(v.value) is int:
-                        v = v.value
-                    else:
-                        push((_LEFT, node, frame))
-                        break
+                    push((_LEFT, node, frame))
+                    break
                 x = v
                 b = node[3]
                 if type(b) is int:
@@ -853,11 +828,8 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
                 else:
                     v = b.value
                 if type(v) is not int:
-                    if type(v) is _Thunk and type(v.value) is int:
-                        v = v.value
-                    else:
-                        push((_RIGHT, node, x))
-                        break
+                    push((_RIGHT, node, x))
+                    break
                 v = node[1](x, v)
                 break
             elif op == _N_ATOM:

@@ -103,10 +103,7 @@ def closure_growth(
     must be disjoint."""
     if not added.isdisjoint(removed):
         raise ValueError("added and removed variable sets overlap")
-    capturers = index.capturers
-    if capturers.keys().isdisjoint(removed):
-        return 0
-    lists = list(filter(None, map(capturers.get, removed)))
+    lists = list(filter(None, map(index.capturers.get, removed)))
     slots, spans = index.slots, index.spans
     # An explicit stack, so a deep tree cannot exhaust the host stack;
     # ``values[-1]`` sums the innermost open region, a right-hand side's

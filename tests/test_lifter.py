@@ -296,6 +296,26 @@ class TestLiftProgram:
         with pytest.raises(LiftError, match="lifted binder 'g' occurs in argument position"):
             lift_program(p, cfg)
 
+    @pytest.mark.parametrize(
+        "sites, name",
+        [({("t",)}, "t"), ({("f",), ("t",)}, "t"), ({("g", "u")}, "u")],
+        ids=["thunk", "thunk-and-lambda", "mixed-group"],
+    )
+    def test_forced_thunk_refused(self, sites, name):
+        # A thunk forced to lift is refused by name, with or without the
+        # decisions collected, alone, beside a lambda site or in a group
+        # with a lambda.
+        p = load_inline(
+            "main = let f = \\ x -> +# x 1 in let t = thunk (f 2) in "
+            "let g = \\ y -> case u of { default w -> +# w y } and u = thunk (g 3) in "
+            "case g 4 of { default r -> +# t r }"
+        )
+        message = f"^cannot lift updatable binding '{name}'$"
+        with pytest.raises(LiftError, match=message):
+            lift_program(p, force_sites=frozenset(sites))
+        with pytest.raises(LiftError, match=message):
+            lifter.apply_lifts(plan_lifts(p), force_sites=frozenset(sites))
+
     def test_empty_required_set_lift_survives_argument_position(self):
         p = load_inline(
             "sink p q = p;\n"

@@ -458,6 +458,35 @@ class TestCompiledFrames:
             shown = f"liftlab: error: {message}\n"
         assert (captured.out, captured.err) == ("", shown)
 
+    @pytest.mark.parametrize("fuel", [999, 1_000, 1_001, DEFAULT_FUEL])
+    def test_evaluated_thunks_past_the_handover(self, fuel):
+        # The loop reads its parameter k, the thunk one, evaluated in the
+        # first iteration, as a case scrutinee, in primop scrutinees and as
+        # primop operands, and so does each thunk d; an evaluated thunk is
+        # never at hand, so both engines force it through a frame.  The
+        # loops workload takes this path on compiled frames nowhere.
+        p = load_inline(
+            "f a n k =\n"
+            "  case <# n k of {\n"
+            "    1 -> +# a k;\n"
+            "    default n0 ->\n"
+            "      case k of {\n"
+            "        1 -> let d = thunk (-# n k) in case +# a k of { default a1 -> f a1 d k };\n"
+            "        default z -> z\n"
+            "      }\n"
+            "  };\n"
+            "main = let one = thunk 1 in f 0 400 one\n"
+        )
+        expected = outcome(dict_engine, p, fuel)
+        assert outcome(evaluate, fresh(p), fuel) == expected
+        if fuel == DEFAULT_FUEL:
+            value, stats = expected
+            d = stats.per_binder["d"]
+            assert value == ("int", 401) and stats.steps > 1_001
+            assert stats.per_binder["one"].entries == 1 and d.entries == d.allocations == 400
+        else:
+            assert expected == (OutOfFuel, f"exceeded {fuel} steps")
+
     def test_cli_out_of_fuel_names_the_callers_fuel(self, capsys):
         code = cli_main(["lift", str(PROGRAMS_DIR / "countdown.stg"), "--eval", "--fuel", "1001"])
         captured = capsys.readouterr()
@@ -522,9 +551,10 @@ def test_evaluate_refuses_invalid_programs_and_engines_agree(tops, main):
 @pytest.mark.parametrize("engine", [dict_engine, frames_engine], ids=["dict", "frames"])
 class TestFramelessCase:
     """A case whose scrutinee's int is already at hand pushes no frame.
-    Each test pins what the machine did when every case pushed one, on
-    both engines (compiled frames read such a case as one node, and an
-    evaluated thunk in place), each run on a program object of its own."""
+    Each test pins the steps, entries, values and errors that one frame
+    per case gives, on both engines (compiled frames read such a case as
+    one node), each run on a program object of its own; an evaluated
+    thunk is not at hand, and is forced through its frame."""
 
     def test_fuel_checked_before_the_primop(self, engine):
         # Two steps, the case's and its scrutinee's; the division runs only
@@ -555,9 +585,9 @@ class TestFramelessCase:
             ),
             ("main = let t = thunk 5 in case t of { default a -> +# t t }", "10", 6),
         ],
-        ids=["case-on-thunk", "case-on-primop", "primop-operands"],
+        ids=["thunk-scrutinee", "thunk-in-primop-scrutinee", "thunk-primop-operands"],
     )
-    def test_evaluated_thunk_read_in_place(self, src, value, steps, engine):
+    def test_evaluated_thunk_steps_as_one_frame_per_case(self, src, value, steps, engine):
         v, stats = engine(load_inline(src))
         t = stats.per_binder["t"]
         assert (render_value(v), stats.steps, t.allocations, t.entries) == (value, steps, 1, 1)
