@@ -1,8 +1,8 @@
 """Free-variable, occurrence, and binding-group analyses; free variables
 are kept per right-hand side and need globally unique names.  The scope
 walk behind :func:`~liftlab.syntax.freshen` is the one scan: it finds the
-nodes, occurrence facts, names and free variables of a program, and
-splits its let groups, in the pass that makes its names unique, so
+occurrence facts, names and free variables of a program, and splits its
+let groups, in the pass that makes its names unique, so
 :func:`scan_program` and :func:`split_groups` read what it stored, and a
 program it has not seen is walked when they ask.  Each right-hand side's
 free variables are stored on the node itself, where :func:`free_vars`
@@ -58,9 +58,9 @@ def free_vars(rhs: Rhs) -> frozenset[str]:
 
 
 def scan_program(p: Program) -> Scan:
-    """The scan of ``p``'s top-level bodies and ``main`` (nodes, occurrence
-    facts, and names with the top-level names and parameters) that its
-    scope walk stored, made once per program object (see
+    """The scan of ``p``'s top-level bodies and ``main`` (occurrence facts,
+    and names with the top-level names and parameters) that its scope
+    walk stored, made once per program object (see
     :func:`~liftlab.syntax._analyses`).  A program no walk has scanned (a
     copy, or a lift output, whose clean mark holds no scan) is walked here.
     Free variables need globally unique names, so a program whose walk
@@ -102,8 +102,8 @@ def split_groups(p: Program) -> Program:
     makes the split, over the free variables it stores, once per program
     object, so this reads it: ``p`` itself when no group splits, and
     otherwise a new program that shares every subtree holding no split and
-    carries the same scan of its own nodes.  Free variables need globally
-    unique names, so a program whose walk renames raises ``ValueError``.
+    carries ``p``'s very scan.  Free variables need globally unique names,
+    so a program whose walk renames raises ``ValueError``.
     """
     _scope(p)
     memo = _analyses(p)

@@ -17,11 +17,11 @@ application carrying the required set.
 
 Lifting is split into analysis and application, as in GHC's
 ``GHC.Stg.Lift.Analysis`` and ``GHC.Stg.Lift``.  :func:`plan_lifts` reads
-only the program: its scan (nodes, occurrence facts and used names, from
-the scope walk, which stores each right-hand side's free variables on
-it) and its :class:`~liftlab.skeleton.GrowthIndex` (closure slots,
-subtree intervals and capturing lets), from one reverse loop over the
-scan's nodes.  :func:`apply_lifts` does the per-call work on a plan:
+only the program: its scan (occurrence facts and used names, from the
+scope walk, which stores each right-hand side's free variables on it)
+and its :class:`~liftlab.skeleton.GrowthIndex` (closure slots, subtree
+intervals, capturing lets and the lets), from a pass of its own over the
+program.  :func:`apply_lifts` does the per-call work on a plan:
 required sets, decisions (or the forced sites), fresh names, and two
 loops without recursion, a decision pass in pre-order that decides each
 group and rewrites each leaf and a rewrite pass over the same order
@@ -35,8 +35,8 @@ slots, which the index's capturing lets tell without a walk, so its
 prediction is its own closures' words alone and only the others call
 :func:`~liftlab.skeleton.closure_growth`.  ``lift_program`` is the two
 in a row; the oracle plans once and applies the plan to every subset,
-collecting no decisions.  The scan, the index and the liftable sites are
-memoised on the program (see :func:`~liftlab.syntax._analyses`), so
+collecting no decisions.  The scan and the index are memoised on the
+program (see :func:`~liftlab.syntax._analyses`), so
 :func:`lift_program`, :func:`liftable_sites` and the oracle on one
 program object scan it and index it once between them.  Lifting nothing
 returns the input itself, and :func:`lift_program` memoises any other
@@ -78,6 +78,7 @@ from .syntax import (
     Var,
     _analyses,
     _fresh,
+    _mark_clean,
 )
 
 LIFTED = "Lifted"
@@ -249,23 +250,19 @@ def _rejected(
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     """Groups that may be force-lifted without breaking validity (C5 and C1
-    hold), in pre-order, read from the program's :func:`scan_program` once
-    per program object and memoised on it (see
-    :func:`~liftlab.syntax._analyses`); each call returns a new list."""
-    memo = _analyses(p)
-    sites = memo.get("sites")
-    if sites is None:
-        nodes, facts, _ = scan_program(p)
-        sites = memo["sites"] = tuple(
-            [
-                e.group.binders()
-                for e in nodes
-                if type(e) is Let
-                and all(type(rhs) is Lambda for _, rhs in e.group.binds)
-                and not any(facts[b].occurs_as_argument for b in e.group.binders())
-            ]
-        )
-    return list(sites)
+    hold), in pre-order: the lets of the program's :func:`plan_lifts`
+    index, filtered by its scan's facts; each call builds a new list."""
+    plan = plan_lifts(p)
+    facts = plan.scan.facts
+    sites = []
+    for e in plan.index.lets:
+        binders = e.group.binders()
+        for b in binders:
+            if facts[b].occurs_as_argument or not facts[b].is_known_function:  # C1, C5
+                break
+        else:
+            sites.append(binders)
+    return sites
 
 
 class LiftPlan(NamedTuple):
@@ -287,7 +284,7 @@ class LiftPlan(NamedTuple):
 
 def plan_lifts(p: Program) -> LiftPlan:
     """Analyse ``p`` for lifting: its :func:`scan_program`, and its
-    :func:`growth_index` from one reverse loop over the scan's nodes.  Each
+    :func:`growth_index` from one pre-order pass over the program.  Each
     is made once per program object and memoised on it (see
     :func:`~liftlab.syntax._analyses`), so a second plan of ``p`` only packs
     them up again."""
@@ -295,7 +292,7 @@ def plan_lifts(p: Program) -> LiftPlan:
     memo = _analyses(p)
     index = memo.get("plan")
     if index is None:
-        index = memo["plan"] = growth_index(s.nodes, p.top_names())
+        index = memo["plan"] = growth_index(p)
     return LiftPlan(p, s, index)
 
 
@@ -563,13 +560,8 @@ def apply_lifts(
     q = Program(tuple(tops), results.pop())
     # Each lifted binder left its let for the top level, so the let binders
     # and top-level names together, the interpreter's stats rows, are p's.
-    memo = _analyses(q)
-    memo["binders"] = _binder_names(p)
+    _analyses(q)["binders"] = _binder_names(p)
     # Lifting a split program whose walk found nothing wrong keeps names
     # unique and in scope and splits no further, so no walk need check q.
-    # An input nobody walked, or one found wrong, leaves q to be walked.
-    p_memo = _analyses(p)
-    scope = p_memo.get("scope")
-    if scope is not None and not scope[0] and p_memo["split"] is None:
-        memo["scope"], memo["split"] = scope, None
+    _mark_clean(p, q)
     return q

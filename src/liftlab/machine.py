@@ -956,7 +956,7 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     if fuel < 1:
         raise ValueError("fuel must be positive")
     memo = _analyses(p)
-    violations = (memo.get("scope") or _scope(p))[0]
+    violations = _scope(p)[0]
     if violations:
         v = violations[0]
         raise ScopeError(f"invalid program: {v.path}: {v.tag} {v.detail}")

@@ -10,11 +10,12 @@ infinite.  It walks the expression tree itself, with a program's
 :func:`~liftlab.analysis.free_vars`, the rule the interpreter charges by),
 each let and case node's pre-order interval, and per variable the sorted
 positions of the lets with a closure capturing it, so one ``bisect`` tells
-whether a subtree holds a closure the change can touch.
+whether a subtree holds a closure the change can touch.  :func:`growth_index`
+builds it in a pass of its own, as in GHC's ``GHC.Stg.Lift.Analysis``.
 
 The tests check ``closure_growth`` against a direct recursion over the
-expression tree, written independently in ``tests/reference.py``; the two
-must agree exactly.
+expression tree, and the index against a loop over a pre-order list, both
+written independently in ``tests/reference.py``; each pair must agree.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .analysis import cardinality, closure_slots, free_vars
-from .syntax import Cardinality, Case, Expr, INF, Lambda, Let, Rhs, Thunk
+from .syntax import Cardinality, Case, Expr, INF, Lambda, Let, Program, Rhs, Thunk
 
 GrowthValue = int | float  # int, or INF
 
@@ -31,29 +32,39 @@ _OPEN = object()  # closure_growth's marker: a branch of a case opens
 
 
 class GrowthIndex(NamedTuple):
-    """What :func:`closure_growth` reads of one program besides its tree.
-    Positions are indices into the program's pre-order node list."""
+    """What :func:`closure_growth` and the lifter read of one program
+    besides its tree, its nodes numbered as :func:`growth_index` visits them."""
 
     slots: dict[int, frozenset[str]]  # per right-hand side, by id: its closure's slots
     spans: dict[int, tuple[int, int]]  # per let and case, by id: (position, subtree end)
     capturers: dict[str, list[int]]  # per variable: the lets with a closure storing it, ascending
+    lets: list[Let]  # every let, in pre-order
 
 
-def growth_index(nodes: list[Expr], top_names: frozenset[str]) -> GrowthIndex:
-    """The index of the program whose pre-order node list is ``nodes``, in
-    one loop over them reversed.  Names must be globally unique.  A node
-    object found in two places keeps its first place's interval, whose
-    subtree is the same."""
+def growth_index(p: Program) -> GrowthIndex:
+    """The index of ``p``, in one pre-order pass on an explicit stack: the
+    top-level bodies, then ``main``; a let before its right-hand sides'
+    bodies and then its body, a case before its scrutinee, its
+    alternatives and then its default.  Names must be globally unique.  A
+    node object found in two places keeps its first place's interval,
+    whose subtree is the same."""
+    top_names = p.top_names()
     slots: dict[int, frozenset[str]] = {}
     spans: dict[int, tuple[int, int]] = {}
     capturers: dict[str, list[int]] = {}
-    # The subtree ends of the nodes after the current one whose parent is
-    # at or before it, first child on top: a node's end is its last child's.
-    ends: list[int] = []
-    for i in range(len(nodes) - 1, -1, -1):
-        e = nodes[i]
+    lets: list[Let] = []
+    # Nodes to visit, and (node, position) pairs that close a let or a case
+    # once its subtree is numbered.
+    stack: list = [p.main, *[tb.body for tb in reversed(p.top_binds)]]
+    i = 0  # the next node's position
+    while stack:
+        e = stack.pop()
         t = type(e)
+        if t is tuple:
+            spans.setdefault(id(e[0]), (e[1], i))
+            continue
         if t is Let:
+            lets.append(e)
             binds = e.group.binds
             for name, rhs in binds:
                 slots[id(rhs)] = s = closure_slots(name, free_vars(rhs), top_names)
@@ -63,18 +74,14 @@ def growth_index(nodes: list[Expr], top_names: frozenset[str]) -> GrowthIndex:
                         capturers[v] = [i]
                     elif at[-1] != i:
                         at.append(i)
-            k = len(binds) + 1
+            stack += ((e, i), e.body)
+            stack += [rhs.body for _, rhs in reversed(binds)]
         elif t is Case:
-            k = len(e.alts) + 2
-        else:
-            ends.append(i + 1)
-            continue
-        end = ends[-k]
-        ends[-k:] = [end]
-        spans[id(e)] = (i, end)
-    for at in capturers.values():
-        at.reverse()
-    return GrowthIndex(slots, spans, capturers)
+            stack += ((e, i), e.default[1])
+            stack += [body for _, body in reversed(e.alts)]
+            stack.append(e.scrutinee)
+        i += 1
+    return GrowthIndex(slots, spans, capturers, lets)
 
 
 def _scale(n: GrowthValue, card: Cardinality) -> GrowthValue:

@@ -30,10 +30,10 @@ into their minimal components (see
 :func:`~liftlab.analysis.split_groups` share one scope walk on an explicit
 stack, which visits each node once: in that visit it checks and renames
 names, makes the scan that :func:`~liftlab.analysis.scan_program` returns
-(nodes, occurrence facts, names and each right-hand side's free
-variables), and splits let groups into their strongly connected
-components.  The parser and the printer are loops on explicit stacks too,
-so no stage recurses once per nesting level.
+(occurrence facts and names) and each right-hand side's free variables,
+and splits let groups into their strongly connected components.  The
+parser and the printer are loops on explicit stacks too, so no stage
+recurses once per nesting level.
 
 Programs are immutable, so what an analysis finds about one is memoised on
 the object it describes, in the frozen instance's ``__dict__``, which
@@ -48,7 +48,6 @@ stack, so equal programs of any nesting depth compare equal.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import islice
 from typing import NamedTuple
@@ -278,15 +277,13 @@ class _Analyses(dict):
     """What the analyses found about one program, by name (see
     :func:`_analyses`): ``scope`` (violations, bound-twice errors, the
     renamed program), and when the scope walk renames nothing, ``scan``
-    (nodes, occurrence facts and names) and ``split`` (the split program,
-    None when nothing splits), here; ``binders`` in
-    :mod:`liftlab.analysis`; ``plan`` (the growth index), ``sites`` (the
-    liftable groups, in pre-order) and ``lifted`` (the last lift output
-    and the groups it lifted; none if it returned the input itself) in
-    :mod:`liftlab.lifter`, whose
-    :func:`~liftlab.lifter.apply_lifts` also gives its output ``binders``,
-    and ``scope`` and ``split`` as a clean walk leaves them when its
-    input's walk was clean, but no ``scan``;
+    (occurrence facts and names, shared with the split program) and
+    ``split`` (the split program, None when nothing splits), here, which
+    alone writes ``scope`` and ``split`` (see :func:`_mark_clean`);
+    ``binders`` in :mod:`liftlab.analysis`; ``plan`` (the growth index)
+    and ``lifted`` (the last lift output and the groups it lifted; none
+    if it returned the input itself) in :mod:`liftlab.lifter`, whose
+    :func:`~liftlab.lifter.apply_lifts` also gives its output ``binders``;
     and ``run`` (a completed run's value and stats) in
     :mod:`liftlab.machine`.  A pickled or deep-copied one comes back
     empty, since its tables are keyed by the ``id`` of the original's nodes."""
@@ -309,34 +306,6 @@ def _analyses(p: Program) -> _Analyses:
     if memo is None or memo.owner != id(p):
         memo = p.__dict__["_analyses"] = _Analyses(id(p))
     return memo
-
-
-# ---------------------------------------------------------------------------
-# Traversal
-# ---------------------------------------------------------------------------
-
-
-def walk(*roots: Expr) -> Iterator[Expr]:
-    """Every node under ``roots``, pre-order: a let before its right-hand
-    sides' bodies and then its body, a case before its scrutinee, its
-    alternatives and then its default.  Uses an explicit stack, so depth
-    is not limited by recursion."""
-    stack = list(reversed(roots))
-    while stack:
-        e = stack.pop()
-        yield e
-        if isinstance(e, Let):
-            stack.append(e.body)
-            stack.extend([rhs.body for _, rhs in reversed(e.group.binds)])
-        elif isinstance(e, Case):
-            stack.append(e.default[1])
-            stack.extend([body for _, body in reversed(e.alts)])
-            stack.append(e.scrutinee)
-
-
-def program_nodes(p: Program) -> Iterator[Expr]:
-    """:func:`walk` over the top-level bodies, then ``main``."""
-    return walk(*[tb.body for tb in p.top_binds], p.main)
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +709,6 @@ class Scan(NamedTuple):
     """What the scope walk finds under a program's roots (see
     :func:`~liftlab.analysis.scan_program`)."""
 
-    nodes: list[Expr]  # every node, in :func:`walk` order
     facts: dict[str, BinderFacts]  # per let binder
     names: frozenset[str]  # every binder and parameter name
 
@@ -769,8 +737,8 @@ def _path_text(path: str | tuple) -> str:
 
 
 def _node_paths(p: Program, wanted: set[int]) -> dict[int, str | tuple]:
-    """The paths of the nodes whose pre-order indices are ``wanted``, in the
-    numbering of :func:`program_nodes`: ``top f`` or ``main``, then
+    """The paths of the nodes whose pre-order indices, as the scope walk
+    numbers them, are ``wanted``: ``top f`` or ``main``, then
     ``/let f/rhs``, ``/in``, ``/scrutinee``, ``/alt k`` or ``/default`` per
     step.  Only a walk that found violations asks, so none of this is on
     the path of a well-formed program."""
@@ -846,10 +814,10 @@ class _ScopeWalk:
     node's pre-order index (:meth:`violations` makes them text), and the
     renamed program: binders get :func:`_fresh` names and occurrences
     those of the binders in scope.  In the same walk it makes the
-    program's scan: the nodes in pre-order, the let binders' occurrence
-    facts, the names, and each right-hand side's free variables (the names
-    it mentions less its parameters and the binders inside it), which it
-    stores on the right-hand side.  No other code finds these; the lifter
+    program's scan: the let binders' occurrence facts, the names, and
+    each right-hand side's free variables (the names it mentions less its
+    parameters and the binders inside it), which it stores on the
+    right-hand side.  No other code finds these; the lifter
     only builds those of the right-hand sides it rebuilds, from their new
     children (see :func:`~liftlab.lifter.apply_lifts`).  When a let's
     right-hand sides have closed, a group of two or more members is split
@@ -881,7 +849,7 @@ class _ScopeWalk:
         self.renamed = 0  # binders renamed
         self.splits = 0  # let groups split
         self.env: dict[str, str | None] = {}  # name -> fresh name; None out of scope
-        self.nodes: list[Expr] = []
+        self.count = 0  # nodes seen: the next node's pre-order index
         self.known: dict[str, bool] = {}  # let binder -> its right-hand side is a lambda
         self.as_arg: set[str] = set()
         names, _ = self.bind([tb.name for tb in p.top_binds], 0, None, 0, "top ", True)
@@ -970,7 +938,7 @@ class _ScopeWalk:
         lists that close a right-hand side, each pushed when it opens and
         ending with what :meth:`bind` returned for its binders, or None."""
         env, used, known, as_arg = self.env, self.used, self.known, self.as_arg
-        nodes, records = self.nodes, self.records
+        records, n = self.records, self.count
         mentioned: set[str] = set()  # names occurring in the open right-hand side
         bound: set[str] = set()  # binders inside it
         changed = 0
@@ -993,18 +961,18 @@ class _ScopeWalk:
                             for name in y.params:
                                 if name in used:
                                     done = len(used) - k
-                                    close[5] = self.bind(y.params, done, len(nodes), 1, "/param ")
+                                    close[5] = self.bind(y.params, done, n, 1, "/param ")
                                     changed += 1
                                     break
                                 used.add(name)
                                 env[name] = name
                             if not y.params:
-                                records.append((len(nodes), 1, "", "ZeroParamLambda", ""))
+                                records.append((n, 1, "", "ZeroParamLambda", ""))
                         stack.append(y.body)
                     else:  # a case's default binds its name
                         if x in used:
                             # the case's closing entry, just below, keeps what bind returns
-                            stack[-1] = stack[-1][:4] + (self.bind((x,), 0, len(nodes), 0, ""),)
+                            stack[-1] = stack[-1][:4] + (self.bind((x,), 0, n, 0, ""),)
                             changed += 1
                         else:
                             used.add(x)
@@ -1067,20 +1035,20 @@ class _ScopeWalk:
                         new.__dict__["_free"] = fvs
                     results.append((len(stack), new))
             elif t is AtomExpr:
-                nodes.append(e)
+                n += 1
                 a = e.atom
                 if type(a) is Var:
                     name = a.name
                     mentioned.add(name)
                     if env.get(name) != name:
-                        new = self.resolve(name, len(nodes) - 1, "")
+                        new = self.resolve(name, n - 1, "")
                         if new != name:
                             changed += 1
                             results.append((len(stack), AtomExpr(Var(new))))
                 elif type(a) is not Lit:
-                    records.append((len(nodes) - 1, 0, "", "NonAtomicArg", type(a).__name__))
+                    records.append((n - 1, 0, "", "NonAtomicArg", type(a).__name__))
             elif t is App or t is PrimApp:
-                nodes.append(e)
+                n += 1
                 if t is App:
                     name = e.head
                     mentioned.add(name)
@@ -1098,12 +1066,12 @@ class _ScopeWalk:
                     elif type(a) is not Lit:
                         ok = False
                 if not ok:
-                    new = self.leaf(e, len(nodes) - 1)
+                    new = self.leaf(e, n - 1)
                     if new is not e:
                         changed += 1
                         results.append((len(stack), new))
             elif t is Let:
-                nodes.append(e)
+                n += 1
                 binds = e.group.binds
                 st = None
                 k = len(used)
@@ -1111,7 +1079,7 @@ class _ScopeWalk:
                     known[name] = type(rhs) is Lambda
                     bound.add(name)
                     if name in used:
-                        st = self.bind_let(e, len(used) - k, bound)
+                        st = self.bind_let(e, n - 1, len(used) - k, bound)
                         break
                     used.add(name)
                     env[name] = name
@@ -1119,29 +1087,30 @@ class _ScopeWalk:
                 if st is not None:
                     changed += 1  # at least one binder is renamed
                 if not binds:
-                    records.append((len(nodes) - 1, 0, "", "EmptyGroup", ""))
+                    records.append((n - 1, 0, "", "EmptyGroup", ""))
                 stack.append(e.body)
                 stack += reversed(binds)
             elif t is Case:
-                nodes.append(e)
+                n += 1
                 stack.append((e, changed, len(results), len(stack) + 1, None))
                 stack.append(e.default)
                 if e.alts:
                     stack += [body for _, body in reversed(e.alts)]
                 stack.append(e.scrutinee)
             else:
-                nodes.append(e)
-                records.append((len(nodes) - 1, 0, "", "NonAtomicArg", t.__name__))
+                n += 1
+                records.append((n - 1, 0, "", "NonAtomicArg", t.__name__))
+        self.count = n
         return results[0][1] if results else root
 
-    def bind_let(self, e: Let, done: int, bound: set[str]):
-        """Bind the rest of a let group whose binder ``done`` was bound
-        before, the open right-hand side's ``bound`` set taking the rest;
-        returns what :meth:`bind` returns."""
+    def bind_let(self, e: Let, index: int, done: int, bound: set[str]):
+        """Bind the rest of the let group of node ``index`` whose binder
+        ``done`` was bound before, the open right-hand side's ``bound`` set
+        taking the rest; returns what :meth:`bind` returns."""
         for name, rhs in e.group.binds[done + 1 :]:
             self.known[name] = type(rhs) is Lambda
             bound.add(name)
-        return self.bind(e.group.binders(), done, len(self.nodes) - 1, 0, "/let ", True)
+        return self.bind(e.group.binders(), done, index, 0, "/let ", True)
 
     def violations(self, p: Program) -> tuple[list[Violation], list[str]]:
         """The violations as :func:`validate` reports them, and the
@@ -1198,9 +1167,8 @@ def _rebuild_case(e: Case, kids: list, base: int, st) -> Expr:
 def _scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
     """``p``'s :class:`_ScopeWalk`, made once per program: its violations,
     its bound-twice errors, and its renamed program (None when that is
-    ``p``, so the memo never refers to ``p``).  A clean mark the lifter
-    left on its output (see :func:`~liftlab.lifter.apply_lifts`) counts as
-    one."""
+    ``p``, so the memo never refers to ``p``).  A clean mark (see
+    :func:`_mark_clean`) counts as one."""
     return _analyses(p).get("scope") or _walk_scope(p)
 
 
@@ -1208,9 +1176,9 @@ def _walk_scope(p: Program) -> tuple[list[Violation], list[str], Program | None]
     """Walk ``p`` and store what :func:`_scope` returns.  When the walk
     renames nothing, the names are globally unique, so its scan and split
     hold: they are stored as ``scan`` and ``split`` (None when nothing
-    splits), and a split program gets the same scan of its own nodes.  A
-    split is never made on a program that renames, so such a walk runs
-    again without."""
+    splits), and a split program, which binds the same names with the same
+    right-hand sides, gets the very same scan, unwalked.  A split is never
+    made on a program that renames, so such a walk runs again without."""
     memo = _analyses(p)
     walk = _ScopeWalk(p)
     if walk.renamed and walk.splits:
@@ -1220,17 +1188,24 @@ def _walk_scope(p: Program) -> tuple[list[Violation], list[str], Program | None]
         scope = memo["scope"] = (out, twice, walk.result)
         return scope
     facts = {name: BinderFacts(name in walk.as_arg, k) for name, k in walk.known.items()}
-    names = frozenset(walk.used)
-    memo.setdefault("scan", Scan(walk.nodes, facts, names))
+    scan = memo.setdefault("scan", Scan(facts, frozenset(walk.used)))
     q = walk.result
     memo["split"] = None if q is p else q
-    if q is not p:
-        split = _analyses(q)
-        split["scan"] = Scan(list(program_nodes(q)), facts, names)
-        if not out:  # a valid program splits into a valid one
-            split["scope"], split["split"] = ([], [], None), None
     scope = memo["scope"] = (out, twice, None)
+    if q is not p:
+        _analyses(q)["scan"] = scan
+        _mark_clean(p, q)
     return scope
+
+
+def _mark_clean(p: Program, q: Program) -> None:
+    """Store on ``q`` what its walk would find, when ``p``'s walk found
+    nothing wrong and ``q`` is ``p``'s split program, or ``p`` is its own
+    split and ``q`` a lift of it: either keeps names unique and in scope
+    and splits nothing further.  Any other ``q`` is walked when checked."""
+    memo = _analyses(p)
+    if "scope" in memo and not memo["scope"][0] and (memo["split"] is None or memo["split"] is q):
+        _analyses(q).update(scope=([], [], None), split=None)
 
 
 def validate(p: Program) -> list[Violation]:

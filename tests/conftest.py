@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liftlab import machine, syntax
+from liftlab import lifter, machine, syntax
 from liftlab.analysis import split_groups
 from liftlab.syntax import KEYWORDS, Program, freshen, parse, validate
 
@@ -152,4 +152,19 @@ def walks(monkeypatch) -> list[int]:
             super().__init__(p, split)
 
     monkeypatch.setattr(syntax, "_ScopeWalk", Counting)
+    return ids
+
+
+@pytest.fixture
+def indexes(monkeypatch) -> list[int]:
+    """The ids of the programs the lifter builds a growth index of, in
+    order."""
+    ids: list[int] = []
+    real_index = lifter.growth_index
+
+    def counting(p):
+        ids.append(id(p))
+        return real_index(p)
+
+    monkeypatch.setattr(lifter, "growth_index", counting)
     return ids

@@ -316,6 +316,42 @@ def preorder(p):
     return out
 
 
+def growth_index(p):
+    """The growth index of ``p``, read off :func:`preorder` in one loop
+    over it reversed: per right-hand side, by id, its closure slots; per
+    let and case, by id, its position in the list and the end of its
+    subtree, a node object found in two places keeping its first place's;
+    per variable, the ascending positions of the lets with a closure
+    storing it; and the lets, in order."""
+    nodes = preorder(p)
+    top_names = frozenset(tb.name for tb in p.top_binds)
+    slots, spans, capturers = {}, {}, {}
+    # The subtree ends of the nodes after the current one whose parent is
+    # at or before it, first child on top: a node's end is its last child's.
+    ends = []
+    for i in range(len(nodes) - 1, -1, -1):
+        e = nodes[i]
+        if isinstance(e, Let):
+            for name, rhs in e.group.binds:
+                slots[id(rhs)] = closure_slot_fvs(name, rhs, top_names)
+                for v in slots[id(rhs)]:
+                    at = capturers.setdefault(v, [])
+                    if not at or at[-1] != i:
+                        at.append(i)
+            k = len(e.group.binds) + 1
+        elif isinstance(e, Case):
+            k = len(e.alts) + 2
+        else:
+            ends.append(i + 1)
+            continue
+        end = ends[-k]
+        ends[-k:] = [end]
+        spans[id(e)] = (i, end)
+    for at in capturers.values():
+        at.reverse()
+    return slots, spans, capturers, [e for e in nodes if isinstance(e, Let)]
+
+
 def bound_names(p):
     """Every binder and parameter, each listed just before the expression it
     scopes over: top-level names and params before their body, a let binder

@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 
-from liftlab.analysis import cardinality, scan_program
+from liftlab.analysis import cardinality
 from liftlab.lifter import LiftConfig, lift_program, liftable_sites
 from liftlab.machine import enumerate_lift_subsets, evaluate, value_key
 from liftlab.skeleton import closure_growth, growth_index
@@ -112,7 +112,7 @@ def estimator_mismatches(programs, rng) -> tuple[int, int]:
     for p in programs:
         tops = p.top_names()
         roots = [tb.body for tb in p.top_binds] + [p.main]
-        index = growth_index(scan_program(p).nodes, tops)
+        index = growth_index(p)
         pool = bound_names(p)
         for _ in range(50):
             added, removed = random_disjoint_sets(rng, pool)

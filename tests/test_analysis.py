@@ -24,12 +24,11 @@ from liftlab.syntax import (
     Var,
     freshen,
     parse,
-    program_nodes,
 )
 
 from conftest import CORPUS_SEED
 from progen import ProgramGen
-from reference import free_vars, occurrence_facts, recursive
+from reference import free_vars, occurrence_facts, preorder, recursive
 
 
 def fs(*names):
@@ -79,7 +78,7 @@ class TestFreeVars:
         checked = 0
         for p in [*corpus, *hand_programs.values()]:
             for q in (p, lift_program(p)[0]):
-                lets = [e for e in program_nodes(q) if isinstance(e, Let)]
+                lets = [e for e in preorder(q) if isinstance(e, Let)]
                 for _, rhs in [bind for e in lets for bind in e.group.binds]:
                     assert vars(rhs)["_free"] == free_vars(rhs)
                     checked += 1
@@ -182,7 +181,7 @@ class TestSplitGroups:
         sp = split_groups(p)
         assert sp.top_binds[0] is p.top_binds[0]
         assert sp.main.scrutinee is p.main.scrutinee
-        assert [e.group.binders() for e in program_nodes(sp) if isinstance(e, Let)] == [
+        assert [e.group.binders() for e in preorder(sp) if isinstance(e, Let)] == [
             ("u", "v"),
             ("g",),
             ("h",),

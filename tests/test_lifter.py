@@ -33,7 +33,6 @@ from liftlab.syntax import (
     parse,
     print_program,
     validate,
-    walk,
 )
 
 import reference
@@ -177,11 +176,10 @@ class TestDecide:
         seen = set()
         for p in [*corpus, *hand_programs.values()]:
             plan = plan_lifts(p)
-            for e in plan.scan.nodes:
-                if isinstance(e, Let):
-                    expected = recursive(e.group)
-                    assert plan.recursive(e.group) == expected
-                    seen.add(expected)
+            for e in plan.index.lets:
+                expected = recursive(e.group)
+                assert plan.recursive(e.group) == expected
+                seen.add(expected)
         assert seen == {True, False}
 
     def test_differing_arity_limits_walk_no_group(self):
@@ -450,10 +448,15 @@ def kept_subtrees(p: Program, lifted: frozenset[str]) -> list:
     return out
 
 
+def nodes_under(e) -> list:
+    """``e``'s nodes in pre-order."""
+    return [e, *[n for child in subexprs(e) for n in nodes_under(child)]]
+
+
 def assert_shares_what_it_keeps(p: Program, q: Program, lifted: frozenset[str]) -> None:
     # Lifting nothing returns the input itself; anything else, a new program.
     assert (q is p) == (not lifted)
-    in_output = {id(e) for e in walk(*[tb.body for tb in q.top_binds], q.main)}
+    in_output = {id(e) for e in reference.preorder(q)}
     assert all(id(e) in in_output for e in kept_subtrees(p, lifted))
 
 
@@ -486,17 +489,17 @@ class TestSharing:
         p = load_program("countdown")
         q, ds = lift_program(p)
         assert decision_for(ds, "g").lifted
-        old = next(e for e in walk(p.top_binds[0].body) if type(e) is Let).group.binds[0][1]
+        old = next(e for e in nodes_under(p.top_binds[0].body) if type(e) is Let).group.binds[0][1]
         new = next(tb for tb in q.top_binds if tb.name == "g")
         assert new.params == ("a_1", "m")
-        old_leaves = {id(e) for e in walk(old.body) if not subexprs(e)}
-        kept = [e for e in walk(new.body) if id(e) in old_leaves]
+        old_leaves = {id(e) for e in nodes_under(old.body) if not subexprs(e)}
+        kept = [e for e in nodes_under(new.body) if id(e) in old_leaves]
         assert kept == [
             AtomExpr(Var("m")),
             PrimApp("-#", (Var("m0"), Lit(1))),
             PrimApp("+#", (Lit(1), Var("gr"))),
         ]
-        assert len(list(walk(new.body))) == 8
+        assert len(nodes_under(new.body)) == 8
 
 
 # A two-member recursive group, which split_groups keeps whole: ``f``,
@@ -609,24 +612,20 @@ def test_closure_growth_runs_only_for_captured_groups(corpus, growth_walks):
     assert captured > 100 and uncaptured > 1000, (captured, uncaptured)
 
 
-def test_liftable_sites_scan_once_per_program(monkeypatch):
-    scans = []
-    real_scan = lifter.scan_program
-
-    def scanning(p):
-        scans.append(id(p))
-        return real_scan(p)
-
-    monkeypatch.setattr(lifter, "scan_program", scanning)
+def test_liftable_sites_scan_once_per_program(walks, indexes):
+    # Loading the program scans it, and its first liftable_sites indexes
+    # it; later calls read both, and each returns a new list.
     for name in ("known_call", "mutual", "shared_thunk"):
+        walks.clear()
         p = load_program(name)
-        scans.clear()
+        assert walks == [id(p)], name
+        indexes.clear()
         sites = liftable_sites(p)
         expected = list(sites)
         sites.append(("junk",))
         sites.reverse()
         assert liftable_sites(p) == expected and liftable_sites(p) == expected, name
-        assert scans == [id(p)], name
+        assert walks == [id(p)] and indexes == [id(p)], name
 
 
 def test_group_binders_built_once():
@@ -636,7 +635,7 @@ def test_group_binders_built_once():
     cfg = LiftConfig(max_arity_rec=4)  # so decide asks LiftPlan.recursive
     for name in ("callweb", "countdown", "growth_balanced", "mutual", "tally", "wide_args"):
         plan = plan_lifts(load_program(name))
-        lets = [e for e in plan.scan.nodes if type(e) is Let]
+        lets = plan.index.lets
         first = [e.group.binders() for e in lets]
         assert first == [tuple(n for n, _ in e.group.binds) for e in lets], name
         decisions = []

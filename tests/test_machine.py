@@ -39,12 +39,11 @@ from liftlab.syntax import (
     _analyses,
     freshen,
     parse,
-    program_nodes,
     validate,
 )
 
 from conftest import PROGRAMS_DIR, load_inline, load_program
-from reference import closure_slot_fvs
+from reference import closure_slot_fvs, preorder
 from test_syntax import _EXPRS, _PROPERTY, _TOPS
 
 
@@ -837,7 +836,7 @@ def test_charged_words_follow_closure_slots(corpus, hand_programs):
         for q in (p, lift_program(p)[0]):
             stats = evaluate(q)[1].per_binder
             tops = q.top_names()
-            for e in program_nodes(q):
+            for e in preorder(q):
                 if isinstance(e, Let):
                     for name, rhs in e.group.binds:
                         slots = closure_slot_fvs(name, rhs, tops)

@@ -1,7 +1,7 @@
 """Per-program analyses are memoised on the program object they describe.
 
-The scope walk, which also makes the scan (nodes, occurrence facts and
-names) and the SCC split, the growth index and the interpreter's stats
+The scope walk, which also makes the scan (occurrence facts and names)
+and the SCC split, the growth index and the interpreter's stats
 rows are each built once per ``Program`` object by whichever public call
 asks first, and read by every later call on it.
 So are a completed run and the last lift output, which the oracle reads
@@ -41,7 +41,7 @@ from liftlab.syntax import (
 )
 
 import reference
-from conftest import CORPUS_SEED, PROGRAMS_DIR
+from conftest import CORPUS_SEED, CORPUS_SIZE, PROGRAMS_DIR
 from progen import ProgramGen
 
 # programs/ files that split_groups returns unchanged, so the whole
@@ -55,17 +55,23 @@ def source(name: str) -> str:
 
 
 def rhss_under(roots) -> list:
-    """The right-hand sides under ``roots`` (each root that is one too)."""
+    """The right-hand sides under ``roots`` (each root that is one too), in
+    pre-order."""
     rhss = [r for r in roots if type(r) in (Lambda, Thunk)]
-    nodes = syntax.walk(*[r.body if type(r) in (Lambda, Thunk) else r for r in roots])
-    return rhss + [rhs for e in nodes if type(e) is Let for _, rhs in e.group.binds]
+    stack = [r.body if type(r) in (Lambda, Thunk) else r for r in reversed(roots)]
+    while stack:
+        e = stack.pop()
+        if type(e) is Let:
+            rhss += [rhs for _, rhs in e.group.binds]
+        stack += reversed(reference.subexprs(e))
+    return rhss
 
 
 @pytest.fixture
 def built(monkeypatch) -> Counter:
-    """Counts each analysis build: each scope walk, the one scan, with the
-    program it walks, and each growth index with the node list it indexes,
-    replacing the analysis functions where their callers look them up."""
+    """Counts each analysis build: each scope walk, the one scan, and each
+    growth index, with the program it walks or indexes, replacing the
+    analysis functions where their callers look them up."""
     counts: Counter = Counter()
 
     class CountingWalk(syntax._ScopeWalk):
@@ -74,10 +80,10 @@ def built(monkeypatch) -> Counter:
             counts[("scope", id(p))] += 1
             super().__init__(p, split)
 
-    def indexing(nodes, top_names):
+    def indexing(p):
         counts["index"] += 1
-        counts[("index", id(nodes))] += 1
-        return real_index(nodes, top_names)
+        counts[("index", id(p))] += 1
+        return real_index(p)
 
     real_index = lifter.growth_index
     monkeypatch.setattr(syntax, "_ScopeWalk", CountingWalk)
@@ -122,9 +128,9 @@ def test_harness_order_analyses_once(name, built, monkeypatch):
 
     monkeypatch.setitem(globals(), "freshen", freshening)
     p, outputs = pipeline(parse(source(name)))
-    # One walk and one growth index in all, and that over p's own scan.
+    # One walk and one growth index in all, and that of p itself.
     assert (built["scope"], built["index"]) == (1, 1)
-    assert built[("index", id(analysis.scan_program(p).nodes))] == 1
+    assert built[("index", id(p))] == 1
     rhss = rhss_under([tb.body for tb in p.top_binds] + [p.main])
     assert rhss and len(stored) == len(rhss)
     assert all(vars(rhs)["_free"] is stored[id(rhs)] for rhs in rhss)
@@ -165,7 +171,7 @@ def test_a_copy_analyses_afresh_and_agrees(name, built):
     lifted, decisions = lift_program(p)
     expected = (print_program(lifted), decisions, evaluate(p))
     assert built["index"] == 1
-    assert built[("index", id(analysis.scan_program(p).nodes))] == 1
+    assert built[("index", id(p))] == 1
     for q in (copy.deepcopy(p), copy.copy(p), pickle.loads(pickle.dumps(p))):
         assert q is not p and q == p
         # A deep copy or a pickle leaves tables keyed by p's nodes behind;
@@ -173,17 +179,17 @@ def test_a_copy_analyses_afresh_and_agrees(name, built):
         assert not vars(q)["_analyses"] or vars(q)["_analyses"] is vars(p)["_analyses"]
         lifted, decisions = lift_program(q)
         assert (print_program(lifted), decisions, evaluate(q)) == expected
-        assert built[("index", id(analysis.scan_program(q).nodes))] == 1
+        assert built[("index", id(q))] == 1
     assert built["index"] == 4
 
 
 def test_a_split_program_inherits_the_inputs_analyses(built):
     # The scope walk that freshens a program splits it, with no second
-    # walk: the new program gets the input's occurrence facts and names and
-    # a scan of its own nodes, each rebuilt right-hand side the free
-    # variables of the one it replaces, and the input's clean scope walk,
-    # so it splits no further.  All of it is what a fresh analysis of the
-    # same nodes (a shallow copy) finds, for the input too.
+    # walk: the new program gets the input's own scan (occurrence facts and
+    # names), each rebuilt right-hand side the free variables of the one it
+    # replaces, and the input's clean scope walk, so it splits no further.
+    # All of it, and the growth index read off it, is what a fresh analysis
+    # of the same nodes (a shallow copy) finds, for the input too.
     rng = random.Random(CORPUS_SEED)
     texts = [source(name) for name in ("callweb", "growth_balanced", "scc_chain")]
     inputs = [parse(text) for text in texts] + [ProgramGen(rng).program() for _ in range(300)]
@@ -204,12 +210,39 @@ def test_a_split_program_inherits_the_inputs_analyses(built):
         for rhs in rhss:
             assert vars(rhs)["_free"] == reference.free_vars(rhs)
         rebuilt += sum(id(rhs) not in old for rhs in rhss)
+        assert analysis.scan_program(q) is analysis.scan_program(p)
         for r in (p, q):
-            inherited, table = analysis.scan_program(r), analysis.scan_program(copy.copy(r))
-            assert [id(e) for e in inherited.nodes] == [id(e) for e in table.nodes]
+            index = plan_lifts(r).index
+            twin = copy.copy(r)
+            inherited, table = analysis.scan_program(r), analysis.scan_program(twin)
+            assert [id(e) for e in index.lets] == [id(e) for e in plan_lifts(twin).index.lets]
+            assert index == plan_lifts(twin).index
             assert inherited == table
         checked += 1
     assert checked > 100 and rebuilt > 50, rebuilt
+
+
+def test_a_split_program_shares_the_inputs_scan(walks, indexes):
+    # Every acceptance-corpus program that splits: its split program holds
+    # the input's very scan, so loading and planning it walks the input
+    # once, in freshen, and no more, and builds one growth index, of the
+    # split program.
+    rng = random.Random(CORPUS_SEED)
+    split = 0
+    for _ in range(CORPUS_SIZE):
+        p = ProgramGen(rng).program()
+        walks.clear()
+        indexes.clear()
+        assert freshen(p) is p
+        q = split_groups(p)
+        plan = plan_lifts(q)
+        if q is p:
+            continue
+        split += 1
+        scan = analysis.scan_program(p)
+        assert analysis.scan_program(q) is scan and plan.scan is scan
+        assert walks == [id(p)] and indexes == [id(q)]
+    assert split > 300, split
 
 
 def test_split_groups_reads_the_walk_and_refuses_names_bound_twice(built):
@@ -232,7 +265,7 @@ def test_split_groups_reads_the_walk_and_refuses_names_bound_twice(built):
     # group as written.
     assert q is not p and q.main.group.binders() == ("f", "g")
     split = split_groups(q)
-    assert [e.group.binders() for e in syntax.walk(split.main) if type(e) is Let] == [
+    assert [e.group.binders() for e in reference.preorder(split) if type(e) is Let] == [
         ("f",),
         ("g",),
         ("f_1",),

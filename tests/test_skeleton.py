@@ -3,14 +3,33 @@ every corpus program, ``programs/`` file and lift output, against the
 reference recursion of ``tests/reference.py``."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from liftlab.analysis import scan_program
-from liftlab.lifter import lift_program, plan_lifts
+from liftlab.lifter import apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.skeleton import closure_growth, growth_index, skeleton_sexpr
-from liftlab.syntax import INF, Case, Lambda, Let, Program, Thunk, parse
+from liftlab.syntax import (
+    INF,
+    MULTI_SHOT,
+    App,
+    AtomExpr,
+    BindGroup,
+    Case,
+    Lambda,
+    Let,
+    Lit,
+    PrimApp,
+    Program,
+    Thunk,
+    TopBind,
+    Var,
+    parse,
+    validate,
+)
 
+import reference
+from conftest import load_inline, nested_family_texts
 from progen import random_disjoint_sets
 from reference import bound_names, closure_slot_fvs, direct_growth, scaled
 
@@ -141,18 +160,19 @@ class TestSkeletonize:
                 assert skeleton_sexpr(root, index) == reference(root, p.top_names())
 
     def test_slot_sets_match_closure_slot_fvs(self, programs):
-        # An index over the program's scan and one over a fresh walk's (of
-        # a new program object with the same nodes) agree; each right-hand
-        # side has the reference's slot set, each let and case its pre-order
-        # position and subtree end, and each variable the positions of the
-        # lets with a closure storing it.
+        # The program's planned index and one of a new program object with
+        # the same nodes agree; the index lists the program's lets (the same
+        # objects, in pre-order), each right-hand side has the reference's
+        # slot set, each let and case its pre-order position and subtree
+        # end, and each variable the positions of the lets with a closure
+        # storing it.
         for p in programs:
             tops = p.top_names()
             index = plan_lifts(p).index
-            assert index == growth_index(scan_program(Program(p.top_binds, p.main)).nodes, tops)
+            assert index == growth_index(Program(p.top_binds, p.main))
             nodes = [e for root in roots_of(p) for e in preorder(root)]
-            scanned = scan_program(p).nodes
-            assert len(scanned) == len(nodes) and all(a is b for a, b in zip(scanned, nodes))
+            lets = [e for e in nodes if isinstance(e, Let)]
+            assert len(index.lets) == len(lets) and all(a is b for a, b in zip(index.lets, lets))
             spans, capturers = {}, {}
             for i, e in enumerate(nodes):
                 if isinstance(e, (Let, Case)):
@@ -166,6 +186,60 @@ class TestSkeletonize:
                             if i not in at:
                                 at.append(i)
             assert index.spans == spans and index.capturers == capturers
+
+
+def check_index(p) -> int:
+    """``growth_index(p)`` against the reference's loop over a plain
+    pre-order list: slots, spans, capturers, and the lets by identity.
+    Returns how many lets ``p`` holds."""
+    index = growth_index(p)
+    slots, spans, capturers, lets = reference.growth_index(p)
+    assert index.slots == slots
+    assert index.spans == spans
+    assert index.capturers == capturers
+    assert [id(e) for e in index.lets] == [id(e) for e in lets]
+    return len(lets)
+
+
+def two_places():
+    """One let object both a case alternative and its default; each
+    place's let captures y.  The walk stores the free variables, though
+    f is bound twice."""
+    rhs = Lambda(MULTI_SHOT, ("a",), PrimApp("+#", (Var("a"), Var("y"))))
+    shared = Let(BindGroup((("f", rhs),)), App("f", (Lit(1),)))
+    body = Case(AtomExpr(Var("y")), ((1, shared),), ("d", shared))
+    p = Program((TopBind("t", ("y",), body),), AtomExpr(Lit(0)))
+    validate(p)
+    return p, shared
+
+
+class TestGrowthIndex:
+    def test_agrees_with_reference(self, corpus, hand_programs):
+        # Each input, its default lift output and, where the oracle would
+        # run, every forced lift output; and a let found in two places.
+        nested = [load_inline(text) for text in nested_family_texts().values()]
+        lets = forced = 0
+        for p in [*corpus, *hand_programs.values(), *nested]:
+            lets += check_index(p)
+            check_index(lift_program(p)[0])
+            plan, sites = plan_lifts(p), liftable_sites(p)
+            if len(sites) > 4:
+                continue
+            for n in range(1, len(sites) + 1):
+                for chosen in combinations(sites, n):
+                    check_index(apply_lifts(plan, force_sites=frozenset(chosen)))
+                    forced += 1
+        assert lets > 7_000 and forced > 600, (lets, forced)
+        assert check_index(two_places()[0]) == 2
+
+    def test_a_let_found_twice_keeps_its_first_span(self):
+        # The case is at 0 and its scrutinee at 1; the let's places are
+        # 2 and 5, each with its two children.
+        p, shared = two_places()
+        assert check_index(p) == 2
+        index = growth_index(p)
+        assert index.spans[id(shared)] == (2, 5)
+        assert index.capturers == {"y": [2, 5]}
 
 
 class TestClosureGrowth:

@@ -32,12 +32,11 @@ from liftlab.syntax import (
     freshen,
     parse,
     print_program,
-    program_nodes,
     validate,
 )
 
 from conftest import PROGRAMS_DIR, renamings
-from reference import Parser as ReferenceParser, bound_names, recursive
+from reference import Parser as ReferenceParser, bound_names, preorder, recursive
 
 
 class TestParse:
@@ -559,13 +558,13 @@ class TestFreshNames:
     def test_freshen_numbers_many_rebindings_in_order(self):
         lets = "".join(f"let x = thunk {k} in\n" for k in range(300))
         p = freshen(parse(f"main =\n{lets}x\n"))
-        names = [n for e in program_nodes(p) if isinstance(e, Let) for n in e.group.binders()]
+        names = [n for e in preorder(p) if isinstance(e, Let) for n in e.group.binders()]
         assert names == ["x"] + [f"x_{k}" for k in range(1, 300)]
 
 
 def _binds_twice_at_one_site(p: Program) -> bool:
     sites = [[tb.name for tb in p.top_binds]]
-    sites += [e.group.binders() for e in program_nodes(p) if isinstance(e, Let)]
+    sites += [e.group.binders() for e in preorder(p) if isinstance(e, Let)]
     return any(len(set(names)) < len(names) for names in sites)
 
 

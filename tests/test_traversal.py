@@ -1,8 +1,10 @@
-"""The traversal kit in liftlab.syntax and the order its callers rely on.
+"""The pre-order the lifter and the growth index rely on, and depth.
 
 Decision lists, oracle bitmask rows (the order of ``liftable_sites``) and
-fresh parameter names all follow the pre-order that ``walk`` produces, so
-these tests pin it against the lifter's own visiting order.
+fresh parameter names all follow the pre-order of ``reference.preorder``,
+which numbers the growth index's positions too, so these tests pin it
+against the lifter's own visiting order and the index's numbering; and
+every stage runs on nests far deeper than the recursion limit.
 """
 
 import sys
@@ -32,9 +34,7 @@ from liftlab.syntax import (
     freshen,
     parse,
     print_program,
-    program_nodes,
     validate,
-    walk,
 )
 
 from conftest import forward_group_text
@@ -42,17 +42,20 @@ from reference import (
     bound_names,
     direct_growth,
     free_vars as reference_free_vars,
+    growth_index as reference_index,
     occurrences,
     preorder,
     recursive,
+    subexprs,
 )
 
 
 def _check_contract(p):
-    nodes = list(program_nodes(p))
-    assert [id(n) for n in nodes] == [id(n) for n in preorder(p)]
+    nodes = preorder(p)
     s = scan_program(p)
-    assert [id(n) for n in s.nodes] == [id(n) for n in nodes]
+    index = plan_lifts(p).index
+    assert [id(n) for n in index.lets] == [id(n) for n in nodes if isinstance(n, Let)]
+    assert index.spans == reference_index(p)[1]
     assert s.names == set(bound_names(p))
     binds = [bind for e in nodes if isinstance(e, Let) for bind in e.group.binds]
     # Every right-hand side under the roots carries its free variables.
@@ -83,8 +86,12 @@ def test_walk_children_order():
         "main = let f = \\ a -> a and g = \\ b -> b in "
         "case f 1 of { 1 -> g 2; default r -> +# r 3 }"
     )
-    kinds = [type(e).__name__ for e in walk(p.main)]
+    kinds = [type(e).__name__ for e in preorder(p)]
     assert kinds == ["Let", "AtomExpr", "AtomExpr", "Case", "App", "App", "PrimApp"]
+    # The growth index numbers the same order: the let first, the case
+    # fourth, both reaching to the end.
+    case = p.main.body
+    assert plan_lifts(p).index.spans == {id(p.main): (0, 7), id(case): (3, 7)}
 
 
 def test_occurrences_are_the_node_own_names():
@@ -248,25 +255,27 @@ def test_tables_need_no_recursion():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        # e's nodes: the walk's, less the let around e, its body and main.
-        nodes = scan_program(p).nodes[1:-2]
-        index = growth_index(nodes, frozenset())
+        scan_program(p)
+        index = growth_index(p)
         text = skeleton_sexpr(e, index)
         growth = closure_growth(frozenset({"q", "r"}), frozenset({"y"}), e, index)
     finally:
         sys.setrecursionlimit(old)
-    rhss = [root] + [node.group.binds[0][1] for node in walk(e) if isinstance(node, Let)]
+    # The let around e comes first, then e's lets, one per step.
+    assert index.lets[0] is around and index.lets[1] is e
+    rhss = [root] + [node.group.binds[0][1] for node in index.lets[1:]]
     assert len(rhss) == n + 1 and all("_free" in vars(rhs) for rhs in rhss)
     assert free_vars(root) == {"y", "z"}
-    # One let node, then one case node, per step, each reaching to the
-    # end of the node list; every f{k} captures y.
-    assert nodes[0] is e and len(index.spans) == 2 * n
-    assert all(
-        index.spans[id(node)] == (i, len(nodes))
-        for i, node in enumerate(nodes)
-        if isinstance(node, (Let, Case))
-    )
-    assert index.capturers == {"y": [i for i, node in enumerate(nodes) if isinstance(node, Let)]}
+    # e's nodes take positions 1 to 4n + 1, four per step: a let node,
+    # its right-hand side's body, then a case node and its scrutinee.
+    # Each let and case reaches to the end of e's nodes; r's closure
+    # captures y and z, and every f{k} captures y.
+    end = 4 * n + 2
+    assert len(index.spans) == 2 * n + 1 and index.spans[id(around)] == (0, end + 1)
+    for k, node in enumerate(index.lets[1:]):
+        assert index.spans[id(node)] == (1 + 4 * k, end)
+        assert index.spans[id(node.body)] == (3 + 4 * k, end)
+    assert index.capturers == {"y": [0] + [1 + 4 * k for k in range(n)], "z": [0]}
     step = "(seq (seq (closure y) (scaled {0,*} nil)) (seq nil "
     assert text == step * n + "nil" + "))" * n
     assert growth == n
@@ -318,7 +327,11 @@ def test_lift_needs_no_recursion():
     assert [(tb.name, tb.params) for tb in lifted.top_binds] == [
         (f"f{k}", (f"x{k - 1}_1", f"p{k}")) for k in range(1, n + 1)
     ]
-    assert not any(isinstance(node, Let) for node in walk(lifted.main))
+    stack = [lifted.main]
+    while stack:
+        node = stack.pop()
+        assert not isinstance(node, Let)
+        stack += subexprs(node)
 
 
 def test_split_groups_needs_no_recursion():
@@ -387,8 +400,12 @@ def test_scope_walk_scan_and_split_need_no_recursion():
     assert _at_limit(validate, p) == []
     s = _at_limit(scan_program, p)
     q = _at_limit(split_groups, p)
-    nodes = list(program_nodes(p))
-    assert len(nodes) == 4 * DEPTH + 6 and [id(e) for e in s.nodes] == [id(e) for e in nodes]
+    # main's case spans all 4 * DEPTH + 6 nodes: two, then four per step
+    # (let, right-hand side body, case, scrutinee), then the bottom let's
+    # four; one let per step and the bottom one.
+    index = _at_limit(plan_lifts, p).index
+    assert index.spans[id(p.main)] == (0, 4 * DEPTH + 6)
+    assert len(index.lets) == DEPTH + 1 and index.lets[-1] is _bottom(p)
     assert len(s.facts) == DEPTH + 2 and s.names == set(bound_names(p))
     assert q is not p and q.main.scrutinee is p.main.scrutinee
     bottom = _bottom(q)
@@ -396,7 +413,12 @@ def test_scope_walk_scan_and_split_need_no_recursion():
     assert bottom.group.binds[0][1] is g and bottom.body.group.binds[0][1] is h
     assert free_vars(h) == {"g"} and free_vars(g) == {f"x{DEPTH}"}
     split = scan_program(q)
-    assert [id(e) for e in split.nodes] == [id(e) for e in program_nodes(q)]
+    assert split is s
+    # The split adds one let node at the bottom, g's outside h's.
+    index = _at_limit(plan_lifts, q).index
+    assert index.spans[id(q.main)] == (0, 4 * DEPTH + 7)
+    assert len(index.lets) == DEPTH + 2
+    assert index.lets[-2] is bottom and index.lets[-1] is bottom.body
     assert (split.facts, split.names) == (s.facts, s.names)
     assert _at_limit(split_groups, q) is q
 

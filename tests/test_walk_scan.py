@@ -1,15 +1,16 @@
 """The one scan against :mod:`reference`.
 
 The scope walk behind ``freshen`` and ``validate`` is the only code that
-finds a program's nodes, occurrence facts, names and free variables; the
-lifter rebuilds the free variables of only the right-hand sides it
-changes, from their new children.  Both are checked against the plain
-recursions of ``reference``, written apart from them: the walk's scan
-holds the same nodes (the same objects, in the same order), occurrence
-facts and names, and every right-hand side carries the free variables the
-reference finds, on each input, its split program, every lift output,
-every oracle subset and a second lift of each lift output.  No lift output
-or oracle subset is walked while it is lifted, evaluated or measured.
+finds a program's occurrence facts, names and free variables; the lifter
+rebuilds the free variables of only the right-hand sides it changes, from
+their new children.  Both are checked against the plain recursions of
+``reference``, written apart from them: the walk's scan holds the same
+occurrence facts and names, the growth index read off the program
+numbers the same nodes (the same objects, in the same order), and every
+right-hand side carries the free variables the reference finds, on each
+input, its split program, every lift output, every oracle subset and a
+second lift of each lift output.  No lift output or oracle subset is
+walked while it is lifted, evaluated or measured.
 """
 
 import random
@@ -21,6 +22,7 @@ from liftlab.analysis import scan_program, split_groups
 from liftlab.lifter import apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import enumerate_lift_subsets
 from liftlab.syntax import (
+    Case,
     Let,
     ParseError,
     Program,
@@ -53,9 +55,18 @@ def check_free(p: Program) -> int:
 
 def check_scan(p: Program) -> None:
     """The scan of ``p``, its own walk's or one it inherited, against the
-    reference: nodes, occurrence facts, names and free variables."""
+    reference: occurrence facts, names and free variables; and the nodes
+    its plan's index numbers: each let in order, and each let's and case's
+    first place."""
     s = scan_program(p)
-    assert [id(e) for e in s.nodes] == [id(e) for e in reference.preorder(p)]
+    index = plan_lifts(p).index
+    nodes = reference.preorder(p)
+    assert [id(e) for e in index.lets] == [id(e) for e in nodes if type(e) is Let]
+    first: dict[int, int] = {}
+    for i, e in enumerate(nodes):
+        if type(e) is Let or type(e) is Case:
+            first.setdefault(id(e), i)
+    assert {k: span[0] for k, span in index.spans.items()} == first
     assert {name: tuple(f) for name, f in s.facts.items()} == reference.occurrence_facts(p)
     assert s.names == set(reference.bound_names(p))
     check_free(p)
