@@ -3,14 +3,13 @@ are kept per right-hand side and need globally unique names.  The scope
 walk behind :func:`~liftlab.syntax.freshen` is the one scan: it finds the
 occurrence facts, names and free variables of a program, and splits its
 let groups, in the pass that makes its names unique, so
-:func:`scan_program` and :func:`split_groups` read what it stored, and a
-program it has not seen is walked when they ask.  Each right-hand side's
-free variables are stored on the node itself, where :func:`free_vars`
-reads them, as GHC's ``GHC.Stg.FVs`` annotates each STG closure, so a
-subtree two programs share brings them along; a lift stores them on each
-right-hand side it rebuilds (see :func:`~liftlab.lifter.apply_lifts`).
-The rest of a whole program's scan is memoised on the program object
-(see :func:`~liftlab.syntax._analyses`)."""
+:func:`scan_program` and :func:`split_groups` read its record (see
+:func:`~liftlab.syntax._scope`), and a program it has not seen is walked
+when they ask.  Each right-hand side's free variables are stored on the
+node itself, where :func:`free_vars` reads them, as GHC's
+``GHC.Stg.FVs`` annotates each STG closure, so a subtree two programs
+share brings them along; a lift stores them on each right-hand side it
+rebuilds (see :func:`~liftlab.lifter.apply_lifts`)."""
 
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from .syntax import (
     Scan,
     THUNK_CARD,
     Thunk,
-    _analyses,
     _scope,
     _walk_scope,
 )
@@ -58,34 +56,15 @@ def free_vars(rhs: Rhs) -> frozenset[str]:
 
 
 def scan_program(p: Program) -> Scan:
-    """The scan of ``p``'s top-level bodies and ``main`` (occurrence facts,
-    and names with the top-level names and parameters) that its scope
-    walk stored, made once per program object (see
-    :func:`~liftlab.syntax._analyses`).  A program no walk has scanned (a
-    copy, or a lift output, whose clean mark holds no scan) is walked here.
-    Free variables need globally unique names, so a program whose walk
-    renames raises ``ValueError``."""
-    memo = _analyses(p)
-    s = memo.get("scan")
-    if s is None:
-        if _scope(p)[2] is not None:  # the walk renamed
-            raise ValueError("scan_program needs globally unique names: freshen the program first")
-        s = memo.get("scan")
-        if s is None:  # a lift output's clean mark holds no scan
-            _walk_scope(p)
-            s = memo["scan"]
-    return s
-
-
-def _binder_names(p: Program) -> list[str]:
-    """Every let binder and top-level name of ``p``, sorted once each: the
-    interpreter's stats rows.  Made once per program object from the scan,
-    whose facts name every let binder."""
-    memo = _analyses(p)
-    names = memo.get("binders")
-    if names is None:
-        names = memo["binders"] = sorted({*scan_program(p).facts, *[tb.name for tb in p.top_binds]})
-    return names
+    """The scan of ``p``'s top-level bodies and ``main`` (see
+    :class:`~liftlab.syntax.Scan`) that its scope walk made, once per
+    program object.  A lift output, whose clean mark holds no scan, is
+    walked here.  Free variables need globally unique names, so a program
+    whose walk renames raises ``ValueError``."""
+    scope = _scope(p)
+    if scope.renamed is not None:
+        raise ValueError("scan_program needs globally unique names: freshen the program first")
+    return scope.scan or _walk_scope(p).scan
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +79,12 @@ def split_groups(p: Program) -> Program:
     Semantics and allocation totals are preserved.  The scope walk behind
     :func:`~liftlab.syntax.freshen` and :func:`~liftlab.syntax.validate`
     makes the split, over the free variables it stores, once per program
-    object, so this reads it: ``p`` itself when no group splits, and
+    object, so this reads its record: ``p`` itself when no group splits, and
     otherwise a new program that shares every subtree holding no split and
     carries ``p``'s very scan.  Free variables need globally unique names,
     so a program whose walk renames raises ``ValueError``.
     """
-    _scope(p)
-    memo = _analyses(p)
-    if "split" not in memo:
+    scope = _scope(p)
+    if scope.renamed is not None:
         raise ValueError("split_groups needs globally unique names: freshen the program first")
-    return memo["split"] or p
+    return scope.split or p

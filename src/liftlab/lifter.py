@@ -35,9 +35,9 @@ slots, which the index's capturing lets tell without a walk, so its
 prediction is its own closures' words alone and only the others call
 :func:`~liftlab.skeleton.closure_growth`.  ``lift_program`` is the two
 in a row; the oracle plans once and applies the plan to every subset,
-collecting no decisions.  The scan and the index are memoised on the
-program (see :func:`~liftlab.syntax._analyses`), so
-:func:`lift_program`, :func:`liftable_sites` and the oracle on one
+collecting no decisions.  The scan (in the scope walk's record) and the
+index are memoised on the program (see :func:`~liftlab.syntax._analyses`),
+so :func:`lift_program`, :func:`liftable_sites` and the oracle on one
 program object scan it and index it once between them.  Lifting nothing
 returns the input itself, and :func:`lift_program` memoises any other
 output, keyed by the groups it lifted, for the oracle's subset of those
@@ -50,9 +50,9 @@ output walks it (see :func:`~liftlab.analysis.scan_program`).
 Lifting checks no scope itself: tests lift open terms on purpose.  It
 keeps names unique and in scope and splits no group further, so the
 output of a split input whose scope walk was clean is marked clean too,
-and :func:`~liftlab.machine.evaluate`'s scope check reads that mark
-instead of walking it.  Any other input leaves its output unmarked, to
-be walked when it is checked.
+with the input's stats rows, and :func:`~liftlab.machine.evaluate`'s
+scope check reads that mark instead of walking it.  Any other input
+leaves its output unmarked, to be walked when it is checked.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import Scan, _binder_names, free_vars, scan_program
+from .analysis import Scan, free_vars, scan_program
 from .skeleton import GrowthIndex, GrowthValue, closure_growth, growth_index
 from .syntax import (
     App,
@@ -207,7 +207,7 @@ def decide(
     site: str,
 ) -> Decision:
     """Apply the rejection checks in order C5, C1, C4, C3, C2."""
-    facts = plan.scan.facts
+    scan = plan.scan
     group = let.group
     binds = group.binds
     binders = group.binders()
@@ -219,13 +219,12 @@ def decide(
 
     if not cfg.allow_arg_occurrences:
         for name in binders:
-            if facts[name].occurs_as_argument:
+            if name in scan.as_arg:
                 return _rejected(site, binders, params, ARG_OCCURRENCE, offending_var=name)
 
     if not cfg.allow_unknown_calls:
         for v in params:  # sorted, so the first offender is the least
-            f = facts.get(v)
-            if f is not None and f.is_known_function:
+            if scan.known.get(v):
                 return _rejected(site, binders, params, KNOWN_CALLS, offending_var=v)
 
     limit = cfg.max_arity_nonrec
@@ -250,19 +249,8 @@ def _rejected(
 
 def liftable_sites(p: Program) -> list[tuple[str, ...]]:
     """Groups that may be force-lifted without breaking validity (C5 and C1
-    hold), in pre-order: the lets of the program's :func:`plan_lifts`
-    index, filtered by its scan's facts; each call builds a new list."""
-    plan = plan_lifts(p)
-    facts = plan.scan.facts
-    sites = []
-    for e in plan.index.lets:
-        binders = e.group.binders()
-        for b in binders:
-            if facts[b].occurs_as_argument or not facts[b].is_known_function:  # C1, C5
-                break
-        else:
-            sites.append(binders)
-    return sites
+    hold), in pre-order: the :meth:`LiftPlan.sites` of ``p``'s plan."""
+    return plan_lifts(p).sites()
 
 
 class LiftPlan(NamedTuple):
@@ -280,6 +268,19 @@ class LiftPlan(NamedTuple):
         no name is bound twice."""
         binders = group.binders()
         return any(not free_vars(rhs).isdisjoint(binders) for _, rhs in group.binds)
+
+    def sites(self) -> list[tuple[str, ...]]:
+        """The index's lets with no thunk (C5) and no member occurring as
+        an argument (C1), in pre-order; each call builds a new list."""
+        as_arg = self.scan.as_arg
+        sites = []
+        for e in self.index.lets:
+            for name, rhs in e.group.binds:
+                if type(rhs) is Thunk or name in as_arg:  # C5, C1
+                    break
+            else:
+                sites.append(e.group.binders())
+        return sites
 
 
 def plan_lifts(p: Program) -> LiftPlan:
@@ -558,10 +559,9 @@ def apply_lifts(
     # its own right-hand sides.
     tops += [tb for group in reversed(lifted_groups) for tb in group]
     q = Program(tuple(tops), results.pop())
-    # Each lifted binder left its let for the top level, so the let binders
-    # and top-level names together, the interpreter's stats rows, are p's.
-    _analyses(q)["binders"] = _binder_names(p)
     # Lifting a split program whose walk found nothing wrong keeps names
-    # unique and in scope and splits no further, so no walk need check q.
+    # unique and in scope and splits no further, so no walk need check q;
+    # each lifted binder left its let for the top level, so the let
+    # binders and top-level names together, the stats rows, are p's.
     _mark_clean(p, q)
     return q

@@ -37,9 +37,9 @@ assume what it establishes: every name resolves, and names are unique.
 A completed run is memoised on the program object (see
 :func:`~liftlab.syntax._analyses`), so a second :func:`evaluate` of one
 object (a lift that lifts nothing returns the input itself) does not run
-at all; so are the stats rows, which come from the program's
-:func:`~liftlab.analysis.scan_program` (the scope walk's scan) unless the
-lifter handed them on.  A closure's slot names come from its right-hand
+at all.  The stats rows come from the program's scope walk (see
+:func:`~liftlab.syntax._scope`), or from its input's when the lifter
+marked it clean.  A closure's slot names come from its right-hand
 side's :func:`~liftlab.analysis.free_vars`, stored by the scope walk or
 by the lift that rebuilt it, so evaluation scans nothing.  What else a
 run sets up is not kept: a program is run once, or again only after a
@@ -78,8 +78,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import NamedTuple
 
-from .analysis import _binder_names, closure_slots, free_vars
-from .lifter import apply_lifts, liftable_sites, plan_lifts
+from .analysis import closure_slots, free_vars
+from .lifter import apply_lifts, plan_lifts
 from .syntax import (
     App,
     AtomExpr,
@@ -217,7 +217,7 @@ class AllocStats(NamedTuple):
     per_binder: Mapping[str, BinderStats]
 
 
-def _stats(rows: list[str], counters, tops, steps: int) -> AllocStats:
+def _stats(rows: tuple[str, ...], counters, tops, steps: int) -> AllocStats:
     """The stats of a run: ``counters`` gives per let binder that ran its
     entry counts and the words of one allocation, ``tops`` the top-level
     closures by name.  Every binder in ``rows`` gets a row, also one never
@@ -277,7 +277,7 @@ class _Machine:
         # holds it: per let binder that ran, the entry count of each of its
         # allocations and the words one allocation takes.
         self.counters: dict[str, tuple[list[int], int]] = {}
-        self.rows = _binder_names(program)
+        self.rows = _scope(program).rows
 
     def _allocate(self, let: Let, env: dict) -> None:
         """Bind the group's closures in ``env``, then fill their slots, so
@@ -732,7 +732,7 @@ def _read_operands(args: tuple, frame: list, tops: list) -> list:
 def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
     """:meth:`_Machine.run` on ``p``'s compiled frames: the same steps,
     values, errors and stats."""
-    rows = _binder_names(p)
+    rows = _scope(p).rows
     comp = _compile(p)
     tops = [_Fun(code, (), [0], 0) for code in comp.tops]
     counters: list[list[int]] = [[] for _ in comp.widths]
@@ -956,7 +956,7 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     if fuel < 1:
         raise ValueError("fuel must be positive")
     memo = _analyses(p)
-    violations = _scope(p)[0]
+    violations = _scope(p).violations
     if violations:
         v = violations[0]
         raise ScopeError(f"invalid program: {v.path}: {v.tag} {v.detail}")
@@ -1004,7 +1004,7 @@ def enumerate_lift_subsets(
     rows evaluate afresh only the subsets the pipeline has not run.
     """
     plan = plan_lifts(p)
-    sites = liftable_sites(plan.program)
+    sites = plan.sites()
     if len(sites) > max_groups:
         raise SubsetTooLarge(f"{len(sites)} liftable groups exceed limit {max_groups}")
     stored = _analyses(p).get("lifted")

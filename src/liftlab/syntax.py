@@ -30,8 +30,9 @@ into their minimal components (see
 :func:`~liftlab.analysis.split_groups` share one scope walk on an explicit
 stack, which visits each node once: in that visit it checks and renames
 names, makes the scan that :func:`~liftlab.analysis.scan_program` returns
-(occurrence facts and names) and each right-hand side's free variables,
-and splits let groups into their strongly connected components.  The
+(which let binders bind lambdas or occur as arguments, and the names),
+the stats rows and each right-hand side's free variables, and splits let
+groups into their strongly connected components, all in one record.  The
 parser and the printer are loops on explicit stacks too, so no stage
 recurses once per nesting level.
 
@@ -39,8 +40,8 @@ Programs are immutable, so what an analysis finds about one is memoised on
 the object it describes, in the frozen instance's ``__dict__``, which
 ``==``, ``hash`` and ``repr`` ignore: a right-hand side keeps its free
 variables and a group its binders, and a ``Program`` keeps its
-whole-program tables (:func:`_analyses`), the scope walk's and those of
-the analysis, lifter and interpreter modules.  A copy of a program analyses
+whole-program tables (:func:`_analyses`), the scope walk's record and
+those of the lifter and interpreter modules.  A copy of a program analyses
 afresh.  ``==`` and ``hash`` compare the fields structurally on an explicit
 stack, so equal programs of any nesting depth compare equal.
 """
@@ -198,6 +199,10 @@ class Program(_Node):
     def top_names(self) -> frozenset[str]:
         return frozenset(tb.name for tb in self.top_binds)
 
+    def __reduce__(self):
+        # Copies and pickles are built from the fields, without the memo.
+        return Program, (self.top_binds, self.main)
+
 
 _FIELDS = {
     cls: tuple([f.name for f in fields(cls)])
@@ -273,39 +278,19 @@ def _shape_hash(a: _Node) -> int:
     return hash(tuple(items))
 
 
-class _Analyses(dict):
-    """What the analyses found about one program, by name (see
-    :func:`_analyses`): ``scope`` (violations, bound-twice errors, the
-    renamed program), and when the scope walk renames nothing, ``scan``
-    (occurrence facts and names, shared with the split program) and
-    ``split`` (the split program, None when nothing splits), here, which
-    alone writes ``scope`` and ``split`` (see :func:`_mark_clean`);
-    ``binders`` in :mod:`liftlab.analysis`; ``plan`` (the growth index)
-    and ``lifted`` (the last lift output and the groups it lifted; none
-    if it returned the input itself) in :mod:`liftlab.lifter`, whose
-    :func:`~liftlab.lifter.apply_lifts` also gives its output ``binders``;
-    and ``run`` (a completed run's value and stats) in
-    :mod:`liftlab.machine`.  A pickled or deep-copied one comes back
-    empty, since its tables are keyed by the ``id`` of the original's nodes."""
-
-    def __init__(self, owner: int | None = None) -> None:
-        self.owner = owner  # the id of the program it describes
-
-    def __reduce__(self):
-        return _Analyses, ()
-
-
-def _analyses(p: Program) -> _Analyses:
-    """The analyses memoised on ``p``, which every analysis of the program
-    as a whole reads and fills, so each is built once per program object.
-    They live in the frozen instance's ``__dict__``: freed with ``p``, never
-    referring to ``p`` (so no cycle outlives it), and unseen by ``==``,
-    ``hash`` and ``repr``, which read the fields.  They are ``p``'s only
-    while they carry ``id(p)``, so a copy of ``p`` analyses afresh."""
-    memo = p.__dict__.get("_analyses")
-    if memo is None or memo.owner != id(p):
-        memo = p.__dict__["_analyses"] = _Analyses(id(p))
-    return memo
+def _analyses(p: Program) -> dict:
+    """The analyses memoised on ``p``, by name, which every analysis of the
+    program as a whole reads and fills, so each is built once per program
+    object: ``scope`` (the :class:`Scope` record) here, ``plan`` (the
+    growth index) and ``lifted`` (the last lift output and the groups it
+    lifted; none if it returned the input itself) in
+    :mod:`liftlab.lifter`, and ``run`` (a completed run's value and stats)
+    in :mod:`liftlab.machine`.  They live in the frozen instance's
+    ``__dict__``: freed with ``p``, never referring to ``p`` (so no cycle
+    outlives it), and unseen by ``==``, ``hash`` and ``repr``, which read
+    the fields.  A copy, deep copy or pickle of ``p`` is built from its
+    fields alone (see ``Program.__reduce__``), so it analyses afresh."""
+    return p.__dict__.setdefault("_analyses", {})
 
 
 # ---------------------------------------------------------------------------
@@ -700,17 +685,26 @@ class ScopeError(Exception):
     pass
 
 
-class BinderFacts(NamedTuple):
-    occurs_as_argument: bool
-    is_known_function: bool
-
-
 class Scan(NamedTuple):
     """What the scope walk finds under a program's roots (see
     :func:`~liftlab.analysis.scan_program`)."""
 
-    facts: dict[str, BinderFacts]  # per let binder
+    known: dict[str, bool]  # let binder -> its right-hand side is a lambda
+    as_arg: set[str]  # let binders occurring as an argument
     names: frozenset[str]  # every binder and parameter name
+
+
+class Scope(NamedTuple):
+    """What one scope walk of a program found (see :func:`_scope`).  A
+    program that would be the walked one itself is None, so the memo never
+    refers to its own program."""
+
+    violations: list[Violation]
+    twice: list[str]  # the bound-twice errors
+    renamed: Program | None  # None when nothing is renamed
+    scan: Scan | None  # None when the walk renamed, or on a lift's clean mark
+    split: Program | None  # None when nothing splits
+    rows: tuple[str, ...] | None  # the let binders and top-level names, sorted
 
 
 def _fresh(base: str, used: set[str], last: dict[str, int]) -> str:
@@ -1164,55 +1158,54 @@ def _rebuild_case(e: Case, kids: list, base: int, st) -> Expr:
     return Case(children[0], alts, (st[0][0] if st else e.default[0], children[-1]))
 
 
-def _scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
-    """``p``'s :class:`_ScopeWalk`, made once per program: its violations,
-    its bound-twice errors, and its renamed program (None when that is
-    ``p``, so the memo never refers to ``p``).  A clean mark (see
-    :func:`_mark_clean`) counts as one."""
+def _scope(p: Program) -> Scope:
+    """``p``'s :class:`_ScopeWalk`, made once per program and stored as its
+    ``scope`` analysis, which no other module reads or writes.  A clean
+    mark (see :func:`_mark_clean`) counts as one."""
     return _analyses(p).get("scope") or _walk_scope(p)
 
 
-def _walk_scope(p: Program) -> tuple[list[Violation], list[str], Program | None]:
+def _walk_scope(p: Program) -> Scope:
     """Walk ``p`` and store what :func:`_scope` returns.  When the walk
-    renames nothing, the names are globally unique, so its scan and split
-    hold: they are stored as ``scan`` and ``split`` (None when nothing
-    splits), and a split program, which binds the same names with the same
-    right-hand sides, gets the very same scan, unwalked.  A split is never
-    made on a program that renames, so such a walk runs again without."""
-    memo = _analyses(p)
+    renames nothing, the names are globally unique, so its scan, split and
+    stats rows hold, and a split program, which binds the same names with
+    the same right-hand sides, gets the very same ones, unwalked.  A split
+    is never made on a program that renames, so such a walk runs again
+    without."""
     walk = _ScopeWalk(p)
     if walk.renamed and walk.splits:
         walk = _ScopeWalk(p, split=False)
     out, twice = walk.violations(p)
     if walk.renamed:
-        scope = memo["scope"] = (out, twice, walk.result)
-        return scope
-    facts = {name: BinderFacts(name in walk.as_arg, k) for name, k in walk.known.items()}
-    scan = memo.setdefault("scan", Scan(facts, frozenset(walk.used)))
-    q = walk.result
-    memo["split"] = None if q is p else q
-    scope = memo["scope"] = (out, twice, None)
-    if q is not p:
-        _analyses(q)["scan"] = scan
-        _mark_clean(p, q)
+        scope = Scope(out, twice, walk.result, None, None, None)
+    else:
+        q = walk.result
+        rows = tuple(sorted({*walk.known, *[tb.name for tb in p.top_binds]}))
+        scan = Scan(walk.known, walk.as_arg, frozenset(walk.used))
+        scope = Scope(out, twice, None, scan, None if q is p else q, rows)
+    _analyses(p)["scope"] = scope
+    if scope.split is not None:
+        _mark_clean(p, scope.split)
     return scope
 
 
 def _mark_clean(p: Program, q: Program) -> None:
-    """Store on ``q`` what its walk would find, when ``p``'s walk found
-    nothing wrong and ``q`` is ``p``'s split program, or ``p`` is its own
-    split and ``q`` a lift of it: either keeps names unique and in scope
-    and splits nothing further.  Any other ``q`` is walked when checked."""
-    memo = _analyses(p)
-    if "scope" in memo and not memo["scope"][0] and (memo["split"] is None or memo["split"] is q):
-        _analyses(q).update(scope=([], [], None), split=None)
+    """Hand ``p``'s scope walk on to ``q``, when it found nothing wrong and
+    ``q`` is ``p``'s split program, or ``p`` is its own split and ``q`` a
+    lift of it: either keeps names unique and in scope, splits nothing
+    further and binds the same names, so ``q`` gets ``p``'s stats rows, and
+    a split program ``p``'s scan too.  Any other ``q`` is walked when checked."""
+    scope = _analyses(p).get("scope")
+    if scope is not None and not scope.violations and (scope.split is None or scope.split is q):
+        scan = scope.scan if scope.split is q else None
+        _analyses(q)["scope"] = scope._replace(scan=scan, split=None)
 
 
 def validate(p: Program) -> list[Violation]:
     """Check ANF shape, global name uniqueness, lambda arity and scoping;
     the list is empty exactly when the program is well-formed.  Shares its
     scope walk, and so its scoping rules, with :func:`freshen`."""
-    return list(_scope(p)[0])
+    return list(_scope(p).violations)
 
 
 def freshen(p: Program) -> Program:
@@ -1224,10 +1217,10 @@ def freshen(p: Program) -> Program:
     renaming; idempotent.  Raises :class:`ScopeError` on the first unbound
     variable, else on a name bound twice in one let group or at the top
     level, whose occurrences could mean either binding."""
-    out, twice, fresh = _scope(p)
-    for v in out:
+    scope = _scope(p)
+    for v in scope.violations:
         if v.tag == "UnboundVariable":
             raise ScopeError(f"unbound variable {v.detail!r}")
-    if twice:
-        raise ScopeError(twice[0])
-    return p if fresh is None else fresh
+    if scope.twice:
+        raise ScopeError(scope.twice[0])
+    return scope.renamed or p

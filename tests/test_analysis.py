@@ -103,20 +103,20 @@ class TestOccurrenceFacts:
             "main = let x = thunk 1 in let f = \\ q -> q in "
             "let g = \\ a b c -> a in g 5 x f"
         )
-        facts = scan_program(p).facts
-        assert facts["f"].occurs_as_argument
-        assert facts["f"].is_known_function
-        assert facts["x"].occurs_as_argument
-        assert not facts["g"].occurs_as_argument
+        s = scan_program(p)
+        assert "f" in s.as_arg
+        assert s.known["f"]
+        assert "x" in s.as_arg
+        assert "g" in s.known and "g" not in s.as_arg
 
     def test_thunk_is_not_known_function(self):
         p = parse("main = let t = thunk 1 in t")
-        facts = scan_program(p).facts
-        assert not facts["t"].is_known_function
+        assert not scan_program(p).known["t"]
 
     def test_case_scrutinee_is_head_position(self):
         p = parse("main = let f = \\ a -> a in case f 1 of { default r -> r }")
-        assert not scan_program(p).facts["f"].occurs_as_argument
+        s = scan_program(p)
+        assert "f" in s.known and "f" not in s.as_arg
 
     def test_agree_with_reference(self, corpus, hand_programs):
         # The walk's facts, of each input and of its lifted output, are
@@ -125,11 +125,9 @@ class TestOccurrenceFacts:
         seen = Counter()
         for p in [*corpus, *hand_programs.values()]:
             for q in (p, lift_program(p)[0]):
-                facts = scan_program(q).facts
+                s = scan_program(q)
                 expected = occurrence_facts(q)
-                assert {
-                    name: (f.occurs_as_argument, f.is_known_function) for name, f in facts.items()
-                } == expected
+                assert {name: (name in s.as_arg, k) for name, k in s.known.items()} == expected
                 seen.update(expected.values())
         assert len(seen) == 4 and min(seen.values()) > 300, seen
 

@@ -790,10 +790,14 @@ def test_programs_the_interpreter_sees_validate(corpus, hand_programs):
                     outputs.append(apply_lifts(plan, force_sites=frozenset(chosen)))
         for q in outputs:
             # apply_lifts marks q clean and split, so evaluate walks
-            # nothing; a new object is walked, and confirms the mark.
-            assert _analyses(q)["scope"] == ([], [], None) and _analyses(q)["split"] is None
+            # nothing; a new object is walked, and confirms the mark and
+            # the stats rows it handed on.
+            mark = _analyses(q)["scope"]
+            assert (mark.violations, mark.twice, mark.renamed, mark.split) == ([], [], None, None)
             copy = fresh(q)
-            assert validate(copy) == [] and _analyses(copy)["split"] is None
+            walked = _analyses(copy).get("scope")
+            assert validate(copy) == [] and _analyses(copy)["scope"].split is None
+            assert walked is None and mark.rows == _analyses(copy)["scope"].rows
         checked += len(outputs)
     assert checked > 1_400
 

@@ -137,7 +137,8 @@ def test_harness_order_analyses_once(name, built, monkeypatch):
     lifted = outputs[0]
     for rhs in rhss_under([tb.body for tb in lifted.top_binds] + [lifted.main]):
         assert vars(rhs)["_free"] == reference.free_vars(rhs)
-    assert lifted is p or "scan" not in _analyses(lifted)
+    # The lifted output holds the clean mark its input handed on, with no scan.
+    assert lifted is p or _analyses(lifted)["scope"].scan is None
 
 
 def test_an_unplanned_lift_output_reads_the_sets_the_lift_stored(built):
@@ -162,7 +163,7 @@ def test_an_unplanned_lift_output_reads_the_sets_the_lift_stored(built):
         assert again[1] == first[1] and machine.value_key(again[0]) == machine.value_key(first[0])
         assert built["scope"] == walks
     assert all(vars(rhs)["_free"] is fvs for rhs, fvs in zip(new, stored))
-    assert "scan" not in vars(lifted)["_analyses"]
+    assert vars(lifted)["_analyses"]["scope"].scan is None
 
 
 @pytest.mark.parametrize("name", SHARED + ("callweb", "scc_chain"))
@@ -174,9 +175,8 @@ def test_a_copy_analyses_afresh_and_agrees(name, built):
     assert built[("index", id(p))] == 1
     for q in (copy.deepcopy(p), copy.copy(p), pickle.loads(pickle.dumps(p))):
         assert q is not p and q == p
-        # A deep copy or a pickle leaves tables keyed by p's nodes behind;
-        # a shallow copy shares p's memo, which p's id marks as not q's.
-        assert not vars(q)["_analyses"] or vars(q)["_analyses"] is vars(p)["_analyses"]
+        # Each is built from p's fields alone, with no memo of p's.
+        assert "_analyses" not in vars(q)
         lifted, decisions = lift_program(q)
         assert (print_program(lifted), decisions, evaluate(q)) == expected
         assert built[("index", id(q))] == 1
@@ -224,11 +224,12 @@ def test_a_split_program_inherits_the_inputs_analyses(built):
 
 def test_a_split_program_shares_the_inputs_scan(walks, indexes):
     # Every acceptance-corpus program that splits: its split program holds
-    # the input's very scan, so loading and planning it walks the input
-    # once, in freshen, and no more, and builds one growth index, of the
-    # split program.
+    # the input's very scan and stats rows, so loading and planning it
+    # walks the input once, in freshen, and no more, and builds one growth
+    # index, of the split program.  Its lift output holds the same rows but
+    # no scan, until planning it walks it.
     rng = random.Random(CORPUS_SEED)
-    split = 0
+    split = lifted_outputs = 0
     for _ in range(CORPUS_SIZE):
         p = ProgramGen(rng).program()
         walks.clear()
@@ -241,8 +242,20 @@ def test_a_split_program_shares_the_inputs_scan(walks, indexes):
         split += 1
         scan = analysis.scan_program(p)
         assert analysis.scan_program(q) is scan and plan.scan is scan
+        rows = syntax._scope(p).rows
+        assert rows and syntax._scope(q).rows is rows
         assert walks == [id(p)] and indexes == [id(q)]
-    assert split > 300, split
+        lifted, _ = lift_program(q)
+        if lifted is q:
+            continue
+        lifted_outputs += 1
+        mark = _analyses(lifted)["scope"]
+        assert mark.rows is rows and mark.scan is None and walks == [id(p)]
+        plan_lifts(lifted)
+        walked = _analyses(lifted)["scope"]
+        assert walks == [id(p), id(lifted)]
+        assert walked.scan is not None and walked.rows == rows
+    assert split > 300 and lifted_outputs > 100, (split, lifted_outputs)
 
 
 def test_split_groups_reads_the_walk_and_refuses_names_bound_twice(built):
@@ -272,11 +285,12 @@ def test_split_groups_reads_the_walk_and_refuses_names_bound_twice(built):
     ]
     for name in SHARED:
         p = freshen(parse(source(name)))
-        assert split_groups(p) is p and _analyses(p)["split"] is None
+        assert split_groups(p) is p and _analyses(p)["scope"].split is None
 
 
 def test_a_lifted_program_inherits_the_inputs_analyses():
-    # apply_lifts gives its result the input's stats rows, and returns the
+    # apply_lifts gives its result the input's stats rows (through its
+    # clean mark, the input's being clean and split), and returns the
     # input itself when it lifts nothing: the same as a fresh analysis of
     # the result (a shallow copy), for its default lifts and for each site
     # the oracle forces alone.
@@ -292,7 +306,7 @@ def test_a_lifted_program_inherits_the_inputs_analyses():
         ]
         for q in outputs:
             fresh = copy.copy(q)
-            assert analysis._binder_names(q) == analysis._binder_names(fresh)
+            assert syntax._scope(q).rows == syntax._scope(fresh).rows
             if "plan" in vars(q)["_analyses"]:
                 seen["nothing lifted"] += 1
                 assert analysis.scan_program(q) == analysis.scan_program(fresh)
@@ -370,6 +384,31 @@ def test_memo_does_not_keep_its_program_alive(name):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_a_copy_keeps_nothing_of_the_original_alive():
+    # A copy is built from the original's fields, not its memo: once the
+    # original is dropped, its lift output and runs are freed, though a
+    # shallow copy still shares every node.  No copy, deep copy or pickle
+    # of an analysed program carries a memo.
+    p = split_groups(freshen(parse(source("growth_balanced"))))
+    lifted, decisions = lift_program(p)
+    assert lifted is not p and any(d.lifted for d in decisions)
+    evaluate(p)
+    evaluate(lifted)
+    assert _analyses(p)["lifted"][1] is lifted
+    twin = copy.copy(p)
+    assert twin == p and twin.main is p.main
+    ref = weakref.ref(lifted)
+    del p, lifted
+    gc.collect()
+    assert ref() is None
+    assert "_analyses" not in vars(twin)
+    lift_program(twin)
+    evaluate(twin)
+    assert "lifted" in _analyses(twin) and "run" in _analyses(twin)
+    for q in (copy.copy(twin), copy.deepcopy(twin), pickle.loads(pickle.dumps(twin))):
+        assert q == twin and "_analyses" not in vars(q)
 
 
 def corpus_inputs() -> list[Program]:

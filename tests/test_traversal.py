@@ -61,7 +61,7 @@ def _check_contract(p):
     # Every right-hand side under the roots carries its free variables.
     for _, rhs in binds:
         assert vars(rhs)["_free"] == reference_free_vars(rhs)
-    assert s.facts.keys() == {name for name, _ in binds}
+    assert s.known.keys() == {name for name, _ in binds}
     lets = [e.group.binders() for e in nodes if isinstance(e, Let)]
     _, decisions = lift_program(p, force_sites=frozenset())
     assert lets == [d.binders for d in decisions]
@@ -406,7 +406,7 @@ def test_scope_walk_scan_and_split_need_no_recursion():
     index = _at_limit(plan_lifts, p).index
     assert index.spans[id(p.main)] == (0, 4 * DEPTH + 6)
     assert len(index.lets) == DEPTH + 1 and index.lets[-1] is _bottom(p)
-    assert len(s.facts) == DEPTH + 2 and s.names == set(bound_names(p))
+    assert len(s.known) == DEPTH + 2 and s.names == set(bound_names(p))
     assert q is not p and q.main.scrutinee is p.main.scrutinee
     bottom = _bottom(q)
     assert [bottom.group.binders(), bottom.body.group.binders()] == [("g",), ("h",)]
@@ -419,7 +419,7 @@ def test_scope_walk_scan_and_split_need_no_recursion():
     assert index.spans[id(q.main)] == (0, 4 * DEPTH + 7)
     assert len(index.lets) == DEPTH + 2
     assert index.lets[-2] is bottom and index.lets[-1] is bottom.body
-    assert (split.facts, split.names) == (s.facts, s.names)
+    assert (split.known, split.as_arg, split.names) == (s.known, s.as_arg, s.names)
     assert _at_limit(split_groups, q) is q
 
 

@@ -67,7 +67,8 @@ def check_scan(p: Program) -> None:
         if type(e) is Let or type(e) is Case:
             first.setdefault(id(e), i)
     assert {k: span[0] for k, span in index.spans.items()} == first
-    assert {name: tuple(f) for name, f in s.facts.items()} == reference.occurrence_facts(p)
+    facts = {name: (name in s.as_arg, k) for name, k in s.known.items()}
+    assert facts == reference.occurrence_facts(p)
     assert s.names == set(reference.bound_names(p))
     check_free(p)
 
