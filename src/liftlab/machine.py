@@ -45,23 +45,28 @@ by the lift that rebuilt it, so evaluation scans nothing.  What else a
 run sets up is not kept: a program is run once, or again only after a
 run that raised.
 
-There are two engines, chosen by run length, and both do all of the
-above.  Every run starts on the first, :class:`_Machine`, whose
-activations are dicts keyed by name: it needs no set-up beyond the stats
-rows.  A run that passes :data:`_HANDOVER` (1,000) steps starts again
-from the beginning on the second, :func:`_run_frames`, with the caller's
-fuel; evaluation is deterministic, so that gives what one run would.  The
-second compiles the program first and resolves
-every variable to a place fixed in advance, as STG gives each closure
-fixed free-variable offsets: a frame index, a top-level definition or a
-literal.  A frame is a list, the slots in sorted order, then the closure,
-the parameters and the body's let and case binders; a closure is its code
-and its slot values, never itself.  The two charge the same steps, raise
-the same errors and fill the same stats, and the tests compare them on
-every valid program they have.  The hand-over exists because compiling
-costs more than a short run saves: engines that compiled every program
-made the benchmark's loops ~30% faster but its corpus, whose evaluations
-take a median of 3 steps, 49% to 72% slower in steps per second.
+There are two engines, and both do all of the above.  Each run takes
+one, chosen from the program's recursion bit in its scope walk (see
+:class:`~liftlab.syntax.Scope`).  A program with no recursive let group
+and no cycle through its top-level definitions runs on
+:class:`_Machine`, whose activations are dicts keyed by name: it needs no
+set-up beyond the stats rows.  Such a run is short, unless it loops by
+self-application, which the dict engine runs more slowly to the same
+end.  A recursive program runs on :func:`_run_frames`, which compiles
+the program first and resolves every variable to a place fixed in
+advance, as STG gives each closure fixed free-variable offsets: a frame
+index, a top-level definition or a literal.  A frame is a list, the
+slots in sorted order, then the closure, the parameters and the body's
+let and case binders; a closure is its code and its slot values, never
+itself.  The two charge the same steps, raise the same errors and fill
+the same stats, and the tests compare them on every valid program they
+have.  The split exists because compiling costs more than a short run
+saves: engines that compiled every program made the benchmark's loops
+~30% faster but its corpus, whose evaluations take a median of 3 steps
+and none of which recurs, 49% to 72% slower in steps per second.
+
+Both engines count one step per node and raise :class:`OutOfFuel` at
+the first step past the fuel, so no run takes a step past it.
 
 Counting never keeps a closure alive, as in GHC's ticky-ticky profiling.
 Each let binder that runs gets one list of entry counts, one per
@@ -518,7 +523,7 @@ class _Machine:
 
 
 # ---------------------------------------------------------------------------
-# Compiled frames, for long runs
+# Compiled frames, for recursive programs
 # ---------------------------------------------------------------------------
 
 
@@ -579,7 +584,7 @@ _N_CASE = 2  # (op, scrutinee, alts, default index, default body)
 _N_APP = 3  # (op, head, operands, head name, operand getter or None)
 _N_PRIM = 4  # (op, prim, a, b, primop name)
 _N_ATOM = 5  # (op, operand)
-_N_LET = 6  # (op, ((frame index, code, slot getter or None, binder id, is lambda), ...), body)
+_N_LET = 6  # (op, ((frame index, code, slot getter or None, binder id, class), ...), body)
 # A case of the first two kinds has an operand of its scrutinee in the
 # frame or a literal, so its int may be at hand; alts map each pattern to
 # its body, the first one written for a pattern.
@@ -677,12 +682,12 @@ def _compile(p: Program) -> _Compiled:
                     if bid is None:
                         bid = binder_ids[name] = len(widths)
                         widths.append(1 + len(names))
-                    fun = type(rhs) is Lambda
-                    rparams = rhs.params if fun else ()
+                    rparams = rhs.params if type(rhs) is Lambda else ()
                     rcode = _Code(name, len(rparams))
                     work.append((rcode, names, rparams, rhs.body))
                     getter = _getter([scope[v] for v in names])
-                    binds.append((scope[name], rcode, getter, bid, fun))
+                    cls = _Fun if type(rhs) is Lambda else _Thunk
+                    binds.append((scope[name], rcode, getter, bid, cls))
                 out.append((_N_LET, tuple(binds), out.pop()))
             else:  # "case"
                 case = e[1]
@@ -843,12 +848,9 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
                 # Bind the group's closures, then fill their slots, so
                 # members of a recursive group capture each other.
                 binds = node[1]
-                for i, code, _, bid, fun in binds:
+                for i, code, _, bid, cls in binds:
                     counts = counters[bid]
-                    if fun:
-                        frame[i] = _Fun(code, (), counts, len(counts))
-                    else:
-                        frame[i] = _Thunk(code, (), counts, len(counts))
+                    frame[i] = cls(code, (), counts, len(counts))
                     counts.append(0)
                 for i, _, get, _, _ in binds:
                     if get is not None:
@@ -922,17 +924,6 @@ def _run_frames(p: Program, fuel: int) -> tuple[Value, AllocStats]:
                 v = rb.value
 
 
-# Steps after which a run restarts on compiled frames.  Compiling costs
-# more than a short run saves, and in the benchmark's workloads runs are
-# either short or long.  Measured over each program, its lifted output and
-# its oracle subsets: every corpus evaluation takes at most 86 steps
-# (seeds 1, 5 and 7 and the acceptance corpus, 3,324 evaluations each),
-# every nested one at most 803 (seed 5), and every loops one at least
-# 10,012.  Evaluation is deterministic, so the restart gives what one run
-# would.
-_HANDOVER = 1_000
-
-
 def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     """Evaluate a program's main expression; exact word accounting.
 
@@ -942,9 +933,10 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     validate; no engine runs.  The check reads the memoised scope walk, so
     it walks ``p`` only if nothing has.  Validated names are in scope and
     globally unique, which lets let and case-default binders extend the
-    running activation's environment in place.  A run that passes
-    :data:`_HANDOVER` steps starts again from the beginning on compiled
-    frames, which give the same value, stats and errors.
+    running activation's environment in place.  The program runs on one
+    engine, with ``fuel``: on compiled frames when its scope walk found
+    it recursive, otherwise on the dict engine, and either gives the same
+    value, stats and errors.
 
     A completed run is memoised on ``p`` (see
     :func:`~liftlab.syntax._analyses`), and a later call on the same object
@@ -956,24 +948,16 @@ def evaluate(p: Program, fuel: int = DEFAULT_FUEL) -> tuple[Value, AllocStats]:
     if fuel < 1:
         raise ValueError("fuel must be positive")
     memo = _analyses(p)
-    violations = _scope(p).violations
-    if violations:
-        v = violations[0]
+    scope = _scope(p)
+    if scope.violations:
+        v = scope.violations[0]
         raise ScopeError(f"invalid program: {v.path}: {v.tag} {v.detail}")
     run = memo.get("run")
     if run is not None:
         if run[1].steps > fuel:
             raise OutOfFuel(f"exceeded {fuel} steps")
         return run
-    try:
-        run = _Machine(p, min(fuel, _HANDOVER)).run()
-    except OutOfFuel:
-        if fuel <= _HANDOVER:
-            raise
-    if run is None:
-        # Out of the handler, so the abandoned run is freed before this one.
-        run = _run_frames(p, fuel)
-    memo["run"] = run
+    run = memo["run"] = _run_frames(p, fuel) if scope.recursive else _Machine(p, fuel).run()
     return run
 
 

@@ -31,10 +31,10 @@ into their minimal components (see
 stack, which visits each node once: in that visit it checks and renames
 names, makes the scan that :func:`~liftlab.analysis.scan_program` returns
 (which let binders bind lambdas or occur as arguments, and the names),
-the stats rows and each right-hand side's free variables, and splits let
-groups into their strongly connected components, all in one record.  The
-parser and the printer are loops on explicit stacks too, so no stage
-recurses once per nesting level.
+the stats rows, each right-hand side's free variables and whether the
+program can recur, and splits let groups into their strongly connected
+components, all in one record.  The parser and the printer are loops on
+explicit stacks too, so no stage recurses once per nesting level.
 
 Programs are immutable, so what an analysis finds about one is memoised on
 the object it describes, in the frozen instance's ``__dict__``, which
@@ -705,6 +705,7 @@ class Scope(NamedTuple):
     scan: Scan | None  # None when the walk renamed, or on a lift's clean mark
     split: Program | None  # None when nothing splits
     rows: tuple[str, ...] | None  # the let binders and top-level names, sorted
+    recursive: bool  # a split let group, or a top-level definition, reaches itself
 
 
 def _fresh(base: str, used: set[str], last: dict[str, int]) -> str:
@@ -818,6 +819,12 @@ class _ScopeWalk:
     into its strongly connected components, dependencies outermost, unless
     a binder has been renamed.
 
+    ``recursive`` tells whether a run of the program can come back to
+    code it has run: a let group, as the split leaves it, has a member
+    free in one of its own right-hand sides, or a top-level definition
+    reaches itself through the top-level names its body mentions.
+    Without either, only self-application makes a run long.
+
     ``result`` is the program with its renamings and splits: on exit a
     node is rebuilt only when ``changed`` grew under it, from its
     children's new nodes, which ``results`` holds as (stack height, node)
@@ -846,16 +853,27 @@ class _ScopeWalk:
         self.count = 0  # nodes seen: the next node's pre-order index
         self.known: dict[str, bool] = {}  # let binder -> its right-hand side is a lambda
         self.as_arg: set[str] = set()
-        names, _ = self.bind([tb.name for tb in p.top_binds], 0, None, 0, "top ", True)
+        self.recursive = False
+        written = [tb.name for tb in p.top_binds]
+        names, _ = self.bind(written, 0, None, 0, "top ", True)
         tops = []
+        uses = []  # per top-level body, the names it mentions
         for tb, name in zip(p.top_binds, names):
             params, undo = self.bind(tb.params, 0, None, 0, f"top {tb.name}/param ")
-            body = self.expr(tb.body)
+            mentioned: set[str] = set()
+            body = self.expr(tb.body, mentioned)
+            uses.append(mentioned)
             self.leave(tb.params, undo)
             if name != tb.name or tuple(params) != tb.params or body is not tb.body:
                 tb = TopBind(name, tuple(params), body)
             tops.append(tb)
-        main = self.expr(p.main)
+        main = self.expr(p.main, set())
+        calls = [used.intersection(written) for used in uses]
+        if not self.recursive and any(calls):
+            comps = _scc_components(tuple(written), calls)
+            self.recursive = len(comps) < len(written) or any(
+                [name in called for name, called in zip(written, calls)]
+            )
         self.result = p if not (self.renamed or self.splits) else Program(tuple(tops), main)
 
     def bind(self, names, done: int, index: int | None, up: int, kind: str, twice: bool = False):
@@ -925,15 +943,18 @@ class _ScopeWalk:
             return e
         return App(head, args) if type(e) is App else PrimApp(e.op, args)
 
-    def expr(self, root: Expr) -> Expr:
-        """Walk ``root``.  The stack holds nodes; a let's ``(name, rhs)``
-        bindings, which open a right-hand side; a case's default, which
-        binds its name; the tuples that close a let or a case and the
-        lists that close a right-hand side, each pushed when it opens and
-        ending with what :meth:`bind` returned for its binders, or None."""
+    def expr(self, root: Expr, mentioned: set[str]) -> Expr:
+        """Walk ``root``, adding to ``mentioned`` the names it mentions.
+        The stack holds nodes; a let's ``(name, rhs)`` bindings, which open
+        a right-hand side; a case's default, which binds its name; the
+        tuples that close a let or a case and the lists that close a
+        right-hand side, each pushed when it opens and ending with what
+        :meth:`bind` returned for its binders, or None."""
         env, used, known, as_arg = self.env, self.used, self.known, self.as_arg
         records, n = self.records, self.count
-        mentioned: set[str] = set()  # names occurring in the open right-hand side
+        recursive = self.recursive
+        # ``mentioned`` holds the names occurring in the open right-hand
+        # side, or in ``root`` outside every right-hand side.
         bound: set[str] = set()  # binders inside it
         changed = 0
         results: list[tuple[int, Expr | Rhs]] = []
@@ -947,7 +968,7 @@ class _ScopeWalk:
                     y = e[1]
                     t = type(y)
                     if t is Lambda or t is Thunk:  # a right-hand side opens
-                        close = [y, changed, len(results), mentioned, bound, None]
+                        close = [y, changed, len(results), mentioned, bound, None, x]
                         stack.append(close)
                         mentioned, bound = set(), set()
                         if t is Lambda:
@@ -983,10 +1004,13 @@ class _ScopeWalk:
                         for name, old in st[1]:
                             env[name] = old
                     comps = None
-                    if len(binds) > 1 and self.split and not self.renamed:
+                    if len(binds) > 1:
                         fvs = [rhs.__dict__["_free"] for _, rhs in binds]
                         comps = _scc_components(group.binders(), fvs)
-                        if len(comps) > 1:
+                        # A member free in its own right-hand side was seen
+                        # as that closed; otherwise a cycle is a component.
+                        recursive = recursive or len(comps) < len(binds)
+                        if len(comps) > 1 and self.split and not self.renamed:
                             changed += 1
                             self.splits += 1
                         else:
@@ -1006,7 +1030,7 @@ class _ScopeWalk:
                         del results[mark:]
                         results.append((len(stack), _rebuild_case(x, kids, base, st)))
             elif t is list:  # a right-hand side closes
-                x, before, mark, enclosing, enclosing_bound, st = e
+                x, before, mark, enclosing, enclosing_bound, st, binder = e
                 mentioned -= bound
                 if type(x) is Lambda:
                     params = x.params
@@ -1017,6 +1041,8 @@ class _ScopeWalk:
                         for name, old in st[1]:
                             env[name] = old
                 x.__dict__["_free"] = fvs = frozenset(mentioned)
+                if binder in fvs:
+                    recursive = True
                 mentioned, bound = enclosing, enclosing_bound
                 mentioned |= fvs
                 if changed != before:
@@ -1095,6 +1121,7 @@ class _ScopeWalk:
                 n += 1
                 records.append((n - 1, 0, "", "NonAtomicArg", t.__name__))
         self.count = n
+        self.recursive = recursive
         return results[0][1] if results else root
 
     def bind_let(self, e: Let, index: int, done: int, bound: set[str]):
@@ -1177,12 +1204,12 @@ def _walk_scope(p: Program) -> Scope:
         walk = _ScopeWalk(p, split=False)
     out, twice = walk.violations(p)
     if walk.renamed:
-        scope = Scope(out, twice, walk.result, None, None, None)
+        scope = Scope(out, twice, walk.result, None, None, None, walk.recursive)
     else:
         q = walk.result
         rows = tuple(sorted({*walk.known, *[tb.name for tb in p.top_binds]}))
         scan = Scan(walk.known, walk.as_arg, frozenset(walk.used))
-        scope = Scope(out, twice, None, scan, None if q is p else q, rows)
+        scope = Scope(out, twice, None, scan, None if q is p else q, rows, walk.recursive)
     _analyses(p)["scope"] = scope
     if scope.split is not None:
         _mark_clean(p, scope.split)
@@ -1194,7 +1221,9 @@ def _mark_clean(p: Program, q: Program) -> None:
     ``q`` is ``p``'s split program, or ``p`` is its own split and ``q`` a
     lift of it: either keeps names unique and in scope, splits nothing
     further and binds the same names, so ``q`` gets ``p``'s stats rows, and
-    a split program ``p``'s scan too.  Any other ``q`` is walked when checked."""
+    a split program ``p``'s scan too.  Both keep every reference between
+    bindings, so they neither make nor break a cycle, and ``q`` gets
+    ``p``'s recursion bit.  Any other ``q`` is walked when checked."""
     scope = _analyses(p).get("scope")
     if scope is not None and not scope.violations and (scope.split is None or scope.split is q):
         scan = scope.scan if scope.split is q else None

@@ -125,20 +125,41 @@ def corpus() -> list[Program]:
     return programs
 
 
-@pytest.fixture
-def engine_runs(monkeypatch) -> Counter:
-    """Counts the runs that reach an engine, per program object.  Every
-    such run starts on the dict-environment engine, so this counts each
-    evaluation once, also one handed over to compiled frames."""
-    runs: Counter = Counter()
+def watch_engines(monkeypatch, seen) -> None:
+    """Call ``seen(engine, program, fuel)`` at the start of every run on
+    either engine, ``engine`` being ``"dict"`` or ``"frames"``."""
 
     class Counting(machine._Machine):
         def __init__(self, program, fuel):
-            runs[id(program)] += 1
+            seen("dict", program, fuel)
             super().__init__(program, fuel)
 
+    real_frames = machine._run_frames
+
+    def counting(program, fuel):
+        seen("frames", program, fuel)
+        return real_frames(program, fuel)
+
     monkeypatch.setattr(machine, "_Machine", Counting)
+    monkeypatch.setattr(machine, "_run_frames", counting)
+
+
+@pytest.fixture
+def engine_runs(monkeypatch) -> Counter:
+    """Counts the runs that reach an engine, either one, per program
+    object.  Each run starts exactly one engine, so this counts each
+    evaluation once."""
+    runs: Counter = Counter()
+    watch_engines(monkeypatch, lambda engine, program, fuel: runs.update([id(program)]))
     return runs
+
+
+@pytest.fixture
+def engine_log(monkeypatch) -> list[tuple[str, int]]:
+    """The (engine, fuel) of each run that reaches an engine, in order."""
+    log: list[tuple[str, int]] = []
+    watch_engines(monkeypatch, lambda engine, program, fuel: log.append((engine, fuel)))
+    return log
 
 
 @pytest.fixture

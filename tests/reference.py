@@ -235,6 +235,27 @@ def recursive(group):
     return any(names & free_vars(rhs) for _, rhs in group.binds)
 
 
+def recursive_program(p):
+    """Whether a let binder or top-level name of ``p`` reaches itself in the
+    graph with an edge from each to every such name free in its
+    right-hand side or body: a plain reachability search from each."""
+    edges = {tb.name: free_vars(tb.body, frozenset(tb.params)) for tb in p.top_binds}
+    for e in preorder(p):
+        if isinstance(e, Let):
+            for name, rhs in e.group.binds:
+                edges[name] = free_vars(rhs)
+    for start in edges:
+        seen, todo = set(), [start]
+        while todo:
+            for name in edges[todo.pop()]:
+                if name == start:
+                    return True
+                if name in edges and name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+    return False
+
+
 def scaled(n, rhs):
     # A region entered at least once keeps its negative growth; one entered
     # at most once keeps its positive growth; one entered unboundedly often

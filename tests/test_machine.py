@@ -2,7 +2,7 @@ import gc
 import hashlib
 import sys
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import example, given
@@ -37,13 +37,14 @@ from liftlab.syntax import (
     TopBind,
     Var,
     _analyses,
+    _scope,
     freshen,
     parse,
     validate,
 )
 
-from conftest import PROGRAMS_DIR, load_inline, load_program
-from reference import closure_slot_fvs, preorder
+from conftest import PROGRAMS_DIR, load_inline, load_program, width_text
+from reference import closure_slot_fvs, preorder, recursive_program
 from test_syntax import _EXPRS, _PROPERTY, _TOPS
 
 
@@ -331,13 +332,16 @@ UNBOUND_PROGRAMS = [
 ]
 
 
+LOOP = "f n = case n of { 0 -> 0; default m -> case -# m 1 of { default k -> f k } };\n"
+
+
 def edge_programs():
     return [load_inline(text) for text in EDGE_PROGRAMS]
 
 
 class TestCompiledFrames:
-    """Runs that pass _HANDOVER steps restart on compiled frames, which
-    must show exactly what the dict-environment engine shows."""
+    """A recursive program runs on compiled frames, and any other on the
+    dict-environment engine; each must show exactly what the other shows."""
 
     def test_engines_agree(self, corpus, hand_programs):
         # Both engines through their private entry points, on every
@@ -364,9 +368,9 @@ class TestCompiledFrames:
     @pytest.mark.parametrize("fuel", [999, 1_000, 1_001])
     @pytest.mark.parametrize("text", UNBOUND_PROGRAMS)
     def test_unbound_names_refused_before_any_engine(self, text, fuel, engine_runs):
-        # evaluate checks once, at its entry, what the engines assume:
-        # on either side of the hand-over, a program that does not
-        # validate raises validate's first violation, and no engine runs.
+        # evaluate checks once, at its entry, what the engines assume: at
+        # any fuel, a program that does not validate raises validate's
+        # first violation, and no engine runs.
         p = parse(text)
         v = validate(p)[0]
         message = f"invalid program: {v.path}: {v.tag} {v.detail}"
@@ -385,42 +389,96 @@ class TestCompiledFrames:
         assert (render_value(value), value_key(value)) == (shown, ("fun", shown[5:-1]))
 
     @pytest.mark.parametrize(
-        "main, steps, compiled",
+        "text, steps, engine",
         [
-            ("let u = thunk 0 in f 199", 1_000, []),
-            ("case 0 of { default z -> f 199 }", 1_001, [DEFAULT_FUEL]),
+            (LOOP + "main = let u = thunk 0 in f 199", 1_000, "frames"),
+            (LOOP + "main = case 0 of { default z -> f 199 }", 1_001, "frames"),
+            (width_text(500), 1_003, "dict"),
         ],
-        ids=["1000-steps", "1001-steps"],
+        ids=["1000-steps", "1001-steps", "no-recursion"],
     )
-    def test_handover(self, main, steps, compiled, monkeypatch):
-        loop = "f n = case n of { 0 -> 0; default m -> case -# m 1 of { default k -> f k } };\n"
-        p = load_inline(loop + "main = " + main)
-        runs = []
-        real = machine._run_frames
-
-        def counting(q, fuel):
-            runs.append(fuel)
-            return real(q, fuel)
-
-        monkeypatch.setattr(machine, "_run_frames", counting)
+    def test_recursion_chooses_the_engine(self, text, steps, engine, engine_log):
+        # One engine per run, with the caller's fuel, whatever the run's
+        # length: compiled frames for a program that recurs, the dict
+        # engine for one that does not.
+        p = load_inline(text)
         expected = outcome(dict_engine, p)
-        assert outcome(evaluate, p) == expected and expected[1].steps == steps
-        assert runs == compiled
-        # Fresh objects, so the fuel bounds real runs, not p's stored one;
-        # only a run past 1,000 steps hands over, with the caller's fuel.
+        assert expected[1].steps == steps
+        engine_log.clear()
+        assert outcome(evaluate, p) == expected
+        # Fresh objects, so the fuel bounds real runs, not p's stored one.
         assert outcome(evaluate, fresh(p), steps) == expected
         assert outcome(evaluate, fresh(p), steps - 1) == (OutOfFuel, f"exceeded {steps - 1} steps")
-        assert runs == (compiled + [steps] if compiled else [])
+        assert engine_log == [(engine, DEFAULT_FUEL), (engine, steps), (engine, steps - 1)]
 
-    @pytest.mark.parametrize("fuel", [1_000, 1_001, 16_503, 16_504])
-    def test_countdown_fuel_across_handover(self, fuel, hand_programs):
+    @pytest.mark.parametrize("fuel", [999, 1_000, 1_001, 16_503, 16_504])
+    def test_countdown_fuel_on_frames_alone(self, fuel, hand_programs, engine_log):
         p = fresh(hand_programs["countdown"])
+        expected = outcome(dict_engine, p, fuel)
+        engine_log.clear()
         got = outcome(evaluate, p, fuel)
-        assert got == outcome(dict_engine, p, fuel)
+        assert got == expected and engine_log == [("frames", fuel)]
         if fuel < 16_504:
             assert got == (OutOfFuel, f"exceeded {fuel} steps")
         else:
             assert got[0] == ("int", 500) and got[1].steps == 16_504
+
+    @pytest.mark.parametrize("fuel", [999, 1_000, 1_001, 100_000])
+    def test_self_application_runs_on_the_dict_engine(self, fuel, engine_log):
+        # No let group and no top-level definition refers to itself, so
+        # the program is not recursive, but w w runs until the fuel is
+        # spent: on the dict engine alone, as it would on compiled frames.
+        p = load_inline("main = let w = \\ x -> x x in w w")
+        assert not _scope(p).recursive and not recursive_program(p)
+        expected = outcome(frames_engine, p, fuel)
+        assert expected == (OutOfFuel, f"exceeded {fuel} steps")
+        engine_log.clear()
+        assert outcome(evaluate, p, fuel) == expected
+        assert engine_log == [("dict", fuel)]
+
+    def test_an_error_wins_only_at_the_fuel_that_pays_for_it(self):
+        # test_engines_agree cannot check one step fewer on a run that
+        # raises.  For each edge program that raises an error other than
+        # OutOfFuel, the least fuel at which it raises: both engines, and
+        # evaluate, raise that error there and above, and OutOfFuel below.
+        checked = 0
+        for text in EDGE_PROGRAMS:
+            p = load_inline(text)
+            error = outcome(dict_engine, p, 200_000)
+            if type(error[0]) is tuple or error[0] is OutOfFuel:
+                continue
+            least = next(f for f in count(1) if outcome(dict_engine, p, f) == error)
+            for run in (dict_engine, frames_engine, lambda q, f: evaluate(fresh(q), f)):
+                for fuel in range(1, least + 3):
+                    expected = error if fuel >= least else (OutOfFuel, f"exceeded {fuel} steps")
+                    assert outcome(run, p, fuel) == expected, (text, fuel)
+            checked += 1
+        assert checked == 8
+
+    @pytest.mark.parametrize("fuel", range(386, 396))
+    def test_fuel_stops_a_run_returning_through_its_frames(self, fuel, monkeypatch):
+        # f squares its result on the way back from each of its 64 calls,
+        # one *# step per pending case frame.  The descent takes 388 steps
+        # (main's call, then 6 per call and 3 for f 0), so a run given
+        # fuel past them may square only fuel - 388 times before it stops:
+        # the whole unwind would build 2^(2^64).
+        p = load_inline(
+            "f n = case n of { 0 -> 2; default m -> case -# m 1 of {\n"
+            "  default k -> case f k of { default r -> *# r r } } };\n"
+            "main = f 64"
+        )
+        squarings = []
+
+        def square(x, y):
+            squarings.append(x)
+            assert 388 + len(squarings) <= fuel, "a squaring past the fuel"
+            return x * y
+
+        monkeypatch.setitem(machine._PRIMS, "*#", square)
+        for run in (dict_engine, frames_engine, lambda q, f: evaluate(fresh(q), f)):
+            squarings.clear()
+            assert outcome(run, p, fuel) == (OutOfFuel, f"exceeded {fuel} steps")
+            assert len(squarings) == max(0, fuel - 388)
 
     @pytest.mark.parametrize(
         "result, error, message",
@@ -436,11 +494,14 @@ class TestCompiledFrames:
         ],
         ids=["divide-by-zero", "blackhole", "arity", "unbound"],
     )
-    def test_errors_after_handover(self, result, error, message, tmp_path, capsys, engine_runs):
-        # countdown reaches its result after 16,000 steps; here that
-        # result raises.  A name bound nowhere does not validate, so that
-        # program is only parsed: evaluate refuses it before any engine
-        # runs, and the command line rejects it sooner, in its own words.
+    def test_errors_at_the_end_of_a_long_run(
+        self, result, error, message, tmp_path, capsys, engine_log
+    ):
+        # countdown reaches its result after 16,000 steps, on compiled
+        # frames; here that result raises.  A name bound nowhere does not
+        # validate, so that program is only parsed: evaluate refuses it
+        # before any engine runs, and the command line rejects it sooner,
+        # in its own words.
         text = (PROGRAMS_DIR / "countdown.stg").read_text().replace("1 -> a;", f"1 -> {result};")
         path = tmp_path / "countdown.stg"
         path.write_text(text)
@@ -449,16 +510,19 @@ class TestCompiledFrames:
         if error is ScopeError:
             p = parse(text)
             assert outcome(evaluate, p) == (error, f"invalid program: {message}")
-            assert not engine_runs
+            assert not engine_log
             shown = "liftlab: error: unbound variable 'nowhere'\n"  # freshen's words
         else:
             p = load_inline(text)
-            assert outcome(evaluate, p) == outcome(dict_engine, p) == (error, message)
+            engine_log.clear()
+            got = outcome(evaluate, p)
+            assert engine_log == [("frames", DEFAULT_FUEL)]
+            assert got == outcome(dict_engine, p) == (error, message)
             shown = f"liftlab: error: {message}\n"
         assert (captured.out, captured.err) == ("", shown)
 
     @pytest.mark.parametrize("fuel", [999, 1_000, 1_001, DEFAULT_FUEL])
-    def test_evaluated_thunks_past_the_handover(self, fuel):
+    def test_evaluated_thunks_on_frames(self, fuel, engine_log):
         # The loop reads its parameter k, the thunk one, evaluated in the
         # first iteration, as a case scrutinee, in primop scrutinees and as
         # primop operands, and so does each thunk d; an evaluated thunk is
@@ -477,7 +541,9 @@ class TestCompiledFrames:
             "main = let one = thunk 1 in f 0 400 one\n"
         )
         expected = outcome(dict_engine, p, fuel)
+        engine_log.clear()
         assert outcome(evaluate, fresh(p), fuel) == expected
+        assert engine_log == [("frames", fuel)]
         if fuel == DEFAULT_FUEL:
             value, stats = expected
             d = stats.per_binder["d"]
@@ -510,11 +576,11 @@ class TestCompiledFrames:
 # Over the generated programs of test_syntax (three names, so unbound
 # names, shadowing and names bound twice are common), each as built and
 # freshened, where freshen can rename it, and so again with the names no
-# top-level definition binds defined as 0, which closes most of them.  On
-# either side of the hand-over, evaluate refuses every program validate
-# rejects, and on every other one the two engines and evaluate show the
-# same.  The example is the shape on which the engines once disagreed: a
-# let binder read in a case's default, out of its scope.
+# top-level definition binds defined as 0, which closes most of them.  At
+# each fuel, evaluate refuses every program validate rejects, and on every
+# other one the two engines and evaluate show the same.  The example is
+# the shape on which the engines once disagreed: a let binder read in a
+# case's default, out of its scope.
 @_PROPERTY
 @example(
     [],

@@ -508,7 +508,7 @@ def test_forced_apply_of_the_chosen_groups_is_the_lift_output():
 
 
 def test_a_stored_run_is_returned_and_bounds_the_fuel(engine_runs):
-    # countdown runs 16,504 steps, past the hand-over.  Less fuel raises
+    # countdown runs 16,504 steps, on compiled frames.  Less fuel raises
     # what a fresh run raises, without running; enough returns the run.
     p = split_groups(freshen(parse(source("countdown"))))
     run = evaluate(p)

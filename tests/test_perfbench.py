@@ -3,12 +3,13 @@
 ``perfbench/run.py`` calls liftlab's public functions and checks every
 output against the interpreter, so a renamed function or a changed output
 breaks it.  A short run of every workload shows that here, in about 6 s,
-rather than only when the full benchmark runs.  At this size the loop
-programs take 1,013 to 1,654 steps, past the interpreter's hand-over to
-compiled frames, so that engine runs under the benchmark's own output
-checks too.  Untraced, the workloads write no files.  A traced run, in
-about 5 s more, wraps the same calls in spans, cProfile and tracemalloc
-and runs the probes; it writes its traces, so it runs in a copy.
+rather than only when the full benchmark runs.  The loop programs recur,
+so they run on compiled frames (1,013 to 1,654 steps at this size), and
+the corpus and nested ones do not, so they run on the dict engine: both
+engines run under the benchmark's own output checks.  Untraced, the
+workloads write no files.  A traced run, in about 5 s more, wraps the
+same calls in spans, cProfile and tracemalloc and runs the probes; it
+writes its traces, so it runs in a copy.
 
 Each workload's ``output_sha256`` is a digest of its first pass's
 decisions, printed programs, stats and oracle rows, so a pinned digest

@@ -10,10 +10,13 @@ numbers the same nodes (the same objects, in the same order), and every
 right-hand side carries the free variables the reference finds, on each
 input, its split program, every lift output, every oracle subset and a
 second lift of each lift output.  No lift output or oracle subset is
-walked while it is lifted, evaluated or measured.
+walked while it is lifted, evaluated or measured.  The walk's recursion
+bit, which picks each run's engine, is the reference's cycle search, and
+a lift keeps it.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -22,11 +25,18 @@ from liftlab.analysis import scan_program, split_groups
 from liftlab.lifter import apply_lifts, lift_program, liftable_sites, plan_lifts
 from liftlab.machine import enumerate_lift_subsets
 from liftlab.syntax import (
+    MULTI_SHOT,
+    App,
+    AtomExpr,
+    BindGroup,
     Case,
+    Lambda,
     Let,
+    Lit,
     ParseError,
     Program,
     ScopeError,
+    Var,
     freshen,
     parse,
     print_program,
@@ -42,6 +52,7 @@ from conftest import (
     renamings,
 )
 from progen import ProgramGen
+from test_traversal import DEPTH, _deep_nest, _nest
 
 
 def check_free(p: Program) -> int:
@@ -210,3 +221,48 @@ def test_deep_lift_outputs_carry_reference_free_vars(walks):
                 for _, rhs in e.group.binds
             )
     assert rebuilt > 300, rebuilt
+
+
+def test_recursion_bit_agrees_with_reference(corpus, hand_programs):
+    # The bit of each input is the reference's cycle search over let
+    # binders and top-level names.  Each lift output and oracle subset
+    # carries its input's bit on the clean mark, and a fresh walk of it
+    # finds that bit again: lifting keeps every reference between bindings.
+    nested = [load_inline(text) for text in nested_family_texts().values()]
+    recursive = set()
+    for name, p in [*enumerate(corpus), *hand_programs.items(), *enumerate(nested)]:
+        bit = syntax._scope(p).recursive
+        assert bit == reference.recursive_program(p), name
+        plan, sites = plan_lifts(p), liftable_sites(p)
+        outputs = [lift_program(p)[0]]
+        if len(sites) <= 4:
+            for mask in range(1, 2 ** len(sites)):
+                chosen = frozenset(s for i, s in enumerate(sites) if mask & (1 << i))
+                outputs.append(apply_lifts(plan, force_sites=chosen))
+        for q in outputs:
+            assert syntax._analyses(q)["scope"].recursive == bit, name
+            assert syntax._scope(fresh_object(q)).recursive == bit, name
+        if bit:
+            recursive.add(name)
+    # callweb recurs only through its top-level definition f.
+    assert recursive == {"callweb", "countdown", "known_call", "mutual", "tally"}
+
+
+def test_recursion_bit_on_deep_nests():
+    # The walk needs no recursion; the reference recurses once or twice
+    # per level, so it runs with the limit raised.  Its free variables of
+    # each right-hand side walk all those inside it, so the lambda nest,
+    # right-hand sides all the way down, is the shallowest.
+    own = Lambda(MULTI_SHOT, ("b",), App("h", (Var("b"),)))
+    depths = {"let": 1_000, "case": 1_000, "paren": 1_000, "lambda": 200}
+    programs = [(load_inline(_nest(kind, n)), False) for kind, n in depths.items()]
+    programs.append((_deep_nest(DEPTH, AtomExpr(Var(f"x{DEPTH}"))), False))
+    programs.append((_deep_nest(DEPTH, Let(BindGroup((("h", own),)), App("h", (Lit(1),)))), True))
+    old = sys.getrecursionlimit()
+    for p, expected in programs:
+        assert syntax.validate(p) == [] and syntax._scope(p).recursive == expected
+        sys.setrecursionlimit(10 * DEPTH)
+        try:
+            assert reference.recursive_program(p) == expected
+        finally:
+            sys.setrecursionlimit(old)
